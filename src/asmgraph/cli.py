@@ -331,6 +331,17 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and counts: a usage error unless >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _common(seed_required: bool = False) -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -361,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "enumerate", parents=[_common()], help="stream or count all n x n ASMs"
     )
-    p.add_argument("--n", type=int, required=True, help="matrix size")
+    p.add_argument("--n", type=_positive_int, required=True, help="matrix size")
     p.add_argument("--count-only", action="store_true", help="print only the count")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser(
         "graph", parents=[_common()], help="the full n x n edge graph, DOT by default"
     )
-    p.add_argument("--n", type=int, required=True, help="matrix size")
+    p.add_argument("--n", type=_positive_int, required=True, help="matrix size")
     p.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
     p.set_defaults(func=cmd_graph)
 
@@ -410,13 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="Q0,...",
         help="comma-separated rational grid, default 1/4,1,4",
     )
-    p.add_argument("--samples", type=int, default=20, help="samples per grid point")
+    p.add_argument(
+        "--samples", type=_positive_int, default=20, help="samples per grid point"
+    )
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser(
         "bq", parents=[_common()], help="the signed generating function B_n(q)"
     )
-    p.add_argument("--n", type=int, required=True, help="matrix size")
+    p.add_argument("--n", type=_positive_int, required=True, help="matrix size")
     p.add_argument(
         "--method",
         choices=sorted(BQ_METHODS) + ["all"],
@@ -432,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_common(seed_required=True)],
         help="check the identity and its q-analogue on random matrices",
     )
-    pv.add_argument("--n", type=int, required=True, help="matrix size")
-    pv.add_argument("--trials", type=int, default=100, help="matrices to draw")
+    pv.add_argument("--n", type=_positive_int, required=True, help="matrix size")
+    pv.add_argument("--trials", type=_positive_int, default=100, help="matrices to draw")
     pv.set_defaults(func=cmd_dodgson_verify)
 
     p = sub.add_parser(

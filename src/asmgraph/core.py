@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class AsmError(ValueError):
@@ -403,10 +403,6 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(images)
 
 
-def asms_equal(a: Asm, b: Asm) -> bool:
-    return a.entries == b.entries
-
-
 def identity_asm(n: int) -> Asm:
     """The identity permutation matrix, the unique minimum of the order."""
     return permutation_to_asm(tuple(range(1, n + 1)))
@@ -415,7 +411,3 @@ def identity_asm(n: int) -> Asm:
 def reverse_asm(n: int) -> Asm:
     """Matrix of the longest permutation n, n-1, ..., 1, the unique maximum."""
     return permutation_to_asm(tuple(range(n, 0, -1)))
-
-
-def _iter_asm_rows(a: Asm) -> Iterable[tuple[int, ...]]:
-    return iter(a.entries)

@@ -5,7 +5,13 @@ matrix is built row by row, each row being a lattice path that rises by
 0 or 1 at each column, stays within 0/1 of the previous row, and ends at
 the row index.  Every completed matrix corresponds to exactly one ASM,
 so no post-filtering is needed; dead prefixes are abandoned as soon as a
-row cannot be extended.
+row cannot be extended.  Each corner-sum row is turned into its entry
+row as the walk goes,
+
+    A(i, j) = X(i, j) - X(i, j-1) - X(i-1, j) + X(i-1, j-1),
+
+so the finished ASM is assembled from entry rows directly, without
+inverting or re-checking its corner-sum matrix.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -14,10 +20,13 @@ entry points guard against accidentally huge sizes; pass
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations as _permutations
 from typing import Iterator
 
-from .core import Asm, Permutation, from_corner_sum
+from .core import Asm, Permutation
+
+Row = tuple[int, ...]
 
 ASM_SIZE_LIMIT = 7
 PERMUTATION_SIZE_LIMIT = 9
@@ -42,13 +51,13 @@ def _check_limit(n: int, size_limit: int | None) -> None:
         raise SizeLimitExceededError(n, size_limit)
 
 
-def _next_rows(prev: tuple[int, ...], i: int, n: int) -> Iterator[tuple[int, ...]]:
+def _next_rows(prev: Row, i: int, n: int) -> Iterator[Row]:
     """All valid corner-sum rows i given row i-1 (row 0 is all zeros)."""
     # Row entries must rise by 0/1 left to right, sit at prev[j] or
     # prev[j]+1, and reach i in the last column.
     row = [0] * n
 
-    def extend(j: int, last: int) -> Iterator[tuple[int, ...]]:
+    def extend(j: int, last: int) -> Iterator[Row]:
         if j == n:
             if last == i:
                 yield tuple(row)
@@ -67,18 +76,39 @@ def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[As
     """Yield all n x n ASMs; order is not specified, use enumerate_asms
     for the canonical order."""
     _check_limit(n, size_limit)
-    zero = tuple([0] * n)
 
-    def walk(rows: list[tuple[int, ...]], i: int) -> Iterator[Asm]:
-        if i > n:
-            yield from_corner_sum(rows)
+    @cache
+    def next_steps(prev: Row) -> list[tuple[Row, Row]]:
+        """The corner-sum rows that can follow prev, each with its entry
+        row; a row's last value is its index, so prev fixes the step."""
+        i = prev[-1] + 1
+        return [(row, _entry_row(prev, row)) for row in _next_rows(prev, i, n)]
+
+    def walk(prev: Row, rows: list[Row]) -> Iterator[Asm]:
+        if len(rows) == n:
+            yield Asm(tuple(rows))
             return
-        for row in _next_rows(rows[-1] if rows else zero, i, n):
-            rows.append(row)
-            yield from walk(rows, i + 1)
+        for row, entries in next_steps(prev):
+            rows.append(entries)
+            yield from walk(row, rows)
             rows.pop()
 
-    yield from walk([], 1)
+    yield from walk(tuple([0] * n), [])
+
+
+def _entry_row(prev: Row, row: Row) -> Row:
+    """ASM row i from corner-sum rows i-1 (prev) and i (row).
+
+    row[j] - prev[j] is the partial sum of ASM row i up to column j, and
+    the entries are the steps of those partial sums.
+    """
+    out = []
+    left = 0
+    for above, here in zip(prev, row):
+        partial = here - above
+        out.append(partial - left)
+        left = partial
+    return tuple(out)
 
 
 def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[Asm]:

@@ -21,12 +21,27 @@ decreased likewise.  Adding moves down the order, subtracting moves up.
 The directed ASM graph has an edge A -> B whenever B is obtained from A
 by one such subtraction; its edges fall into sixteen types according to
 the four entries of the target at the rectangle's corner positions.
+
+A corner-sum step is a partial sum of A: A~(p, q) - A~(p, q-1) is
+s(p, q), the sum of column q down to row p, and A~(p, q) - A~(p-1, q)
+is r(p, q), the sum of row p up to column q.  So [i, j) x [k, l) is
+dual essential exactly when
+
+    s(p, k) = 1 and s(p, l) = 0 for i <= p < j, and
+    r(i, q) = 1 and r(j, q) = 0 for k <= q < l,
+
+and the graph builder walks only the runs of partial sums that satisfy
+these, never the other rectangles.  Lowering the corner sums by 1 on the
+cells of R changes A only at the corners (i,k), (i,l), (j,k), (j,l),
+where it adds (-1, +1, +1, -1); raising them adds (+1, -1, -1, +1).
+Targets are formed by this corner update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -35,10 +50,11 @@ from .core import (
     CornerSum,
     Permutation,
     corner_sum,
-    from_corner_sum,
     permutation_to_asm,
 )
 from .enumeration import enumerate_asms, enumerate_permutations
+
+Entries = tuple[tuple[int, ...], ...]
 
 
 class SizeMismatchError(AsmError):
@@ -154,16 +170,26 @@ def apply_rect(a: Asm, r: Rect) -> Asm:
     (moving up), and otherwise returns a unchanged.
     """
     if is_essential(a, r):
-        delta = 1
-    elif is_dual_essential(a, r):
-        delta = -1
-    else:
-        return a
-    c = corner_sum(a)
-    rows = [list(row) for row in c.entries]
-    for (p, q) in r.cells():
-        rows[p - 1][q - 1] += delta
-    return from_corner_sum(rows)
+        return Asm(_shift_corners(a.entries, r, 1))
+    if is_dual_essential(a, r):
+        return Asm(_shift_corners(a.entries, r, -1))
+    return a
+
+
+def _shift_corners(entries: Entries, r: Rect, delta: int) -> Entries:
+    """Entries after adding delta to the corner sums on the cells of r.
+
+    Only the four corners change, by delta * (1, -1, -1, 1) at (i,k),
+    (i,l), (j,k), (j,l); the other rows are shared with the input.
+    """
+    rows = list(entries)
+    top, bottom = list(rows[r.i - 1]), list(rows[r.j - 1])
+    top[r.k - 1] += delta
+    top[r.l - 1] -= delta
+    bottom[r.k - 1] -= delta
+    bottom[r.l - 1] += delta
+    rows[r.i - 1], rows[r.j - 1] = tuple(top), tuple(bottom)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +305,50 @@ def edge_between(source: Asm, target: Asm) -> Edge:
     return Edge(source, target, r, classify_edge(source, target, r))
 
 
+def _up_moves(entries: Entries) -> list[tuple[Rect, Entries, int]]:
+    """(rectangle, target entries, edge type) of each edge leaving an ASM.
+
+    Reads the dual-essential rectangles off the row partial sums r and
+    the column partial sums s (see the module docstring), sorted by
+    rectangle.  Indices in the walk are 0-based.
+    """
+    n = len(entries)
+    r = [list(accumulate(row)) for row in entries]
+    s = [list(accumulate(col)) for col in zip(*entries)]  # s[q][p]
+    rects = []
+    for i in range(n - 1):
+        top = r[i]
+        for k in range(n - 1):
+            if top[k] != 1 or s[k][i] != 1:
+                continue
+            col_k = s[k]
+            # r(i, .) = 1 on columns k..l-1
+            for l in range(k + 1, n):
+                col_l = s[l]
+                # s(., k) = 1 and s(., l) = 0 on rows i..j-1
+                j = i + 1
+                while j < n and col_k[j - 1] == 1 and col_l[j - 1] == 0:
+                    # r(j, .) = 0 on columns k..l-1
+                    if r[j][k:l].count(0) == l - k:
+                        rects.append((i + 1, j + 1, k + 1, l + 1))
+                    j += 1
+                if top[l] != 1:
+                    break
+    rects.sort()
+    out = []
+    for bounds in rects:
+        rect = Rect(*bounds)
+        target = _shift_corners(entries, rect, -1)
+        upper, lower = target[rect.i - 1], target[rect.j - 1]
+        k, l = rect.k - 1, rect.l - 1
+        t = _TYPE_BY_TARGET_CORNERS[(upper[k], upper[l], lower[k], lower[l])]
+        out.append((rect, target, t))
+    return out
+
+
 def edges_from(a: Asm) -> list[Edge]:
     """All edges of the ASM graph leaving a, sorted by rectangle."""
-    out = []
-    for r in sorted(dual_essential_rects(a)):
-        target = apply_rect(a, r)
-        out.append(Edge(a, target, r, classify_edge(a, target, r)))
-    return out
+    return [Edge(a, Asm(target), r, t) for r, target, t in _up_moves(a.entries)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +374,6 @@ def beta(a: Asm) -> int:
         for j in range(1, n + 1):
             total += min(i, j) - c.value(i, j)
     return total
-
-
-beta_corner_sum = beta
 
 
 def beta_entry_weighted(a: Asm) -> int:
@@ -447,18 +507,39 @@ class AsmGraph:
     """The ASM graph on all n x n ASMs.
 
     Nodes are in canonical enumeration order; edge endpoints are node
-    indices into that list.
+    indices into that list, and edges are grouped by source in node
+    order.  The node index and the per-source edge offsets behind
+    :meth:`index_of` and :meth:`successors` are built on first use.
     """
 
     n: int
     nodes: tuple[Asm, ...]
     edges: tuple[GraphEdge, ...]
 
+    @cached_property
+    def _index(self) -> dict[Asm, int]:
+        return {a: i for i, a in enumerate(self.nodes)}
+
+    @cached_property
+    def _offsets(self) -> list[int]:
+        """Edges leaving node i are edges[offsets[i]:offsets[i + 1]]."""
+        srcs = [e.src for e in self.edges]
+        if any(a > b for a, b in zip(srcs, srcs[1:])):
+            raise ValueError("edges are not grouped by source in node order")
+        counts = [0] * (len(self.nodes) + 1)
+        for src in srcs:
+            counts[src + 1] += 1
+        return list(accumulate(counts))
+
     def index_of(self, a: Asm) -> int:
-        return self.nodes.index(a)
+        try:
+            return self._index[a]
+        except KeyError:
+            raise ValueError(f"{a!r} is not a node of this graph") from None
 
     def successors(self, idx: int) -> list[int]:
-        return [e.dst for e in self.edges if e.src == idx]
+        lo, hi = self._offsets[idx], self._offsets[idx + 1]
+        return [e.dst for e in self.edges[lo:hi]]
 
     @property
     def num_edges(self) -> int:
@@ -466,13 +547,17 @@ class AsmGraph:
 
 
 def build_graph(n: int, *, size_limit: int | None = 7) -> AsmGraph:
-    """Build the complete ASM graph for size n."""
+    """Build the complete ASM graph for size n.
+
+    Each target is looked up in the index of all n x n ASMs, so a wrong
+    target fails with a KeyError instead of entering the graph.
+    """
     nodes = tuple(enumerate_asms(n, size_limit=size_limit))
-    index = {a: i for i, a in enumerate(nodes)}
+    index = {a.entries: i for i, a in enumerate(nodes)}
     edges = []
     for i, a in enumerate(nodes):
-        for e in edges_from(a):
-            edges.append(GraphEdge(i, index[e.target], e.rect, e.edge_type))
+        for r, target, t in _up_moves(a.entries):
+            edges.append(GraphEdge(i, index[target], r, t))
     return AsmGraph(n, nodes, tuple(edges))
 
 

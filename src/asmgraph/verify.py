@@ -99,7 +99,8 @@ _B4_COEFFS = {0: 1, 1: -3, 2: 1, 3: 4, 4: -2, 5: -2, 6: -2, 7: 4, 8: 1, 9: -3, 1
 
 #: Edge-type census of the full 5x5 ASM graph (3134 edges).  Type 16
 #: does not occur at this size; its corner pattern needs two -1 entries
-#: in each of two adjacent rows, which takes a 6x6 matrix.
+#: in each of two adjacent rows, which takes a 6x6 matrix.  The test
+#: suite freezes the 6x6 census too, where 16 edges have type 16.
 A5_TYPE_CENSUS = {
     1: 1212, 2: 382, 3: 382, 4: 39, 5: 382, 6: 75, 7: 75, 8: 4,
     9: 382, 10: 75, 11: 75, 12: 4, 13: 39, 14: 4, 15: 4,

@@ -298,6 +298,39 @@ class TestUsageAndGuards:
         assert code == 1
         assert "error" in err
 
+    def test_negative_trials_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "dodgson", "verify", "--n", "3", "--trials", "-5", "--seed", "0"
+        )
+        assert code == 2
+        assert out == "" and "positive integer" in err
+
+    def test_negative_samples_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "123", "321", "--seed", "1", "--samples", "-3"
+        )
+        assert code == 2
+        assert out == "" and "positive integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph", "--n", "0"),
+            ("enumerate", "--n", "0"),
+            ("bq", "--n", "0"),
+            ("dodgson", "verify", "--n", "0", "--seed", "0"),
+        ],
+    )
+    def test_zero_size_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "positive integer" in err
+
+    def test_non_integer_size_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--n", "three")
+        assert code == 2
+        assert "positive integer" in err
+
 
 def test_python_dash_m_entry_point():
     result = subprocess.run(

@@ -3,7 +3,9 @@
 The reference oracle here builds ASMs entry by entry (rows drawn from
 {-1, 0, 1} with the prefix-sum conditions enforced directly), which is
 deliberately a different algorithm from the corner-sum walk used by the
-package, so the two can cross-check each other.
+package, so the two can cross-check each other.  A second oracle is the
+same corner-sum walk finishing each matrix with the validating
+from_corner_sum instead of building entry rows as it goes.
 """
 
 from itertools import product
@@ -18,12 +20,14 @@ from asmgraph import (
     count_asms,
     enumerate_asms,
     enumerate_permutations,
+    from_corner_sum,
     identity_asm,
     iter_asms,
     permutation_to_asm,
     reverse_asm,
     validate_asm,
 )
+from asmgraph.enumeration import _next_rows
 
 
 def _oracle_rows(n):
@@ -65,6 +69,21 @@ def _oracle_asms(n):
     return found
 
 
+def _corner_sum_walk(n):
+    """Every complete corner-sum walk, inverted by from_corner_sum."""
+    out = []
+
+    def walk(rows):
+        if len(rows) == n:
+            out.append(from_corner_sum(rows))
+            return
+        for row in _next_rows(rows[-1] if rows else (0,) * n, len(rows) + 1, n):
+            walk(rows + [row])
+
+    walk([])
+    return out
+
+
 class TestCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_known_counts(self, n):
@@ -77,6 +96,12 @@ class TestCounts:
     def test_matches_entrywise_oracle(self, n):
         ours = {a.entries for a in iter_asms(n)}
         assert ours == _oracle_asms(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_corner_sum_walk(self, n):
+        ours = list(iter_asms(n))
+        assert ours == _corner_sum_walk(n)
+        assert len(set(ours)) == KNOWN_ASM_COUNTS[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_permutation_matrices_are_the_minus_one_free_asms(self, n):

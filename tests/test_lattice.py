@@ -7,12 +7,19 @@ implementation under test:
   revalidate it globally, instead of checking boundary conditions;
 - graph edges: scan all ordered pairs and ask whether the corner-sum
   difference is the cell indicator of a combinatorial rectangle;
+- the graph builder: the rectangle scan it replaced, which tests every
+  rectangle with is_dual_essential, rebuilds each target from its bumped
+  corner sums and re-classifies the pair;
 - permutation subgraph: inversion-increasing transposition pairs.
 """
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, strategies as st
 
 from asmgraph import (
+    KNOWN_ASM_COUNTS,
     AsmError,
     IncomparableError,
     NotAnEdgeError,
@@ -36,6 +43,7 @@ from asmgraph import (
     essential_points,
     essential_rects,
     export_dot,
+    from_corner_sum,
     fulton_essential_set,
     identity_asm,
     inversions,
@@ -47,7 +55,21 @@ from asmgraph import (
     validate_asm,
 )
 from asmgraph.core import Permutation, corner_sum, is_corner_sum
-from asmgraph.lattice import EDGE_TYPE_TABLE, SizeMismatchError
+from asmgraph.lattice import (
+    EDGE_TYPE_TABLE,
+    AsmGraph,
+    Edge,
+    GraphEdge,
+    SizeMismatchError,
+)
+from asmgraph.verify import A5_TYPE_CENSUS
+
+#: Edge-type census of the full 6x6 ASM graph (84,016 edges): the first
+#: size with a type-16 edge.
+A6_TYPE_CENSUS = {
+    1: 25810, 2: 10566, 3: 10566, 4: 1573, 5: 10566, 6: 2908, 7: 2908, 8: 287,
+    9: 10566, 10: 2908, 11: 2908, 12: 287, 13: 1573, 14: 287, 15: 287, 16: 16,
+}
 
 
 def _all_rects(n):
@@ -65,6 +87,38 @@ def _bump(a, r, delta):
     for (p, q) in r.cells():
         rows[p - 1][q - 1] += delta
     return rows
+
+
+def _scan_edges_from(a):
+    """edges_from by the rectangle scan: every rectangle is tested, each
+    target is rebuilt from its corner sums and the pair re-classified."""
+    out = []
+    for r in sorted(dual_essential_rects(a)):
+        target = from_corner_sum(_bump(a, r, -1))
+        out.append(Edge(a, target, r, classify_edge(a, target, r)))
+    return out
+
+
+def _scan_graph(n):
+    nodes = tuple(enumerate_asms(n))
+    edges = [
+        GraphEdge(i, nodes.index(e.target), e.rect, e.edge_type)
+        for i, a in enumerate(nodes)
+        for e in _scan_edges_from(a)
+    ]
+    return AsmGraph(n, nodes, tuple(edges))
+
+
+@lru_cache(maxsize=None)
+def _asms6():
+    return tuple(enumerate_asms(6))
+
+
+def _type_census(g):
+    census = {}
+    for e in g.edges:
+        census[e.edge_type] = census.get(e.edge_type, 0) + 1
+    return census
 
 
 def _oracle_edges(asms):
@@ -255,6 +309,38 @@ class TestEdges:
         assert ours == oracle
         if n == 3:
             assert len(ours) == 9
+
+
+class TestGraphBuilder:
+    """The partial-sum builder against the rectangle scan it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_edges_from_matches_scan(self, n):
+        for a in enumerate_asms(n):
+            assert edges_from(a) == _scan_edges_from(a)
+
+    @given(st.integers(min_value=0, max_value=KNOWN_ASM_COUNTS[6] - 1))
+    def test_edges_from_matches_scan_a6(self, idx):
+        a = _asms6()[idx]
+        assert edges_from(a) == _scan_edges_from(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_build_graph_matches_scan(self, n):
+        assert build_graph(n) == _scan_graph(n)
+
+    def test_type_16_first_appears_at_6x6(self):
+        assert _type_census(build_graph(5)) == A5_TYPE_CENSUS
+        g = build_graph(6)
+        assert g.num_edges == 84016
+        assert _type_census(g) == A6_TYPE_CENSUS
+
+    def test_apply_rect_matches_corner_sum_rebuild(self):
+        for a in enumerate_asms(4):
+            for r in _all_rects(4):
+                if is_essential(a, r):
+                    assert apply_rect(a, r) == from_corner_sum(_bump(a, r, +1))
+                elif is_dual_essential(a, r):
+                    assert apply_rect(a, r) == from_corner_sum(_bump(a, r, -1))
 
 
 class TestOrder:
@@ -453,6 +539,22 @@ class TestGraphStructure:
         i = g.index_of(identity_asm(3))
         targets = {g.nodes[j] for j in g.successors(i)}
         assert targets == {a3["132"], a3["213"], a3["321"]}
+
+    def test_successors_and_index_match_linear_scan_a4(self):
+        g = build_graph(4)
+        for i, a in enumerate(g.nodes):
+            assert g.index_of(a) == g.nodes.index(a) == i
+            assert g.successors(i) == [e.dst for e in g.edges if e.src == i]
+
+    def test_index_of_rejects_foreign_matrix(self):
+        with pytest.raises(ValueError):
+            build_graph(3).index_of(identity_asm(4))
+
+    def test_successors_need_edges_grouped_by_source(self):
+        g = build_graph(3)
+        shuffled = AsmGraph(g.n, g.nodes, g.edges[::-1])
+        with pytest.raises(ValueError):
+            shuffled.successors(0)
 
     def test_dot_export(self):
         g = build_graph(2)
