@@ -213,7 +213,7 @@ def validate_asm(rows: Rows | Asm) -> Asm:
     return Asm(tuple(tuple(row) for row in mat))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def corner_sum(a: Asm) -> CornerSum:
     """Corner-sum matrix A~ of an ASM."""
     n = a.n

@@ -12,7 +12,8 @@ The order is graded by the bigrassmannian statistic
             = (1/2) sum_{i,j} (i - j)^2 A(i, j)
             = #{bigrassmannian permutations B with B <= A},
 
-computed here by all three formulas as mutual cross-checks.
+:func:`beta` reads the entry formula off a per-size weight table; the
+other two formulas check it in :func:`beta_checked`.
 
 A rectangle R = rows [i, j) x columns [k, l) is *essential* for A when
 the corner-sum matrix can be increased by 1 on exactly the cells of R
@@ -40,8 +41,9 @@ Targets are formed by this corner update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -364,9 +366,13 @@ def asm_leq(a: Asm, b: Asm) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def beta(a: Asm) -> int:
-    """The bigrassmannian statistic, via corner sums."""
+    """The bigrassmannian statistic, read off the entries."""
+    return beta_entry_weighted(a)
+
+
+def _beta_corner_sum(a: Asm) -> int:
+    """beta via corner sums, the independent check on :func:`beta`."""
     n = a.n
     c = corner_sum(a)
     total = 0
@@ -376,12 +382,18 @@ def beta(a: Asm) -> int:
     return total
 
 
+@cache
+def _square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
+    """(i - j)^2 for 0-based i, j < n."""
+    return tuple(tuple((i - j) ** 2 for j in range(n)) for i in range(n))
+
+
 def beta_entry_weighted(a: Asm) -> int:
     """beta as half the (i - j)^2-weighted entry sum."""
-    s = 0
-    for i in range(1, a.n + 1):
-        for j in range(1, a.n + 1):
-            s += (i - j) * (i - j) * a.entry(i, j)
+    s = sum(
+        sum(map(mul, weights, row))
+        for weights, row in zip(_square_gaps(a.n), a.entries)
+    )
     if s % 2:
         raise AsmError(f"odd weighted sum {s}; input is not an ASM")
     return s // 2
@@ -394,7 +406,7 @@ def beta_bigrassmannian_count(a: Asm) -> int:
 
 def beta_checked(a: Asm) -> int:
     """beta by all three formulas, insisting that they agree."""
-    v1, v2, v3 = beta(a), beta_entry_weighted(a), beta_bigrassmannian_count(a)
+    v1, v2, v3 = beta(a), _beta_corner_sum(a), beta_bigrassmannian_count(a)
     if not (v1 == v2 == v3):
         raise AsmError(f"beta evaluators disagree: {v1}, {v2}, {v3}")
     return v1
@@ -422,7 +434,7 @@ def _bigrassmannian_asms(n: int) -> tuple[Asm, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def essential_points(a: Asm) -> frozenset[tuple[int, int]]:
     """Positions (i, j) whose 1x1 rectangle is essential for a.
 

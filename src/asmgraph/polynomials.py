@@ -32,7 +32,7 @@ from typing import Sequence
 from .core import AsmError, sign
 from .enumeration import enumerate_permutations
 from .lattice import beta_permutation
-from .symbolic import HalfExpPoly, NonExactDivisionError
+from .symbolic import HalfExpPoly, NonExactDivisionError, _det
 from .tnn import RationalMatrix, det
 
 QDET_SIZE_LIMIT = 10
@@ -65,30 +65,14 @@ def bq_product(n: int) -> HalfExpPoly:
 def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
     """Determinant of a matrix of polynomials.
 
-    Cofactor expansion along successive rows, memoized on the set of
-    still-available columns (the row is determined by how many columns
-    remain), so the work is O(2^n) polynomial operations rather than n!.
+    Laplace expansion along successive rows, each minor on the first k
+    rows built once from those on the first k - 1, so the work is
+    O(n 2^n) polynomial operations rather than n!.
     """
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise AsmError("matrix must be square")
-    memo: dict[frozenset[int], HalfExpPoly] = {frozenset(): HalfExpPoly.one()}
-
-    def rec(cols: frozenset[int]) -> HalfExpPoly:
-        if cols in memo:
-            return memo[cols]
-        row = n - len(cols)
-        total = HalfExpPoly.zero()
-        for pos, c in enumerate(sorted(cols)):
-            e = entries[row][c]
-            if e.is_zero():
-                continue
-            term = e * rec(cols - {c})
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[cols] = total
-        return total
-
-    return rec(frozenset(range(n)))
+    return _det(entries, HalfExpPoly.one())
 
 
 def _q_weight_matrix(rows: Sequence[Sequence[int]]) -> list[list[HalfExpPoly]]:

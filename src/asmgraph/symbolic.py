@@ -32,14 +32,15 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Asm, AsmError, asm_from_json_dict, asm_to_json_dict
 from .lattice import (
     Edge,
     IncomparableError,
+    _beta_corner_sum,
     beta,
-    beta_entry_weighted,
     covering_chain,
     edge_between,
 )
@@ -156,7 +157,7 @@ class QMonomial(NamedTuple):
 
 def q_monomial(a: Asm) -> QMonomial:
     """x_q^a = q^{beta(a)} x^a; the q-power is cross-checked two ways."""
-    p1, p2 = beta(a), beta_entry_weighted(a)
+    p1, p2 = beta(a), _beta_corner_sum(a)
     if p1 != p2:
         raise AsmError(f"beta evaluators disagree: {p1} vs {p2}")
     return QMonomial(asm_monomial(a), p1)
@@ -195,10 +196,10 @@ class MinorRef:
         )
 
     def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
-        sub = [
-            [Fraction(rows[i - 1][j - 1]) for j in self.cols] for i in self.rows
-        ]
-        return _det_laplace(sub)
+        sub, scale = _int_rows(
+            [[Fraction(rows[i - 1][j - 1]) for j in self.cols] for i in self.rows]
+        )
+        return Fraction(_det(sub, 1), scale)
 
     def evaluate_q(self, rows: Sequence[Sequence[Fraction]], q: Fraction) -> Fraction:
         """q-deformed value of a 2x2 minor: x_ik x_jl - q^area x_il x_jk."""
@@ -219,20 +220,62 @@ class MinorRef:
         return f"|{body}|"
 
 
-def _det_laplace(rows: list[list[Fraction]]) -> Fraction:
+def _minors(rows: Sequence[Sequence], one, *, prefixes_only: bool = False):
+    """Yield (row mask, {column mask: minor}) for growing row sets.
+
+    Bit r of a mask stands for row or column r (0-based).  Every minor
+    is built from the stored minors one size smaller by Laplace
+    expansion along the last row of its row set, starting from the
+    empty minor ``one``; only nonzero minors are stored, so a column
+    mask missing from a table is a zero minor.  Row sets come in order
+    of size.  With ``prefixes_only`` they are the prefixes {}, {0},
+    {0, 1}, ... and the last table holds the determinant; otherwise
+    every row set is yielded, so a caller may stop at the first table
+    it rejects.  Entries need only ``+``, ``-``, ``*`` and ``!=``.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_laplace(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    zero = one - one
+    nonzero = [[(1 << c, x) for c, x in enumerate(row) if x != zero] for row in rows]
+    level = {0: {0: one}}
+    yield 0, level[0]
+    for k in range(n):
+        below, level = level, {}
+        for rmask, smaller in below.items():
+            top = rmask.bit_length()
+            for r in (top,) if prefixes_only else range(top, n):
+                table = {}
+                for cmask, v in smaller.items():
+                    for bit, x in nonzero[r]:
+                        if cmask & bit:
+                            continue
+                        key = cmask | bit
+                        # Row r is row k of the set, and the column sits
+                        # at position popcount(cmask below bit) of key.
+                        if (k + (cmask & (bit - 1)).bit_count()) & 1:
+                            table[key] = table.get(key, zero) - x * v
+                        else:
+                            table[key] = table.get(key, zero) + x * v
+                table = {c: v for c, v in table.items() if v != zero}
+                level[rmask | 1 << r] = table
+                yield rmask | 1 << r, table
+
+
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of
+    those positive scales, by which every minor of the rows grew."""
+    out, scale = [], 1
+    for row in rows:
+        row_scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (row_scale // x.denominator) for x in row])
+        scale *= row_scale
+    return out, scale
+
+
+def _det(rows: Sequence[Sequence], one):
+    """Determinant of a square matrix from its row-prefix minors."""
+    # The last row set holds all rows, and its one column set all columns.
+    *_, (full, table) = _minors(rows, one, prefixes_only=True)
+    return table.get(full, one - one)
 
 
 class EdgeFactorization(NamedTuple):

@@ -11,6 +11,14 @@ built from the first corner-sum violation (k, l) already separates the
 pair, since every minor of that matrix is 0, 1 or 2 while the monomial
 difference evaluates to 2^{A~(k,l)} - 2^{B~(k,l)} < 0.
 
+The all-minors test evaluates no minor from scratch.  It scales each
+row by the lcm of its denominators, a positive factor that keeps the
+sign of every minor, and then builds each k-minor as an int from the
+stored (k-1)-minors by Laplace expansion along the last row of its row
+set; a negative minor ends the test at once.  The Gaussian :func:`det`
+stays as the independent reference: :func:`iter_minor_values` takes
+each minor with it.
+
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
 rational arithmetic, so q0 is restricted to perfect squares of
@@ -28,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .core import Asm, AsmError
 from .lattice import SizeMismatchError, asm_leq, beta, corner_sum
-from .symbolic import UndefinedEvaluationError, asm_monomial
+from .symbolic import UndefinedEvaluationError, _int_rows, _minors, asm_monomial
 
 TNN_SIZE_LIMIT = 8
 
@@ -98,13 +106,14 @@ def iter_minor_values(m: RationalMatrix) -> Iterable[Fraction]:
 
 
 def is_tnn(m: RationalMatrix, *, size_limit: int | None = TNN_SIZE_LIMIT) -> bool:
-    """Exact check that every minor is >= 0."""
+    """Exact check that every minor is >= 0, on row-scaled ints."""
     if size_limit is not None and m.n > size_limit:
         raise AsmError(
             f"n={m.n} exceeds the all-minors guard ({size_limit}); "
             "pass size_limit=None to override"
         )
-    return all(v >= 0 for v in iter_minor_values(m))
+    rows, _ = _int_rows(m.rows)
+    return not any(v < 0 for _, minors in _minors(rows, 1) for v in minors.values())
 
 
 def rational_sqrt(x) -> Fraction:

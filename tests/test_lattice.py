@@ -13,6 +13,7 @@ implementation under test:
 - permutation subgraph: inversion-increasing transposition pairs.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -50,6 +51,7 @@ from asmgraph import (
     is_bigrassmannian,
     is_dual_essential,
     is_essential,
+    iter_asms,
     permutation_to_asm,
     reverse_asm,
     validate_asm,
@@ -415,6 +417,13 @@ class TestOrder:
                 least = [u for u in uppers if all(asm_leq(u, c) for c in uppers)]
                 assert len(least) == 1
 
+    def test_asm_keyed_caches_are_bounded(self):
+        """The order over all 7,436 6x6 ASMs keeps at most 4,096 cached."""
+        top = reverse_asm(6)
+        assert all(asm_leq(a, top) for a in iter_asms(6))
+        assert corner_sum.cache_info().currsize <= 4096
+        assert essential_points.cache_info().maxsize == 4096
+
 
 class TestBeta:
     def test_s4_table(self, s4_sign_beta):
@@ -447,6 +456,18 @@ class TestBeta:
             for b in enumerate_asms(3):
                 if asm_leq(a, b) and a != b:
                     assert beta(a) < beta(b)
+
+    def test_streaming_holds_no_asm(self):
+        """beta over all 7,436 6x6 ASMs keeps none of them alive."""
+        assert sum(1 for _ in iter_asms(6)) == KNOWN_ASM_COUNTS[6]
+        tracemalloc.start()
+        try:
+            total = sum(beta(a) for a in iter_asms(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total > 0
+        assert peak < 1_000_000
 
 
 class TestBigrassmannian:

@@ -55,6 +55,10 @@ class TestBq:
         assert bq_qdet(n) == reference
         assert bq_recursion(n) == reference
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_qdet_matches_product(self, n):
+        assert bq_qdet(n) == bq_product(n)
+
     def test_method_table(self):
         assert set(BQ_METHODS) == {"def", "prod", "qdet", "rec"}
         assert all(BQ_METHODS[k](3) == bq_definition(3) for k in BQ_METHODS)

@@ -35,10 +35,13 @@ from asmgraph.symbolic import (
     MONOMIAL_ONE,
     CertStep,
     SflCertificate,
+    _det,
+    _minors,
     certificate_to_json_dict,
     certificate_from_json_dict,
     step_str,
 )
+from asmgraph.tnn import det
 
 F = Fraction
 
@@ -461,3 +464,55 @@ class TestHalfExpPoly:
         s = F(s)
         assert (a * b).evaluate_sqrt(s) == a.evaluate_sqrt(s) * b.evaluate_sqrt(s)
         assert (a + b).evaluate_sqrt(s) == a.evaluate_sqrt(s) + b.evaluate_sqrt(s)
+
+
+@st.composite
+def _fraction_matrices(draw, max_n):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entries = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    )
+    row = st.lists(entries, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+def _submatrix(rows, rmask, cmask):
+    n = len(rows)
+    return [
+        [rows[r][c] for c in range(n) if cmask >> c & 1]
+        for r in range(n)
+        if rmask >> r & 1
+    ]
+
+
+class TestMinorKernel:
+    """The Laplace minor kernel against Gaussian elimination."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_fraction_matrices(max_n=6), st.data())
+    def test_det_matches_gaussian(self, rows, data):
+        n = len(rows)
+        full = tuple(range(1, n + 1))
+        assert _det(rows, F(1)) == det(rows)
+        assert MinorRef(full, full).evaluate(rows) == det(rows)
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        picks = st.lists(
+            st.integers(1, n), min_size=k, max_size=k, unique=True
+        ).map(lambda xs: tuple(sorted(xs)))
+        ref = MinorRef(data.draw(picks), data.draw(picks))
+        sub = [[rows[i - 1][j - 1] for j in ref.cols] for i in ref.rows]
+        assert ref.evaluate(rows) == det(sub)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fraction_matrices(max_n=4))
+    def test_every_row_set_holds_every_minor(self, rows):
+        n = len(rows)
+        seen = []
+        for rmask, table in _minors(rows, F(1)):
+            seen.append(rmask)
+            assert all(v != 0 for v in table.values())
+            for cmask in range(1 << n):
+                if cmask.bit_count() == rmask.bit_count():
+                    expected = det(_submatrix(rows, rmask, cmask))
+                    assert table.get(cmask, 0) == expected
+        assert sorted(seen) == list(range(1 << n))

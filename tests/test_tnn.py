@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asmgraph import (
     AsmError,
@@ -277,3 +279,73 @@ class TestQtnnScan:
     def test_irrational_grid_point(self, a3):
         with pytest.raises(IrrationalSqrtError):
             qtnn_scan(a3["123"], a3["321"], q_grid=[2], samples=1, seed=0)
+
+
+def _entries(nonnegative):
+    low = 0 if nonnegative else -4
+    return st.one_of(
+        st.just(F(0)), st.fractions(min_value=low, max_value=6, max_denominator=5)
+    )
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Square rational matrices, n <= 5, with zeros and denominators.
+
+    Half of them are nonnegative, so their verdicts turn on minors of
+    size 2 or more, not on a negative entry."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = _entries(draw(st.booleans()))
+    row = st.lists(entries, min_size=n, max_size=n)
+    return rational_matrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def _near_tnn_matrices(draw):
+    """random_tnn samples with zeros, some with one entry nudged, which
+    may leave total nonnegativity by a little."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = random_tnn(n, seed=draw(st.integers(0, 10**6)), allow_zero=True)
+    rows = [list(r) for r in m.rows]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] += draw(st.fractions(min_value=-1, max_value=1, max_denominator=8))
+    return rational_matrix(rows)
+
+
+def _all_minors_nonnegative(m):
+    return all(v >= 0 for v in iter_minor_values(m))
+
+
+class TestIsTnnAgainstAllMinors:
+    """is_tnn against the reference: every minor by Gaussian det."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rational_matrices())
+    def test_rational_matrices(self, m):
+        assert is_tnn(m) == _all_minors_nonnegative(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_near_tnn_matrices())
+    def test_near_tnn_matrices(self, m):
+        assert is_tnn(m) == _all_minors_nonnegative(m)
+
+    def test_every_a4_counterexample(self):
+        asms = enumerate_asms(4)
+        matrices = {
+            counterexample_matrix(a, b)[0]
+            for a in asms
+            for b in asms
+            if not asm_leq(a, b)
+        }
+        for m in matrices:
+            verdict = is_tnn(m)
+            assert verdict == _all_minors_nonnegative(m)
+            assert verdict
+
+    def test_guard_still_holds_at_nine(self):
+        with pytest.raises(
+            AsmError,
+            match=r"^n=9 exceeds the all-minors guard \(8\); pass size_limit=None to override$",
+        ):
+            is_tnn(random_tnn(9, seed=0))
