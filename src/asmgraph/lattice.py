@@ -36,6 +36,14 @@ these, never the other rectangles.  Lowering the corner sums by 1 on the
 cells of R changes A only at the corners (i,k), (i,l), (j,k), (j,l),
 where it adds (-1, +1, +1, -1); raising them adds (+1, -1, -1, +1).
 Targets are formed by this corner update.
+
+Covering chains are one walk down the corner sums.  The point (i, j)
+is essential when the corner sum there equals its left and upper
+neighbours and is one less than its right and lower ones.  From b,
+:func:`covering_chain` raises, at each step, the corner sum at the
+row-major first essential point where A~(a) is still larger, and forms
+the lower matrix by the corner update; certificates take each step's
+rectangle from the same walk.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ from typing import Iterable, NamedTuple
 from .core import (
     Asm,
     AsmError,
-    CornerSum,
     Permutation,
     corner_sum,
     permutation_to_asm,
@@ -112,40 +119,34 @@ def _same_size(a: Asm, b: Asm) -> int:
     return a.n
 
 
-def is_essential(a: Asm, r: Rect) -> bool:
-    """Can the corner sums be raised by 1 on the cells of r?"""
+def _corner_sums_can_shift(a: Asm, r: Rect, delta: int) -> bool:
+    """Can the corner sums of a move by delta (+1 or -1) on the cells of r?
+
+    Only the steps across the boundary of r change: each step into r
+    (from column k - 1 and row i - 1) must be 0 when raising and 1 when
+    lowering, and each step out of r (to column l and row j) the other.
+    """
     if r.j > a.n or r.l > a.n:
         return False
-    c = corner_sum(a)
-    for p in range(r.i, r.j):
-        if c.value(p, r.k) != c.value(p, r.k - 1):
-            return False
-        if c.value(p, r.l) != c.value(p, r.l - 1) + 1:
-            return False
-    for q in range(r.k, r.l):
-        if c.value(r.i, q) != c.value(r.i - 1, q):
-            return False
-        if c.value(r.j, q) != c.value(r.j - 1, q) + 1:
-            return False
-    return True
+    v = corner_sum(a).value
+    steps = ((1 - delta) // 2, (1 + delta) // 2)  # (into r, out of r)
+    return all(
+        (v(p, r.k) - v(p, r.k - 1), v(p, r.l) - v(p, r.l - 1)) == steps
+        for p in range(r.i, r.j)
+    ) and all(
+        (v(r.i, q) - v(r.i - 1, q), v(r.j, q) - v(r.j - 1, q)) == steps
+        for q in range(r.k, r.l)
+    )
+
+
+def is_essential(a: Asm, r: Rect) -> bool:
+    """Can the corner sums be raised by 1 on the cells of r?"""
+    return _corner_sums_can_shift(a, r, 1)
 
 
 def is_dual_essential(a: Asm, r: Rect) -> bool:
     """Can the corner sums be lowered by 1 on the cells of r?"""
-    if r.j > a.n or r.l > a.n:
-        return False
-    c = corner_sum(a)
-    for p in range(r.i, r.j):
-        if c.value(p, r.k) != c.value(p, r.k - 1) + 1:
-            return False
-        if c.value(p, r.l) != c.value(p, r.l - 1):
-            return False
-    for q in range(r.k, r.l):
-        if c.value(r.i, q) != c.value(r.i - 1, q) + 1:
-            return False
-        if c.value(r.j, q) != c.value(r.j - 1, q):
-            return False
-    return True
+    return _corner_sums_can_shift(a, r, -1)
 
 
 def _all_rects(n: int) -> Iterable[Rect]:
@@ -255,55 +256,36 @@ class Edge:
 def classify_edge(source: Asm, target: Asm, r: Rect) -> int:
     """Edge type (1..16) of source -> target along rectangle r.
 
-    Raises NotAnEdgeError unless the two matrices agree everywhere
-    except the four corner positions of r, where the source minus
-    target entries must be (1, -1, -1, 1).  Under those conditions the
-    corner-sum matrices differ by the cell indicator of r, so the pair
-    really is a graph edge and the type is read off the target corners.
+    Raises NotAnEdgeError unless source is target with (1, -1, -1, 1)
+    added at the four corner positions of r.  Then the corner-sum
+    matrices differ by the cell indicator of r, so the pair really is a
+    graph edge, and the type is read off the target corners.
     """
     n = _same_size(source, target)
     if r.j > n or r.l > n:
         raise NotAnEdgeError(f"{r} does not fit in size {n}")
-    corners = set(r.corners())
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            d = source.entry(i, j) - target.entry(i, j)
-            if (i, j) in corners:
-                continue
-            if d != 0:
-                raise NotAnEdgeError(f"entries differ at ({i},{j}) outside corners")
-    diff = tuple(source.entry(p, q) - target.entry(p, q) for (p, q) in r.corners())
-    if diff != (1, -1, -1, 1):
-        raise NotAnEdgeError(f"corner difference {diff} is not (1, -1, -1, 1)")
-    key = tuple(target.entry(p, q) for (p, q) in r.corners())
-    return _TYPE_BY_TARGET_CORNERS[key]
+    if _shift_corners(target.entries, r, 1) != source.entries:
+        raise NotAnEdgeError(f"source - target is not (1, -1, -1, 1) on {r}'s corners")
+    return _TYPE_BY_TARGET_CORNERS[tuple(target.entry(p, q) for p, q in r.corners())]
 
 
 def edge_between(source: Asm, target: Asm) -> Edge:
     """Recover the unique edge source -> target, or raise NotAnEdgeError.
 
-    The rectangle is found from the support of A~(source) - A~(target),
-    which for an edge is the cell indicator of the rectangle.
+    The two matrices of an edge differ exactly at the four corner
+    positions of its rectangle; :func:`classify_edge` checks the rest.
     """
     n = _same_size(source, target)
-    cs, ct = corner_sum(source), corner_sum(target)
-    cells = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            d = cs.value(i, j) - ct.value(i, j)
-            if d == 1:
-                cells.append((i, j))
-            elif d != 0:
-                raise NotAnEdgeError(f"corner-sum difference {d} at ({i},{j})")
-    if not cells:
-        raise NotAnEdgeError("matrices are equal")
-    rows = {p for p, _ in cells}
-    cols = {q for _, q in cells}
-    i, j = min(rows), max(rows) + 1
-    k, l = min(cols), max(cols) + 1
-    if len(cells) != (j - i) * (l - k):
-        raise NotAnEdgeError("difference support is not a full rectangle")
-    r = Rect(i, j, k, l)
+    cells = [
+        (p, q)
+        for p in range(1, n + 1)
+        for q in range(1, n + 1)
+        if source.entry(p, q) != target.entry(p, q)
+    ]
+    rows, cols = sorted({p for p, _ in cells}), sorted({q for _, q in cells})
+    if len(rows) != 2 or len(cols) != 2:
+        raise NotAnEdgeError("the matrices do not differ at one rectangle's corners")
+    r = Rect(rows[0], rows[1], cols[0], cols[1])
     return Edge(source, target, r, classify_edge(source, target, r))
 
 
@@ -434,7 +416,6 @@ def _bigrassmannian_asms(n: int) -> tuple[Asm, ...]:
     )
 
 
-@lru_cache(maxsize=4096)
 def essential_points(a: Asm) -> frozenset[tuple[int, int]]:
     """Positions (i, j) whose 1x1 rectangle is essential for a.
 
@@ -470,9 +451,45 @@ def fulton_essential_set(w: Permutation) -> set[tuple[int, int]]:
 def covered_by(a: Asm) -> list[Asm]:
     """Elements covered by a, one per essential point, in lex point order."""
     return [
-        apply_rect(a, Rect(i, i + 1, j, j + 1))
+        Asm(_shift_corners(a.entries, Rect(i, i + 1, j, j + 1), 1))
         for (i, j) in sorted(essential_points(a))
     ]
+
+
+def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
+    """(A_t, R_t) for each step t of :func:`covering_chain`, bottom up:
+    raising the corner sum of A_{t+1} at the point R_t gives A_t.
+
+    As c <= A~(a) and only c(i, j) changes, A~(a)(i, j) > c(i, j) is
+    exactly a <= lower.  Raises IncomparableError unless a <= b.
+    """
+    n = _same_size(a, b)
+    if not asm_leq(a, b):
+        raise IncomparableError("chain requires a <= b")
+    floor = corner_sum(a).entries
+    c = [[0] * (n + 1)] + [[0, *row] for row in corner_sum(b).entries]
+    entries = b.entries
+    steps = []
+    # beta(b) - beta(a) steps, each raising one corner sum by one.
+    for _ in range(sum(map(sum, floor)) - sum(map(sum, c))):
+        point = next(
+            (
+                (i, j)
+                for i in range(1, n)
+                for j in range(1, n)
+                if floor[i - 1][j - 1] > c[i][j] == c[i][j - 1] == c[i - 1][j]
+                and c[i][j + 1] == c[i + 1][j] == c[i][j] + 1
+            ),
+            None,
+        )
+        if point is None:
+            raise AsmError("no covering step stays above a; order is broken")
+        i, j = point
+        c[i][j] += 1
+        rect = Rect(i, i + 1, j, j + 1)
+        entries = _shift_corners(entries, rect, 1)
+        steps.append((Asm(entries), rect))
+    return steps[::-1]
 
 
 def covering_chain(a: Asm, b: Asm) -> list[Asm]:
@@ -483,22 +500,7 @@ def covering_chain(a: Asm, b: Asm) -> list[Asm]:
     current upper element that stays above a.  Raises IncomparableError
     unless a <= b.
     """
-    _same_size(a, b)
-    if not asm_leq(a, b):
-        raise IncomparableError("chain requires a <= b")
-    chain = [b]
-    current = b
-    while current != a:
-        for (i, j) in sorted(essential_points(current)):
-            lower = apply_rect(current, Rect(i, i + 1, j, j + 1))
-            if asm_leq(a, lower):
-                current = lower
-                chain.append(current)
-                break
-        else:
-            raise AsmError("no covering step stays above a; order is broken")
-    chain.reverse()
-    return chain
+    return [lower for lower, _rect in _chain_steps(a, b)] + [b]
 
 
 # ---------------------------------------------------------------------------

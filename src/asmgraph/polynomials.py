@@ -32,8 +32,8 @@ from typing import Sequence
 from .core import AsmError, sign
 from .enumeration import enumerate_permutations
 from .lattice import beta_permutation
-from .symbolic import HalfExpPoly, NonExactDivisionError, _det
-from .tnn import RationalMatrix, det
+from .symbolic import HalfExpPoly, NonExactDivisionError, _det, _int_rows
+from .tnn import RationalMatrix
 
 QDET_SIZE_LIMIT = 10
 PERMANENT_SIZE_LIMIT = 8
@@ -144,21 +144,25 @@ def dodgson(m: RationalMatrix) -> Fraction:
     """det(m) by one condensation step, exact.
 
     (|no row/col 1| * |no row/col n| - |no row 1, col n| * |no row n, col 1|)
-    divided by the interior determinant.  Raises SingularInteriorError
-    when the interior minor is zero (the classical proviso).
+    divided by the interior determinant (1 when n = 2).  Raises
+    SingularInteriorError when the interior minor is zero (the classical
+    proviso).  The minors are taken on the row-scaled integer matrix, so
+    the quotient grows by the product of all row scales.
     """
     n = m.n
     if n == 1:
         return m.entry(1, 1)
-    rows = m.rows
-    interior = det(_delete(rows, (0, n - 1), (0, n - 1)))
+    rows, scale = _int_rows(m.rows)
+
+    def minor(drop_rows, drop_cols) -> int:
+        return _det(_delete(rows, drop_rows, drop_cols), 1)
+
+    interior = minor((0, n - 1), (0, n - 1))
     if interior == 0:
         raise SingularInteriorError("interior minor is zero")
-    top_left = det(_delete(rows, (0,), (0,)))
-    bottom_right = det(_delete(rows, (n - 1,), (n - 1,)))
-    top_right = det(_delete(rows, (0,), (n - 1,)))
-    bottom_left = det(_delete(rows, (n - 1,), (0,)))
-    return (top_left * bottom_right - top_right * bottom_left) / interior
+    top_left, bottom_right = minor((0,), (0,)), minor((n - 1,), (n - 1,))
+    top_right, bottom_left = minor((0,), (n - 1,)), minor((n - 1,), (0,))
+    return Fraction(top_left * bottom_right - top_right * bottom_left, interior * scale)
 
 
 @dataclass(frozen=True)
@@ -181,28 +185,34 @@ class QDodgsonReport:
         return self.lhs == self.rhs
 
 
-def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
-    """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|.
-
-    Every submatrix is q-weighted with indices counted from 1 inside
-    the submatrix itself.
-    """
+def _q_condensation(m: RationalMatrix) -> tuple[int, list, HalfExpPoly, HalfExpPoly]:
+    """Scale, scaled rows, interior q-determinant and condensation
+    numerator of m, as :func:`q_dodgson_check` weights them."""
     n = m.n
     if n < 2:
         raise AsmError("condensation needs n >= 2")
     scale = lcm(*(x.denominator for row in m.rows for x in row))
     rows = [[int(x * scale) for x in row] for row in m.rows]
 
-    def qdet_of(sub) -> HalfExpPoly:
-        return sym_det(_q_weight_matrix(sub))
+    def qdet_of(drop_rows, drop_cols) -> HalfExpPoly:
+        return sym_det(_q_weight_matrix(_delete(rows, drop_rows, drop_cols)))
 
-    lhs = qdet_of(rows) * qdet_of(_delete(rows, (0, n - 1), (0, n - 1)))
-    rhs = qdet_of(_delete(rows, (0,), (0,))) * qdet_of(
-        _delete(rows, (n - 1,), (n - 1,))
-    ) - HalfExpPoly.q_pow(n - 1) * qdet_of(_delete(rows, (0,), (n - 1,))) * qdet_of(
-        _delete(rows, (n - 1,), (0,))
-    )
-    return QDodgsonReport(n, scale, lhs, rhs)
+    interior = qdet_of((0, n - 1), (0, n - 1))
+    diagonal = qdet_of((0,), (0,)) * qdet_of((n - 1,), (n - 1,))
+    antidiagonal = qdet_of((0,), (n - 1,)) * qdet_of((n - 1,), (0,))
+    numerator = diagonal - HalfExpPoly.q_pow(n - 1) * antidiagonal
+    return scale, rows, interior, numerator
+
+
+def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
+    """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|.
+
+    Every submatrix is q-weighted with indices counted from 1 inside
+    the submatrix itself.
+    """
+    scale, rows, interior, numerator = _q_condensation(m)
+    lhs = sym_det(_q_weight_matrix(rows)) * interior
+    return QDodgsonReport(m.n, scale, lhs, numerator)
 
 
 def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
@@ -213,13 +223,7 @@ def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
     polynomial.  The result equals the direct symbolic q-determinant of
     the scaled matrix (see :class:`QDodgsonReport` on scaling).
     """
-    n = m.n
-    if n < 2:
-        raise AsmError("condensation needs n >= 2")
-    report = q_dodgson_check(m)
-    scale = report.scale
-    rows = [[int(x * scale) for x in row] for row in m.rows]
-    interior = sym_det(_q_weight_matrix(_delete(rows, (0, n - 1), (0, n - 1))))
+    _scale, _rows, interior, numerator = _q_condensation(m)
     if interior.is_zero():
         raise SingularInteriorError("interior q-determinant is the zero polynomial")
-    return report.rhs.divexact(interior)
+    return numerator.divexact(interior)

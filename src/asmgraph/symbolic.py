@@ -39,10 +39,10 @@ from .core import Asm, AsmError, asm_from_json_dict, asm_to_json_dict
 from .lattice import (
     Edge,
     IncomparableError,
+    Rect,
     _beta_corner_sum,
+    _chain_steps,
     beta,
-    covering_chain,
-    edge_between,
 )
 
 
@@ -299,8 +299,12 @@ def edge_factorization(e: Edge) -> EdgeFactorization:
     holds because the target's corner exponents differ from the
     source's by (-1, +1, +1, -1).
     """
-    r = e.rect
-    prefix = asm_monomial(e.source)
+    return _factor(e.source, e.rect)
+
+
+def _factor(source: Asm, r: Rect) -> EdgeFactorization:
+    """:func:`edge_factorization` of the edge that leaves source along r."""
+    prefix = asm_monomial(source)
     divisor = monomial({(r.i, r.k): 1, (r.j, r.l): 1})
     minor = MinorRef((r.i, r.j), (r.k, r.l))
     return EdgeFactorization(prefix, divisor, minor)
@@ -310,12 +314,6 @@ def edge_factorization(e: Edge) -> EdgeFactorization:
 # SFL certificates
 # ---------------------------------------------------------------------------
 
-class CertStep(NamedTuple):
-    prefix: LaurentMonomial
-    divisor: LaurentMonomial
-    minor: MinorRef
-
-
 @dataclass(frozen=True)
 class SflCertificate:
     """Telescoping subtraction-free witness that source <= target."""
@@ -323,7 +321,7 @@ class SflCertificate:
     source: Asm
     target: Asm
     beta_pair: tuple[int, int]
-    steps: tuple[CertStep, ...]
+    steps: tuple[EdgeFactorization, ...]
 
     def __str__(self) -> str:
         if not self.steps:
@@ -331,7 +329,7 @@ class SflCertificate:
         return " + ".join(step_str(s) for s in self.steps)
 
 
-def step_str(s: CertStep) -> str:
+def step_str(s: EdgeFactorization) -> str:
     return f"{s.prefix} * {s.minor} / ({s.divisor})"
 
 
@@ -341,12 +339,8 @@ def sfl_certificate(a: Asm, b: Asm) -> SflCertificate:
     Raises IncomparableError when a <= b fails; a == b gives the empty
     certificate for the zero function.
     """
-    chain = covering_chain(a, b)
-    steps = []
-    for lower, upper in zip(chain, chain[1:]):
-        e = edge_between(lower, upper)
-        steps.append(CertStep(*edge_factorization(e)))
-    return SflCertificate(a, b, (beta(a), beta(b)), tuple(steps))
+    steps = tuple(_factor(lower, r) for lower, r in _chain_steps(a, b))
+    return SflCertificate(a, b, (beta(a), beta(b)), steps)
 
 
 @dataclass(frozen=True)
@@ -507,7 +501,7 @@ def certificate_from_json_dict(d: Mapping) -> SflCertificate:
     source = asm_from_json_dict(d["endpoints"][0])
     target = asm_from_json_dict(d["endpoints"][1])
     steps = tuple(
-        CertStep(
+        EdgeFactorization(
             _powers_from_json(s["prefix"]),
             _powers_from_json(s["divisor"]),
             MinorRef(tuple(s["minor"]["rows"]), tuple(s["minor"]["cols"])),

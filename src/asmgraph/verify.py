@@ -22,7 +22,6 @@ from .core import (
     permutation_to_asm,
     reverse_asm,
     sign,
-    validate_asm,
 )
 from .enumeration import enumerate_asms, enumerate_permutations
 from .lattice import (
@@ -64,7 +63,7 @@ from .tnn import (
 # ---------------------------------------------------------------------------
 
 #: The seven 3x3 ASMs by name; X is the unique one with a -1.
-_A3_MATRICES = {
+A3_MATRICES = {
     "123": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     "132": ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
     "213": ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
@@ -75,7 +74,7 @@ _A3_MATRICES = {
 }
 
 #: The 13 directed edges of the 3x3 ASM graph.
-_A3_EDGES = {
+A3_EDGES = {
     ("123", "132"), ("123", "213"), ("123", "321"),
     ("132", "X"), ("213", "X"),
     ("132", "231"), ("132", "312"), ("213", "231"), ("213", "312"),
@@ -84,7 +83,7 @@ _A3_EDGES = {
 }
 
 #: (sign, beta) for every permutation of S_4.
-_S4_SIGN_BETA = {
+S4_SIGN_BETA = {
     "1234": (1, 0), "1243": (-1, 1), "1324": (-1, 1), "1342": (1, 3),
     "1423": (1, 3), "1432": (-1, 4), "2134": (-1, 1), "2143": (1, 2),
     "2314": (1, 3), "2341": (-1, 6), "2413": (-1, 5), "2431": (1, 7),
@@ -145,16 +144,16 @@ def check_a3_reconstruction() -> CheckResult:
     def body() -> tuple[bool, str]:
         problems = []
         asms = enumerate_asms(3)
-        if {a.entries for a in asms} != set(_A3_MATRICES.values()):
+        if {a.entries for a in asms} != set(A3_MATRICES.values()):
             problems.append("3x3 enumeration differs from the reference set")
         g = build_graph(3)
-        names = {entries: name for name, entries in _A3_MATRICES.items()}
+        names = {entries: name for name, entries in A3_MATRICES.items()}
         edges = {
             (names[g.nodes[e.src].entries], names[g.nodes[e.dst].entries])
             for e in g.edges
         }
-        if edges != _A3_EDGES:
-            problems.append(f"edge set mismatch: {sorted(edges ^ _A3_EDGES)}")
+        if edges != A3_EDGES:
+            problems.append(f"edge set mismatch: {sorted(edges ^ A3_EDGES)}")
         out_min = [e for e in g.edges if g.nodes[e.src] == identity_asm(3)]
         in_max = [e for e in g.edges if g.nodes[e.dst] == reverse_asm(3)]
         if len(out_min) != 3 or len(in_max) != 3:
@@ -172,7 +171,7 @@ def check_beta_table() -> CheckResult:
 
     def body() -> tuple[bool, str]:
         problems = []
-        for word, (expect_sign, expect_beta) in _S4_SIGN_BETA.items():
+        for word, (expect_sign, expect_beta) in S4_SIGN_BETA.items():
             w = Permutation(tuple(int(c) for c in word))
             a = permutation_to_asm(w)
             values = {

@@ -2,40 +2,32 @@
 
 import pytest
 
-from asmgraph import validate_asm
+from asmgraph import Rect, apply_rect, asm_leq, essential_points, validate_asm
+from asmgraph.verify import A3_EDGES, A3_MATRICES, S4_SIGN_BETA
 
 # The seven 3x3 ASMs, named by their one-line permutation where they
 # have one; X is the unique proper element.
-A3 = {
-    "123": validate_asm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    "132": validate_asm([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
-    "213": validate_asm([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-    "X": validate_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]]),
-    "231": validate_asm([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-    "312": validate_asm([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-    "321": validate_asm([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
-}
+A3 = {name: validate_asm(rows) for name, rows in A3_MATRICES.items()}
 
-# The directed ASM graph on A3, read arrow by arrow off the reference
-# drawing: ten short edges plus 123->321 (jump 4) and the four jump-2
-# edges between the height-1 and height-3 permutations.
-A3_EDGES = {
-    ("123", "132"), ("123", "213"), ("123", "321"),
-    ("132", "X"), ("213", "X"),
-    ("132", "231"), ("132", "312"), ("213", "231"), ("213", "312"),
-    ("X", "231"), ("X", "312"),
-    ("231", "321"), ("312", "321"),
-}
 
-# sign and beta for every w in S_4.
-S4_SIGN_BETA = {
-    "1234": (1, 0), "1243": (-1, 1), "1324": (-1, 1), "1342": (1, 3),
-    "1423": (1, 3), "1432": (-1, 4), "2134": (-1, 1), "2143": (1, 2),
-    "2314": (1, 3), "2341": (-1, 6), "2413": (-1, 5), "2431": (1, 7),
-    "3124": (1, 3), "3142": (-1, 5), "3214": (-1, 4), "3241": (1, 7),
-    "3412": (1, 8), "3421": (-1, 9), "4123": (-1, 6), "4132": (1, 7),
-    "4213": (1, 7), "4231": (-1, 9), "4312": (-1, 9), "4321": (1, 10),
-}
+def _old_covering_chain(a, b):
+    """The covering-chain walk before corner-sum stepping, as an oracle.
+
+    Each step lists the essential points of the current element, lowers
+    it with apply_rect at each point in lex order and keeps the first
+    result that asm_leq puts above a.  The caller ensures a <= b.
+    """
+    chain = [b]
+    while chain[-1] != a:
+        current = chain[-1]
+        for i, j in sorted(essential_points(current)):
+            lower = apply_rect(current, Rect(i, i + 1, j, j + 1))
+            if asm_leq(a, lower):
+                chain.append(lower)
+                break
+        else:
+            raise AssertionError("no covering step stays above a")
+    return chain[::-1]
 
 
 @pytest.fixture
@@ -51,6 +43,11 @@ def a3_edges():
 @pytest.fixture
 def s4_sign_beta():
     return S4_SIGN_BETA
+
+
+@pytest.fixture(scope="session")
+def old_covering_chain():
+    return _old_covering_chain
 
 
 @pytest.fixture

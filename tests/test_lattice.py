@@ -10,14 +10,17 @@ implementation under test:
 - the graph builder: the rectangle scan it replaced, which tests every
   rectangle with is_dual_essential, rebuilds each target from its bumped
   corner sums and re-classifies the pair;
-- permutation subgraph: inversion-increasing transposition pairs.
+- permutation subgraph: inversion-increasing transposition pairs;
+- covering chains: the walk they replaced (conftest's
+  old_covering_chain), which re-tests each essential point with
+  apply_rect and each candidate with a full asm_leq.
 """
 
 import tracemalloc
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from asmgraph import (
     KNOWN_ASM_COUNTS,
@@ -109,6 +112,11 @@ def _scan_graph(n):
         for e in _scan_edges_from(a)
     ]
     return AsmGraph(n, nodes, tuple(edges))
+
+
+@lru_cache(maxsize=None)
+def _asms5():
+    return tuple(enumerate_asms(5))
 
 
 @lru_cache(maxsize=None)
@@ -251,6 +259,19 @@ class TestEdges:
     def test_classify_rejects_wrong_rect(self, a3):
         with pytest.raises(NotAnEdgeError):
             classify_edge(a3["132"], a3["X"], Rect(2, 3, 2, 3))
+
+    def test_edge_between_matches_pairwise_oracle_a4(self):
+        asms = enumerate_asms(4)
+        oracle = _oracle_edges(asms)
+        built = {(e.source.entries, e.target.entries): e for a in asms for e in edges_from(a)}
+        assert set(built) == oracle
+        for a in asms:
+            for b in asms:
+                if (a.entries, b.entries) in oracle:
+                    assert edge_between(a, b) == built[a.entries, b.entries]
+                else:
+                    with pytest.raises(NotAnEdgeError):
+                        edge_between(a, b)
 
     def test_edge_type_table_source_patterns(self):
         for t, b, a in EDGE_TYPE_TABLE:
@@ -418,11 +439,12 @@ class TestOrder:
                 assert len(least) == 1
 
     def test_asm_keyed_caches_are_bounded(self):
-        """The order over all 7,436 6x6 ASMs keeps at most 4,096 cached."""
+        """The order over all 7,436 6x6 ASMs keeps at most 4,096 cached,
+        and essential_points keeps no cache at all."""
         top = reverse_asm(6)
         assert all(asm_leq(a, top) for a in iter_asms(6))
         assert corner_sum.cache_info().currsize <= 4096
-        assert essential_points.cache_info().maxsize == 4096
+        assert not hasattr(essential_points, "cache_info")
 
 
 class TestBeta:
@@ -548,6 +570,34 @@ class TestCoversAndChains:
                 for lo, hi in zip(chain, chain[1:]):
                     e = edge_between(lo, hi)
                     assert e.rect.is_point()
+
+    def test_chain_matches_old_walk_on_all_a4_pairs(self, old_covering_chain):
+        asms = enumerate_asms(4)
+        comparable = 0
+        for a in asms:
+            for b in asms:
+                if asm_leq(a, b):
+                    assert covering_chain(a, b) == old_covering_chain(a, b)
+                    comparable += 1
+                else:
+                    with pytest.raises(IncomparableError):
+                        covering_chain(a, b)
+        assert comparable == 644
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=KNOWN_ASM_COUNTS[5] - 1),
+        st.integers(min_value=0, max_value=KNOWN_ASM_COUNTS[5] - 1),
+    )
+    def test_chain_matches_old_walk_on_a5(self, old_covering_chain, i, j):
+        a, b = _asms5()[i], _asms5()[j]
+        if asm_leq(b, a):
+            a, b = b, a
+        if asm_leq(a, b):
+            assert covering_chain(a, b) == old_covering_chain(a, b)
+        else:
+            with pytest.raises(IncomparableError):
+                covering_chain(a, b)
 
 
 class TestGraphStructure:

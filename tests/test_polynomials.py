@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asmgraph import (
     AsmError,
@@ -161,6 +162,21 @@ class TestDodgson:
     def test_singular_interior(self):
         with pytest.raises(SingularInteriorError):
             dodgson(rational_matrix([[1, 2, 3], [4, 0, 5], [6, 7, 8]]))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_det_wherever_the_interior_is_nonsingular(self, data):
+        # Small entries with mixed denominators, so that rows scale
+        # differently and interiors are sometimes singular.
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        interior = [row[1 : n - 1] for row in rows[1 : n - 1]]
+        if interior and det(interior) == 0:
+            with pytest.raises(SingularInteriorError):
+                dodgson(rational_matrix(rows))
+        else:
+            assert dodgson(rational_matrix(rows)) == det(rows)
 
 
 class TestQDodgson:

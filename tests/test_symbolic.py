@@ -1,12 +1,14 @@
 """Tests for monomials, SFL certificates, and q^(1/2) polynomials."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmgraph import (
+    KNOWN_ASM_COUNTS,
     AsmError,
     HalfExpPoly,
     IncomparableError,
@@ -33,7 +35,7 @@ from asmgraph import (
 )
 from asmgraph.symbolic import (
     MONOMIAL_ONE,
-    CertStep,
+    EdgeFactorization,
     SflCertificate,
     _det,
     _minors,
@@ -250,6 +252,41 @@ class TestCertificates:
         cf = combined_form(sfl_certificate(a3["X"], a3["X"]))
         assert cf.laurent_prefix == MONOMIAL_ONE and cf.terms == ()
 
+    def test_steps_match_old_chain_on_all_a4_pairs(self, old_covering_chain):
+        asms = enumerate_asms(4)
+        for a in asms:
+            for b in asms:
+                if asm_leq(a, b):
+                    assert sfl_certificate(a, b).steps == _old_steps(
+                        old_covering_chain(a, b)
+                    )
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=KNOWN_ASM_COUNTS[5] - 1),
+        st.integers(min_value=0, max_value=KNOWN_ASM_COUNTS[5] - 1),
+    )
+    def test_steps_match_old_chain_on_a5(self, old_covering_chain, i, j):
+        a, b = _asms5()[i], _asms5()[j]
+        if asm_leq(b, a):
+            a, b = b, a
+        if asm_leq(a, b):
+            cert = sfl_certificate(a, b)
+            assert cert.steps == _old_steps(old_covering_chain(a, b))
+
+
+def _old_steps(chain):
+    """Certificate steps as built before: each edge of the chain recovered
+    by edge_between, then factored."""
+    return tuple(
+        edge_factorization(edge_between(lo, hi)) for lo, hi in zip(chain, chain[1:])
+    )
+
+
+@lru_cache(maxsize=None)
+def _asms5():
+    return tuple(enumerate_asms(5))
+
 
 class TestVerificationFailures:
     def _cert(self, a3):
@@ -277,7 +314,7 @@ class TestVerificationFailures:
             cert.source,
             cert.target,
             cert.beta_pair,
-            (CertStep(s0.prefix, s0.divisor, other),) + cert.steps[1:],
+            (EdgeFactorization(s0.prefix, s0.divisor, other),) + cert.steps[1:],
         )
         with pytest.raises(VerificationFailureError) as exc:
             verify_certificate(bad)
@@ -292,7 +329,7 @@ class TestVerificationFailures:
             cert.source,
             cert.target,
             cert.beta_pair,
-            (CertStep(s0.prefix, s0.divisor, bad_minor),) + cert.steps[1:],
+            (EdgeFactorization(s0.prefix, s0.divisor, bad_minor),) + cert.steps[1:],
         )
         with pytest.raises(VerificationFailureError, match="solid") as exc:
             verify_certificate(bad)
@@ -306,7 +343,7 @@ class TestVerificationFailures:
             cert.source,
             cert.target,
             cert.beta_pair,
-            (CertStep(bad_prefix, s0.divisor, s0.minor),) + cert.steps[1:],
+            (EdgeFactorization(bad_prefix, s0.divisor, s0.minor),) + cert.steps[1:],
         )
         with pytest.raises(VerificationFailureError, match="almost positive"):
             verify_certificate(bad)
@@ -369,7 +406,7 @@ class TestCertificateJson:
             cert.source,
             cert.target,
             cert.beta_pair,
-            (CertStep(LaurentMonomial(F(2), s0.prefix.powers), s0.divisor, s0.minor),),
+            (EdgeFactorization(LaurentMonomial(F(2), s0.prefix.powers), s0.divisor, s0.minor),),
         )
         with pytest.raises(AsmError, match="coefficient"):
             certificate_to_json(scaled)
