@@ -231,17 +231,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0 if report.comparable else 3
 
 
-def _call_bq(name: str, n: int, size_kw: dict):
-    fn = BQ_METHODS[name]
-    if size_kw and name in ("def", "qdet"):
-        return fn(n, **size_kw)
-    return fn(n)
-
-
 def cmd_bq(args: argparse.Namespace) -> int:
-    kw = _size_kw(args)
     names = list(BQ_METHODS) if args.method == "all" else [args.method]
-    polys = {name: _call_bq(name, args.n, kw) for name in names}
+    kw = _size_kw(args)
+    # Only the definition and the q-determinant have a size guard.
+    polys = {
+        name: BQ_METHODS[name](args.n, **(kw if name in ("def", "qdet") else {}))
+        for name in names
+    }
     if len({str(p) for p in polys.values()}) != 1:
         print("error: the methods disagree", file=sys.stderr)
         return 1
@@ -297,6 +294,7 @@ def cmd_dodgson_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    names = None
     if args.only:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
         unknown = [s for s in names if s not in ALL_CHECKS]
@@ -304,9 +302,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
             known = ", ".join(ALL_CHECKS)
             print(f"error: unknown checks {unknown}; choose from {known}", file=sys.stderr)
             return 2
-        results = [ALL_CHECKS[name]() for name in names]
-    else:
-        results = list(run_all(seed=args.seed))
+    results = run_all(seed=args.seed, names=names)
     if args.json:
         print(
             json.dumps(
@@ -342,24 +338,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common(seed_required: bool = False) -> argparse.ArgumentParser:
-    c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    c.add_argument(
-        "--seed",
-        type=int,
-        required=seed_required,
-        default=None if seed_required else 0,
-        help="seed for any randomized step" + (" (required)" if seed_required else ""),
-    )
-    c.add_argument(
-        "--limit-override",
-        type=int,
-        default=None,
-        metavar="N",
-        help="replace the built-in size guard (0 removes it entirely)",
-    )
-    return c
+def _flags(p: argparse.ArgumentParser, *, seed: str = "", limit: bool = False):
+    """Add the shared flags that p's handler reads: ``--json``, plus
+    ``--seed`` when seed is "optional" (default 0) or "required", and
+    ``--limit-override`` when limit is set.  Returns the group that holds
+    ``--json``, so an output option that excludes it can join."""
+    if seed:
+        required = seed == "required"
+        p.add_argument(
+            "--seed",
+            type=int,
+            required=required,
+            default=None if required else 0,
+            help="seed for any randomized step" + (" (required)" if required else ""),
+        )
+    if limit:
+        p.add_argument(
+            "--limit-override",
+            type=int,
+            metavar="N",
+            help="replace the built-in size guard (0 removes it entirely)",
+        )
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,50 +371,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "enumerate", parents=[_common()], help="stream or count all n x n ASMs"
-    )
+    p = sub.add_parser("enumerate", help="stream or count all n x n ASMs")
     p.add_argument("--n", type=_positive_int, required=True, help="matrix size")
     p.add_argument("--count-only", action="store_true", help="print only the count")
+    _flags(p, limit=True)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser(
-        "graph", parents=[_common()], help="the full n x n edge graph, DOT by default"
-    )
+    p = sub.add_parser("graph", help="the full n x n edge graph, DOT by default")
     p.add_argument("--n", type=_positive_int, required=True, help="matrix size")
-    p.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
+    out = _flags(p, limit=True)
+    out.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("leq", parents=[_common()], help="is A below B in the order?")
+    p = sub.add_parser("leq", help="is A below B in the order?")
     p.add_argument("a", help="matrix file or permutation literal")
     p.add_argument("b", help="matrix file or permutation literal")
+    _flags(p)
     p.set_defaults(func=cmd_leq)
 
-    p = sub.add_parser("beta", parents=[_common()], help="the rank statistic of A")
+    p = sub.add_parser("beta", help="the rank statistic of A")
     p.add_argument("matrix", help="matrix file or permutation literal")
+    _flags(p)
     p.set_defaults(func=cmd_beta)
 
-    p = sub.add_parser(
-        "chain", parents=[_common()], help="a saturated covering chain from A to B"
-    )
+    p = sub.add_parser("chain", help="a saturated covering chain from A to B")
     p.add_argument("a", help="matrix file or permutation literal")
     p.add_argument("b", help="matrix file or permutation literal")
+    _flags(p)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser(
-        "certify",
-        parents=[_common()],
-        help="subtraction-free certificate for A <= B, or a counterexample",
+        "certify", help="subtraction-free certificate for A <= B, or a counterexample"
     )
     p.add_argument("a", help="matrix file or permutation literal")
     p.add_argument("b", help="matrix file or permutation literal")
     p.add_argument("--out", metavar="PATH", help="also write the certificate JSON here")
+    _flags(p, seed="optional")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser(
-        "scan",
-        parents=[_common(seed_required=True)],
-        help="sample q-weighted locally-TNN matrices for sign violations",
+        "scan", help="sample q-weighted locally-TNN matrices for sign violations"
     )
     p.add_argument("a", help="matrix file or permutation literal")
     p.add_argument("b", help="matrix file or permutation literal")
@@ -424,11 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=_positive_int, default=20, help="samples per grid point"
     )
+    _flags(p, seed="required")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser(
-        "bq", parents=[_common()], help="the signed generating function B_n(q)"
-    )
+    p = sub.add_parser("bq", help="the signed generating function B_n(q)")
     p.add_argument("--n", type=_positive_int, required=True, help="matrix size")
     p.add_argument(
         "--method",
@@ -436,27 +433,26 @@ def build_parser() -> argparse.ArgumentParser:
         default="def",
         help="which evaluation to use",
     )
+    _flags(p, limit=True)
     p.set_defaults(func=cmd_bq)
 
     p = sub.add_parser("dodgson", help="randomized condensation checks")
     dsub = p.add_subparsers(dest="dodgson_command", required=True)
     pv = dsub.add_parser(
-        "verify",
-        parents=[_common(seed_required=True)],
-        help="check the identity and its q-analogue on random matrices",
+        "verify", help="check the identity and its q-analogue on random matrices"
     )
     pv.add_argument("--n", type=_positive_int, required=True, help="matrix size")
     pv.add_argument("--trials", type=_positive_int, default=100, help="matrices to draw")
+    _flags(pv, seed="required")
     pv.set_defaults(func=cmd_dodgson_verify)
 
-    p = sub.add_parser(
-        "verify-all", parents=[_common()], help="run the end-to-end checks"
-    )
+    p = sub.add_parser("verify-all", help="run the end-to-end checks")
     p.add_argument(
         "--only",
         metavar="NAME,...",
         help="run a subset: " + ", ".join(ALL_CHECKS),
     )
+    _flags(p, seed="optional")
     p.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -30,7 +30,7 @@ from math import lcm
 from typing import Sequence
 
 from .core import AsmError, sign
-from .enumeration import enumerate_permutations
+from .enumeration import PERMUTATION_SIZE_LIMIT, enumerate_permutations
 from .lattice import beta_permutation
 from .symbolic import HalfExpPoly, NonExactDivisionError, _det, _int_rows
 from .tnn import RationalMatrix
@@ -43,12 +43,21 @@ class SingularInteriorError(AsmError):
     """The interior minor vanishes, so the condensation quotient is undefined."""
 
 
-def bq_definition(n: int, *, size_limit: int | None = 9) -> HalfExpPoly:
-    """B_n(q) straight from the signed sum over S_n."""
-    total = HalfExpPoly.zero()
+def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
+    """sum over S_n of sign(w) q^{beta(w)}, or of q^{beta(w)} unsigned:
+    one pass over S_n, tallying coefficients by doubled exponent."""
+    tally: dict[int, int] = {}
     for w in enumerate_permutations(n, size_limit=size_limit):
-        total = total + HalfExpPoly.q_pow(beta_permutation(w), sign(w))
-    return total
+        t = 2 * beta_permutation(w)
+        tally[t] = tally.get(t, 0) + (sign(w) if signed else 1)
+    return HalfExpPoly(tally)
+
+
+def bq_definition(
+    n: int, *, size_limit: int | None = PERMUTATION_SIZE_LIMIT
+) -> HalfExpPoly:
+    """B_n(q) straight from the signed sum over S_n."""
+    return _beta_tally(n, size_limit, signed=True)
 
 
 def bq_product(n: int) -> HalfExpPoly:
@@ -121,10 +130,7 @@ BQ_METHODS = {
 
 def unsigned_permanent_q(n: int, *, size_limit: int | None = PERMANENT_SIZE_LIMIT) -> HalfExpPoly:
     """sum over S_n of q^{beta(w)}, the permanent analogue of B_n."""
-    total = HalfExpPoly.zero()
-    for w in enumerate_permutations(n, size_limit=size_limit):
-        total = total + HalfExpPoly.q_pow(beta_permutation(w))
-    return total
+    return _beta_tally(n, size_limit, signed=False)
 
 
 # ---------------------------------------------------------------------------

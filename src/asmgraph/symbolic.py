@@ -150,17 +150,13 @@ def asm_monomial(a: Asm) -> LaurentMonomial:
     )
 
 
-class QMonomial(NamedTuple):
-    monomial: LaurentMonomial
-    q_power: int
-
-
-def q_monomial(a: Asm) -> QMonomial:
-    """x_q^a = q^{beta(a)} x^a; the q-power is cross-checked two ways."""
+def q_monomial(a: Asm) -> tuple[LaurentMonomial, int]:
+    """x_q^a = q^{beta(a)} x^a as (x^a, beta(a)); the q-power is
+    cross-checked two ways."""
     p1, p2 = beta(a), _beta_corner_sum(a)
     if p1 != p2:
         raise AsmError(f"beta evaluators disagree: {p1} vs {p2}")
-    return QMonomial(asm_monomial(a), p1)
+    return asm_monomial(a), p1
 
 
 # ---------------------------------------------------------------------------
@@ -640,34 +636,35 @@ class HalfExpPoly:
         return sum((c * q**k for k, c in self.coeffs_q().items()), Fraction(0))
 
     def divexact(self, divisor: "HalfExpPoly") -> "HalfExpPoly":
-        """Exact division; raises NonExactDivisionError on a remainder."""
+        """Exact long division in integers.
+
+        Raises NonExactDivisionError as soon as a leading coefficient is
+        not a multiple of the divisor's, or a remainder of lower degree
+        is left over.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = {t: Fraction(c) for t, c in self.terms.items()}
-        div = dict(divisor.terms)
-        dlead = max(div)
-        quot: dict[int, Fraction] = {}
+        rem = dict(self.terms)
+        dlead = max(divisor.terms)
+        dcoeff = divisor.terms[dlead]
+        quot: dict[int, int] = {}
         while rem:
             rlead = max(rem)
             if rlead < dlead:
                 raise NonExactDivisionError("remainder of lower degree than divisor")
+            qc, r = divmod(rem[rlead], dcoeff)
+            if r:
+                raise NonExactDivisionError(f"{rem[rlead]} is not a multiple of {dcoeff}")
+            # The leading term cancels, so later quotient exponents are smaller.
             qt = rlead - dlead
-            qc = rem[rlead] / div[dlead]
-            quot[qt] = quot.get(qt, Fraction(0)) + qc
-            for t, c in div.items():
-                key = qt + t
-                new = rem.get(key, Fraction(0)) - qc * c
-                if new == 0:
-                    rem.pop(key, None)
+            quot[qt] = qc
+            for t, c in divisor.terms.items():
+                new = rem.get(qt + t, 0) - qc * c
+                if new:
+                    rem[qt + t] = new
                 else:
-                    rem[key] = new
-        out = {}
-        for t, c in quot.items():
-            if c.denominator != 1:
-                raise NonExactDivisionError(f"non-integer quotient coefficient {c}")
-            if c != 0:
-                out[t] = int(c)
-        return HalfExpPoly(out)
+                    rem.pop(qt + t, None)
+        return HalfExpPoly(quot)
 
     # -- display ----------------------------------------------------------
     def __str__(self) -> str:

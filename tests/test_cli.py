@@ -14,6 +14,7 @@ from asmgraph.cli import main
 from asmgraph.core import format_asm_text, parse_asm_text, parse_permutation, permutation_to_asm
 from asmgraph.enumeration import enumerate_asms
 from asmgraph.symbolic import certificate_from_json, verify_certificate
+from asmgraph.verify import check_dodgson
 
 B3_STR = "1 - 2q + 2q^3 - q^4"
 B4_STR = (
@@ -70,6 +71,13 @@ class TestGraph:
         assert len(doc["nodes"]) == 7
         assert len(doc["edges"]) == 13
         assert all(1 <= e["type"] <= 16 for e in doc["edges"])
+
+    def test_json_and_dot_exclude_each_other(self, capsys, tmp_path):
+        target = tmp_path / "a2.dot"
+        code, out, err = run(capsys, "graph", "--n", "2", "--json", "--dot", str(target))
+        assert code == 2
+        assert out == "" and "not allowed" in err
+        assert not target.exists()
 
 
 class TestLeqAndBeta:
@@ -271,6 +279,15 @@ class TestVerifyAll:
         assert code == 2
         assert "unknown" in err
 
+    def test_subset_uses_the_seed(self, capsys):
+        code, out, _ = run(
+            capsys, "verify-all", "--only", "dodgson", "--seed", "5", "--json"
+        )
+        assert code == 0
+        (doc,) = json.loads(out)
+        assert doc["details"] == check_dodgson(seed=5).details
+        assert doc["details"] != check_dodgson(seed=0).details
+
 
 class TestUsageAndGuards:
     def test_no_arguments(self, capsys):
@@ -281,6 +298,27 @@ class TestUsageAndGuards:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "enumerate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("leq", "123", "321", "--seed", "4"),
+            ("leq", "123", "321", "--limit-override", "2"),
+            ("beta", "123", "--seed", "1"),
+            ("chain", "123", "321", "--limit-override", "0"),
+            ("certify", "123", "321", "--limit-override", "0"),
+            ("scan", "123", "321", "--seed", "1", "--limit-override", "0"),
+            ("enumerate", "--n", "3", "--seed", "1"),
+            ("graph", "--n", "2", "--seed", "1"),
+            ("bq", "--n", "3", "--seed", "1"),
+            ("dodgson", "verify", "--n", "3", "--seed", "1", "--limit-override", "0"),
+            ("verify-all", "--only", "a3", "--limit-override", "0"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "unrecognized arguments" in err
 
     def test_limit_override_tightens(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--limit-override", "2")

@@ -24,6 +24,9 @@ from asmgraph import (
     sym_det,
     unsigned_permanent_q,
 )
+from asmgraph.core import sign
+from asmgraph.enumeration import enumerate_permutations
+from asmgraph.lattice import beta_permutation
 from asmgraph.polynomials import BQ_METHODS, _q_weight_matrix
 from asmgraph.tnn import det
 
@@ -40,6 +43,21 @@ def _random_rational_rows(n, rng, lo=-9, hi=9):
         [F(rng.randint(lo, hi), rng.randint(1, 5)) for _ in range(n)]
         for _ in range(n)
     ]
+
+
+def _one_monomial_at_a_time(n, signed):
+    """The sum over S_n as it was first written, one ring addition per
+    permutation; kept as the oracle of the single-pass tally."""
+    total = HalfExpPoly.zero()
+    for w in enumerate_permutations(n):
+        total = total + HalfExpPoly.q_pow(beta_permutation(w), sign(w) if signed else 1)
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tally_matches_monomial_sum(n):
+    assert bq_definition(n) == _one_monomial_at_a_time(n, signed=True)
+    assert unsigned_permanent_q(n) == _one_monomial_at_a_time(n, signed=False)
 
 
 class TestBq:

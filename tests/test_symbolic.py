@@ -87,9 +87,9 @@ class TestMonomials:
     def test_asm_monomial_center(self, a3):
         m = asm_monomial(a3["X"])
         assert str(m) == "x12 x21 x22^-1 x23 x32"
-        qm = q_monomial(a3["X"])
-        assert qm.q_power == 2
-        assert qm.monomial == m
+        mono, q_power = q_monomial(a3["X"])
+        assert q_power == 2
+        assert mono == m
 
     def test_asm_monomial_permutation(self, a3):
         assert str(asm_monomial(a3["123"])) == "x11 x22 x33"
@@ -467,6 +467,10 @@ class TestHalfExpPoly:
             HalfExpPoly({0: 1, 4: 1}).divexact(HalfExpPoly({0: 1, 2: 1}))
         with pytest.raises(NonExactDivisionError):
             HalfExpPoly({0: 1, 2: 1}).divexact(HalfExpPoly.const(2))
+        # The first leading step divides (2q^2 / 2q = q); the next leaves
+        # 1/2, so the rational quotient q + 1/2 is not integral.
+        with pytest.raises(NonExactDivisionError):
+            HalfExpPoly({0: 1, 2: 3, 4: 2}).divexact(HalfExpPoly({0: 2, 2: 2}))
         with pytest.raises(ZeroDivisionError):
             HalfExpPoly.one().divexact(HalfExpPoly.zero())
 
