@@ -9,6 +9,8 @@ builds a few, shows what validation catches, and introduces the corner
 sum transform that the rest of the package is built on.
 """
 
+import sys
+
 from asmgraph import (
     Asm,
     PrefixSumViolationError,
@@ -18,6 +20,7 @@ from asmgraph import (
     from_corner_sum,
     parse_permutation,
     permutation_to_asm,
+    validate_asm,
 )
 
 # The smallest ASM that is not a permutation matrix: a single -1 in the
@@ -26,12 +29,15 @@ x = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
 print("the 3x3 diamond:")
 print(format_asm_text(x))
 
-# Validation happens in the constructor, scanning row by row.  A matrix
-# whose column prefix sums leave {0, 1} is rejected with the exact cell.
+# validate_asm checks the axioms, scanning row by row; the Asm
+# constructor itself checks nothing.  A matrix whose column prefix sums
+# leave {0, 1} is rejected with the exact cell.
 try:
-    Asm(((1, 0), (1, 0)))
+    validate_asm(((1, 0), (1, 0)))
 except PrefixSumViolationError as exc:
     print(f"rejected: {exc} (axis={exc.axis}, cell={exc.position})")
+else:
+    sys.exit("validate_asm accepted a matrix with a column prefix sum of 2")
 print()
 
 # The corner sum matrix records, for each (i, j), the total of the

@@ -56,7 +56,7 @@ from .tnn import (
     det,
     evaluate_difference,
     qtnn_scan,
-    rational_matrix,
+    random_rational_matrix,
 )
 from .verify import ALL_CHECKS, run_all
 
@@ -261,12 +261,7 @@ def cmd_dodgson_verify(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     numeric_ok = skipped = q_ok = failures = 0
     for _ in range(args.trials):
-        m = rational_matrix(
-            [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(args.n)]
-                for _ in range(args.n)
-            ]
-        )
+        m = random_rational_matrix(args.n, rng)
         try:
             if dodgson(m) == det(m.rows):
                 numeric_ok += 1

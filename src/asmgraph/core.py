@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -180,16 +179,15 @@ def validate_asm(rows: Rows | Asm) -> Asm:
     order so rejections always name the same first violation: cells are
     scanned row-major; at each cell the entry range is checked, then the
     column partial sum, then the row partial sum; full row sums are
-    checked as each row completes and full column sums at the end.
+    checked as each row completes and full column sums at the end.  An
+    :class:`Asm` argument gets the same checks and is returned as is.
 
     >>> validate_asm([[0, 1], [-1, 1]])
     Traceback (most recent call last):
         ...
     asmgraph.core.PrefixSumViolationError: column prefix sum -1 at (2,1) not in {0, 1}
     """
-    if isinstance(rows, Asm):
-        return rows
-    mat = _as_rows(rows)
+    mat = _as_rows(rows.entries if isinstance(rows, Asm) else rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise NonSquareError("matrix must be square and nonempty")
@@ -210,10 +208,11 @@ def validate_asm(rows: Rows | Asm) -> Asm:
     for j, s in enumerate(col_sums, start=1):
         if s != 1:
             raise TotalSumViolationError("column", j, s)
+    if isinstance(rows, Asm):
+        return rows
     return Asm(tuple(tuple(row) for row in mat))
 
 
-@lru_cache(maxsize=4096)
 def corner_sum(a: Asm) -> CornerSum:
     """Corner-sum matrix A~ of an ASM."""
     n = a.n

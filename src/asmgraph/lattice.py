@@ -4,7 +4,10 @@ ASMs of size n are partially ordered by reverse entrywise comparison of
 corner-sum matrices: A <= B iff A~(i, j) >= B~(i, j) everywhere.  On
 permutation matrices this is the (strong) Bruhat order, and the full
 poset is the smallest lattice containing it; the identity matrix is the
-unique minimum and the reverse identity the unique maximum.
+unique minimum and the reverse identity the unique maximum.  The order
+test is one row-major scan for a first cell with A~(A) < A~(B), the
+cell at which the TNN counterexample is built.  Corner sums are not
+cached; each call computes those of its arguments once.
 
 The order is graded by the bigrassmannian statistic
 
@@ -51,17 +54,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, NamedTuple
 
 from .core import (
     Asm,
     AsmError,
+    CornerSum,
     Permutation,
     corner_sum,
     permutation_to_asm,
 )
-from .enumeration import enumerate_asms, enumerate_permutations
+from .enumeration import ASM_SIZE_LIMIT, enumerate_asms, enumerate_permutations
 
 Entries = tuple[tuple[int, ...], ...]
 
@@ -119,16 +123,16 @@ def _same_size(a: Asm, b: Asm) -> int:
     return a.n
 
 
-def _corner_sums_can_shift(a: Asm, r: Rect, delta: int) -> bool:
-    """Can the corner sums of a move by delta (+1 or -1) on the cells of r?
+def _corner_sums_can_shift(c: CornerSum, r: Rect, delta: int) -> bool:
+    """Can the corner sums c move by delta (+1 or -1) on the cells of r?
 
     Only the steps across the boundary of r change: each step into r
     (from column k - 1 and row i - 1) must be 0 when raising and 1 when
     lowering, and each step out of r (to column l and row j) the other.
     """
-    if r.j > a.n or r.l > a.n:
+    if r.j > c.n or r.l > c.n:
         return False
-    v = corner_sum(a).value
+    v = c.value
     steps = ((1 - delta) // 2, (1 + delta) // 2)  # (into r, out of r)
     return all(
         (v(p, r.k) - v(p, r.k - 1), v(p, r.l) - v(p, r.l - 1)) == steps
@@ -141,12 +145,12 @@ def _corner_sums_can_shift(a: Asm, r: Rect, delta: int) -> bool:
 
 def is_essential(a: Asm, r: Rect) -> bool:
     """Can the corner sums be raised by 1 on the cells of r?"""
-    return _corner_sums_can_shift(a, r, 1)
+    return _corner_sums_can_shift(corner_sum(a), r, 1)
 
 
 def is_dual_essential(a: Asm, r: Rect) -> bool:
     """Can the corner sums be lowered by 1 on the cells of r?"""
-    return _corner_sums_can_shift(a, r, -1)
+    return _corner_sums_can_shift(corner_sum(a), r, -1)
 
 
 def _all_rects(n: int) -> Iterable[Rect]:
@@ -158,11 +162,13 @@ def _all_rects(n: int) -> Iterable[Rect]:
 
 
 def essential_rects(a: Asm) -> set[Rect]:
-    return {r for r in _all_rects(a.n) if is_essential(a, r)}
+    c = corner_sum(a)
+    return {r for r in _all_rects(a.n) if _corner_sums_can_shift(c, r, 1)}
 
 
 def dual_essential_rects(a: Asm) -> set[Rect]:
-    return {r for r in _all_rects(a.n) if is_dual_essential(a, r)}
+    c = corner_sum(a)
+    return {r for r in _all_rects(a.n) if _corner_sums_can_shift(c, r, -1)}
 
 
 def apply_rect(a: Asm, r: Rect) -> Asm:
@@ -172,10 +178,10 @@ def apply_rect(a: Asm, r: Rect) -> Asm:
     for a (moving down the order), subtracts it if r is dual essential
     (moving up), and otherwise returns a unchanged.
     """
-    if is_essential(a, r):
-        return Asm(_shift_corners(a.entries, r, 1))
-    if is_dual_essential(a, r):
-        return Asm(_shift_corners(a.entries, r, -1))
+    c = corner_sum(a)
+    for delta in (1, -1):
+        if _corner_sums_can_shift(c, r, delta):
+            return Asm(_shift_corners(a.entries, r, delta))
     return a
 
 
@@ -339,13 +345,20 @@ def edges_from(a: Asm) -> list[Edge]:
 # order and rank
 # ---------------------------------------------------------------------------
 
+def _first_excess(ca: CornerSum, cb: CornerSum) -> tuple[int, int] | None:
+    """Row-major first 1-based (i, j) with ca(i, j) < cb(i, j); None
+    exactly when a <= b for the ASMs a, b with these corner sums."""
+    for i, (ra, rb) in enumerate(zip(ca.entries, cb.entries), start=1):
+        for j, below in enumerate(map(lt, ra, rb), start=1):
+            if below:
+                return i, j
+    return None
+
+
 def asm_leq(a: Asm, b: Asm) -> bool:
     """a <= b in the ASM order (reverse corner-sum dominance)."""
-    n = _same_size(a, b)
-    ca, cb = corner_sum(a), corner_sum(b)
-    return all(
-        ca.entries[i][j] >= cb.entries[i][j] for i in range(n) for j in range(n)
-    )
+    _same_size(a, b)
+    return _first_excess(corner_sum(a), corner_sum(b)) is None
 
 
 def beta(a: Asm) -> int:
@@ -422,12 +435,12 @@ def essential_points(a: Asm) -> frozenset[tuple[int, int]]:
     These biject with the elements covered by a; an ASM is a
     bigrassmannian permutation matrix iff it has exactly one.
     """
-    n = a.n
+    n, c = a.n, corner_sum(a)
     return frozenset(
         (i, j)
         for i in range(1, n)
         for j in range(1, n)
-        if is_essential(a, Rect(i, i + 1, j, j + 1))
+        if _corner_sums_can_shift(c, Rect(i, i + 1, j, j + 1), 1)
     )
 
 
@@ -464,10 +477,11 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
     exactly a <= lower.  Raises IncomparableError unless a <= b.
     """
     n = _same_size(a, b)
-    if not asm_leq(a, b):
+    ca, cb = corner_sum(a), corner_sum(b)
+    if _first_excess(ca, cb) is not None:
         raise IncomparableError("chain requires a <= b")
-    floor = corner_sum(a).entries
-    c = [[0] * (n + 1)] + [[0, *row] for row in corner_sum(b).entries]
+    floor = ca.entries
+    c = [[0] * (n + 1)] + [[0, *row] for row in cb.entries]
     entries = b.entries
     steps = []
     # beta(b) - beta(a) steps, each raising one corner sum by one.
@@ -560,7 +574,7 @@ class AsmGraph:
         return len(self.edges)
 
 
-def build_graph(n: int, *, size_limit: int | None = 7) -> AsmGraph:
+def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
     """Build the complete ASM graph for size n.
 
     Each target is looked up in the index of all n x n ASMs, so a wrong

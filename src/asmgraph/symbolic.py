@@ -356,11 +356,9 @@ def _random_positive_rows(n: int, rng: random.Random) -> list[list[Fraction]]:
 def evaluate_certificate(
     cert: SflCertificate, rows: Sequence[Sequence[Fraction]]
 ) -> Fraction:
-    """Exact value of the certificate sum at a matrix."""
-    total = Fraction(0)
-    for s in cert.steps:
-        total += s.prefix.evaluate(rows) * s.minor.evaluate(rows) / s.divisor.evaluate(rows)
-    return total
+    """Exact value of the certificate sum at a matrix: the q-weighted
+    sum at q = 1."""
+    return evaluate_certificate_q(cert, rows, 1)
 
 
 def evaluate_certificate_q(
@@ -368,9 +366,10 @@ def evaluate_certificate_q(
 ) -> Fraction:
     """Value of the q-weighted certificate sum.
 
-    Step t acquires the factor q^{beta(source) + t} and its minor is
+    Step t acquires the factor q^{beta(source) + t} and its 2x2 minor is
     q-deformed; the sum equals q^{beta(a)} x^a - q^{beta(b)} x^b, so all
     q-powers are nonnegative and the whole thing is a polynomial in q.
+    At q = 1 it is the plain certificate sum.
     """
     q = Fraction(q)
     base = cert.beta_pair[0]
@@ -391,7 +390,7 @@ def verify_certificate(
     """Check a certificate structurally and numerically.
 
     Structural: the step count equals the beta gap, every minor is a
-    small solid minor, and every prefix/divisor ratio is an almost
+    2x2 solid minor, and every prefix/divisor ratio is an almost
     positive Laurent monomial.  Numeric: at ``samples`` random positive
     rational matrices the telescoping sum equals x^source - x^target
     exactly.  Raises VerificationFailureError on the first failure.
@@ -404,8 +403,8 @@ def verify_certificate(
             f"{len(cert.steps)} steps for a beta gap of {b1 - b0}"
         )
     for t, s in enumerate(cert.steps):
-        if not (s.minor.is_small() and s.minor.is_solid()):
-            raise VerificationFailureError(f"minor {s.minor} not small solid", step=t)
+        if not (s.minor.size == 2 and s.minor.is_solid()):
+            raise VerificationFailureError(f"minor {s.minor} not 2x2 solid", step=t)
         if not (s.prefix / s.divisor).is_almost_positive():
             raise VerificationFailureError(
                 f"step ratio {s.prefix / s.divisor} not almost positive", step=t
@@ -434,7 +433,7 @@ class CombinedForm(NamedTuple):
 
     The prefix is an almost positive Laurent monomial; every residual
     mono_t has nonnegative exponents, so the sum is a subtraction-free
-    polynomial in matrix entries and small solid minors with no
+    polynomial in matrix entries and 2x2 solid minors with no
     constant term.
     """
 

@@ -35,10 +35,11 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Asm, AsmError
-from .lattice import SizeMismatchError, asm_leq, beta, corner_sum
+from .lattice import SizeMismatchError, _first_excess, _same_size, beta, corner_sum
 from .symbolic import UndefinedEvaluationError, _int_rows, _minors, asm_monomial
 
 TNN_SIZE_LIMIT = 8
+RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
 
 
 class ComparableError(AsmError):
@@ -71,6 +72,14 @@ def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
     if any(len(row) != len(out) for row in out):
         raise AsmError("matrix must be square")
     return RationalMatrix(out)
+
+
+def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
+    """n x n matrix of rationals p/q, -9 <= p <= 9 and 1 <= q <= 4,
+    drawn row-major from rng (numerator, then denominator)."""
+    return rational_matrix(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    )
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -207,9 +216,7 @@ def bidiagonal_product(
     return rational_matrix(m)
 
 
-def random_tnn(
-    n: int, seed: int, *, param_bound: int = 4, allow_zero: bool = False
-) -> RationalMatrix:
+def random_tnn(n: int, seed: int, *, allow_zero: bool = False) -> RationalMatrix:
     """Random TNN matrix from a positive bidiagonal factorization.
 
     With ``allow_zero`` False (the default) all factorization parameters
@@ -219,14 +226,14 @@ def random_tnn(
     rng = random.Random(seed)
     count = n * (n - 1) // 2
 
-    def draw() -> Fraction:
-        if allow_zero and rng.random() < 0.25:
+    def draw(zero_allowed: bool) -> Fraction:
+        if zero_allowed and rng.random() < 0.25:
             return Fraction(0)
-        return Fraction(rng.randint(1, param_bound), rng.randint(1, param_bound))
+        return Fraction(rng.randint(1, RANDOM_TNN_BOUND), rng.randint(1, RANDOM_TNN_BOUND))
 
-    diag = [Fraction(rng.randint(1, param_bound), rng.randint(1, param_bound)) for _ in range(n)]
-    lower = [draw() for _ in range(count)]
-    upper = [draw() for _ in range(count)]
+    diag = [draw(False) for _ in range(n)]
+    lower = [draw(allow_zero) for _ in range(count)]
+    upper = [draw(allow_zero) for _ in range(count)]
     return bidiagonal_product(diag, lower, upper)
 
 
@@ -248,26 +255,16 @@ def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
 def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, int]]:
     """A TNN matrix on which x^a - x^b is negative, with its witness cell.
 
-    Scans corner sums row-major for the first cell (k, l) where
-    A~(a) < A~(b) and returns the 2-block matrix for it.  Every minor of
-    that matrix is 0, 1 or 2, and the difference evaluates to
+    The order test's scan gives the row-major first cell (k, l) where
+    A~(a) < A~(b), and the 2-block matrix is built for it.  Every minor
+    of that matrix is 0, 1 or 2, and the difference evaluates to
     2^{A~(a)(k,l)} - 2^{A~(b)(k,l)} < 0.  Raises ComparableError when
-    a <= b, in which case no TNN counterexample exists.
+    a <= b (no such cell), in which case no TNN counterexample exists.
     """
-    n = a.n if a.n == b.n else None
-    if n is None:
-        raise SizeMismatchError(f"sizes differ: {a.n} vs {b.n}")
-    if asm_leq(a, b):
+    n = _same_size(a, b)
+    witness = _first_excess(corner_sum(a), corner_sum(b))
+    if witness is None:
         raise ComparableError("a <= b; the difference is nonnegative on TNN matrices")
-    ca, cb = corner_sum(a), corner_sum(b)
-    witness = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if ca.value(i, j) < cb.value(i, j):
-                witness = (i, j)
-                break
-        if witness:
-            break
     k, l = witness
     rows = [
         [Fraction(2) if i <= k and j <= l else Fraction(1) for j in range(1, n + 1)]
@@ -320,10 +317,11 @@ def qtnn_scan(
     exhibited.  Each sample also cross-checks the q-weighting identity
     value(weighted) = q0^{beta(a)} x^a(m) - q0^{beta(b)} x^b(m).
     """
-    comparable = asm_leq(a, b)
-    extra = []
-    if not comparable:
-        extra.append(counterexample_matrix(a, b)[0])
+    try:
+        extra = [counterexample_matrix(a, b)[0]]
+    except ComparableError:
+        extra = []
+    comparable = not extra
     results = []
     for gi, q0 in enumerate(q_grid):
         q0 = Fraction(q0)

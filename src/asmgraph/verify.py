@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .core import (
@@ -54,8 +53,8 @@ from .tnn import (
     det,
     evaluate_difference,
     is_tnn,
+    random_rational_matrix,
     random_tnn,
-    rational_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -330,20 +329,11 @@ def check_dodgson(seed: int = 0) -> CheckResult:
     def body() -> tuple[bool, str]:
         problems = []
         rng = random.Random(seed)
-
-        def draw(n: int):
-            return rational_matrix(
-                [
-                    [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-                    for _ in range(n)
-                ]
-            )
-
         skipped = 0
         for n in (3, 4, 5):
             done = 0
             while done < 100:
-                matrix = draw(n)
+                matrix = random_rational_matrix(n, rng)
                 try:
                     value = dodgson(matrix)
                 except SingularInteriorError:
@@ -355,7 +345,7 @@ def check_dodgson(seed: int = 0) -> CheckResult:
         q_checked = 0
         for n in (2, 3, 4):
             for _ in range(100):
-                report = q_dodgson_check(draw(n))
+                report = q_dodgson_check(random_rational_matrix(n, rng))
                 if not report.passed:
                     problems.append(f"n={n}: q-identity failed")
                 q_checked += 1

@@ -25,6 +25,7 @@ from asmgraph import (
     validate_asm,
 )
 from asmgraph.core import (
+    Asm,
     EntryOutOfRangeError,
     InvalidCornerSumError,
     NonSquareError,
@@ -85,6 +86,19 @@ class TestValidation:
     def test_all_zero_row_rejected(self):
         with pytest.raises(TotalSumViolationError):
             validate_asm([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+
+    def test_asm_argument_is_checked(self):
+        # The Asm constructor checks nothing, so validate_asm must.
+        with pytest.raises(EntryOutOfRangeError) as exc:
+            validate_asm(Asm(((2,),)))
+        assert exc.value.position == (1, 1)
+        with pytest.raises(PrefixSumViolationError) as exc:
+            validate_asm(Asm(((1, 0), (1, 0))))
+        assert exc.value.axis == "column" and exc.value.position == (2, 1)
+
+    def test_valid_asm_argument_is_returned_as_is(self):
+        a = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
+        assert validate_asm(a) is a
 
 
 class TestCornerSum:

@@ -439,11 +439,11 @@ class TestOrder:
                 assert len(least) == 1
 
     def test_asm_keyed_caches_are_bounded(self):
-        """The order over all 7,436 6x6 ASMs keeps at most 4,096 cached,
-        and essential_points keeps no cache at all."""
+        """The order over all 7,436 6x6 ASMs keeps nothing cached:
+        neither corner_sum nor essential_points has a cache."""
         top = reverse_asm(6)
         assert all(asm_leq(a, top) for a in iter_asms(6))
-        assert corner_sum.cache_info().currsize <= 4096
+        assert not hasattr(corner_sum, "cache_info")
         assert not hasattr(essential_points, "cache_info")
 
 

@@ -335,6 +335,20 @@ class TestVerificationFailures:
             verify_certificate(bad)
         assert exc.value.step == 0
 
+    def test_one_by_one_minor_fails_structurally(self, a3):
+        cert = self._cert(a3)
+        s0 = cert.steps[0]
+        bad = SflCertificate(
+            cert.source,
+            cert.target,
+            cert.beta_pair,
+            (EdgeFactorization(s0.prefix, s0.divisor, MinorRef((2,), (2,))),)
+            + cert.steps[1:],
+        )
+        with pytest.raises(VerificationFailureError, match="solid") as exc:
+            verify_certificate(bad)
+        assert exc.value.step == 0
+
     def test_bad_ratio_fails_structurally(self, a3):
         cert = self._cert(a3)
         s0 = cert.steps[0]
@@ -366,6 +380,35 @@ class TestQCertificates:
                 a3[t]
             ) * asm_monomial(a3[t]).evaluate(rows)
             assert got == want
+
+    def test_sum_matches_old_per_step_sum(self):
+        """evaluate_certificate against the per-step sum it replaced:
+        prefix * minor / divisor, the minor by the exact kernel."""
+        import random
+
+        rng = random.Random(29)
+        asms = enumerate_asms(4)
+        checked = 0
+        for a in asms:
+            for b in asms:
+                if not asm_leq(a, b):
+                    continue
+                cert = sfl_certificate(a, b)
+                rows = [
+                    [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+                    for _ in range(4)
+                ]
+                old = sum(
+                    (
+                        s.prefix.evaluate(rows) * s.minor.evaluate(rows)
+                        / s.divisor.evaluate(rows)
+                        for s in cert.steps
+                    ),
+                    F(0),
+                )
+                assert evaluate_certificate(cert, rows) == old
+                checked += 1
+        assert checked == 644
 
     def test_q_one_reduces_to_plain(self, a3):
         rows = [[F(3), F(1), F(2)], [F(1), F(4), F(1)], [F(2), F(1), F(5)]]

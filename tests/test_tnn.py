@@ -27,6 +27,7 @@ from asmgraph import (
     reverse_asm,
     validate_asm,
 )
+from asmgraph.core import corner_sum
 from asmgraph.lattice import SizeMismatchError
 from asmgraph.tnn import det, iter_minor_values, q_unweighted, rational_sqrt
 
@@ -243,6 +244,58 @@ class TestCounterexample:
                 m, _ = counterexample_matrix(a, b)
                 assert is_tnn(m)
                 assert evaluate_difference(a, b, m) < 0
+
+
+def _old_leq(a, b):
+    """asm_leq before the shared scan: every corner sum of a is >= b's."""
+    ca, cb = corner_sum(a), corner_sum(b)
+    return all(
+        ca.entries[i][j] >= cb.entries[i][j] for i in range(a.n) for j in range(a.n)
+    )
+
+
+def _old_witness(a, b):
+    """counterexample_matrix's former rescan for its witness cell."""
+    ca, cb = corner_sum(a), corner_sum(b)
+    for i in range(1, a.n + 1):
+        for j in range(1, a.n + 1):
+            if ca.value(i, j) < cb.value(i, j):
+                return i, j
+    return None
+
+
+def _check_one_scan(a, b):
+    """asm_leq and counterexample_matrix agree with the old scans."""
+    leq = _old_leq(a, b)
+    assert asm_leq(a, b) == leq
+    if leq:
+        with pytest.raises(ComparableError):
+            counterexample_matrix(a, b)
+        return
+    m, witness = counterexample_matrix(a, b)
+    assert witness == _old_witness(a, b)
+    k, l = witness
+    assert m.rows == tuple(
+        tuple(F(2) if i <= k and j <= l else F(1) for j in range(1, a.n + 1))
+        for i in range(1, a.n + 1)
+    )
+
+
+ASMS5 = enumerate_asms(5)
+
+
+class TestOneScanAgainstOldScans:
+    def test_all_ordered_a4_pairs(self):
+        asms = enumerate_asms(4)
+        for a in asms:
+            for b in asms:
+                _check_one_scan(a, b)
+        assert len(asms) ** 2 == 1764
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ASMS5), st.sampled_from(ASMS5))
+    def test_a5_pairs(self, a, b):
+        _check_one_scan(a, b)
 
 
 class TestQtnnScan:
