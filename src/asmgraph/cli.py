@@ -39,7 +39,7 @@ from .core import (
     parse_permutation,
     permutation_to_asm,
 )
-from .enumeration import SizeLimitExceededError, count_asms, iter_asms
+from .enumeration import count_asms, iter_asms
 from .lattice import (
     IncomparableError,
     asm_leq,
@@ -57,6 +57,7 @@ from .tnn import (
     evaluate_difference,
     qtnn_scan,
     random_rational_matrix,
+    rational_sqrt,
 )
 from .verify import ALL_CHECKS, run_all
 
@@ -204,12 +205,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     a, b = _load_asm(args.a), _load_asm(args.b)
-    grid = (
-        tuple(Fraction(tok) for tok in args.grid.split(","))
-        if args.grid
-        else DEFAULT_Q_GRID
-    )
-    report = qtnn_scan(a, b, q_grid=grid, samples=args.samples, seed=args.seed)
+    report = qtnn_scan(a, b, q_grid=args.grid, samples=args.samples, seed=args.seed)
     if args.json:
         payload = {
             "comparable": report.comparable,
@@ -333,6 +329,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _q_grid(text: str) -> tuple[Fraction, ...]:
+    """argparse type for ``--grid``: a usage error unless every token is
+    a positive rational with an exact rational square root."""
+    grid = []
+    for tok in text.split(","):
+        try:
+            q0 = Fraction(tok)
+            rational_sqrt(q0)
+        except (ValueError, ZeroDivisionError):
+            q0 = 0
+        if q0 <= 0:
+            raise argparse.ArgumentTypeError(
+                f"expected positive rational squares such as 1/4,1,4, got {tok!r}"
+            )
+        grid.append(q0)
+    return tuple(grid)
+
+
 def _flags(p: argparse.ArgumentParser, *, seed: str = "", limit: bool = False):
     """Add the shared flags that p's handler reads: ``--json``, plus
     ``--seed`` when seed is "optional" (default 0) or "required", and
@@ -411,8 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="matrix file or permutation literal")
     p.add_argument(
         "--grid",
+        type=_q_grid,
+        default=DEFAULT_Q_GRID,
         metavar="Q0,...",
-        help="comma-separated rational grid, default 1/4,1,4",
+        help="comma-separated grid of positive rational squares, default 1/4,1,4",
     )
     p.add_argument(
         "--samples", type=_positive_int, default=20, help="samples per grid point"
@@ -461,9 +477,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AsmError, SizeLimitExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

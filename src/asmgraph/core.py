@@ -168,15 +168,31 @@ class Permutation:
 
 
 def _as_rows(rows: Rows) -> list[list[int]]:
-    return [[int(x) for x in row] for row in rows]
+    """The rows as lists of ints; rejects any entry that is a bool or is
+    not equal to an integer, instead of truncating it."""
+    mat = []
+    for i, row in enumerate(rows, start=1):
+        out = []
+        for j, x in enumerate(row, start=1):
+            try:
+                value = int(x)
+            except (TypeError, ValueError, OverflowError):
+                value = None
+            if isinstance(x, bool) or value is None or value != x:
+                raise AsmError(f"entry {x!r} at ({i},{j}) is not an integer")
+            out.append(value)
+        mat.append(out)
+    return mat
 
 
 def validate_asm(rows: Rows | Asm) -> Asm:
     """Check the ASM axioms and wrap the matrix in an :class:`Asm`.
 
-    The four axiom families (entry range, row/column partial sums in
-    {0, 1}, full sums equal to 1) are checked in a fixed deterministic
-    order so rejections always name the same first violation: cells are
+    Every entry is first checked for being an integer: a bool, or a
+    value such as 1.5, is rejected, and 1.0 is accepted as 1.  The four
+    axiom families (entry range, row/column partial sums in {0, 1}, full
+    sums equal to 1) are then checked in a fixed deterministic order so
+    rejections always name the same first violation: cells are
     scanned row-major; at each cell the entry range is checked, then the
     column partial sum, then the row partial sum; full row sums are
     checked as each row completes and full column sums at the end.  An

@@ -28,17 +28,20 @@ the four entries of the target at the rectangle's corner positions.
 
 A corner-sum step is a partial sum of A: A~(p, q) - A~(p, q-1) is
 s(p, q), the sum of column q down to row p, and A~(p, q) - A~(p-1, q)
-is r(p, q), the sum of row p up to column q.  So [i, j) x [k, l) is
-dual essential exactly when
+is r(p, q), the sum of row p up to column q.  So the corner sums can
+move by delta on the cells of [i, j) x [k, l) exactly when
 
-    s(p, k) = 1 and s(p, l) = 0 for i <= p < j, and
-    r(i, q) = 1 and r(j, q) = 0 for k <= q < l,
+    s(p, k) = e and s(p, l) = 1 - e for i <= p < j, and
+    r(i, q) = e and r(j, q) = 1 - e for k <= q < l,
 
-and the graph builder walks only the runs of partial sums that satisfy
-these, never the other rectangles.  Lowering the corner sums by 1 on the
-cells of R changes A only at the corners (i,k), (i,l), (j,k), (j,l),
-where it adds (-1, +1, +1, -1); raising them adds (+1, -1, -1, +1).
-Targets are formed by this corner update.
+with e = 1 when lowering (dual essential) and e = 0 when raising
+(essential).  Every rectangle question (the essential and dual-essential
+tests and sets, :func:`apply_rect`, the essential points and the graph's
+edges) reads the runs of partial sums that satisfy these, never the
+other rectangles.  Lowering the corner sums by 1 on the cells of R
+changes A only at the corners (i,k), (i,l), (j,k), (j,l), where it adds
+(-1, +1, +1, -1); raising them adds (+1, -1, -1, +1).  Targets are
+formed by this corner update.
 
 Covering chains are one walk down the corner sums.  The point (i, j)
 is essential when the corner sum there equals its left and upper
@@ -46,7 +49,9 @@ neighbours and is one less than its right and lower ones.  From b,
 :func:`covering_chain` raises, at each step, the corner sum at the
 row-major first essential point where A~(a) is still larger, and forms
 the lower matrix by the corner update; certificates take each step's
-rectangle from the same walk.
+rectangle from the same walk.  The chain keeps this 1x1 test on the
+corner sums it updates in place, since reading the runs of partial sums
+instead would recompute all of them at every step.
 """
 
 from __future__ import annotations
@@ -123,52 +128,58 @@ def _same_size(a: Asm, b: Asm) -> int:
     return a.n
 
 
-def _corner_sums_can_shift(c: CornerSum, r: Rect, delta: int) -> bool:
-    """Can the corner sums c move by delta (+1 or -1) on the cells of r?
+def _shift_rects(entries: Entries, delta: int) -> list[tuple[int, int, int, int]]:
+    """Sorted 1-based bounds (i, j, k, l) of every rectangle on whose
+    cells the corner sums of entries can move by delta (+1 or -1).
 
-    Only the steps across the boundary of r change: each step into r
-    (from column k - 1 and row i - 1) must be 0 when raising and 1 when
-    lowering, and each step out of r (to column l and row j) the other.
+    Reads the runs of the row partial sums r and the column partial sums
+    s (see the module docstring): each step into the rectangle must be 0
+    when raising and 1 when lowering, and each step out of it the other.
+    Indices in the walk are 0-based.
     """
-    if r.j > c.n or r.l > c.n:
-        return False
-    v = c.value
-    steps = ((1 - delta) // 2, (1 + delta) // 2)  # (into r, out of r)
-    return all(
-        (v(p, r.k) - v(p, r.k - 1), v(p, r.l) - v(p, r.l - 1)) == steps
-        for p in range(r.i, r.j)
-    ) and all(
-        (v(r.i, q) - v(r.i - 1, q), v(r.j, q) - v(r.j - 1, q)) == steps
-        for q in range(r.k, r.l)
-    )
+    into, out = (1 - delta) // 2, (1 + delta) // 2
+    n = len(entries)
+    r = [list(accumulate(row)) for row in entries]
+    s = [list(accumulate(col)) for col in zip(*entries)]  # s[q][p]
+    rects = []
+    for i in range(n - 1):
+        top = r[i]
+        for k in range(n - 1):
+            if top[k] != into or s[k][i] != into:
+                continue
+            col_k = s[k]
+            # r(i, .) = into on columns k..l-1
+            for l in range(k + 1, n):
+                col_l = s[l]
+                # s(., k) = into and s(., l) = out on rows i..j-1
+                j = i + 1
+                while j < n and col_k[j - 1] == into and col_l[j - 1] == out:
+                    # r(j, .) = out on columns k..l-1
+                    if r[j][k:l].count(out) == l - k:
+                        rects.append((i + 1, j + 1, k + 1, l + 1))
+                    j += 1
+                if top[l] != into:
+                    break
+    rects.sort()
+    return rects
 
 
 def is_essential(a: Asm, r: Rect) -> bool:
     """Can the corner sums be raised by 1 on the cells of r?"""
-    return _corner_sums_can_shift(corner_sum(a), r, 1)
+    return (r.i, r.j, r.k, r.l) in _shift_rects(a.entries, 1)
 
 
 def is_dual_essential(a: Asm, r: Rect) -> bool:
     """Can the corner sums be lowered by 1 on the cells of r?"""
-    return _corner_sums_can_shift(corner_sum(a), r, -1)
-
-
-def _all_rects(n: int) -> Iterable[Rect]:
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n):
-                for l in range(k + 1, n + 1):
-                    yield Rect(i, j, k, l)
+    return (r.i, r.j, r.k, r.l) in _shift_rects(a.entries, -1)
 
 
 def essential_rects(a: Asm) -> set[Rect]:
-    c = corner_sum(a)
-    return {r for r in _all_rects(a.n) if _corner_sums_can_shift(c, r, 1)}
+    return {Rect(*bounds) for bounds in _shift_rects(a.entries, 1)}
 
 
 def dual_essential_rects(a: Asm) -> set[Rect]:
-    c = corner_sum(a)
-    return {r for r in _all_rects(a.n) if _corner_sums_can_shift(c, r, -1)}
+    return {Rect(*bounds) for bounds in _shift_rects(a.entries, -1)}
 
 
 def apply_rect(a: Asm, r: Rect) -> Asm:
@@ -178,9 +189,8 @@ def apply_rect(a: Asm, r: Rect) -> Asm:
     for a (moving down the order), subtracts it if r is dual essential
     (moving up), and otherwise returns a unchanged.
     """
-    c = corner_sum(a)
     for delta in (1, -1):
-        if _corner_sums_can_shift(c, r, delta):
+        if (r.i, r.j, r.k, r.l) in _shift_rects(a.entries, delta):
             return Asm(_shift_corners(a.entries, r, delta))
     return a
 
@@ -296,37 +306,10 @@ def edge_between(source: Asm, target: Asm) -> Edge:
 
 
 def _up_moves(entries: Entries) -> list[tuple[Rect, Entries, int]]:
-    """(rectangle, target entries, edge type) of each edge leaving an ASM.
-
-    Reads the dual-essential rectangles off the row partial sums r and
-    the column partial sums s (see the module docstring), sorted by
-    rectangle.  Indices in the walk are 0-based.
-    """
-    n = len(entries)
-    r = [list(accumulate(row)) for row in entries]
-    s = [list(accumulate(col)) for col in zip(*entries)]  # s[q][p]
-    rects = []
-    for i in range(n - 1):
-        top = r[i]
-        for k in range(n - 1):
-            if top[k] != 1 or s[k][i] != 1:
-                continue
-            col_k = s[k]
-            # r(i, .) = 1 on columns k..l-1
-            for l in range(k + 1, n):
-                col_l = s[l]
-                # s(., k) = 1 and s(., l) = 0 on rows i..j-1
-                j = i + 1
-                while j < n and col_k[j - 1] == 1 and col_l[j - 1] == 0:
-                    # r(j, .) = 0 on columns k..l-1
-                    if r[j][k:l].count(0) == l - k:
-                        rects.append((i + 1, j + 1, k + 1, l + 1))
-                    j += 1
-                if top[l] != 1:
-                    break
-    rects.sort()
+    """(rectangle, target entries, edge type) of each edge leaving an ASM,
+    one per dual-essential rectangle, sorted by rectangle."""
     out = []
-    for bounds in rects:
+    for bounds in _shift_rects(entries, -1):
         rect = Rect(*bounds)
         target = _shift_corners(entries, rect, -1)
         upper, lower = target[rect.i - 1], target[rect.j - 1]
@@ -435,12 +418,8 @@ def essential_points(a: Asm) -> frozenset[tuple[int, int]]:
     These biject with the elements covered by a; an ASM is a
     bigrassmannian permutation matrix iff it has exactly one.
     """
-    n, c = a.n, corner_sum(a)
     return frozenset(
-        (i, j)
-        for i in range(1, n)
-        for j in range(1, n)
-        if _corner_sums_can_shift(c, Rect(i, i + 1, j, j + 1), 1)
+        (i, k) for i, j, k, l in _shift_rects(a.entries, 1) if j == i + 1 and l == k + 1
     )
 
 
@@ -598,31 +577,22 @@ EDGE_TYPE_COLORS = (
 )
 
 
-def export_dot(
-    g: AsmGraph,
-    *,
-    name: str = "asm_graph",
-    rank_by_beta: bool = True,
-    color_by_type: bool = True,
-) -> str:
+def export_dot(g: AsmGraph, *, name: str = "asm_graph") -> str:
     """Render the graph in DOT format.
 
-    Node labels are "index:beta"; edges are labelled with their type and
-    optionally coloured by it; nodes of equal beta share a rank so the
-    drawing is layered by the grading.
+    Node labels are "index:beta"; edges are labelled and coloured with
+    their type; nodes of equal beta share a rank so the drawing is
+    layered by the grading.
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
     betas = [beta(a) for a in g.nodes]
-    if rank_by_beta:
-        for level in sorted(set(betas)):
-            members = " ".join(f"n{i};" for i, b in enumerate(betas) if b == level)
-            lines.append(f"  {{ rank=same; {members} }}")
+    for level in sorted(set(betas)):
+        members = " ".join(f"n{i};" for i, b in enumerate(betas) if b == level)
+        lines.append(f"  {{ rank=same; {members} }}")
     for i, b in enumerate(betas):
         lines.append(f'  n{i} [label="{i}:{b}"];')
     for e in g.edges:
-        attrs = [f'label="{e.edge_type}"']
-        if color_by_type:
-            attrs.append(f'color="{EDGE_TYPE_COLORS[e.edge_type - 1]}"')
-        lines.append(f"  n{e.src} -> n{e.dst} [{', '.join(attrs)}];")
+        color = EDGE_TYPE_COLORS[e.edge_type - 1]
+        lines.append(f'  n{e.src} -> n{e.dst} [label="{e.edge_type}", color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -216,24 +216,21 @@ def bidiagonal_product(
     return rational_matrix(m)
 
 
-def random_tnn(n: int, seed: int, *, allow_zero: bool = False) -> RationalMatrix:
+def random_tnn(n: int, seed: int) -> RationalMatrix:
     """Random TNN matrix from a positive bidiagonal factorization.
 
-    With ``allow_zero`` False (the default) all factorization parameters
-    are strictly positive, so the sample is totally positive and every
-    entry is a positive rational.
+    All factorization parameters are strictly positive, so the sample is
+    totally positive and every entry is a positive rational.
     """
     rng = random.Random(seed)
     count = n * (n - 1) // 2
 
-    def draw(zero_allowed: bool) -> Fraction:
-        if zero_allowed and rng.random() < 0.25:
-            return Fraction(0)
+    def draw() -> Fraction:
         return Fraction(rng.randint(1, RANDOM_TNN_BOUND), rng.randint(1, RANDOM_TNN_BOUND))
 
-    diag = [draw(False) for _ in range(n)]
-    lower = [draw(allow_zero) for _ in range(count)]
-    upper = [draw(allow_zero) for _ in range(count)]
+    diag = [draw() for _ in range(n)]
+    lower = [draw() for _ in range(count)]
+    upper = [draw() for _ in range(count)]
     return bidiagonal_product(diag, lower, upper)
 
 

@@ -107,6 +107,13 @@ class TestLeqAndBeta:
         assert code == 0
         assert json.loads(out) == {"n": 3, "beta": 2}
 
+    def test_non_integer_json_entry_is_an_error(self, capsys, tmp_path):
+        x = tmp_path / "x.json"
+        x.write_text(json.dumps({"n": 2, "entries": [[1.7, 0], [0, 1]]}))
+        code, out, err = run(capsys, "beta", str(x))
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "not an integer" in err
+
     def test_size_mismatch_is_an_error(self, capsys):
         code, _, err = run(capsys, "leq", "123", "4321")
         assert code == 1
@@ -208,8 +215,14 @@ class TestScan:
 
     def test_irrational_grid_point(self, capsys):
         code, _, err = run(capsys, "scan", "123", "321", "--seed", "1", "--grid", "2")
-        assert code == 1
+        assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("grid", ["abc", "1/0", "0"])
+    def test_malformed_grid_is_a_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "scan", "123", "321", "--seed", "1", "--grid", grid)
+        assert code == 2
+        assert out == "" and "--grid" in err
 
 
 class TestBq:

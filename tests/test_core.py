@@ -26,6 +26,7 @@ from asmgraph import (
 )
 from asmgraph.core import (
     Asm,
+    AsmError,
     EntryOutOfRangeError,
     InvalidCornerSumError,
     NonSquareError,
@@ -96,6 +97,15 @@ class TestValidation:
             validate_asm(Asm(((1, 0), (1, 0))))
         assert exc.value.axis == "column" and exc.value.position == (2, 1)
 
+    @pytest.mark.parametrize("bad", [1.9, 0.5, True, False])
+    def test_non_integer_entry_is_rejected(self, bad):
+        # Truncating would turn [[1.9]] into the 1x1 identity.
+        with pytest.raises(AsmError, match=r"at \(1,2\) is not an integer"):
+            validate_asm([[1, bad], [0, 1]])
+
+    def test_integral_float_is_accepted(self):
+        assert validate_asm([[1.0, 0], [0, 1]]).entries == ((1, 0), (0, 1))
+
     def test_valid_asm_argument_is_returned_as_is(self):
         a = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
         assert validate_asm(a) is a
@@ -131,6 +141,10 @@ class TestCornerSum:
 
     def test_from_corner_sum_raw_rows(self):
         assert from_corner_sum([[0, 1, 1], [1, 1, 2], [1, 2, 3]]) == validate_asm(CENTER)
+
+    def test_from_corner_sum_rejects_non_integer(self):
+        with pytest.raises(AsmError, match="not an integer"):
+            from_corner_sum([[0.5, 1], [1, 2]])
 
     def test_from_corner_sum_rejects_bad_boundary(self):
         with pytest.raises(InvalidCornerSumError):

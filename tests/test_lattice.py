@@ -5,11 +5,13 @@ implementation under test:
 
 - essential/dual essential: bump the corner-sum matrix on the cells and
   revalidate it globally, instead of checking boundary conditions;
+- the rectangle walk over partial sums behind every rectangle question:
+  the corner-sum boundary test it replaced, on every rectangle;
 - graph edges: scan all ordered pairs and ask whether the corner-sum
   difference is the cell indicator of a combinatorial rectangle;
 - the graph builder: the rectangle scan it replaced, which tests every
-  rectangle with is_dual_essential, rebuilds each target from its bumped
-  corner sums and re-classifies the pair;
+  rectangle with that corner-sum test, rebuilds each target from its
+  bumped corner sums and re-classifies the pair;
 - permutation subgraph: inversion-increasing transposition pairs;
 - covering chains: the walk they replaced (conftest's
   old_covering_chain), which re-tests each essential point with
@@ -87,6 +89,33 @@ def _all_rects(n):
     ]
 
 
+def _corner_sums_can_shift(c, r, delta):
+    """Can the corner sums c move by delta (+1 or -1) on the cells of r?
+
+    Only the steps across the boundary of r change: each step into r
+    (from column k - 1 and row i - 1) must be 0 when raising and 1 when
+    lowering, and each step out of r (to column l and row j) the other.
+    """
+    if r.j > c.n or r.l > c.n:
+        return False
+    v = c.value
+    steps = ((1 - delta) // 2, (1 + delta) // 2)  # (into r, out of r)
+    return all(
+        (v(p, r.k) - v(p, r.k - 1), v(p, r.l) - v(p, r.l - 1)) == steps
+        for p in range(r.i, r.j)
+    ) and all(
+        (v(r.i, q) - v(r.i - 1, q), v(r.j, q) - v(r.j - 1, q)) == steps
+        for q in range(r.k, r.l)
+    )
+
+
+def _shift_rects_scan(a, delta):
+    """Every rectangle of a's size on whose cells the corner sums can
+    move by delta, by testing each one."""
+    c = corner_sum(a)
+    return {r for r in _all_rects(a.n) if _corner_sums_can_shift(c, r, delta)}
+
+
 def _bump(a, r, delta):
     rows = [list(row) for row in corner_sum(a).entries]
     for (p, q) in r.cells():
@@ -98,7 +127,7 @@ def _scan_edges_from(a):
     """edges_from by the rectangle scan: every rectangle is tested, each
     target is rebuilt from its corner sums and the pair re-classified."""
     out = []
-    for r in sorted(dual_essential_rects(a)):
+    for r in sorted(_shift_rects_scan(a, -1)):
         target = from_corner_sum(_bump(a, r, -1))
         out.append(Edge(a, target, r, classify_edge(a, target, r)))
     return out
@@ -182,6 +211,28 @@ class TestEssential:
             for r in _all_rects(n):
                 assert is_essential(a, r) == is_corner_sum(_bump(a, r, +1))
                 assert is_dual_essential(a, r) == is_corner_sum(_bump(a, r, -1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rect_sets_match_scan(self, n):
+        for a in enumerate_asms(n):
+            assert essential_rects(a) == _shift_rects_scan(a, 1)
+            assert dual_essential_rects(a) == _shift_rects_scan(a, -1)
+
+    @given(st.integers(min_value=0, max_value=KNOWN_ASM_COUNTS[6] - 1))
+    def test_rect_sets_match_scan_a6(self, idx):
+        a = _asms6()[idx]
+        assert essential_rects(a) == _shift_rects_scan(a, 1)
+        assert dual_essential_rects(a) == _shift_rects_scan(a, -1)
+
+    def test_essential_points_match_scan_a6(self):
+        for a in _asms6():
+            c = corner_sum(a)
+            assert essential_points(a) == {
+                (i, j)
+                for i in range(1, 6)
+                for j in range(1, 6)
+                if _corner_sums_can_shift(c, Rect(i, i + 1, j, j + 1), 1)
+            }
 
     def test_extremes_have_none(self):
         # The identity is the minimum: nothing below it, so no essential
@@ -635,5 +686,4 @@ class TestGraphStructure:
         assert "rank=same" in dot
         assert '"1"' in dot  # the single edge is labelled with its type
         assert dot.count("->") == 1
-        plain = export_dot(g, rank_by_beta=False, color_by_type=False)
-        assert "rank=same" not in plain and "color=" not in plain
+        assert 'color="#e6194b"' in dot  # coloured by type 1
