@@ -20,7 +20,6 @@ from asmgraph import (
     from_corner_sum,
     parse_permutation,
     permutation_to_asm,
-    validate_asm,
 )
 
 # The smallest ASM that is not a permutation matrix: a single -1 in the
@@ -29,15 +28,15 @@ x = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
 print("the 3x3 diamond:")
 print(format_asm_text(x))
 
-# validate_asm checks the axioms, scanning row by row; the Asm
-# constructor itself checks nothing.  A matrix whose column prefix sums
+# The Asm constructor checks the axioms, scanning row by row, so no
+# invalid matrix can exist as an Asm.  A matrix whose column prefix sums
 # leave {0, 1} is rejected with the exact cell.
 try:
-    validate_asm(((1, 0), (1, 0)))
+    Asm(((1, 0), (1, 0)))
 except PrefixSumViolationError as exc:
     print(f"rejected: {exc} (axis={exc.axis}, cell={exc.position})")
 else:
-    sys.exit("validate_asm accepted a matrix with a column prefix sum of 2")
+    sys.exit("Asm accepted a matrix with a column prefix sum of 2")
 print()
 
 # The corner sum matrix records, for each (i, j), the total of the

@@ -24,8 +24,10 @@ convention; storage is 0-based tuples internally.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from operator import add
 
 
 class AsmError(ValueError):
@@ -78,18 +80,51 @@ Rows = Sequence[Sequence[int]]
 
 @dataclass(frozen=True)
 class Asm:
-    """An alternating sign matrix.  Construct via :func:`validate_asm`.
+    """An alternating sign matrix; the constructor checks the axioms.
 
-    >>> a = validate_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
+    Every entry is first checked for being an integer (a bool or 1.5 is
+    rejected, 1.0 is read as 1).  The axioms are then checked in a fixed
+    order, so a rejection always names the same first violation: cells
+    are scanned row-major; at each cell the entry range is checked, then
+    the column partial sum, then the row partial sum; each full row sum
+    is checked as its row completes and the full column sums at the end.
+    Entries are stored as a tuple of int tuples.
+
+    >>> a = Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
     >>> a.n
     3
     >>> a.entry(2, 2)
     -1
     >>> a.is_permutation()
     False
+    >>> Asm([[0, 1], [-1, 1]])
+    Traceback (most recent call last):
+        ...
+    asmgraph.core.PrefixSumViolationError: column prefix sum -1 at (2,1) not in {0, 1}
     """
 
     entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        mat = _square_int_rows(self.entries)
+        col_sums = [0] * len(mat)
+        for i, row in enumerate(mat, start=1):
+            row_sum = 0
+            for j, x in enumerate(row, start=1):
+                if x not in (-1, 0, 1):
+                    raise EntryOutOfRangeError(i, j, x)
+                col_sums[j - 1] += x
+                if col_sums[j - 1] not in (0, 1):
+                    raise PrefixSumViolationError("column", i, j, col_sums[j - 1])
+                row_sum += x
+                if row_sum not in (0, 1):
+                    raise PrefixSumViolationError("row", i, j, row_sum)
+            if row_sum != 1:
+                raise TotalSumViolationError("row", i, row_sum)
+        for j, s in enumerate(col_sums, start=1):
+            if s != 1:
+                raise TotalSumViolationError("column", j, s)
+        object.__setattr__(self, "entries", tuple(map(tuple, mat)))
 
     @property
     def n(self) -> int:
@@ -110,11 +145,19 @@ class Asm:
         return format_asm_text(self)
 
 
+def _trusted_asm(entries: tuple[tuple[int, ...], ...]) -> Asm:
+    """An :class:`Asm` without the axiom check, for the generators whose
+    entries are ASMs by construction; nothing else may call it."""
+    a = object.__new__(Asm)
+    object.__setattr__(a, "entries", entries)
+    return a
+
+
 @dataclass(frozen=True)
 class CornerSum:
     """Corner-sum matrix of an ASM, with 1-based accessor and 0 boundary.
 
-    >>> c = corner_sum(validate_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]]))
+    >>> c = corner_sum(Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]]))
     >>> c.value(1, 1), c.value(0, 3), c.value(3, 3)
     (0, 0, 3)
     """
@@ -167,13 +210,15 @@ class Permutation:
         return format_permutation(self)
 
 
-def _as_rows(rows: Rows) -> list[list[int]]:
-    """The rows as lists of ints; rejects any entry that is a bool or is
+def _square_int_rows(rows: Rows) -> list[list[int]]:
+    """The rows as lists of ints, checked to form a nonempty square
+    after every entry is read.  Rejects a matrix or row that is not a
+    sequence (a string is not one) and any entry that is a bool or is
     not equal to an integer, instead of truncating it."""
     mat = []
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(_sequence(rows, "matrix"), start=1):
         out = []
-        for j, x in enumerate(row, start=1):
+        for j, x in enumerate(_sequence(row, f"row {i}"), start=1):
             try:
                 value = int(x)
             except (TypeError, ValueError, OverflowError):
@@ -182,120 +227,60 @@ def _as_rows(rows: Rows) -> list[list[int]]:
                 raise AsmError(f"entry {x!r} at ({i},{j}) is not an integer")
             out.append(value)
         mat.append(out)
+    if not mat or any(len(row) != len(mat) for row in mat):
+        raise NonSquareError("matrix must be square and nonempty")
     return mat
 
 
+def _sequence(x, what: str) -> Sequence:
+    if not isinstance(x, Sequence) or isinstance(x, (str, bytes)):
+        raise AsmError(f"{what} {x!r} is not a sequence")
+    return x
+
+
 def validate_asm(rows: Rows | Asm) -> Asm:
-    """Check the ASM axioms and wrap the matrix in an :class:`Asm`.
-
-    Every entry is first checked for being an integer: a bool, or a
-    value such as 1.5, is rejected, and 1.0 is accepted as 1.  The four
-    axiom families (entry range, row/column partial sums in {0, 1}, full
-    sums equal to 1) are then checked in a fixed deterministic order so
-    rejections always name the same first violation: cells are
-    scanned row-major; at each cell the entry range is checked, then the
-    column partial sum, then the row partial sum; full row sums are
-    checked as each row completes and full column sums at the end.  An
-    :class:`Asm` argument gets the same checks and is returned as is.
-
-    >>> validate_asm([[0, 1], [-1, 1]])
-    Traceback (most recent call last):
-        ...
-    asmgraph.core.PrefixSumViolationError: column prefix sum -1 at (2,1) not in {0, 1}
-    """
-    mat = _as_rows(rows.entries if isinstance(rows, Asm) else rows)
-    n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
-        raise NonSquareError("matrix must be square and nonempty")
-    col_sums = [0] * n
-    for i, row in enumerate(mat, start=1):
-        row_sum = 0
-        for j, x in enumerate(row, start=1):
-            if x not in (-1, 0, 1):
-                raise EntryOutOfRangeError(i, j, x)
-            col_sums[j - 1] += x
-            if col_sums[j - 1] not in (0, 1):
-                raise PrefixSumViolationError("column", i, j, col_sums[j - 1])
-            row_sum += x
-            if row_sum not in (0, 1):
-                raise PrefixSumViolationError("row", i, j, row_sum)
-        if row_sum != 1:
-            raise TotalSumViolationError("row", i, row_sum)
-    for j, s in enumerate(col_sums, start=1):
-        if s != 1:
-            raise TotalSumViolationError("column", j, s)
-    if isinstance(rows, Asm):
-        return rows
-    return Asm(tuple(tuple(row) for row in mat))
+    """The matrix as an :class:`Asm`, whose constructor checks the
+    axioms; an :class:`Asm` argument is returned as is."""
+    return rows if isinstance(rows, Asm) else Asm(rows)
 
 
 def corner_sum(a: Asm) -> CornerSum:
-    """Corner-sum matrix A~ of an ASM."""
-    n = a.n
-    out = []
-    running = [0] * n
-    for i in range(n):
-        acc = 0
-        row = []
-        for j in range(n):
-            running[j] += a.entries[i][j]
-            acc += running[j]
-            row.append(acc)
-        out.append(tuple(row))
-    return CornerSum(tuple(out))
+    """Corner-sum matrix A~ of an ASM: row i adds the partial sums of
+    row i of A to row i - 1."""
+    out = [(0,) * a.n]
+    for row in a.entries:
+        out.append(tuple(map(add, out[-1], accumulate(row))))
+    return CornerSum(tuple(out[1:]))
 
 
 def is_corner_sum(rows: Rows | CornerSum) -> bool:
     """Does an integer matrix satisfy the corner-sum characterisation?"""
     try:
-        _check_corner_sum(rows)
+        from_corner_sum(rows)
     except AsmError:
         return False
     return True
 
 
-def _check_corner_sum(rows: Rows | CornerSum) -> CornerSum:
-    if isinstance(rows, CornerSum):
-        mat = [list(r) for r in rows.entries]
-    else:
-        mat = _as_rows(rows)
-    n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
-        raise NonSquareError("matrix must be square and nonempty")
-    c = CornerSum(tuple(tuple(row) for row in mat))
-    for i in range(1, n + 1):
-        if c.value(i, n) != i:
-            raise InvalidCornerSumError(f"row {i} must end at {i}, got {c.value(i, n)}")
-        if c.value(n, i) != i:
-            raise InvalidCornerSumError(
-                f"column {i} must end at {i}, got {c.value(n, i)}"
-            )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if c.value(i, j) - c.value(i, j - 1) not in (0, 1):
-                raise InvalidCornerSumError(f"row step at ({i},{j}) not in {{0, 1}}")
-            if c.value(i, j) - c.value(i - 1, j) not in (0, 1):
-                raise InvalidCornerSumError(f"column step at ({i},{j}) not in {{0, 1}}")
-    return c
-
-
 def from_corner_sum(rows: Rows | CornerSum) -> Asm:
-    """Invert the corner-sum map.
+    """Invert the corner-sum map: the :class:`Asm` of the second
+    differences of a :class:`CornerSum` or raw integer matrix X.
 
-    Accepts either a :class:`CornerSum` or a raw integer matrix, checks
-    the characterisation (boundary values i, adjacent differences in
-    {0, 1}), and returns the unique ASM with that corner-sum matrix.
+    The first differences of X are the partial sums of that matrix, so X
+    satisfies the characterisation (boundary values i, adjacent
+    differences in {0, 1}) exactly when the matrix satisfies the ASM
+    axioms; a violation is raised as :class:`InvalidCornerSumError`.
     """
-    c = _check_corner_sum(rows)
-    n = c.n
-    out = []
-    for i in range(1, n + 1):
-        row = [
-            c.value(i, j) + c.value(i - 1, j - 1) - c.value(i, j - 1) - c.value(i - 1, j)
-            for j in range(1, n + 1)
-        ]
-        out.append(tuple(row))
-    return Asm(tuple(out))
+    mat = _square_int_rows(rows.entries if isinstance(rows, CornerSum) else rows)
+    x = [[0] * (len(mat) + 1)] + [[0, *row] for row in mat]
+    diffs = [
+        [a - b - c + d for a, b, c, d in zip(row[1:], row, above[1:], above)]
+        for above, row in zip(x, x[1:])
+    ]
+    try:
+        return Asm(diffs)
+    except AsmError as exc:
+        raise InvalidCornerSumError(f"not a corner-sum matrix: {exc}") from exc
 
 
 def permutation_to_asm(w: Permutation | Sequence[int]) -> Asm:
@@ -312,7 +297,7 @@ def permutation_to_asm(w: Permutation | Sequence[int]) -> Asm:
         row = [0] * n
         row[w(i) - 1] = 1
         rows.append(tuple(row))
-    return Asm(tuple(rows))
+    return _trusted_asm(tuple(rows))
 
 
 def asm_to_permutation(a: Asm) -> Permutation:
@@ -345,8 +330,15 @@ def inversion_count(w: Permutation) -> int:
 
 
 def sign(w: Permutation) -> int:
-    """(-1) to the inversion count."""
-    return -1 if inversion_count(w) % 2 else 1
+    """(-1) to the inversion count, read off the cycles: a cycle of
+    length m is m - 1 transpositions, so the sign is (-1)^(n - #cycles)."""
+    images, seen, parity = w.images, [False] * (w.n + 1), w.n
+    for j in images:
+        parity -= not seen[j]
+        while not seen[j]:
+            seen[j] = True
+            j = images[j - 1]
+    return -1 if parity % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +366,7 @@ def parse_asm_text(text: str) -> Asm:
         raise AsmError(f"expected {n}*{n} entries after the size line")
     body = values[1:]
     rows = [body[i * n : (i + 1) * n] for i in range(n)]
-    return validate_asm(rows)
+    return Asm(rows)
 
 
 def asm_to_json_dict(a: Asm) -> dict:
@@ -382,9 +374,12 @@ def asm_to_json_dict(a: Asm) -> dict:
 
 
 def asm_from_json_dict(d: dict) -> Asm:
-    if d.get("n") != len(d.get("entries", [])):
+    if not isinstance(d, dict) or "entries" not in d:
+        raise AsmError("a JSON matrix must be an object with an 'entries' field")
+    a = Asm(d["entries"])
+    if d.get("n") != a.n:
         raise AsmError("JSON field 'n' disagrees with the entry rows")
-    return validate_asm(d["entries"])
+    return a
 
 
 def asm_to_json(a: Asm) -> str:

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import permutations as _permutations
 from typing import Iterator
 
-from .core import Asm, Permutation
+from .core import Asm, Permutation, _trusted_asm
 
 Row = tuple[int, ...]
 
@@ -86,7 +86,7 @@ def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[As
 
     def walk(prev: Row, rows: list[Row]) -> Iterator[Asm]:
         if len(rows) == n:
-            yield Asm(tuple(rows))
+            yield _trusted_asm(tuple(rows))
             return
         for row, entries in next_steps(prev):
             rows.append(entries)

@@ -57,20 +57,21 @@ instead would recompute all of them at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
-from itertools import accumulate
+from functools import cache, cached_property
+from itertools import accumulate, combinations
 from operator import lt, mul
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     Asm,
     AsmError,
     CornerSum,
     Permutation,
+    _trusted_asm,
     corner_sum,
     permutation_to_asm,
 )
-from .enumeration import ASM_SIZE_LIMIT, enumerate_asms, enumerate_permutations
+from .enumeration import ASM_SIZE_LIMIT, enumerate_asms
 
 Entries = tuple[tuple[int, ...], ...]
 
@@ -191,7 +192,7 @@ def apply_rect(a: Asm, r: Rect) -> Asm:
     """
     for delta in (1, -1):
         if (r.i, r.j, r.k, r.l) in _shift_rects(a.entries, delta):
-            return Asm(_shift_corners(a.entries, r, delta))
+            return _trusted_asm(_shift_corners(a.entries, r, delta))
     return a
 
 
@@ -321,7 +322,9 @@ def _up_moves(entries: Entries) -> list[tuple[Rect, Entries, int]]:
 
 def edges_from(a: Asm) -> list[Edge]:
     """All edges of the ASM graph leaving a, sorted by rectangle."""
-    return [Edge(a, Asm(target), r, t) for r, target, t in _up_moves(a.entries)]
+    return [
+        Edge(a, _trusted_asm(target), r, t) for r, target, t in _up_moves(a.entries)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +354,9 @@ def beta(a: Asm) -> int:
 
 def _beta_corner_sum(a: Asm) -> int:
     """beta via corner sums, the independent check on :func:`beta`."""
-    n = a.n
-    c = corner_sum(a)
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            total += min(i, j) - c.value(i, j)
-    return total
+    cells = range(1, a.n + 1)
+    total = sum(min(i, j) for i in cells for j in cells)
+    return total - sum(map(sum, corner_sum(a).entries))
 
 
 @cache
@@ -368,13 +367,10 @@ def _square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
 
 def beta_entry_weighted(a: Asm) -> int:
     """beta as half the (i - j)^2-weighted entry sum."""
-    s = sum(
+    return sum(
         sum(map(mul, weights, row))
         for weights, row in zip(_square_gaps(a.n), a.entries)
-    )
-    if s % 2:
-        raise AsmError(f"odd weighted sum {s}; input is not an ASM")
-    return s // 2
+    ) // 2
 
 
 def beta_bigrassmannian_count(a: Asm) -> int:
@@ -403,13 +399,14 @@ def is_bigrassmannian(w: Permutation) -> bool:
     return descents(w) == 1 and descents(w.inverse()) == 1
 
 
-@lru_cache(maxsize=None)
-def _bigrassmannian_asms(n: int) -> tuple[Asm, ...]:
-    return tuple(
-        permutation_to_asm(w)
-        for w in enumerate_permutations(n)
-        if is_bigrassmannian(w)
-    )
+def _bigrassmannian_asms(n: int) -> Iterator[Asm]:
+    """The C(n + 1, 3) bigrassmannian permutation matrices, built directly
+    and one at a time: one-line 1..x, y+1..z, x+1..y, z+1..n for
+    0 <= x < y < z <= n."""
+    for x, y, z in combinations(range(n + 1), 3):
+        yield permutation_to_asm(
+            (*range(1, x + 1), *range(y + 1, z + 1), *range(x + 1, y + 1), *range(z + 1, n + 1))
+        )
 
 
 def essential_points(a: Asm) -> frozenset[tuple[int, int]]:
@@ -443,7 +440,7 @@ def fulton_essential_set(w: Permutation) -> set[tuple[int, int]]:
 def covered_by(a: Asm) -> list[Asm]:
     """Elements covered by a, one per essential point, in lex point order."""
     return [
-        Asm(_shift_corners(a.entries, Rect(i, i + 1, j, j + 1), 1))
+        _trusted_asm(_shift_corners(a.entries, Rect(i, i + 1, j, j + 1), 1))
         for (i, j) in sorted(essential_points(a))
     ]
 
@@ -481,7 +478,7 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
         c[i][j] += 1
         rect = Rect(i, i + 1, j, j + 1)
         entries = _shift_corners(entries, rect, 1)
-        steps.append((Asm(entries), rect))
+        steps.append((_trusted_asm(entries), rect))
     return steps[::-1]
 
 

@@ -114,6 +114,22 @@ class TestLeqAndBeta:
         assert code == 1
         assert out == "" and err.startswith("error:") and "not an integer" in err
 
+    @pytest.mark.parametrize(
+        "doc", [{"n": 2, "entries": 5}, {"n": 1, "entries": [1]}, {"n": 0}]
+    )
+    def test_malformed_json_matrix_is_an_error(self, capsys, tmp_path, doc):
+        x = tmp_path / "x.json"
+        x.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "beta", str(x))
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    def test_beta_beyond_the_permutation_guard(self, capsys):
+        # beta of the 10x10 maximum is C(11, 3), counted by 165
+        # bigrassmannians without walking S_10.
+        code, out, _ = run(capsys, "beta", "10,9,8,7,6,5,4,3,2,1")
+        assert (code, out.strip()) == (0, "165")
+
     def test_size_mismatch_is_an_error(self, capsys):
         code, _, err = run(capsys, "leq", "123", "4321")
         assert code == 1

@@ -1,5 +1,12 @@
-"""Axioms, corner sums, permutation bridge, and the wire formats."""
+"""Axioms, corner sums, permutation bridge, and the wire formats.
 
+Oracles: the row-major axiom scan and the corner-sum boundary-and-step
+check as they stood before the ``Asm`` constructor took over the axioms,
+checked against the constructor, ``from_corner_sum`` and
+``is_corner_sum``; the inversion count for the cycle-parity sign.
+"""
+
+import itertools
 import json
 
 import pytest
@@ -36,8 +43,92 @@ from asmgraph.core import (
     TotalSumViolationError,
     is_corner_sum,
 )
+from asmgraph.enumeration import enumerate_permutations
 
 CENTER = [[0, 1, 0], [1, -1, 1], [0, 1, 0]]
+
+
+def _old_as_rows(rows):
+    mat = []
+    for i, row in enumerate(rows, start=1):
+        out = []
+        for j, x in enumerate(row, start=1):
+            try:
+                value = int(x)
+            except (TypeError, ValueError, OverflowError):
+                value = None
+            if isinstance(x, bool) or value is None or value != x:
+                raise AsmError(f"entry {x!r} at ({i},{j}) is not an integer")
+            out.append(value)
+        mat.append(out)
+    return mat
+
+
+def _old_validate(rows):
+    """The axiom scan of the old validate_asm: the checked entries."""
+    mat = _old_as_rows(rows)
+    n = len(mat)
+    if n == 0 or any(len(row) != n for row in mat):
+        raise NonSquareError("matrix must be square and nonempty")
+    col_sums = [0] * n
+    for i, row in enumerate(mat, start=1):
+        row_sum = 0
+        for j, x in enumerate(row, start=1):
+            if x not in (-1, 0, 1):
+                raise EntryOutOfRangeError(i, j, x)
+            col_sums[j - 1] += x
+            if col_sums[j - 1] not in (0, 1):
+                raise PrefixSumViolationError("column", i, j, col_sums[j - 1])
+            row_sum += x
+            if row_sum not in (0, 1):
+                raise PrefixSumViolationError("row", i, j, row_sum)
+        if row_sum != 1:
+            raise TotalSumViolationError("row", i, row_sum)
+    for j, s in enumerate(col_sums, start=1):
+        if s != 1:
+            raise TotalSumViolationError("column", j, s)
+    return tuple(tuple(row) for row in mat)
+
+
+def _old_check_corner_sum(rows):
+    """The old corner-sum check (boundary values i, steps in {0, 1});
+    returns the ASM entries of the inverse map."""
+    mat = _old_as_rows(rows)
+    n = len(mat)
+    if n == 0 or any(len(row) != n for row in mat):
+        raise NonSquareError("matrix must be square and nonempty")
+
+    def c(i, j):
+        return 0 if i == 0 or j == 0 else mat[i - 1][j - 1]
+
+    for i in range(1, n + 1):
+        if c(i, n) != i or c(n, i) != i:
+            raise InvalidCornerSumError(f"boundary at {i}")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if c(i, j) - c(i, j - 1) not in (0, 1) or c(i, j) - c(i - 1, j) not in (0, 1):
+                raise InvalidCornerSumError(f"step at ({i},{j})")
+    return tuple(
+        tuple(c(i, j) + c(i - 1, j - 1) - c(i, j - 1) - c(i - 1, j) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
+
+
+_ENTRY = st.one_of(st.integers(-2, 2), st.sampled_from([1.0, 1.5, True, False]))
+_RANDOM_MATRICES = st.integers(0, 4).flatmap(
+    lambda rows: st.lists(st.lists(_ENTRY, max_size=4), min_size=rows, max_size=rows)
+)
+
+
+@st.composite
+def _mutated_asms(draw):
+    """A 1..4 ASM with up to two entries overwritten: valid and invalid
+    matrices close to the axioms' boundary."""
+    n = draw(st.integers(1, 4))
+    rows = [list(r) for r in draw(st.sampled_from(enumerate_asms(n))).entries]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_ENTRY)
+    return rows
 
 
 class TestValidation:
@@ -89,13 +180,35 @@ class TestValidation:
             validate_asm([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
 
     def test_asm_argument_is_checked(self):
-        # The Asm constructor checks nothing, so validate_asm must.
+        # The Asm constructor checks the axioms, so no invalid Asm exists.
         with pytest.raises(EntryOutOfRangeError) as exc:
-            validate_asm(Asm(((2,),)))
+            Asm(((2,),))
         assert exc.value.position == (1, 1)
         with pytest.raises(PrefixSumViolationError) as exc:
-            validate_asm(Asm(((1, 0), (1, 0))))
+            Asm(((1, 0), (1, 0)))
         assert exc.value.axis == "column" and exc.value.position == (2, 1)
+
+    @pytest.mark.parametrize("bad", [5, "10", [1], [[1], "0"], [[0, 1], (1, 0), 7]])
+    def test_non_sequence_matrix_or_row_is_rejected(self, bad):
+        with pytest.raises(AsmError, match="is not a sequence"):
+            Asm(bad)
+
+    def test_entries_are_stored_as_int_tuples(self):
+        a = Asm([[0, 1.0], [1, 0]])
+        assert a.entries == ((0, 1), (1, 0))
+        assert all(type(x) is int for row in a.entries for x in row)
+        assert isinstance(a.entries, tuple) and all(isinstance(r, tuple) for r in a.entries)
+
+    @given(st.one_of(_RANDOM_MATRICES, _mutated_asms()))
+    def test_constructor_matches_the_old_scan(self, rows):
+        try:
+            expected = _old_validate(rows)
+        except AsmError as exc:
+            with pytest.raises(AsmError) as got:
+                Asm(rows)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            assert Asm(rows).entries == expected
 
     @pytest.mark.parametrize("bad", [1.9, 0.5, True, False])
     def test_non_integer_entry_is_rejected(self, bad):
@@ -161,8 +274,6 @@ class TestCornerSum:
     def test_criterion_matches_validation(self):
         # Perturb genuine corner-sum matrices; the characterisation and
         # "inverse then validate" must agree on every mutant.
-        import itertools
-
         for a in enumerate_asms(3):
             base = [list(r) for r in corner_sum(a).entries]
             for (i, j, d) in itertools.product(range(3), range(3), (-1, 1)):
@@ -175,6 +286,37 @@ class TestCornerSum:
                 except InvalidCornerSumError:
                     ok2 = False
                 assert ok == ok2
+
+
+    def test_a4_mutants_against_the_old_check(self):
+        # Every +-1 mutant of every A4 corner-sum matrix, boundary row
+        # and column included.
+        accepted = 0
+        for a in enumerate_asms(4):
+            base = [list(r) for r in corner_sum(a).entries]
+            for i, j, d in itertools.product(range(4), range(4), (-1, 1)):
+                mutant = [row[:] for row in base]
+                mutant[i][j] += d
+                try:
+                    expected = _old_check_corner_sum(mutant)
+                except InvalidCornerSumError:
+                    assert not is_corner_sum(mutant)
+                    with pytest.raises(InvalidCornerSumError) as exc:
+                        from_corner_sum(mutant)
+                    assert isinstance(exc.value.__cause__, AsmError)
+                else:
+                    accepted += 1
+                    assert is_corner_sum(mutant)
+                    assert from_corner_sum(mutant).entries == expected
+        # The valid mutants are the covering moves: each of the 84 covers
+        # of A4 once from each end.
+        assert accepted == 2 * 84
+
+    def test_from_corner_sum_keeps_non_square_error(self):
+        with pytest.raises(NonSquareError):
+            from_corner_sum([[0, 1], [1, 2], [1, 2]])
+        with pytest.raises(NonSquareError):
+            from_corner_sum([])
 
 
 class TestPermutationBridge:
@@ -201,6 +343,11 @@ class TestPermutationBridge:
         assert inversions(Permutation((2, 1, 4, 3))) == [(1, 2), (3, 4)]
         assert sign(Permutation((2, 1, 4, 3))) == 1
         assert sign(Permutation((2, 1, 3))) == -1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sign_is_the_inversion_parity(self, n):
+        for w in enumerate_permutations(n):
+            assert sign(w) == (-1) ** inversion_count(w)
 
     def test_inverse(self):
         w = Permutation((4, 3, 1, 2))
@@ -231,6 +378,17 @@ class TestFormats:
         w = Permutation((4, 3, 1, 2))
         assert parse_permutation(format_permutation(w)) == w
         assert parse_permutation("4,3,1,2") == w
+
+    @pytest.mark.parametrize(
+        "doc", [{"n": 2, "entries": 5}, {"n": 1, "entries": [1]}, {"n": 0}, [[1]]]
+    )
+    def test_json_shape_errors(self, doc):
+        with pytest.raises(AsmError):
+            asm_from_json(json.dumps(doc))
+
+    def test_json_n_must_match(self):
+        with pytest.raises(AsmError, match="'n' disagrees"):
+            asm_from_json(json.dumps({"n": 2, "entries": [[1]]}))
 
     def test_validation_happens_on_parse(self):
         with pytest.raises(PrefixSumViolationError):

@@ -15,11 +15,14 @@ implementation under test:
 - permutation subgraph: inversion-increasing transposition pairs;
 - covering chains: the walk they replaced (conftest's
   old_covering_chain), which re-tests each essential point with
-  apply_rect and each candidate with a full asm_leq.
+  apply_rect and each candidate with a full asm_leq;
+- the directly built bigrassmannian permutations: the is_bigrassmannian
+  filter over S_n.
 """
 
 import tracemalloc
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +71,7 @@ from asmgraph.lattice import (
     Edge,
     GraphEdge,
     SizeMismatchError,
+    _bigrassmannian_asms,
 )
 from asmgraph.verify import A5_TYPE_CENSUS
 
@@ -554,6 +558,14 @@ class TestBigrassmannian:
         assert len(bigs) == 10
         # The maximum dominates everything, so its beta is the full count.
         assert beta(reverse_asm(4)) == 10
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_direct_list_matches_the_s_n_filter(self, n):
+        direct = list(_bigrassmannian_asms(n))
+        assert len(direct) == len(set(direct)) == comb(n + 1, 3)
+        assert set(direct) == {
+            permutation_to_asm(w) for w in enumerate_permutations(n) if is_bigrassmannian(w)
+        }
 
     def test_single_essential_point_characterisation(self):
         # An ASM has exactly one essential point iff it is the matrix of a

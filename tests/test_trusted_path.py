@@ -1,0 +1,89 @@
+"""The generators build their matrices without re-checking the axioms.
+
+The ``Asm`` constructor runs the full axiom scan; enumeration, permutation
+matrices and the rectangle moves produce ASMs by construction and skip
+it.  Each test counts calls of ``Asm.__post_init__`` while a generator
+runs, then checks every matrix it produced against the constructor.
+"""
+
+import pytest
+
+from asmgraph import (
+    Rect,
+    apply_rect,
+    asm_leq,
+    build_graph,
+    covered_by,
+    covering_chain,
+    edges_from,
+    enumerate_asms,
+    iter_asms,
+    permutation_to_asm,
+    sfl_certificate,
+)
+from asmgraph.core import Asm
+from asmgraph.enumeration import enumerate_permutations
+
+A4 = enumerate_asms(4)
+RECTS_4 = [
+    Rect(i, j, k, l)
+    for i in range(1, 4)
+    for j in range(i + 1, 5)
+    for k in range(1, 4)
+    for l in range(k + 1, 5)
+]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The list of matrices the axiom check runs on."""
+    calls = []
+    check = Asm.__post_init__
+
+    def counted(self):
+        calls.append(self.entries)
+        check(self)
+
+    monkeypatch.setattr(Asm, "__post_init__", counted)
+    return calls
+
+
+def assert_trusted(checks, asms):
+    assert checks == []
+    for a in asms:
+        assert Asm(a.entries) == a
+
+
+def test_iter_asms(checks):
+    asms = list(iter_asms(5))
+    assert len(asms) == 429
+    assert_trusted(checks, asms)
+
+
+def test_build_graph(checks):
+    g = build_graph(4)
+    assert_trusted(checks, g.nodes)
+
+
+def test_rectangle_moves_over_a4(checks):
+    out = []
+    for a in A4:
+        out += [e.target for e in edges_from(a)]
+        out += covered_by(a)
+        out += [apply_rect(a, r) for r in RECTS_4]
+    assert_trusted(checks, out)
+
+
+def test_certificates_and_chains_over_a4(checks):
+    out = []
+    for a in A4:
+        for b in A4:
+            if asm_leq(a, b):
+                cert = sfl_certificate(a, b)
+                out += [cert.source, cert.target, *covering_chain(a, b)]
+    assert_trusted(checks, out)
+
+
+def test_permutation_matrices(checks):
+    out = [permutation_to_asm(w) for w in enumerate_permutations(5)]
+    assert_trusted(checks, out)
