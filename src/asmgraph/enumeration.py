@@ -36,12 +36,10 @@ KNOWN_ASM_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436, 7: 218348}
 
 
 class SizeLimitExceededError(ValueError):
-    def __init__(self, n: int, limit: int):
+    def __init__(self, n: int, limit: int, hint: str = "pass size_limit=None to override"):
         self.n = n
         self.limit = limit
-        super().__init__(
-            f"n={n} exceeds the guard ({limit}); pass size_limit=None to override"
-        )
+        super().__init__(f"n={n} exceeds the guard ({limit}); {hint}")
 
 
 def _check_limit(n: int, size_limit: int | None) -> None:

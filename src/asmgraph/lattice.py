@@ -71,7 +71,7 @@ from .core import (
     corner_sum,
     permutation_to_asm,
 )
-from .enumeration import ASM_SIZE_LIMIT, enumerate_asms
+from .enumeration import ASM_SIZE_LIMIT, SizeLimitExceededError, enumerate_asms
 
 Entries = tuple[tuple[int, ...], ...]
 
@@ -378,8 +378,21 @@ def beta_bigrassmannian_count(a: Asm) -> int:
     return sum(1 for b in _bigrassmannian_asms(a.n) if asm_leq(b, a))
 
 
+#: beta_checked's guard: the bigrassmannian count makes C(n+1, 3) order
+#: tests of O(n^2) each, about 0.8 s for the reverse permutation at n = 28.
+BETA_CHECKED_SIZE_LIMIT = 28
+
+
 def beta_checked(a: Asm) -> int:
-    """beta by all three formulas, insisting that they agree."""
+    """beta by all three formulas, insisting that they agree.
+
+    Raises SizeLimitExceededError above BETA_CHECKED_SIZE_LIMIT, where
+    :func:`beta` alone still answers.
+    """
+    if a.n > BETA_CHECKED_SIZE_LIMIT:
+        raise SizeLimitExceededError(
+            a.n, BETA_CHECKED_SIZE_LIMIT, "beta() gives the value without the cross-checks"
+        )
     v1, v2, v3 = beta(a), _beta_corner_sum(a), beta_bigrassmannian_count(a)
     if not (v1 == v2 == v3):
         raise AsmError(f"beta evaluators disagree: {v1}, {v2}, {v3}")

@@ -20,6 +20,11 @@ prefix/divisor ratio is an almost positive Laurent monomial (exponents
 difference; placing the sum over a common denominator gives the
 subtraction-free form directly.
 
+Evaluation runs on integer ratios.  Each matrix cell a value needs is
+read once as (numerator, denominator); monomials, q-deformed minors and
+certificate steps multiply plain ints, and only the result becomes a
+Fraction.
+
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
 stands for q^(t/2) and coefficients are exact integers.
@@ -32,7 +37,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Asm, AsmError, asm_from_json_dict, asm_to_json_dict
@@ -109,16 +114,7 @@ class LaurentMonomial:
 
     def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
         """Exact value at a matrix (plain nested sequence, 0-based)."""
-        result = Fraction(self.coeff)
-        for (i, j), e in self.powers:
-            base = Fraction(rows[i - 1][j - 1])
-            if base == 0:
-                if e < 0:
-                    raise UndefinedEvaluationError((i, j))
-                result = Fraction(0)
-                continue
-            result *= base**e
-        return result
+        return Fraction(*_monomial_ratio(self, _Cells(rows)))
 
     def __str__(self) -> str:
         parts = []
@@ -136,6 +132,52 @@ def monomial(powers: Mapping[Variable, int], coeff=1) -> LaurentMonomial:
 
 
 MONOMIAL_ONE = monomial({})
+
+
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, denominator): an int, a Fraction, or anything
+    Fraction() accepts."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+class _Cells(dict):
+    """The entries of a 0-based nested sequence as integer ratios, keyed
+    by 1-based (i, j).  A cell is read on first use, so a missing or
+    malformed entry raises exactly where it is first needed."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[Sequence]):
+        self.rows = rows
+
+    def __missing__(self, cell: Variable) -> tuple[int, int]:
+        i, j = cell
+        value = self[cell] = _ratio(self.rows[i - 1][j - 1])
+        return value
+
+
+def _monomial_ratio(m: LaurentMonomial, cells: _Cells) -> tuple[int, int]:
+    """m at the matrix behind cells as (numerator, nonzero denominator).
+
+    A zero base zeroes the value but the scan goes on, so a later zero
+    base with a negative exponent still raises UndefinedEvaluationError.
+    """
+    num, den = _ratio(m.coeff)
+    for v, e in m.powers:
+        p, r = cells[v]
+        if not p:
+            if e < 0:
+                raise UndefinedEvaluationError(v)
+            num = 0
+        elif e > 0:
+            num *= p**e
+            den *= r**e
+        else:
+            num *= r**-e
+            den *= p**-e
+    return num, den
 
 
 def asm_monomial(a: Asm) -> LaurentMonomial:
@@ -199,21 +241,29 @@ class MinorRef:
 
     def evaluate_q(self, rows: Sequence[Sequence[Fraction]], q: Fraction) -> Fraction:
         """q-deformed value of a 2x2 minor: x_ik x_jl - q^area x_il x_jk."""
-        if self.size != 2:
-            raise ValueError("q-deformation implemented for 2x2 minors")
-        (i, j), (k, l) = self.rows, self.cols
-        area = (j - i) * (l - k)
-
-        def m(p, c):
-            return Fraction(rows[p - 1][c - 1])
-
-        return m(i, k) * m(j, l) - Fraction(q) ** area * m(i, l) * m(j, k)
+        return Fraction(*_minor_q_ratio(self, _Cells(rows), q))
 
     def __str__(self) -> str:
         body = "; ".join(
             " ".join(_var_str((i, j)) for j in self.cols) for i in self.rows
         )
         return f"|{body}|"
+
+
+def _minor_q_ratio(minor: MinorRef, cells: _Cells, q) -> tuple[int, int]:
+    """:meth:`MinorRef.evaluate_q` as (numerator, nonzero denominator)."""
+    if minor.size != 2:
+        raise ValueError("q-deformation implemented for 2x2 minors")
+    (i, j), (k, l) = minor.rows, minor.cols
+    # Read in the order the formula names them, so the first bad value raises.
+    an, ad = cells[i, k]
+    bn, bd = cells[j, l]
+    qn, qd = _ratio(q)
+    cn, cd = cells[i, l]
+    dn, dd = cells[j, k]
+    area = (j - i) * (l - k)
+    qn, qd = qn**area, qd**area
+    return an * bn * qd * cd * dd - qn * cn * dn * ad * bd, ad * bd * qd * cd * dd
 
 
 def _minors(rows: Sequence[Sequence], one, *, prefixes_only: bool = False):
@@ -369,19 +419,40 @@ def evaluate_certificate_q(
     Step t acquires the factor q^{beta(source) + t} and its 2x2 minor is
     q-deformed; the sum equals q^{beta(a)} x^a - q^{beta(b)} x^b, so all
     q-powers are nonnegative and the whole thing is a polynomial in q.
-    At q = 1 it is the plain certificate sum.
+    At q = 1 it is the plain certificate sum.  Each step is an integer
+    ratio, added to a running sum kept in lowest terms.
+
+    >>> from asmgraph import identity_asm, reverse_asm
+    >>> cert = sfl_certificate(identity_asm(2), reverse_asm(2))
+    >>> evaluate_certificate_q(cert, [[3, 1], [2, 1]], Fraction(1, 2))
+    Fraction(2, 1)
     """
     q = Fraction(q)
+    qn, qd = q.numerator, q.denominator
+    cells = _Cells(rows)
+    total_num, total_den = 0, 1
     base = cert.beta_pair[0]
-    total = Fraction(0)
     for t, s in enumerate(cert.steps):
-        total += (
-            q ** (base + t)
-            * s.prefix.evaluate(rows)
-            * s.minor.evaluate_q(rows, q)
-            / s.divisor.evaluate(rows)
-        )
-    return total
+        e = base + t
+        if e >= 0:
+            num, den = qn**e, qd**e
+        elif qn:
+            num, den = qd**-e, qn**-e
+        else:
+            raise ZeroDivisionError(f"q = 0 raised to the power {e}")
+        pn, pd = _monomial_ratio(s.prefix, cells)
+        mn, md = _minor_q_ratio(s.minor, cells, q)
+        dn, dd = _monomial_ratio(s.divisor, cells)
+        if not dn:
+            raise ZeroDivisionError(f"divisor {s.divisor} is zero at step {t}")
+        num *= pn * mn * dd
+        den *= pd * md * dn
+        total_num = total_num * den + num * total_den
+        total_den *= den
+        g = gcd(total_num, total_den)
+        total_num //= g
+        total_den //= g
+    return Fraction(total_num, total_den)
 
 
 def verify_certificate(

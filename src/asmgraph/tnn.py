@@ -19,6 +19,11 @@ set; a negative minor ends the test at once.  The Gaussian :func:`det`
 stays as the independent reference: :func:`iter_minor_values` takes
 each minor with it.
 
+The sampler runs on integer ratios too: :func:`bidiagonal_product`
+holds each column as an int vector over one positive denominator,
+reduced after every update, and builds one Fraction per entry of the
+result.
+
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
 rational arithmetic, so q0 is restricted to perfect squares of
@@ -36,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .core import Asm, AsmError
 from .lattice import SizeMismatchError, _first_excess, _same_size, beta, corner_sum
-from .symbolic import UndefinedEvaluationError, _int_rows, _minors, asm_monomial
+from .symbolic import UndefinedEvaluationError, _int_rows, _minors, _ratio, asm_monomial
 
 TNN_SIZE_LIMIT = 8
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
@@ -191,29 +196,70 @@ def bidiagonal_product(
     the upper word mirrors it.  Nonnegative parameters and diagonal give
     a TNN matrix; strictly positive ones give a totally positive matrix
     and in particular all entries positive.
+
+    >>> print(bidiagonal_product([1, 1], [2], ["1/3"]))
+    1 1/3
+    2 5/3
     """
+    word = _checked_word(diag, lower_params, upper_params)
+    # Parameters are read in the order their factors apply.
+    lower = [_ratio(t) for t in lower_params]
+    diag_ratios = [_ratio(d) for d in diag]
+    upper = [_ratio(t) for t in upper_params]
+    return _bidiagonal_ratios(word, diag_ratios, lower, upper)
+
+
+def _checked_word(diag: Sequence, lower: Sequence, upper: Sequence) -> list[int]:
+    """The reduced word for n = len(diag), if both parameter lists fit it."""
     n = len(diag)
     word = _longest_word(n)
-    if len(lower_params) != len(word) or len(upper_params) != len(word):
+    if len(lower) != len(word) or len(upper) != len(word):
         raise AsmError(f"need {len(word)} lower and upper parameters for n={n}")
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = Fraction(1)
+    return word
+
+
+def _bidiagonal_ratios(
+    word: Sequence[int],
+    diag: Sequence[tuple[int, int]],
+    lower: Sequence[tuple[int, int]],
+    upper: Sequence[tuple[int, int]],
+) -> RationalMatrix:
+    """:func:`bidiagonal_product` on parameters given as (numerator,
+    positive denominator).
+
+    Each column is an int vector over one positive denominator, kept in
+    lowest terms, so the only Fractions built are the result's entries.
+    """
+    n = len(diag)
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
+    dens = [1] * n
+
+    def store(c: int, col: list[int], den: int) -> None:
+        """Column c := col / den, in lowest terms."""
+        g = math.gcd(den, *col)
+        cols[c] = [x // g for x in col] if g > 1 else col
+        dens[c] = den // g
+
+    def add(c: int, o: int, t: tuple[int, int]) -> None:
+        """Column c += t * column o."""
+        tn, td = t
+        if tn:
+            dc, do = dens[c], td * dens[o]
+            den = math.lcm(dc, do)
+            fc, fo = den // dc, den // do * tn
+            store(c, [x * fc + y * fo for x, y in zip(cols[c], cols[o])], den)
+
     # Right-multiply by lower factors: column i += t * column i+1.
-    for idx, t in zip(word, lower_params):
-        t = Fraction(t)
-        for r in range(n):
-            m[r][idx - 1] += t * m[r][idx]
-    for i in range(n):
-        d = Fraction(diag[i])
-        for r in range(n):
-            m[r][i] *= d
+    for idx, t in zip(word, lower):
+        add(idx - 1, idx, t)
+    for c, (dn, dd) in enumerate(diag):
+        store(c, [x * dn for x in cols[c]], dens[c] * dd)
     # Right-multiply by upper factors: column i+1 += t * column i.
-    for idx, t in zip(reversed(word), upper_params):
-        t = Fraction(t)
-        for r in range(n):
-            m[r][idx] += t * m[r][idx - 1]
-    return rational_matrix(m)
+    for idx, t in zip(reversed(word), upper):
+        add(idx, idx - 1, t)
+    return RationalMatrix(
+        tuple(tuple(Fraction(col[r], den) for col, den in zip(cols, dens)) for r in range(n))
+    )
 
 
 def random_tnn(n: int, seed: int) -> RationalMatrix:
@@ -225,13 +271,13 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
     rng = random.Random(seed)
     count = n * (n - 1) // 2
 
-    def draw() -> Fraction:
-        return Fraction(rng.randint(1, RANDOM_TNN_BOUND), rng.randint(1, RANDOM_TNN_BOUND))
+    def draw() -> tuple[int, int]:
+        return rng.randint(1, RANDOM_TNN_BOUND), rng.randint(1, RANDOM_TNN_BOUND)
 
     diag = [draw() for _ in range(n)]
     lower = [draw() for _ in range(count)]
     upper = [draw() for _ in range(count)]
-    return bidiagonal_product(diag, lower, upper)
+    return _bidiagonal_ratios(_checked_word(diag, lower, upper), diag, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +365,13 @@ def qtnn_scan(
     except ComparableError:
         extra = []
     comparable = not extra
+    # counterexample_matrix has checked that a and b have one size.
+    mono_a, mono_b = asm_monomial(a), asm_monomial(b)
+    beta_a, beta_b = beta(a), beta(b)
     results = []
     for gi, q0 in enumerate(q_grid):
         q0 = Fraction(q0)
+        weight_a, weight_b = q0**beta_a, q0**beta_b
         violations = []
         for idx in range(samples + len(extra)):
             if idx < len(extra):
@@ -329,10 +379,10 @@ def qtnn_scan(
             else:
                 weighted = random_tnn(a.n, seed=seed * 1000003 + gi * 1009 + idx)
             local = q_unweighted(weighted, q0)
-            value = evaluate_difference(a, b, weighted)
-            check = q0 ** beta(a) * asm_monomial(a).evaluate(local.rows) - q0 ** beta(
-                b
-            ) * asm_monomial(b).evaluate(local.rows)
+            value = mono_a.evaluate(weighted.rows) - mono_b.evaluate(weighted.rows)
+            check = weight_a * mono_a.evaluate(local.rows) - weight_b * mono_b.evaluate(
+                local.rows
+            )
             if value != check:
                 raise AsmError("q-weighting identity failed; implementation bug")
             if value < 0:

@@ -130,6 +130,14 @@ class TestLeqAndBeta:
         code, out, _ = run(capsys, "beta", "10,9,8,7,6,5,4,3,2,1")
         assert (code, out.strip()) == (0, "165")
 
+    def test_beta_beyond_its_own_guard_is_an_error(self, capsys):
+        literal = ",".join(str(k) for k in range(29, 0, -1))
+        code, out, err = run(capsys, "beta", literal)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: n=29 exceeds the guard (28)")
+        assert "Traceback" not in err
+
     def test_size_mismatch_is_an_error(self, capsys):
         code, _, err = run(capsys, "leq", "123", "4321")
         assert code == 1

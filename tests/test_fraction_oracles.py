@@ -1,0 +1,310 @@
+"""The integer-ratio evaluators against the Fraction code they replaced.
+
+Monomial values, q-deformed 2x2 minors, certificate sums and the
+bidiagonal sampler all run on (numerator, denominator) pairs of ints.
+The per-factor Fraction versions are kept here as oracles: on every
+input both must give the same value or raise the same exception class.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asmgraph import (
+    AsmError,
+    LaurentMonomial,
+    MinorRef,
+    UndefinedEvaluationError,
+    asm_leq,
+    bidiagonal_product,
+    enumerate_asms,
+    evaluate_certificate_q,
+    identity_asm,
+    random_tnn,
+    rational_matrix,
+    sfl_certificate,
+)
+from asmgraph.symbolic import EdgeFactorization, SflCertificate
+from asmgraph.tnn import RANDOM_TNN_BOUND, _longest_word, random_rational_matrix
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the Fraction oracles
+# ---------------------------------------------------------------------------
+
+def old_monomial_evaluate(m, rows):
+    result = Fraction(m.coeff)
+    for (i, j), e in m.powers:
+        base = Fraction(rows[i - 1][j - 1])
+        if base == 0:
+            if e < 0:
+                raise UndefinedEvaluationError((i, j))
+            result = Fraction(0)
+            continue
+        result *= base**e
+    return result
+
+
+def old_minor_evaluate_q(minor, rows, q):
+    if minor.size != 2:
+        raise ValueError("q-deformation implemented for 2x2 minors")
+    (i, j), (k, l) = minor.rows, minor.cols
+    area = (j - i) * (l - k)
+
+    def m(p, c):
+        return Fraction(rows[p - 1][c - 1])
+
+    return m(i, k) * m(j, l) - Fraction(q) ** area * m(i, l) * m(j, k)
+
+
+def old_evaluate_certificate_q(cert, rows, q):
+    q = Fraction(q)
+    base = cert.beta_pair[0]
+    total = Fraction(0)
+    for t, s in enumerate(cert.steps):
+        total += (
+            q ** (base + t)
+            * old_monomial_evaluate(s.prefix, rows)
+            * old_minor_evaluate_q(s.minor, rows, q)
+            / old_monomial_evaluate(s.divisor, rows)
+        )
+    return total
+
+
+def old_bidiagonal_product(diag, lower_params, upper_params):
+    n = len(diag)
+    word = _longest_word(n)
+    if len(lower_params) != len(word) or len(upper_params) != len(word):
+        raise AsmError(f"need {len(word)} lower and upper parameters for n={n}")
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = Fraction(1)
+    for idx, t in zip(word, lower_params):
+        t = Fraction(t)
+        for r in range(n):
+            m[r][idx - 1] += t * m[r][idx]
+    for i in range(n):
+        d = Fraction(diag[i])
+        for r in range(n):
+            m[r][i] *= d
+    for idx, t in zip(reversed(word), upper_params):
+        t = Fraction(t)
+        for r in range(n):
+            m[r][idx] += t * m[r][idx - 1]
+    return rational_matrix(m)
+
+
+def old_random_tnn(n, seed):
+    rng = random.Random(seed)
+    count = n * (n - 1) // 2
+
+    def draw():
+        return Fraction(rng.randint(1, RANDOM_TNN_BOUND), rng.randint(1, RANDOM_TNN_BOUND))
+
+    diag = [draw() for _ in range(n)]
+    lower = [draw() for _ in range(count)]
+    upper = [draw() for _ in range(count)]
+    return old_bidiagonal_product(diag, lower, upper)
+
+
+def outcome(f, *args):
+    """The value with its type, or the class of the exception raised."""
+    try:
+        value = f(*args)
+    except Exception as exc:  # the class is what gets compared
+        return type(exc)
+    return type(value), value
+
+
+def entry_types(m):
+    return {type(x) for row in m.rows for x in row}
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+#: Matrix cells of every accepted type, with zeros and negatives.
+_cells = st.one_of(
+    st.just(0),
+    st.integers(min_value=-4, max_value=4),
+    _small_fractions,
+    st.integers(min_value=-16, max_value=16).map(lambda k: k / 4),
+    _small_fractions.map(str),
+)
+
+
+@st.composite
+def _matrices(draw, max_n=4):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    row = st.lists(_cells, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+def _laurent(n):
+    """Monomials on the cells of an n x n matrix, exponents -3..3 with
+    zero exponents kept."""
+    index = st.integers(min_value=1, max_value=n)
+    powers = st.dictionaries(
+        st.tuples(index, index), st.integers(min_value=-3, max_value=3), max_size=5
+    )
+    return st.builds(
+        lambda coeff, p: LaurentMonomial(coeff, tuple(sorted(p.items()))),
+        st.one_of(_small_fractions, st.integers(min_value=-3, max_value=3)),
+        powers,
+    )
+
+
+@st.composite
+def _minor_refs(draw, n):
+    """Minors of size 1 to 3, mostly 2x2."""
+    k = draw(st.sampled_from([1, 2, 2, 2, 3]).filter(lambda k: k <= n))
+    picks = st.lists(
+        st.integers(min_value=1, max_value=n), min_size=k, max_size=k, unique=True
+    ).map(lambda xs: tuple(sorted(xs)))
+    return MinorRef(draw(picks), draw(picks))
+
+
+_qs = st.one_of(st.just(F(0)), _small_fractions, _small_fractions.map(str))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+class TestMonomialEvaluate:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_oracle(self, data):
+        rows = data.draw(_matrices())
+        m = data.draw(_laurent(len(rows)))
+        assert outcome(m.evaluate, rows) == outcome(old_monomial_evaluate, m, rows)
+
+    def test_zero_rules(self):
+        # A zero base with a positive exponent zeroes the value but the
+        # scan goes on, so a later zero base with e < 0 still raises.
+        m = LaurentMonomial(F(1), (((1, 1), 1), ((1, 2), -1)))
+        with pytest.raises(UndefinedEvaluationError) as exc:
+            m.evaluate([[0, 0], [1, 1]])
+        assert exc.value.position == (1, 2)
+        assert m.evaluate([[0, 2], [1, 1]]) == 0
+        assert old_monomial_evaluate(m, [[0, 2], [1, 1]]) == 0
+
+    def test_cell_outside_the_matrix(self):
+        m = LaurentMonomial(F(1), (((1, 1), 0), ((1, 3), 1)))
+        assert outcome(m.evaluate, [[0, 1]]) == outcome(old_monomial_evaluate, m, [[0, 1]])
+        assert outcome(m.evaluate, [[0, 1]]) is IndexError
+
+    def test_malformed_cell(self):
+        m = LaurentMonomial(F(1), (((1, 1), -1), ((1, 2), 1)))
+        for rows in ([[0, "x"]], [[1, None]], [[1, float("nan")]]):
+            got = outcome(m.evaluate, rows)
+            assert got == outcome(old_monomial_evaluate, m, rows)
+            assert got in (UndefinedEvaluationError, ValueError, TypeError)
+
+    def test_zero_exponent_on_zero_base(self):
+        m = LaurentMonomial(F(3), (((1, 1), 0),))
+        assert m.evaluate([[0]]) == old_monomial_evaluate(m, [[0]]) == 0
+
+
+class TestMinorEvaluateQ:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_oracle(self, data):
+        rows = data.draw(_matrices())
+        minor = data.draw(_minor_refs(len(rows)))
+        q = data.draw(_qs)
+        assert outcome(minor.evaluate_q, rows, q) == outcome(
+            old_minor_evaluate_q, minor, rows, q
+        )
+
+
+class TestEvaluateCertificateQ:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_synthetic_certificates(self, data):
+        """Hand-made steps: any prefix and divisor, minors of size 1 to 3,
+        any base beta, so every exception of the old loop is reachable."""
+        rows = data.draw(_matrices())
+        n = len(rows)
+        steps = data.draw(
+            st.lists(
+                st.builds(EdgeFactorization, _laurent(n), _laurent(n), _minor_refs(n)),
+                max_size=4,
+            )
+        )
+        base = data.draw(st.integers(min_value=-2, max_value=3))
+        a = identity_asm(n)
+        cert = SflCertificate(a, a, (base, base + len(steps)), tuple(steps))
+        q = data.draw(_qs)
+        assert outcome(evaluate_certificate_q, cert, rows, q) == outcome(
+            old_evaluate_certificate_q, cert, rows, q
+        )
+
+    @pytest.mark.parametrize("q", [F(1), F(2, 3), F(9, 4)])
+    def test_every_a4_certificate(self, q):
+        rng = random.Random(17)
+        asms = enumerate_asms(4)
+        checked = raised = 0
+        for a in asms:
+            for b in asms:
+                if not asm_leq(a, b):
+                    continue
+                cert = sfl_certificate(a, b)
+                positive = random_tnn(4, rng.randrange(2**31)).rows
+                mixed = random_rational_matrix(4, rng).rows
+                for rows in (positive, mixed):
+                    got = outcome(evaluate_certificate_q, cert, rows, q)
+                    assert got == outcome(old_evaluate_certificate_q, cert, rows, q)
+                    raised += not isinstance(got, tuple)
+                checked += 1
+        assert checked == 644
+        # The mixed matrices carry zeros, so some sums are undefined.
+        assert 0 < raised < checked
+
+
+class TestBidiagonalProduct:
+    @pytest.mark.parametrize("n", range(11))
+    def test_random_tnn_matches_old_sampler(self, n):
+        for seed in range(50):
+            m = random_tnn(n, seed)
+            assert m == old_random_tnn(n, seed)
+            assert entry_types(m) <= {Fraction}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_oracle(self, data):
+        """Zero, negative and string parameters, and wrong lengths."""
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        count = n * (n - 1) // 2
+        params = st.lists(
+            _cells, min_size=count, max_size=count + int(data.draw(st.booleans()))
+        )
+        diag = data.draw(st.lists(_cells, min_size=n, max_size=n))
+        lower, upper = data.draw(params), data.draw(params)
+        got = outcome(bidiagonal_product, diag, lower, upper)
+        assert got == outcome(old_bidiagonal_product, diag, lower, upper)
+        if isinstance(got, tuple):
+            assert entry_types(got[1]) <= {Fraction}
+
+    def test_zero_parameters(self):
+        # Zero lower and upper words leave D alone; zeros elsewhere, on
+        # the diagonal too, must give the Fraction product exactly.
+        assert bidiagonal_product([2, 3, 5], [0, 0, 0], [0, 0, 0]) == rational_matrix(
+            [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
+        )
+        for diag, lower, upper in [
+            ([1, 0, 2], [1, 0, 3], [0, 2, 1]),
+            ([0, 0, 0], [1, 1, 1], [1, 1, 1]),
+            ([F(1, 2), 1, 1, 3], [0, F(2, 3), 0, 1, 0, 4], [5, 0, 0, F(1, 7), 0, 0]),
+        ]:
+            assert bidiagonal_product(diag, lower, upper) == old_bidiagonal_product(
+                diag, lower, upper
+            )

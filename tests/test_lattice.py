@@ -518,6 +518,17 @@ class TestBeta:
     def test_center(self, a3):
         assert beta_checked(a3["X"]) == 2
 
+    def test_checked_size_guard(self):
+        from asmgraph import SizeLimitExceededError
+        from asmgraph.lattice import BETA_CHECKED_SIZE_LIMIT
+
+        n = BETA_CHECKED_SIZE_LIMIT + 1
+        with pytest.raises(SizeLimitExceededError) as exc:
+            beta_checked(reverse_asm(n))
+        assert (exc.value.n, exc.value.limit) == (n, BETA_CHECKED_SIZE_LIMIT)
+        assert "size_limit=None" not in str(exc.value)
+        assert beta(reverse_asm(n)) == n * (n * n - 1) // 6
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_three_way_agreement(self, n):
         for a in enumerate_asms(n):
