@@ -286,12 +286,13 @@ def cmd_dodgson_verify(args: argparse.Namespace) -> int:
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
         unknown = [s for s in names if s not in ALL_CHECKS]
-        if unknown:
+        if unknown or not names:
             known = ", ".join(ALL_CHECKS)
-            print(f"error: unknown checks {unknown}; choose from {known}", file=sys.stderr)
+            what = f"unknown checks {unknown}" if unknown else f"--only {args.only!r} names no check"
+            print(f"error: {what}; choose from {known}", file=sys.stderr)
             return 2
     results = run_all(seed=args.seed, names=names)
     if args.json:

@@ -1,17 +1,17 @@
 """Exhaustive enumeration of ASMs and permutation matrices.
 
-ASMs are generated through their corner-sum matrices: a corner-sum
-matrix is built row by row, each row being a lattice path that rises by
-0 or 1 at each column, stays within 0/1 of the previous row, and ends at
-the row index.  Every completed matrix corresponds to exactly one ASM,
-so no post-filtering is needed; dead prefixes are abandoned as soon as a
-row cannot be extended.  Each corner-sum row is turned into its entry
-row as the walk goes,
+ASMs are generated row by row through their column partial sums: after
+row i, the state s is the 0/1 tuple of column sums of rows 1..i, with i
+ones (the rows of Propp's monotone triangles).  The next entry row e has
+e_j in {0, +1} where s_j = 0 and e_j in {0, -1} where s_j = 1, and its
+nonzero entries alternate, starting and ending with +1; the next state
+is s + e.  Every state with fewer than n ones has a successor, so every
+walk of n steps from the zero state is exactly one ASM: no
+post-filtering, no dead ends, and no corner sum is formed.
 
-    A(i, j) = X(i, j) - X(i, j-1) - X(i-1, j) + X(i-1, j-1),
-
-so the finished ASM is assembled from entry rows directly, without
-inverting or re-checking its corner-sum matrix.
+Walking the successors of each state in lexicographic order yields the
+ASMs in canonical order, and adding up path counts layer by layer counts
+them without building a single matrix.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -20,11 +20,12 @@ entry points guard against accidentally huge sizes; pass
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import permutations as _permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .core import Asm, Permutation, _trusted_asm
+from .core import Asm, AsmError, Permutation, _trusted_asm
 
 Row = tuple[int, ...]
 
@@ -35,78 +36,65 @@ PERMUTATION_SIZE_LIMIT = 9
 KNOWN_ASM_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436, 7: 218348}
 
 
-class SizeLimitExceededError(ValueError):
-    def __init__(self, n: int, limit: int, hint: str = "pass size_limit=None to override"):
+class SizeLimitExceededError(AsmError):
+    def __init__(
+        self, n: int, limit: int, hint: str = "pass size_limit=None to override", guard: str = "guard"
+    ):
         self.n = n
         self.limit = limit
-        super().__init__(f"n={n} exceeds the guard ({limit}); {hint}")
+        super().__init__(f"n={n} exceeds the {guard} ({limit}); {hint}")
 
 
-def _check_limit(n: int, size_limit: int | None) -> None:
+def _check_limit(n: int, size_limit: int | None, guard: str = "guard") -> None:
     if n < 1:
         raise ValueError("n must be positive")
     if size_limit is not None and n > size_limit:
-        raise SizeLimitExceededError(n, size_limit)
+        raise SizeLimitExceededError(n, size_limit, guard=guard)
 
 
-def _next_rows(prev: Row, i: int, n: int) -> Iterator[Row]:
-    """All valid corner-sum rows i given row i-1 (row 0 is all zeros)."""
-    # Row entries must rise by 0/1 left to right, sit at prev[j] or
-    # prev[j]+1, and reach i in the last column.
-    row = [0] * n
+def _step_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
+    """The successor table for n columns, memoised for one walk."""
 
-    def extend(j: int, last: int) -> Iterator[Row]:
-        if j == n:
-            if last == i:
-                yield tuple(row)
-            return
-        for v in (last, last + 1):
-            if v - prev[j] in (0, 1):
-                # Even rising by 1 at every remaining column must reach i.
-                if v + (n - 1 - j) >= i:
-                    row[j] = v
-                    yield from extend(j + 1, v)
+    @cache
+    def steps(state: Row) -> list[tuple[Row, Row]]:
+        """Each entry row that can follow column partial sums `state`, with
+        the state it leads to, in lexicographic order of entry rows."""
+        out = []
+        row = [0] * n
 
-    yield from extend(0, 0)
+        def extend(j: int, partial: int) -> None:
+            # partial is the row sum so far; a nonzero entry flips it, and
+            # may only sit where the column sum equals it.
+            if j == n:
+                if partial:
+                    out.append((tuple(row), tuple(s + e for s, e in zip(state, row))))
+                return
+            for v in (0,) if state[j] != partial else (-1, 0) if partial else (0, 1):
+                row[j] = v
+                extend(j + 1, partial + v)
+
+        extend(0, 0)
+        return out
+
+    return steps
 
 
 def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[Asm]:
-    """Yield all n x n ASMs; order is not specified, use enumerate_asms
-    for the canonical order."""
+    """Yield all n x n ASMs in canonical order (see enumerate_asms)."""
     _check_limit(n, size_limit)
+    steps = _step_table(n)
+    rows: list[Row] = []
 
-    @cache
-    def next_steps(prev: Row) -> list[tuple[Row, Row]]:
-        """The corner-sum rows that can follow prev, each with its entry
-        row; a row's last value is its index, so prev fixes the step."""
-        i = prev[-1] + 1
-        return [(row, _entry_row(prev, row)) for row in _next_rows(prev, i, n)]
-
-    def walk(prev: Row, rows: list[Row]) -> Iterator[Asm]:
+    def walk(state: Row) -> Iterator[Asm]:
         if len(rows) == n:
             yield _trusted_asm(tuple(rows))
             return
-        for row, entries in next_steps(prev):
-            rows.append(entries)
-            yield from walk(row, rows)
+        for row, nxt in steps(state):
+            rows.append(row)
+            yield from walk(nxt)
             rows.pop()
 
-    yield from walk(tuple([0] * n), [])
-
-
-def _entry_row(prev: Row, row: Row) -> Row:
-    """ASM row i from corner-sum rows i-1 (prev) and i (row).
-
-    row[j] - prev[j] is the partial sum of ASM row i up to column j, and
-    the entries are the steps of those partial sums.
-    """
-    out = []
-    left = 0
-    for above, here in zip(prev, row):
-        partial = here - above
-        out.append(partial - left)
-        left = partial
-    return tuple(out)
+    yield from walk((0,) * n)
 
 
 def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[Asm]:
@@ -115,13 +103,22 @@ def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[A
     Canonical order is lexicographic on the row-major entry sequence
     with the natural entry order -1 < 0 < 1.
     """
-    out = list(iter_asms(n, size_limit=size_limit))
-    out.sort(key=lambda a: a.entries)
-    return out
+    return list(iter_asms(n, size_limit=size_limit))
 
 
 def count_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> int:
-    return sum(1 for _ in iter_asms(n, size_limit=size_limit))
+    """Number of n x n ASMs: the walks of iter_asms, counted layer by
+    layer over the states without building any matrix."""
+    _check_limit(n, size_limit)
+    steps = _step_table(n)
+    paths = Counter({(0,) * n: 1})
+    for _ in range(n):
+        layer: Counter[Row] = Counter()
+        for state, count in paths.items():
+            for _, nxt in steps(state):
+                layer[nxt] += count
+        paths = layer
+    return paths[(1,) * n]
 
 
 def enumerate_permutations(

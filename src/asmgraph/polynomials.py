@@ -30,7 +30,7 @@ from math import lcm
 from typing import Sequence
 
 from .core import AsmError, sign
-from .enumeration import PERMUTATION_SIZE_LIMIT, enumerate_permutations
+from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, enumerate_permutations
 from .lattice import beta_permutation
 from .symbolic import HalfExpPoly, NonExactDivisionError, _det, _int_rows
 from .tnn import RationalMatrix
@@ -95,10 +95,7 @@ def _q_weight_matrix(rows: Sequence[Sequence[int]]) -> list[list[HalfExpPoly]]:
 
 def bq_qdet(n: int, *, size_limit: int | None = QDET_SIZE_LIMIT) -> HalfExpPoly:
     """B_n(q) as the symbolic determinant of (q^{(i-j)^2/2})."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if size_limit is not None and n > size_limit:
-        raise AsmError(f"n={n} exceeds the q-determinant guard ({size_limit})")
+    _check_limit(n, size_limit, "q-determinant guard")
     return sym_det(_q_weight_matrix([[1] * n for _ in range(n)]))
 
 

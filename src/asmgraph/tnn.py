@@ -40,6 +40,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Asm, AsmError
+from .enumeration import _check_limit
 from .lattice import SizeMismatchError, _first_excess, _same_size, beta, corner_sum
 from .symbolic import UndefinedEvaluationError, _int_rows, _minors, _ratio, asm_monomial
 
@@ -121,11 +122,8 @@ def iter_minor_values(m: RationalMatrix) -> Iterable[Fraction]:
 
 def is_tnn(m: RationalMatrix, *, size_limit: int | None = TNN_SIZE_LIMIT) -> bool:
     """Exact check that every minor is >= 0, on row-scaled ints."""
-    if size_limit is not None and m.n > size_limit:
-        raise AsmError(
-            f"n={m.n} exceeds the all-minors guard ({size_limit}); "
-            "pass size_limit=None to override"
-        )
+    if m.n:  # the 0 x 0 matrix is vacuously TNN, not a size error
+        _check_limit(m.n, size_limit, "all-minors guard")
     rows, _ = _int_rows(m.rows)
     return not any(v < 0 for _, minors in _minors(rows, 1) for v in minors.values())
 

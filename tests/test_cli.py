@@ -316,6 +316,12 @@ class TestVerifyAll:
         assert code == 2
         assert "unknown" in err
 
+    @pytest.mark.parametrize("only", ["", " , "])
+    def test_only_naming_no_check_is_a_usage_error(self, capsys, only):
+        code, out, err = run(capsys, "verify-all", "--only", only)
+        assert code == 2
+        assert out == "" and "choose from" in err
+
     def test_subset_uses_the_seed(self, capsys):
         code, out, _ = run(
             capsys, "verify-all", "--only", "dodgson", "--seed", "5", "--json"
@@ -367,6 +373,12 @@ class TestUsageAndGuards:
             capsys, "enumerate", "--n", "3", "--count-only", "--limit-override", "0"
         )
         assert (code, out.strip()) == (0, "7")
+
+    def test_count_only_past_the_guard(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "9", "--count-only", "--limit-override", "0"
+        )
+        assert (code, out.strip()) == (0, "911835460")
 
     def test_bad_matrix_argument(self, capsys):
         code, _, err = run(capsys, "beta", "not-a-thing")

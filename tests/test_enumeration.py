@@ -2,16 +2,20 @@
 
 The reference oracle here builds ASMs entry by entry (rows drawn from
 {-1, 0, 1} with the prefix-sum conditions enforced directly), which is
-deliberately a different algorithm from the corner-sum walk used by the
-package, so the two can cross-check each other.  A second oracle is the
-same corner-sum walk finishing each matrix with the validating
-from_corner_sum instead of building entry rows as it goes.
+deliberately a different algorithm from the column-state walk used by
+the package, so the two can cross-check each other.  A second oracle
+walks corner-sum rows as lattice paths and finishes each matrix with the
+validating from_corner_sum.  Counts are also checked against the ASM
+product formula.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 
 import pytest
 
+import asmgraph.enumeration
 from asmgraph import (
     ASM_SIZE_LIMIT,
     KNOWN_ASM_COUNTS,
@@ -27,7 +31,6 @@ from asmgraph import (
     reverse_asm,
     validate_asm,
 )
-from asmgraph.enumeration import _next_rows
 
 
 def _oracle_rows(n):
@@ -69,6 +72,34 @@ def _oracle_asms(n):
     return found
 
 
+def _next_rows(prev, i, n):
+    """All valid corner-sum rows i given row i-1 (row 0 is all zeros)."""
+    # Row entries must rise by 0/1 left to right, sit at prev[j] or
+    # prev[j]+1, and reach i in the last column.
+    row = [0] * n
+
+    def extend(j, last):
+        if j == n:
+            if last == i:
+                yield tuple(row)
+            return
+        for v in (last, last + 1):
+            if v - prev[j] in (0, 1):
+                # Even rising by 1 at every remaining column must reach i.
+                if v + (n - 1 - j) >= i:
+                    row[j] = v
+                    yield from extend(j + 1, v)
+
+    yield from extend(0, 0)
+
+
+def _product_formula(n):
+    """A_n = prod_{j<n} (3j+1)!/(n+j)! (Zeilberger 1996)."""
+    value = prod(Fraction(factorial(3 * j + 1), factorial(n + j)) for j in range(n))
+    assert value.denominator == 1
+    return value.numerator
+
+
 def _corner_sum_walk(n):
     """Every complete corner-sum walk, inverted by from_corner_sum."""
     out = []
@@ -103,6 +134,21 @@ class TestCounts:
         assert ours == _corner_sum_walk(n)
         assert len(set(ours)) == KNOWN_ASM_COUNTS[n]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_count_matches_product_formula(self, n):
+        assert count_asms(n, size_limit=None) == _product_formula(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_count_matches_the_walk(self, n):
+        assert count_asms(n) == sum(1 for _ in iter_asms(n))
+
+    def test_count_builds_no_matrix(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("count_asms built a matrix")
+
+        monkeypatch.setattr(asmgraph.enumeration, "_trusted_asm", refuse)
+        assert count_asms(6) == 7436
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_permutation_matrices_are_the_minus_one_free_asms(self, n):
         perms = {permutation_to_asm(w).entries for w in enumerate_permutations(n)}
@@ -118,6 +164,11 @@ class TestOrderAndValidity:
         keys = [a.entries for a in asms]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_iter_asms_is_strictly_increasing(self, n):
+        keys = [a.entries for a in iter_asms(n)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_extremes_present(self):
         asms = enumerate_asms(3)
