@@ -39,7 +39,7 @@ from .core import (
     parse_permutation,
     permutation_to_asm,
 )
-from .enumeration import count_asms, iter_asms
+from .enumeration import SizeLimitExceededError, count_asms, iter_asms
 from .lattice import (
     IncomparableError,
     asm_leq,
@@ -479,7 +479,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, SizeLimitExceededError) and "limit_override" in args:
+            message = message.replace("size_limit=None", "--limit-override 0")
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

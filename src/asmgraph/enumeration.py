@@ -80,7 +80,7 @@ def _step_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
 
 
 def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[Asm]:
-    """Yield all n x n ASMs in canonical order (see enumerate_asms)."""
+    """Stream all n x n ASMs in canonical order (see enumerate_asms)."""
     _check_limit(n, size_limit)
     steps = _step_table(n)
     rows: list[Row] = []
@@ -94,7 +94,7 @@ def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[As
             yield from walk(nxt)
             rows.pop()
 
-    yield from walk((0,) * n)
+    return walk((0,) * n)
 
 
 def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[Asm]:

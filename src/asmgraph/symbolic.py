@@ -10,20 +10,20 @@ algebraic fact made executable here: A <= B in the ASM order exactly
 when x^A - x^B admits a *subtraction-free Laurent* (SFL) certificate, a
 telescoping sum over a saturated chain A = A_0 < ... < A_k = B of steps
 
-    x^{A_t} - x^{A_{t+1}} = prefix_t * minor_t / divisor_t,
+    x^{A_t} - x^{A_{t+1}} = prefix_t * minor_t / divisor_t.
 
-where prefix_t is the monomial x^{A_t} written on the step's rectangle,
-divisor_t = x_{ik} x_{jl} is the product of two corner variables, and
-minor_t is the 2x2 solid minor of the step's covering rectangle.  Each
-prefix/divisor ratio is an almost positive Laurent monomial (exponents
->= -1), so the certificate witnesses total nonnegativity of the
-difference; placing the sum over a common denominator gives the
-subtraction-free form directly.
+A step is its lower ASM A_t and the 1x1 rectangle (i, j, k, l) of the
+cover; the rest is read off that pair: prefix_t = x^{A_t}, divisor_t =
+x_{ik} x_{jl}, and minor_t is the 2x2 solid minor on rows (i, j) and
+columns (k, l).  Each prefix/divisor ratio is an almost positive Laurent
+monomial (exponents >= -1), so the certificate witnesses total
+nonnegativity of the difference.  A certificate read from JSON is
+rebuilt by replaying its chain from the source.
 
 Evaluation runs on integer ratios.  Each matrix cell a value needs is
-read once as (numerator, denominator); monomials, q-deformed minors and
-certificate steps multiply plain ints, and only the result becomes a
-Fraction.
+read once as (numerator, denominator); monomials (x^A straight from the
+entries of A), q-deformed minors and certificate steps multiply plain
+ints, and only the result becomes a Fraction.
 
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -47,6 +46,7 @@ from .lattice import (
     Rect,
     _beta_corner_sum,
     _chain_steps,
+    _shift_corners,
     beta,
 )
 
@@ -114,7 +114,7 @@ class LaurentMonomial:
 
     def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
         """Exact value at a matrix (plain nested sequence, 0-based)."""
-        return Fraction(*_monomial_ratio(self, _Cells(rows)))
+        return Fraction(*_monomial_ratio(self.powers, _Cells(rows), *_ratio(self.coeff)))
 
     def __str__(self) -> str:
         parts = []
@@ -158,14 +158,14 @@ class _Cells(dict):
         return value
 
 
-def _monomial_ratio(m: LaurentMonomial, cells: _Cells) -> tuple[int, int]:
-    """m at the matrix behind cells as (numerator, nonzero denominator).
+def _monomial_ratio(powers: Iterable, cells: _Cells, num=1, den=1) -> tuple[int, int]:
+    """num/den times prod x_v^e over the (v, e) in powers, at the matrix
+    behind cells, as (numerator, nonzero denominator).
 
     A zero base zeroes the value but the scan goes on, so a later zero
     base with a negative exponent still raises UndefinedEvaluationError.
     """
-    num, den = _ratio(m.coeff)
-    for v, e in m.powers:
+    for v, e in powers:
         p, r = cells[v]
         if not p:
             if e < 0:
@@ -180,16 +180,21 @@ def _monomial_ratio(m: LaurentMonomial, cells: _Cells) -> tuple[int, int]:
     return num, den
 
 
+def _asm_powers(a: Asm) -> Iterable[tuple[Variable, int]]:
+    """((i, j), a(i, j)) for the nonzero entries, row-major (sorted) order."""
+    return (((i, j), x) for i, row in enumerate(a.entries, 1) for j, x in enumerate(row, 1) if x)
+
+
 def asm_monomial(a: Asm) -> LaurentMonomial:
     """x^a: one factor x_ij^{a(i,j)} per nonzero entry."""
-    return monomial(
-        {
-            (i, j): a.entry(i, j)
-            for i in range(1, a.n + 1)
-            for j in range(1, a.n + 1)
-            if a.entry(i, j) != 0
-        }
-    )
+    return LaurentMonomial(Fraction(1), tuple(_asm_powers(a)))
+
+
+def _asm_difference(a: Asm, b: Asm, rows: Sequence[Sequence]) -> Fraction:
+    """x^a - x^b at rows, exactly; a is read first."""
+    cells = _Cells(rows)
+    (an, ad), (bn, bd) = (_monomial_ratio(_asm_powers(x), cells) for x in (a, b))
+    return Fraction(an * bd - bn * ad, ad * bd)
 
 
 def q_monomial(a: Asm) -> tuple[LaurentMonomial, int]:
@@ -215,9 +220,7 @@ class MinorRef:
     def __post_init__(self):
         if len(self.rows) != len(self.cols) or not self.rows:
             raise ValueError("rows and cols must be nonempty, equal length")
-        if list(self.rows) != sorted(set(self.rows)) or list(self.cols) != sorted(
-            set(self.cols)
-        ):
+        if any(list(x) != sorted(set(x)) for x in (self.rows, self.cols)):
             raise ValueError("rows and cols must be strictly increasing")
 
     @property
@@ -241,7 +244,9 @@ class MinorRef:
 
     def evaluate_q(self, rows: Sequence[Sequence[Fraction]], q: Fraction) -> Fraction:
         """q-deformed value of a 2x2 minor: x_ik x_jl - q^area x_il x_jk."""
-        return Fraction(*_minor_q_ratio(self, _Cells(rows), q))
+        if self.size != 2:
+            raise ValueError("q-deformation implemented for 2x2 minors")
+        return Fraction(*_minor_q_ratio(_Cells(rows), *self.rows, *self.cols, q))
 
     def __str__(self) -> str:
         body = "; ".join(
@@ -250,11 +255,8 @@ class MinorRef:
         return f"|{body}|"
 
 
-def _minor_q_ratio(minor: MinorRef, cells: _Cells, q) -> tuple[int, int]:
-    """:meth:`MinorRef.evaluate_q` as (numerator, nonzero denominator)."""
-    if minor.size != 2:
-        raise ValueError("q-deformation implemented for 2x2 minors")
-    (i, j), (k, l) = minor.rows, minor.cols
+def _minor_q_ratio(cells: _Cells, i: int, j: int, k: int, l: int, q) -> tuple[int, int]:
+    """The q-deformed minor on rows (i, j), columns (k, l), as an integer ratio."""
     # Read in the order the formula names them, so the first bad value raises.
     an, ad = cells[i, k]
     bn, bd = cells[j, l]
@@ -325,35 +327,40 @@ def _det(rows: Sequence[Sequence], one):
 
 
 class EdgeFactorization(NamedTuple):
-    """x^source - x^target = prefix * minor / divisor, exactly."""
+    """x^source - x^target = prefix * minor / divisor, exactly.
 
-    prefix: LaurentMonomial
-    divisor: LaurentMonomial
-    minor: MinorRef
+    A step is its lower ASM and the rectangle it leaves along; prefix,
+    divisor and minor are read off that pair on demand.  The identity
+    holds because the target's corner exponents differ from the
+    source's by (-1, +1, +1, -1).
+
+    >>> from asmgraph import identity_asm, reverse_asm
+    >>> (step,) = sfl_certificate(identity_asm(2), reverse_asm(2)).steps
+    >>> step.rect
+    Rect(i=1, j=2, k=1, l=2)
+    >>> print(step.prefix, "*", step.minor, "/", step.divisor)
+    x11 x22 * |x11 x12; x21 x22| / x11 x22
+    """
+
+    source: Asm
+    rect: Rect
+
+    @property
+    def prefix(self) -> LaurentMonomial:
+        return asm_monomial(self.source)
+
+    @property
+    def divisor(self) -> LaurentMonomial:
+        return monomial({(self.rect.i, self.rect.k): 1, (self.rect.j, self.rect.l): 1})
+
+    @property
+    def minor(self) -> MinorRef:
+        return MinorRef((self.rect.i, self.rect.j), (self.rect.k, self.rect.l))
 
 
 def edge_factorization(e: Edge) -> EdgeFactorization:
-    """Factor the monomial difference across one graph edge.
-
-    The prefix is x^source itself (the unchanged positions times the
-    source's corner powers); the divisor is the product of the two
-    diagonal corner variables x_ik x_jl; the minor is the 2x2 minor on
-    rows (i, j) and columns (k, l).  The identity
-
-        x^source - x^target = prefix * minor / divisor
-
-    holds because the target's corner exponents differ from the
-    source's by (-1, +1, +1, -1).
-    """
-    return _factor(e.source, e.rect)
-
-
-def _factor(source: Asm, r: Rect) -> EdgeFactorization:
-    """:func:`edge_factorization` of the edge that leaves source along r."""
-    prefix = asm_monomial(source)
-    divisor = monomial({(r.i, r.k): 1, (r.j, r.l): 1})
-    minor = MinorRef((r.i, r.j), (r.k, r.l))
-    return EdgeFactorization(prefix, divisor, minor)
+    """Factor the monomial difference across one graph edge."""
+    return EdgeFactorization(e.source, e.rect)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +377,7 @@ class SflCertificate:
     steps: tuple[EdgeFactorization, ...]
 
     def __str__(self) -> str:
-        if not self.steps:
-            return "0"
-        return " + ".join(step_str(s) for s in self.steps)
+        return " + ".join(map(step_str, self.steps)) or "0"
 
 
 def step_str(s: EdgeFactorization) -> str:
@@ -385,7 +390,7 @@ def sfl_certificate(a: Asm, b: Asm) -> SflCertificate:
     Raises IncomparableError when a <= b fails; a == b gives the empty
     certificate for the zero function.
     """
-    steps = tuple(_factor(lower, r) for lower, r in _chain_steps(a, b))
+    steps = tuple(map(EdgeFactorization._make, _chain_steps(a, b)))
     return SflCertificate(a, b, (beta(a), beta(b)), steps)
 
 
@@ -420,7 +425,7 @@ def evaluate_certificate_q(
     q-deformed; the sum equals q^{beta(a)} x^a - q^{beta(b)} x^b, so all
     q-powers are nonnegative and the whole thing is a polynomial in q.
     At q = 1 it is the plain certificate sum.  Each step is an integer
-    ratio, added to a running sum kept in lowest terms.
+    ratio read off its source's entries and its rectangle's corners.
 
     >>> from asmgraph import identity_asm, reverse_asm
     >>> cert = sfl_certificate(identity_asm(2), reverse_asm(2))
@@ -433,6 +438,7 @@ def evaluate_certificate_q(
     total_num, total_den = 0, 1
     base = cert.beta_pair[0]
     for t, s in enumerate(cert.steps):
+        i, j, k, l = s.rect.i, s.rect.j, s.rect.k, s.rect.l
         e = base + t
         if e >= 0:
             num, den = qn**e, qd**e
@@ -440,13 +446,13 @@ def evaluate_certificate_q(
             num, den = qd**-e, qn**-e
         else:
             raise ZeroDivisionError(f"q = 0 raised to the power {e}")
-        pn, pd = _monomial_ratio(s.prefix, cells)
-        mn, md = _minor_q_ratio(s.minor, cells, q)
-        dn, dd = _monomial_ratio(s.divisor, cells)
-        if not dn:
+        num, den = _monomial_ratio(_asm_powers(s.source), cells, num, den)
+        mn, md = _minor_q_ratio(cells, i, j, k, l, q)
+        (an, ad), (bn, bd) = cells[i, k], cells[j, l]
+        if not (an and bn):
             raise ZeroDivisionError(f"divisor {s.divisor} is zero at step {t}")
-        num *= pn * mn * dd
-        den *= pd * md * dn
+        num *= mn * ad * bd
+        den *= md * an * bn
         total_num = total_num * den + num * total_den
         total_den *= den
         g = gcd(total_num, total_den)
@@ -474,18 +480,18 @@ def verify_certificate(
             f"{len(cert.steps)} steps for a beta gap of {b1 - b0}"
         )
     for t, s in enumerate(cert.steps):
-        if not (s.minor.size == 2 and s.minor.is_solid()):
+        r = s.rect
+        if not r.is_point():
             raise VerificationFailureError(f"minor {s.minor} not 2x2 solid", step=t)
-        if not (s.prefix / s.divisor).is_almost_positive():
+        # The ratio's exponents are the source's entries, less one at the divisor.
+        if s.source.entry(r.i, r.k) < 0 or s.source.entry(r.j, r.l) < 0:
             raise VerificationFailureError(
                 f"step ratio {s.prefix / s.divisor} not almost positive", step=t
             )
     rng = random.Random(seed)
-    n = cert.source.n
-    diff_mono = asm_monomial(cert.source), asm_monomial(cert.target)
     for _ in range(samples):
-        rows = _random_positive_rows(n, rng)
-        expected = diff_mono[0].evaluate(rows) - diff_mono[1].evaluate(rows)
+        rows = _random_positive_rows(cert.source.n, rng)
+        expected = _asm_difference(cert.source, cert.target, rows)
         got = evaluate_certificate(cert, rows)
         if got != expected:
             raise VerificationFailureError(
@@ -513,13 +519,9 @@ class CombinedForm(NamedTuple):
 
 
 def combined_form(cert: SflCertificate) -> CombinedForm:
-    if not cert.steps:
-        return CombinedForm(MONOMIAL_ONE, ())
     ratios = [s.prefix / s.divisor for s in cert.steps]
     variables = {v for r in ratios for v, _ in r.powers}
-    support = {
-        v: min(r.pow_dict().get(v, 0) for r in ratios) for v in variables
-    }
+    support = {v: min(r.pow_dict().get(v, 0) for r in ratios) for v in variables}
     prefix = monomial(support)
     terms = tuple((r / prefix, s.minor) for r, s in zip(ratios, cert.steps))
     return CombinedForm(prefix, terms)
@@ -530,51 +532,44 @@ def combined_form(cert: SflCertificate) -> CombinedForm:
 # ---------------------------------------------------------------------------
 
 def _powers_to_json(m: LaurentMonomial) -> dict[str, int]:
-    if m.coeff != 1:
-        raise AsmError(f"only coefficient-1 monomials serialize: {m}")
     return {f"({i},{j})": e for (i, j), e in m.powers}
 
 
-_KEY_RE = re.compile(r"^\((\d+),(\d+)\)$")
-
-
-def _powers_from_json(d: Mapping[str, int]) -> LaurentMonomial:
-    powers = {}
-    for key, e in d.items():
-        match = _KEY_RE.match(key)
-        if not match:
-            raise AsmError(f"bad exponent key {key!r}")
-        powers[(int(match.group(1)), int(match.group(2)))] = int(e)
-    return monomial(powers)
+def _step_to_json(s: EdgeFactorization) -> dict:
+    return {
+        "prefix": _powers_to_json(s.prefix),
+        "divisor": _powers_to_json(s.divisor),
+        "minor": {"rows": list(s.minor.rows), "cols": list(s.minor.cols)},
+    }
 
 
 def certificate_to_json_dict(cert: SflCertificate) -> dict:
     return {
         "endpoints": [asm_to_json_dict(cert.source), asm_to_json_dict(cert.target)],
         "beta": list(cert.beta_pair),
-        "steps": [
-            {
-                "prefix": _powers_to_json(s.prefix),
-                "divisor": _powers_to_json(s.divisor),
-                "minor": {"rows": list(s.minor.rows), "cols": list(s.minor.cols)},
-            }
-            for s in cert.steps
-        ],
+        "steps": [_step_to_json(s) for s in cert.steps],
     }
 
 
 def certificate_from_json_dict(d: Mapping) -> SflCertificate:
+    """Rebuild a certificate by replaying its chain from the source: each
+    step leaves the step before's upper matrix (an Asm, so checked) along
+    its JSON minor, and must write back exactly as read, else
+    VerificationFailureError names the step."""
     source = asm_from_json_dict(d["endpoints"][0])
     target = asm_from_json_dict(d["endpoints"][1])
-    steps = tuple(
-        EdgeFactorization(
-            _powers_from_json(s["prefix"]),
-            _powers_from_json(s["divisor"]),
-            MinorRef(tuple(s["minor"]["rows"]), tuple(s["minor"]["cols"])),
-        )
-        for s in d["steps"]
-    )
-    return SflCertificate(source, target, tuple(d["beta"]), steps)
+    steps, lower = [], source
+    for t, s in enumerate(d["steps"]):
+        try:
+            (i, j), (k, l) = s["minor"]["rows"], s["minor"]["cols"]
+            step = EdgeFactorization(lower, Rect(i, j, k, l))
+            if _step_to_json(step) != s:
+                raise ValueError("it is not the step its chain rebuilds")
+            lower = Asm(_shift_corners(lower.entries, step.rect, -1))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise VerificationFailureError(f"step {t} does not replay: {exc}", step=t) from exc
+        steps.append(step)
+    return SflCertificate(source, target, tuple(d["beta"]), tuple(steps))
 
 
 def certificate_to_json(cert: SflCertificate) -> str:

@@ -42,7 +42,8 @@ from typing import Iterable, Sequence
 from .core import Asm, AsmError
 from .enumeration import _check_limit
 from .lattice import SizeMismatchError, _first_excess, _same_size, beta, corner_sum
-from .symbolic import UndefinedEvaluationError, _int_rows, _minors, _ratio, asm_monomial
+from .symbolic import UndefinedEvaluationError, _asm_difference, _int_rows, _minors, _ratio
+from .symbolic import asm_monomial
 
 TNN_SIZE_LIMIT = 8
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
@@ -290,7 +291,7 @@ def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
     """
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
-    return asm_monomial(a).evaluate(m.rows) - asm_monomial(b).evaluate(m.rows)
+    return _asm_difference(a, b, m.rows)
 
 
 def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, int]]:

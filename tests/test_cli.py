@@ -380,6 +380,21 @@ class TestUsageAndGuards:
         )
         assert (code, out.strip()) == (0, "911835460")
 
+    @pytest.mark.parametrize(
+        "argv, n, limit",
+        [
+            (("enumerate", "--n", "8", "--count-only"), 8, 7),
+            (("graph", "--n", "8"), 8, 7),
+            (("bq", "--n", "10"), 10, 9),
+        ],
+    )
+    def test_guard_error_names_the_flag(self, capsys, argv, n, limit):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: n={n} exceeds the guard ({limit}); pass --limit-override 0 to override\n"
+        )
+
     def test_bad_matrix_argument(self, capsys):
         code, _, err = run(capsys, "beta", "not-a-thing")
         assert code == 1

@@ -17,6 +17,7 @@ from asmgraph import (
     AsmError,
     LaurentMonomial,
     MinorRef,
+    Rect,
     UndefinedEvaluationError,
     asm_leq,
     bidiagonal_product,
@@ -142,8 +143,8 @@ _cells = st.one_of(
 
 
 @st.composite
-def _matrices(draw, max_n=4):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def _matrices(draw, min_n=1, max_n=4):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     row = st.lists(_cells, min_size=n, max_size=n)
     return draw(st.lists(row, min_size=n, max_size=n))
 
@@ -170,6 +171,16 @@ def _minor_refs(draw, n):
         st.integers(min_value=1, max_value=n), min_size=k, max_size=k, unique=True
     ).map(lambda xs: tuple(sorted(xs)))
     return MinorRef(draw(picks), draw(picks))
+
+
+@st.composite
+def _rects(draw, n):
+    """Rectangles of any shape inside an n x n matrix, n >= 2."""
+    pair = st.lists(
+        st.integers(min_value=1, max_value=n), min_size=2, max_size=2, unique=True
+    ).map(sorted)
+    (i, j), (k, l) = draw(pair), draw(pair)
+    return Rect(i, j, k, l)
 
 
 _qs = st.one_of(st.just(F(0)), _small_fractions, _small_fractions.map(str))
@@ -230,13 +241,19 @@ class TestEvaluateCertificateQ:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_synthetic_certificates(self, data):
-        """Hand-made steps: any prefix and divisor, minors of size 1 to 3,
-        any base beta, so every exception of the old loop is reachable."""
-        rows = data.draw(_matrices())
+        """Hand-made steps: any ASM of the matrix's size with any
+        rectangle, on matrices with zero cells and at times one malformed
+        cell, any base beta and q = 0, so every exception of the old loop
+        that a step can still reach is reachable."""
+        rows = data.draw(_matrices(min_n=2))
         n = len(rows)
+        if data.draw(st.booleans()):
+            cell = st.integers(min_value=0, max_value=n - 1)
+            i, j = data.draw(cell), data.draw(cell)
+            rows[i][j] = data.draw(st.sampled_from(["x", None, float("nan")]))
         steps = data.draw(
             st.lists(
-                st.builds(EdgeFactorization, _laurent(n), _laurent(n), _minor_refs(n)),
+                st.builds(EdgeFactorization, st.sampled_from(enumerate_asms(n)), _rects(n)),
                 max_size=4,
             )
         )

@@ -34,6 +34,7 @@ def _ones(n):
 GUARDED = {
     "count_asms": (ASM_SIZE_LIMIT, count_asms),
     "iter_asms": (ASM_SIZE_LIMIT, lambda n: next(iter_asms(n))),
+    "iter_asms at the call": (ASM_SIZE_LIMIT, iter_asms),
     "enumerate_asms": (ASM_SIZE_LIMIT, enumerate_asms),
     "enumerate_permutations": (PERMUTATION_SIZE_LIMIT, enumerate_permutations),
     "build_graph": (ASM_SIZE_LIMIT, build_graph),

@@ -1,5 +1,6 @@
 """Tests for monomials, SFL certificates, and q^(1/2) polynomials."""
 
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ from asmgraph import (
     LaurentMonomial,
     MinorRef,
     NonExactDivisionError,
+    Rect,
     UndefinedEvaluationError,
     VerificationFailureError,
     asm_leq,
@@ -307,14 +309,14 @@ class TestVerificationFailures:
     def test_wrong_minor_fails_numerically(self, a3):
         cert = self._cert(a3)
         s0 = cert.steps[0]
-        other = MinorRef((1, 2), (1, 2))
-        if s0.minor == other:
-            other = MinorRef((2, 3), (2, 3))
+        other = Rect(1, 2, 1, 2)
+        if s0.rect == other:
+            other = Rect(2, 3, 2, 3)
         bad = SflCertificate(
             cert.source,
             cert.target,
             cert.beta_pair,
-            (EdgeFactorization(s0.prefix, s0.divisor, other),) + cert.steps[1:],
+            (EdgeFactorization(s0.source, other),) + cert.steps[1:],
         )
         with pytest.raises(VerificationFailureError) as exc:
             verify_certificate(bad)
@@ -324,43 +326,37 @@ class TestVerificationFailures:
         a, _, c = worked_5x5
         cert = sfl_certificate(a, c)
         s0 = cert.steps[0]
-        bad_minor = MinorRef((s0.minor.rows[0], s0.minor.rows[1] + 1), s0.minor.cols)
+        r = s0.rect
         bad = SflCertificate(
             cert.source,
             cert.target,
             cert.beta_pair,
-            (EdgeFactorization(s0.prefix, s0.divisor, bad_minor),) + cert.steps[1:],
+            (EdgeFactorization(s0.source, Rect(r.i, r.j + 1, r.k, r.l)),) + cert.steps[1:],
         )
         with pytest.raises(VerificationFailureError, match="solid") as exc:
             verify_certificate(bad)
         assert exc.value.step == 0
 
     def test_one_by_one_minor_fails_structurally(self, a3):
-        cert = self._cert(a3)
-        s0 = cert.steps[0]
-        bad = SflCertificate(
-            cert.source,
-            cert.target,
-            cert.beta_pair,
-            (EdgeFactorization(s0.prefix, s0.divisor, MinorRef((2,), (2,))),)
-            + cert.steps[1:],
-        )
-        with pytest.raises(VerificationFailureError, match="solid") as exc:
-            verify_certificate(bad)
+        # A step has no 1x1 minor, so the JSON reader rejects one.
+        d = certificate_to_json_dict(self._cert(a3))
+        d["steps"][0]["minor"] = {"rows": [2], "cols": [2]}
+        with pytest.raises(VerificationFailureError, match="replay") as exc:
+            certificate_from_json_dict(d)
         assert exc.value.step == 0
 
     def test_bad_ratio_fails_structurally(self, a3):
+        # X has its -1 at (2, 2), a divisor corner of the point (2, 3, 2, 3).
         cert = self._cert(a3)
-        s0 = cert.steps[0]
-        bad_prefix = s0.prefix * monomial({next(iter(s0.divisor.pow_dict())): -2})
         bad = SflCertificate(
             cert.source,
             cert.target,
             cert.beta_pair,
-            (EdgeFactorization(bad_prefix, s0.divisor, s0.minor),) + cert.steps[1:],
+            (EdgeFactorization(a3["X"], Rect(2, 3, 2, 3)),) + cert.steps[1:],
         )
-        with pytest.raises(VerificationFailureError, match="almost positive"):
+        with pytest.raises(VerificationFailureError, match="almost positive") as exc:
             verify_certificate(bad)
+        assert exc.value.step == 0
 
 
 class TestQCertificates:
@@ -418,6 +414,19 @@ class TestQCertificates:
         )
 
 
+def _raise_exponent(steps):
+    key = next(iter(steps[2]["prefix"]))
+    steps[2]["prefix"][key] += 1
+
+
+def _move_divisor(steps):
+    steps[1]["divisor"] = {"(1,1)": 1, "(3,3)": 1}
+
+
+def _swap_steps(steps):
+    steps[1], steps[2] = steps[2], steps[1]
+
+
 class TestCertificateJson:
     def test_round_trip(self, worked_5x5):
         a, _, c = worked_5x5
@@ -439,20 +448,54 @@ class TestCertificateJson:
     def test_bad_exponent_key(self, a3):
         d = certificate_to_json_dict(sfl_certificate(a3["123"], a3["X"]))
         d["steps"][0]["prefix"] = {"x12": 1}
-        with pytest.raises(AsmError, match="exponent key"):
+        with pytest.raises(AsmError) as exc:
             certificate_from_json_dict(d)
+        assert isinstance(exc.value, VerificationFailureError)
+        assert exc.value.step == 0
 
-    def test_nonunit_coefficient_rejected(self, a3):
-        cert = sfl_certificate(a3["123"], a3["132"])
-        s0 = cert.steps[0]
-        scaled = SflCertificate(
-            cert.source,
-            cert.target,
-            cert.beta_pair,
-            (EdgeFactorization(LaurentMonomial(F(2), s0.prefix.powers), s0.divisor, s0.minor),),
+    @pytest.mark.parametrize(
+        "tamper, step",
+        [(_raise_exponent, 2), (_move_divisor, 1), (_swap_steps, 1)],
+        ids=["prefix exponent", "divisor", "swapped steps"],
+    )
+    def test_tampered_step_is_named(self, a3, tamper, step):
+        d = certificate_to_json_dict(sfl_certificate(a3["123"], a3["321"]))
+        certificate_from_json_dict(d)
+        tamper(d["steps"])
+        with pytest.raises(VerificationFailureError, match="replay") as exc:
+            certificate_from_json_dict(d)
+        assert exc.value.step == step
+
+
+@lru_cache(maxsize=None)
+def _a4_certificates():
+    """Certificates of the comparable ordered A4 pairs, in enumerate_asms(4) order."""
+    asms = enumerate_asms(4)
+    return tuple(sfl_certificate(a, b) for a in asms for b in asms if asm_leq(a, b))
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestFrozenA4Certificates:
+    """The JSON and text of every A4 certificate, frozen by digest."""
+
+    def test_json_digest(self):
+        certs = _a4_certificates()
+        assert len(certs) == 644
+        assert _sha256(map(certificate_to_json, certs)) == (
+            "b713cecfa140fb9dd356061e787810e972a0e710d7a9258758d9874611dfdf39"
         )
-        with pytest.raises(AsmError, match="coefficient"):
-            certificate_to_json(scaled)
+
+    def test_str_digest(self):
+        assert _sha256(map(str, _a4_certificates())) == (
+            "3fe0af23daeab4120ec5ab2aae41e9aaa1104407672b308afd67ef9e7f4e73de"
+        )
+
+    def test_every_certificate_reads_back_to_itself(self):
+        for cert in _a4_certificates():
+            assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
 def _polys(max_terms=5):
