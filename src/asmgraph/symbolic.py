@@ -17,13 +17,14 @@ cover; the rest is read off that pair: prefix_t = x^{A_t}, divisor_t =
 x_{ik} x_{jl}, and minor_t is the 2x2 solid minor on rows (i, j) and
 columns (k, l).  Each prefix/divisor ratio is an almost positive Laurent
 monomial (exponents >= -1), so the certificate witnesses total
-nonnegativity of the difference.  A certificate read from JSON is
-rebuilt by replaying its chain from the source.
+nonnegativity of the difference.  It is verified exactly, at every
+matrix and every q, by checking that each step starts where the one
+before ended; random points only spot-check the evaluator.  A
+certificate read from JSON is rebuilt by replaying its chain.
 
 Evaluation runs on integer ratios.  Each matrix cell a value needs is
-read once as (numerator, denominator); monomials (x^A straight from the
-entries of A), q-deformed minors and certificate steps multiply plain
-ints, and only the result becomes a Fraction.
+read once as (numerator, denominator); monomials, q-deformed minors and
+certificate steps multiply plain ints, and each result is one Fraction.
 
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
@@ -464,30 +465,35 @@ def evaluate_certificate_q(
 def verify_certificate(
     cert: SflCertificate, *, samples: int = 5, seed: int = 0
 ) -> VerificationReport:
-    """Check a certificate structurally and numerically.
+    """Decide a certificate exactly by its chain; spot-check the evaluator.
 
-    Structural: the step count equals the beta gap, every minor is a
-    2x2 solid minor, and every prefix/divisor ratio is an almost
-    positive Laurent monomial.  Numeric: at ``samples`` random positive
-    rational matrices the telescoping sum equals x^source - x^target
-    exactly.  Raises VerificationFailureError on the first failure.
+    Exact: the stored beta pair is right, and the steps walk from source
+    to target, each a 2x2 solid minor with an almost positive
+    prefix/divisor ratio, starting where the step before ended.  A point
+    step adds (-1, +1, +1, -1) at its corners and 1 to beta, so step t is
+    q^beta(A_t) x^A_t - q^beta(A_{t+1}) x^A_{t+1}: the sum telescopes at
+    every matrix and every q, and the walk fixes the step count.  Spot
+    check: at ``samples`` random positive rational matrices
+    :func:`evaluate_certificate` equals x^source - x^target exactly.
+    Raises VerificationFailureError on the first failure.
     """
-    b0, b1 = cert.beta_pair
-    if (b0, b1) != (beta(cert.source), beta(cert.target)):
+    if tuple(cert.beta_pair) != (beta(cert.source), beta(cert.target)):
         raise VerificationFailureError("stored beta pair is wrong")
-    if len(cert.steps) != b1 - b0:
-        raise VerificationFailureError(
-            f"{len(cert.steps)} steps for a beta gap of {b1 - b0}"
-        )
+    entries = cert.source.entries
     for t, s in enumerate(cert.steps):
         r = s.rect
-        if not r.is_point():
+        if not r.is_point() or max(r.j, r.l) > s.source.n:
             raise VerificationFailureError(f"minor {s.minor} not 2x2 solid", step=t)
         # The ratio's exponents are the source's entries, less one at the divisor.
         if s.source.entry(r.i, r.k) < 0 or s.source.entry(r.j, r.l) < 0:
             raise VerificationFailureError(
                 f"step ratio {s.prefix / s.divisor} not almost positive", step=t
             )
+        if s.source.entries != entries:
+            raise VerificationFailureError("step does not continue the chain", step=t)
+        entries = _shift_corners(entries, r, -1)
+    if entries != cert.target.entries:
+        raise VerificationFailureError(f"the {len(cert.steps)} steps do not end at the target")
     rng = random.Random(seed)
     for _ in range(samples):
         rows = _random_positive_rows(cert.source.n, rng)
@@ -554,12 +560,15 @@ def certificate_to_json_dict(cert: SflCertificate) -> dict:
 def certificate_from_json_dict(d: Mapping) -> SflCertificate:
     """Rebuild a certificate by replaying its chain from the source: each
     step leaves the step before's upper matrix (an Asm, so checked) along
-    its JSON minor, and must write back exactly as read, else
-    VerificationFailureError names the step."""
-    source = asm_from_json_dict(d["endpoints"][0])
-    target = asm_from_json_dict(d["endpoints"][1])
+    its JSON minor and must write back as read.  A wrong shape raises
+    VerificationFailureError, which names the step if one fails."""
+    try:
+        (e0, e1), (b0, b1), raw = d["endpoints"], d["beta"], list(d["steps"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise VerificationFailureError(f"not a certificate document: {exc}") from exc
+    source, target = asm_from_json_dict(e0), asm_from_json_dict(e1)
     steps, lower = [], source
-    for t, s in enumerate(d["steps"]):
+    for t, s in enumerate(raw):
         try:
             (i, j), (k, l) = s["minor"]["rows"], s["minor"]["cols"]
             step = EdgeFactorization(lower, Rect(i, j, k, l))
@@ -569,7 +578,7 @@ def certificate_from_json_dict(d: Mapping) -> SflCertificate:
         except (LookupError, TypeError, ValueError) as exc:
             raise VerificationFailureError(f"step {t} does not replay: {exc}", step=t) from exc
         steps.append(step)
-    return SflCertificate(source, target, tuple(d["beta"]), tuple(steps))
+    return SflCertificate(source, target, (b0, b1), tuple(steps))
 
 
 def certificate_to_json(cert: SflCertificate) -> str:

@@ -375,10 +375,10 @@ def check_sampling_scope() -> CheckResult:
     """The constructive sides carry the universally quantified claims.
 
     Statements over all TNN matrices or all q > 0 cannot be decided by
-    sampling; the guarantees rest on certificates (comparable pairs) and
-    explicit counterexamples (incomparable pairs), with sampling only as
-    a falsification layer.  This check re-runs both constructive sides
-    over every ordered pair of 3x3 ASMs.
+    sampling; the guarantees rest on certificates (comparable pairs),
+    checked exactly by their chains, and explicit counterexamples
+    (incomparable pairs); sampling only spot-checks evaluators.  This
+    check re-runs both constructive sides over every 3x3 ordered pair.
     """
 
     def body() -> tuple[bool, str]:

@@ -300,6 +300,24 @@ class TestVerificationFailures:
         with pytest.raises(VerificationFailureError, match="beta pair"):
             verify_certificate(bad)
 
+    def test_three_item_beta_pair(self, a3):
+        cert = self._cert(a3)
+        bad = SflCertificate(cert.source, cert.target, (0, 4, 4), cert.steps)
+        with pytest.raises(VerificationFailureError, match="beta pair"):
+            verify_certificate(bad)
+
+    def test_minor_outside_the_matrix(self, a3):
+        cert = self._cert(a3)
+        bad = SflCertificate(
+            cert.source,
+            cert.target,
+            cert.beta_pair,
+            (EdgeFactorization(cert.source, Rect(3, 4, 3, 4)),) + cert.steps[1:],
+        )
+        with pytest.raises(VerificationFailureError, match="solid") as exc:
+            verify_certificate(bad)
+        assert exc.value.step == 0
+
     def test_missing_step(self, a3):
         cert = self._cert(a3)
         bad = SflCertificate(cert.source, cert.target, cert.beta_pair, cert.steps[:-1])
@@ -307,6 +325,8 @@ class TestVerificationFailures:
             verify_certificate(bad)
 
     def test_wrong_minor_fails_numerically(self, a3):
+        # A wrong rectangle leads the walk off the chain, so the next step
+        # is rejected exactly, before any sample point is drawn.
         cert = self._cert(a3)
         s0 = cert.steps[0]
         other = Rect(1, 2, 1, 2)
@@ -320,7 +340,17 @@ class TestVerificationFailures:
         )
         with pytest.raises(VerificationFailureError) as exc:
             verify_certificate(bad)
-        assert exc.value.point is not None
+        assert exc.value.step == 1
+        assert exc.value.point is None
+
+    def test_wrong_evaluator_fails_numerically(self, a3, monkeypatch):
+        # The sampled pass checks the evaluator against the direct difference.
+        import asmgraph.symbolic
+
+        monkeypatch.setattr(asmgraph.symbolic, "evaluate_certificate", lambda c, rows: F(-1))
+        with pytest.raises(VerificationFailureError, match="direct difference") as exc:
+            verify_certificate(self._cert(a3), samples=1)
+        assert exc.value.point is not None and exc.value.step is None
 
     def test_non_solid_minor_fails_structurally(self, worked_5x5):
         a, _, c = worked_5x5
@@ -467,6 +497,45 @@ class TestCertificateJson:
         assert exc.value.step == step
 
 
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _with(key, value):
+    return lambda d: {**d, key: value}
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        _without("endpoints"),
+        _without("beta"),
+        _with("beta", 4),
+        _with("steps", 4),
+        lambda d: {**d, "endpoints": d["endpoints"][:1]},
+        _with("beta", [0, 4, 5]),
+        lambda d: [d],
+        lambda d: None,
+        lambda d: "steps",
+    ],
+    ids=[
+        "no endpoints",
+        "no beta",
+        "int beta",
+        "int steps",
+        "one endpoint",
+        "3-item beta",
+        "list",
+        "null",
+        "string",
+    ],
+)
+def test_malformed_certificate_document(a3, reshape):
+    d = certificate_to_json_dict(sfl_certificate(a3["123"], a3["321"]))
+    with pytest.raises(VerificationFailureError, match="not a certificate"):
+        certificate_from_json_dict(reshape(d))
+
+
 @lru_cache(maxsize=None)
 def _a4_certificates():
     """Certificates of the comparable ordered A4 pairs, in enumerate_asms(4) order."""
@@ -496,6 +565,69 @@ class TestFrozenA4Certificates:
     def test_every_certificate_reads_back_to_itself(self):
         for cert in _a4_certificates():
             assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+_A4_POINTS = tuple(Rect(i, i + 1, k, k + 1) for i in range(1, 4) for k in range(1, 4))
+
+
+def _with_steps(cert, steps):
+    return SflCertificate(cert.source, cert.target, cert.beta_pair, tuple(steps))
+
+
+class TestExactVerdict:
+    """With no sample points the chain walk alone decides every A4 certificate."""
+
+    def test_valid_certificates_pass(self):
+        for cert in _a4_certificates():
+            assert verify_certificate(cert, samples=0).steps == len(cert.steps)
+
+    def test_every_other_point_is_rejected(self):
+        cases = 0
+        for cert in _a4_certificates():
+            for t, s in enumerate(cert.steps):
+                for r in _A4_POINTS:
+                    if r == s.rect:
+                        continue
+                    steps = list(cert.steps)
+                    steps[t] = EdgeFactorization(s.source, r)
+                    with pytest.raises(VerificationFailureError):
+                        verify_certificate(_with_steps(cert, steps), samples=0)
+                    cases += 1
+        assert cases == 17360
+
+    def test_adjacent_swaps_are_rejected_at_the_swap(self):
+        cases = 0
+        for cert in _a4_certificates():
+            for t in range(len(cert.steps) - 1):
+                steps = list(cert.steps)
+                steps[t], steps[t + 1] = steps[t + 1], steps[t]
+                with pytest.raises(VerificationFailureError) as exc:
+                    verify_certificate(_with_steps(cert, steps), samples=0)
+                assert exc.value.step == t
+                cases += 1
+        assert cases == 1568
+
+
+def test_weighted_solid_minor_is_the_q_minor():
+    """The 2x2 solid block of (q^((p-c)^2/2) x_pc) at a point (i, k) has
+    determinant q^((i-k)^2) (x_ik x_(i+1)(k+1) - q x_i(k+1) x_(i+1)k), so a
+    step's q-deformed minor is its weighted minor up to a power of q.  With
+    the exact chain walk of verify_certificate this gives the comparable
+    half of the qTNN claim for every q > 0."""
+    import random
+
+    rng = random.Random(3)
+    c, q = HalfExpPoly.const, HalfExpPoly.q_pow(1)
+    for i in range(1, 6):
+        for k in range(1, 6):
+            for _ in range(5):
+                x = {(p, r): rng.randint(-9, 9) for p in (i, i + 1) for r in (k, k + 1)}
+                block = [
+                    [HalfExpPoly.q_pow_twice((p - r) ** 2, x[p, r]) for r in (k, k + 1)]
+                    for p in (i, i + 1)
+                ]
+                q_minor = c(x[i, k] * x[i + 1, k + 1]) - q * c(x[i, k + 1] * x[i + 1, k])
+                assert _det(block, HalfExpPoly.one()) == HalfExpPoly.q_pow((i - k) ** 2) * q_minor
 
 
 def _polys(max_terms=5):
