@@ -187,11 +187,16 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        # Images are read as Asm entries are: 1.0 becomes 1, a bool fails.
+        images = tuple(map(_as_int, self.images))
+        if None in images:
+            raise NotAPermutationError(f"{self.images} has an image that is not an integer")
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
             raise NotAPermutationError(
                 f"{self.images} is not a rearrangement of 1..{n}"
             )
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -210,6 +215,23 @@ class Permutation:
         return format_permutation(self)
 
 
+def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
+    """A :class:`Permutation` without the image check, for images that
+    rearrange 1..n by construction; the twin of :func:`_trusted_asm`."""
+    w = object.__new__(Permutation)
+    object.__setattr__(w, "images", images)
+    return w
+
+
+def _as_int(x) -> int | None:
+    """x as an int, or None for a bool or anything not equal to an integer."""
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if isinstance(x, bool) or value != x else value
+
+
 def _square_int_rows(rows: Rows) -> list[list[int]]:
     """The rows as lists of ints, checked to form a nonempty square
     after every entry is read.  Rejects a matrix or row that is not a
@@ -219,11 +241,8 @@ def _square_int_rows(rows: Rows) -> list[list[int]]:
     for i, row in enumerate(_sequence(rows, "matrix"), start=1):
         out = []
         for j, x in enumerate(_sequence(row, f"row {i}"), start=1):
-            try:
-                value = int(x)
-            except (TypeError, ValueError, OverflowError):
-                value = None
-            if isinstance(x, bool) or value is None or value != x:
+            value = _as_int(x)
+            if value is None:
                 raise AsmError(f"entry {x!r} at ({i},{j}) is not an integer")
             out.append(value)
         mat.append(out)
@@ -290,7 +309,7 @@ def permutation_to_asm(w: Permutation | Sequence[int]) -> Asm:
     ((0, 1), (1, 0))
     """
     if not isinstance(w, Permutation):
-        w = Permutation(tuple(int(x) for x in w))
+        w = Permutation(tuple(w))
     n = w.n
     rows = []
     for i in range(1, n + 1):

@@ -555,6 +555,8 @@ class AsmGraph:
             raise ValueError(f"{a!r} is not a node of this graph") from None
 
     def successors(self, idx: int) -> list[int]:
+        if idx not in range(len(self.nodes)):
+            raise IndexError(f"node index {idx} out of range")
         lo, hi = self._offsets[idx], self._offsets[idx + 1]
         return [e.dst for e in self.edges[lo:hi]]
 

@@ -19,6 +19,9 @@ and its q-analogue on arbitrary rational matrices:
 
 where A' is the interior (rows and columns 1 and n deleted); in the
 q-weighted version the second product picks up the factor q^{n-1}.
+That version is the same identity applied to the whole q-weighted
+matrix, whose two antidiagonal minors carry the q^{n-1} between them,
+so one condensation step serves both over ints and over polynomials.
 All arithmetic is exact.
 """
 
@@ -134,38 +137,33 @@ def unsigned_permanent_q(n: int, *, size_limit: int | None = PERMANENT_SIZE_LIMI
 # Dodgson condensation, numeric and q-weighted
 # ---------------------------------------------------------------------------
 
-def _delete(rows: Sequence[Sequence], drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]):
-    """Submatrix with the given 0-based rows and columns removed."""
-    return [
-        [x for c, x in enumerate(row) if c not in drop_cols]
-        for r, row in enumerate(rows)
-        if r not in drop_rows
-    ]
+def _condense(rows: Sequence[Sequence], one):
+    """Interior minor and Dodgson numerator |NW| |SE| - |NE| |SW| of a
+    square matrix, n >= 2, over any ring with unit ``one``; NW, SE, NE
+    and SW are the four (n-1)-blocks, each minor a contiguous slice."""
+    head, tail, inner = slice(1, None), slice(None, len(rows) - 1), slice(1, -1)
+    nw, se, ne, sw, interior = (
+        _det([row[c] for row in rows[r]], one)
+        for r, c in ((tail, tail), (head, head), (tail, head), (head, tail), (inner, inner))
+    )
+    return interior, nw * se - ne * sw
 
 
 def dodgson(m: RationalMatrix) -> Fraction:
-    """det(m) by one condensation step, exact.
-
-    (|no row/col 1| * |no row/col n| - |no row 1, col n| * |no row n, col 1|)
-    divided by the interior determinant (1 when n = 2).  Raises
-    SingularInteriorError when the interior minor is zero (the classical
-    proviso).  The minors are taken on the row-scaled integer matrix, so
-    the quotient grows by the product of all row scales.
+    """det(m) by one condensation step, exact: Dodgson's numerator over
+    the interior minor (1 when n = 2).  Raises SingularInteriorError when
+    the interior minor is zero (the classical proviso).  The minors are
+    taken on the row-scaled integer matrix, so the quotient grows by the
+    product of all row scales.
     """
     n = m.n
-    if n == 1:
-        return m.entry(1, 1)
+    if n < 2:
+        return m.entry(1, 1) if n else Fraction(1)
     rows, scale = _int_rows(m.rows)
-
-    def minor(drop_rows, drop_cols) -> int:
-        return _det(_delete(rows, drop_rows, drop_cols), 1)
-
-    interior = minor((0, n - 1), (0, n - 1))
+    interior, numerator = _condense(rows, 1)
     if interior == 0:
         raise SingularInteriorError("interior minor is zero")
-    top_left, bottom_right = minor((0,), (0,)), minor((n - 1,), (n - 1,))
-    top_right, bottom_left = minor((0,), (n - 1,)), minor((n - 1,), (0,))
-    return Fraction(top_left * bottom_right - top_right * bottom_left, interior * scale)
+    return Fraction(numerator, interior * scale)
 
 
 @dataclass(frozen=True)
@@ -189,33 +187,26 @@ class QDodgsonReport:
 
 
 def _q_condensation(m: RationalMatrix) -> tuple[int, list, HalfExpPoly, HalfExpPoly]:
-    """Scale, scaled rows, interior q-determinant and condensation
-    numerator of m, as :func:`q_dodgson_check` weights them."""
-    n = m.n
-    if n < 2:
+    """Scale, q-weighted scaled matrix A_q, interior q-determinant and
+    condensation numerator of m, as :func:`q_dodgson_check` weights them.
+
+    Weighting A_q whole gives its interior and diagonal minors their own
+    weights.  An antidiagonal minor's exponents shift by +-(i' - j') + 1/2,
+    and the +-(i' - j') sum to zero over any permutation, so it carries
+    q^{(n-1)/2}: Dodgson's numerator on A_q is the identity's right side.
+    """
+    if m.n < 2:
         raise AsmError("condensation needs n >= 2")
     scale = lcm(*(x.denominator for row in m.rows for x in row))
-    rows = [[int(x * scale) for x in row] for row in m.rows]
-
-    def qdet_of(drop_rows, drop_cols) -> HalfExpPoly:
-        return sym_det(_q_weight_matrix(_delete(rows, drop_rows, drop_cols)))
-
-    interior = qdet_of((0, n - 1), (0, n - 1))
-    diagonal = qdet_of((0,), (0,)) * qdet_of((n - 1,), (n - 1,))
-    antidiagonal = qdet_of((0,), (n - 1,)) * qdet_of((n - 1,), (0,))
-    numerator = diagonal - HalfExpPoly.q_pow(n - 1) * antidiagonal
-    return scale, rows, interior, numerator
+    weighted = _q_weight_matrix([[int(x * scale) for x in row] for row in m.rows])
+    return scale, weighted, *_condense(weighted, HalfExpPoly.one())
 
 
 def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
-    """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|.
-
-    Every submatrix is q-weighted with indices counted from 1 inside
-    the submatrix itself.
-    """
-    scale, rows, interior, numerator = _q_condensation(m)
-    lhs = sym_det(_q_weight_matrix(rows)) * interior
-    return QDodgsonReport(m.n, scale, lhs, numerator)
+    """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|,
+    each submatrix q-weighted with indices counted from 1 inside itself."""
+    scale, weighted, interior, numerator = _q_condensation(m)
+    return QDodgsonReport(m.n, scale, sym_det(weighted) * interior, numerator)
 
 
 def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
@@ -226,7 +217,7 @@ def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
     polynomial.  The result equals the direct symbolic q-determinant of
     the scaled matrix (see :class:`QDodgsonReport` on scaling).
     """
-    _scale, _rows, interior, numerator = _q_condensation(m)
+    _scale, _weighted, interior, numerator = _q_condensation(m)
     if interior.is_zero():
         raise SingularInteriorError("interior q-determinant is the zero polynomial")
     return numerator.divexact(interior)

@@ -45,6 +45,7 @@ from .lattice import (
     Edge,
     IncomparableError,
     Rect,
+    SizeMismatchError,
     _beta_corner_sum,
     _chain_steps,
     _shift_corners,
@@ -427,12 +428,16 @@ def evaluate_certificate_q(
     q-powers are nonnegative and the whole thing is a polynomial in q.
     At q = 1 it is the plain certificate sum.  Each step is an integer
     ratio read off its source's entries and its rectangle's corners.
+    Raises SizeMismatchError unless rows is n x n for the certificate's n.
 
     >>> from asmgraph import identity_asm, reverse_asm
     >>> cert = sfl_certificate(identity_asm(2), reverse_asm(2))
     >>> evaluate_certificate_q(cert, [[3, 1], [2, 1]], Fraction(1, 2))
     Fraction(2, 1)
     """
+    n = cert.source.n
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise SizeMismatchError(f"certificate is for n={n}, the matrix is not {n}x{n}")
     q = Fraction(q)
     qn, qd = q.numerator, q.denominator
     cells = _Cells(rows)

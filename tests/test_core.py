@@ -44,6 +44,7 @@ from asmgraph.core import (
     is_corner_sum,
 )
 from asmgraph.enumeration import enumerate_permutations
+from asmgraph.lattice import beta_permutation
 
 CENTER = [[0, 1, 0], [1, -1, 1], [0, 1, 0]]
 
@@ -352,6 +353,19 @@ class TestPermutationBridge:
     def test_inverse(self):
         w = Permutation((4, 3, 1, 2))
         assert w.inverse().images == (3, 4, 2, 1)
+
+    @pytest.mark.parametrize("bad", [(True, 2), (2, False), (1.5, 2.7), ("2", "1"), "21", (None, 1)])
+    def test_non_integer_image_is_rejected(self, bad):
+        with pytest.raises(AsmError, match="not an integer"):
+            Permutation(bad)
+        with pytest.raises(AsmError, match="not an integer"):
+            permutation_to_asm(bad)
+
+    def test_integral_float_image_is_read_as_int(self):
+        w = Permutation((2.0, 1.0))
+        assert w == Permutation((2, 1)) and w.images == (2, 1)
+        assert str(w) == "21" and type(beta_permutation(w)) is int
+        assert permutation_to_asm((1.0, 2.0)) == identity_asm(2)
 
 
 class TestFormats:

@@ -691,6 +691,14 @@ class TestGraphStructure:
             assert g.index_of(a) == g.nodes.index(a) == i
             assert g.successors(i) == [e.dst for e in g.edges if e.src == i]
 
+    def test_successors_reject_an_index_outside_the_nodes(self):
+        g = build_graph(3)
+        last = len(g.nodes) - 1
+        assert g.successors(last) == [e.dst for e in g.edges if e.src == last]
+        for idx in (-1, -len(g.nodes), len(g.nodes), len(g.nodes) + 1):
+            with pytest.raises(IndexError):
+                g.successors(idx)
+
     def test_index_of_rejects_foreign_matrix(self):
         with pytest.raises(ValueError):
             build_graph(3).index_of(identity_asm(4))

@@ -158,6 +158,9 @@ class TestDodgson:
         assert dodgson(rational_matrix([[7]])) == 7
         assert dodgson(rational_matrix([[1, 2], [3, 4]])) == -2
 
+    def test_empty_matrix(self):
+        assert dodgson(rational_matrix([])) == det([]) == 1
+
     def test_matches_det_on_random_matrices(self):
         rng = random.Random(11)
         checked = 0
@@ -259,6 +262,32 @@ class TestQDodgson:
     def test_divided_singular_interior(self):
         with pytest.raises(SingularInteriorError):
             q_dodgson_divided(rational_matrix([[1, 2, 3], [4, 0, 5], [6, 7, 8]]))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_whole_weighting_carries_the_q_power(self, n):
+        """Minors of the whole q-weighted matrix against each submatrix
+        weighted by itself: the interior and diagonal minors agree, and
+        each antidiagonal minor carries q^{(n-1)/2}, so the pair carries
+        the identity's q^{n-1}."""
+        rng = random.Random(100 + n)
+        head, tail, inner = slice(1, None), slice(None, n - 1), slice(1, n - 1)
+        shift = HalfExpPoly.q_pow_twice(n - 1)
+        nonzero = 0
+        for _ in range(5):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            weighted = _q_weight_matrix(rows)
+            for (r, c), factor in [
+                ((inner, inner), HalfExpPoly.one()),
+                ((head, head), HalfExpPoly.one()),
+                ((tail, tail), HalfExpPoly.one()),
+                ((head, tail), shift),
+                ((tail, head), shift),
+            ]:
+                whole = sym_det([row[c] for row in weighted[r]])
+                own = sym_det(_q_weight_matrix([row[c] for row in rows[r]]))
+                assert whole == factor * own
+                nonzero += not own.is_zero()
+        assert nonzero > 20
 
     def test_too_small(self):
         with pytest.raises(AsmError):

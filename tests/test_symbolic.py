@@ -30,11 +30,14 @@ from asmgraph import (
     enumerate_asms,
     evaluate_certificate,
     evaluate_certificate_q,
+    identity_asm,
     monomial,
     q_monomial,
+    reverse_asm,
     sfl_certificate,
     verify_certificate,
 )
+from asmgraph.lattice import SizeMismatchError
 from asmgraph.symbolic import (
     MONOMIAL_ONE,
     EdgeFactorization,
@@ -172,6 +175,16 @@ class TestCertificates:
     def test_incomparable(self, a3):
         with pytest.raises(IncomparableError):
             sfl_certificate(a3["231"], a3["312"])
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [4] * 4, [2, 2, 2], [3, 3], [3, 3, 4]])
+    def test_matrix_of_another_size_is_rejected(self, lengths):
+        cert = sfl_certificate(identity_asm(3), reverse_asm(3))
+        rows = [[F(1)] * k for k in lengths]
+        with pytest.raises(SizeMismatchError):
+            evaluate_certificate(cert, rows)
+        with pytest.raises(SizeMismatchError):
+            evaluate_certificate_q(cert, rows, F(2))
+
 
     def test_step_count_is_beta_gap(self, a3):
         cert = sfl_certificate(a3["123"], a3["321"])

@@ -4,6 +4,8 @@ The ``Asm`` constructor runs the full axiom scan; enumeration, permutation
 matrices and the rectangle moves produce ASMs by construction and skip
 it.  Each test counts calls of ``Asm.__post_init__`` while a generator
 runs, then checks every matrix it produced against the constructor.
+``enumerate_permutations`` skips the ``Permutation`` image check the same
+way.
 """
 
 import pytest
@@ -21,7 +23,7 @@ from asmgraph import (
     permutation_to_asm,
     sfl_certificate,
 )
-from asmgraph.core import Asm
+from asmgraph.core import Asm, Permutation
 from asmgraph.enumeration import enumerate_permutations
 
 A4 = enumerate_asms(4)
@@ -87,3 +89,18 @@ def test_certificates_and_chains_over_a4(checks):
 def test_permutation_matrices(checks):
     out = [permutation_to_asm(w) for w in enumerate_permutations(5)]
     assert_trusted(checks, out)
+
+
+def test_enumerate_permutations(monkeypatch):
+    calls = []
+    check = Permutation.__post_init__
+
+    def counted(self):
+        calls.append(self.images)
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    out = enumerate_permutations(5)
+    assert calls == [] and len(set(out)) == 120
+    for w in out:
+        assert Permutation(w.images) == w and type(w.images) is tuple
