@@ -26,8 +26,9 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Asm,
@@ -41,6 +42,7 @@ from .core import (
 )
 from .enumeration import SizeLimitExceededError, count_asms, iter_asms
 from .lattice import (
+    AsmGraph,
     IncomparableError,
     asm_leq,
     beta_checked,
@@ -78,6 +80,41 @@ def _load_asm(spec: str) -> Asm:
         ) from exc
 
 
+def _asm_texts(asms: Iterable[Asm]) -> Iterator[str]:
+    """json.dumps(asm_to_json_dict(a)) for each a, the matrix text of every
+    streamed document.  Rows repeat across the matrices of one size, so
+    each distinct row is encoded once."""
+    row = cache(json.dumps)
+    for a in asms:
+        yield f'{{"n": {a.n}, "entries": [{", ".join(map(row, a.entries))}]}}'
+
+
+def _write_items(chunks: Iterable[str]) -> None:
+    """Write the items of a JSON list to stdout as json.dumps separates
+    them; each chunk holds the text of zero or more items."""
+    write = sys.stdout.write
+    sep = ""
+    for chunk in chunks:
+        if chunk:
+            write(sep)
+            write(chunk)
+            sep = ", "
+
+
+def _edge_chunks(g: AsmGraph) -> Iterator[str]:
+    """The JSON text of the edges leaving each node, one node at a time."""
+    rect_text = {code: "[%d, %d, %d, %d]" % g.bounds(code) for code in set(g.rects)}
+    offsets, dst, types, rects = g.offsets, g.dst, g.types, g.rects
+    for src in range(len(g.nodes)):
+        lo, hi = offsets[src], offsets[src + 1]
+        yield ", ".join(
+            [
+                f'{{"src": {src}, "dst": {d}, "type": {t}, "rect": {rect_text[code]}}}'
+                for d, t, code in zip(dst[lo:hi], types[lo:hi], rects[lo:hi])
+            ]
+        )
+
+
 def _size_kw(args: argparse.Namespace) -> dict:
     if args.limit_override is None:
         return {}
@@ -95,7 +132,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(count_asms(args.n, **kw))
         return 0
     if args.json:
-        print(json.dumps([asm_to_json_dict(a) for a in iter_asms(args.n, **kw)]))
+        asms = iter_asms(args.n, **kw)  # the size guard fires here, before any output
+        sys.stdout.write("[")
+        _write_items(_asm_texts(asms))
+        sys.stdout.write("]\n")
         return 0
     for a in iter_asms(args.n, **kw):
         sys.stdout.write(format_asm_text(a) + "\n")
@@ -105,20 +145,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     g = build_graph(args.n, **_size_kw(args))
     if args.json:
-        payload = {
-            "n": g.n,
-            "nodes": [asm_to_json_dict(a) for a in g.nodes],
-            "edges": [
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "type": e.edge_type,
-                    "rect": [e.rect.i, e.rect.j, e.rect.k, e.rect.l],
-                }
-                for e in g.edges
-            ],
-        }
-        print(json.dumps(payload))
+        sys.stdout.write(f'{{"n": {g.n}, "nodes": [')
+        _write_items(_asm_texts(g.nodes))
+        sys.stdout.write('], "edges": [')
+        _write_items(_edge_chunks(g))
+        sys.stdout.write("]}\n")
         return 0
     dot = export_dot(g)
     if args.dot:

@@ -424,11 +424,15 @@ def parse_permutation(text: str) -> Permutation:
     """Parse one-line notation, either '4312' or comma-separated '4,3,1,2'."""
     text = text.strip()
     if "," in text:
-        images = tuple(int(t) for t in text.split(","))
+        tokens = text.split(",")
     elif text.isdigit():
-        images = tuple(int(ch) for ch in text)
+        tokens = list(text)
     else:
         raise AsmError(f"cannot parse permutation from {text!r}")
+    try:
+        images = tuple(map(int, tokens))
+    except ValueError:
+        raise AsmError(f"cannot parse permutation from {text!r}") from None
     return Permutation(images)
 
 

@@ -52,14 +52,24 @@ the lower matrix by the corner update; certificates take each step's
 rectangle from the same walk.  The chain keeps this 1x1 test on the
 corner sums it updates in place, since reading the runs of partial sums
 instead would recompute all of them at every step.
+
+A built :class:`AsmGraph` keeps its edges as CSR columns: per-source
+offsets into ``array`` columns of target indices, edge types and packed
+rectangle bounds.  :func:`build_graph` appends each up-move's bounds
+straight to them, and :attr:`AsmGraph.edges` is a read-only sequence
+view that makes :class:`GraphEdge` values on access, so the graph on
+all 218,348 7x7 ASMs (3,514,354 edges) fits in about 27 MB of columns.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations
-from operator import lt, mul
+from operator import eq, lt, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -71,9 +81,11 @@ from .core import (
     corner_sum,
     permutation_to_asm,
 )
-from .enumeration import ASM_SIZE_LIMIT, SizeLimitExceededError, enumerate_asms
+from .enumeration import ASM_SIZE_LIMIT, SizeLimitExceededError, _check_limit, enumerate_asms
 
 Entries = tuple[tuple[int, ...], ...]
+#: A rectangle's corner rows and columns (i, j, k, l), as in :class:`Rect`.
+Bounds = tuple[int, int, int, int]
 
 
 class SizeMismatchError(AsmError):
@@ -107,6 +119,10 @@ class Rect:
             raise ValueError(f"need i < j and k < l, got {self}")
 
     @property
+    def bounds(self) -> Bounds:
+        return (self.i, self.j, self.k, self.l)
+
+    @property
     def area(self) -> int:
         return (self.j - self.i) * (self.l - self.k)
 
@@ -129,7 +145,7 @@ def _same_size(a: Asm, b: Asm) -> int:
     return a.n
 
 
-def _shift_rects(entries: Entries, delta: int) -> list[tuple[int, int, int, int]]:
+def _shift_rects(entries: Entries, delta: int) -> list[Bounds]:
     """Sorted 1-based bounds (i, j, k, l) of every rectangle on whose
     cells the corner sums of entries can move by delta (+1 or -1).
 
@@ -167,12 +183,12 @@ def _shift_rects(entries: Entries, delta: int) -> list[tuple[int, int, int, int]
 
 def is_essential(a: Asm, r: Rect) -> bool:
     """Can the corner sums be raised by 1 on the cells of r?"""
-    return (r.i, r.j, r.k, r.l) in _shift_rects(a.entries, 1)
+    return r.bounds in _shift_rects(a.entries, 1)
 
 
 def is_dual_essential(a: Asm, r: Rect) -> bool:
     """Can the corner sums be lowered by 1 on the cells of r?"""
-    return (r.i, r.j, r.k, r.l) in _shift_rects(a.entries, -1)
+    return r.bounds in _shift_rects(a.entries, -1)
 
 
 def essential_rects(a: Asm) -> set[Rect]:
@@ -191,24 +207,26 @@ def apply_rect(a: Asm, r: Rect) -> Asm:
     (moving up), and otherwise returns a unchanged.
     """
     for delta in (1, -1):
-        if (r.i, r.j, r.k, r.l) in _shift_rects(a.entries, delta):
-            return _trusted_asm(_shift_corners(a.entries, r, delta))
+        if r.bounds in _shift_rects(a.entries, delta):
+            return _trusted_asm(_shift_corners(a.entries, r.bounds, delta))
     return a
 
 
-def _shift_corners(entries: Entries, r: Rect, delta: int) -> Entries:
-    """Entries after adding delta to the corner sums on the cells of r.
+def _shift_corners(entries: Entries, bounds: Bounds, delta: int) -> Entries:
+    """Entries after adding delta to the corner sums on the cells of the
+    rectangle with these bounds.
 
     Only the four corners change, by delta * (1, -1, -1, 1) at (i,k),
     (i,l), (j,k), (j,l); the other rows are shared with the input.
     """
+    i, j, k, l = bounds
     rows = list(entries)
-    top, bottom = list(rows[r.i - 1]), list(rows[r.j - 1])
-    top[r.k - 1] += delta
-    top[r.l - 1] -= delta
-    bottom[r.k - 1] -= delta
-    bottom[r.l - 1] += delta
-    rows[r.i - 1], rows[r.j - 1] = tuple(top), tuple(bottom)
+    top, bottom = list(rows[i - 1]), list(rows[j - 1])
+    top[k - 1] += delta
+    top[l - 1] -= delta
+    bottom[k - 1] -= delta
+    bottom[l - 1] += delta
+    rows[i - 1], rows[j - 1] = tuple(top), tuple(bottom)
     return tuple(rows)
 
 
@@ -281,7 +299,7 @@ def classify_edge(source: Asm, target: Asm, r: Rect) -> int:
     n = _same_size(source, target)
     if r.j > n or r.l > n:
         raise NotAnEdgeError(f"{r} does not fit in size {n}")
-    if _shift_corners(target.entries, r, 1) != source.entries:
+    if _shift_corners(target.entries, r.bounds, 1) != source.entries:
         raise NotAnEdgeError(f"source - target is not (1, -1, -1, 1) on {r}'s corners")
     return _TYPE_BY_TARGET_CORNERS[tuple(target.entry(p, q) for p, q in r.corners())]
 
@@ -306,24 +324,23 @@ def edge_between(source: Asm, target: Asm) -> Edge:
     return Edge(source, target, r, classify_edge(source, target, r))
 
 
-def _up_moves(entries: Entries) -> list[tuple[Rect, Entries, int]]:
-    """(rectangle, target entries, edge type) of each edge leaving an ASM,
-    one per dual-essential rectangle, sorted by rectangle."""
-    out = []
+def _up_moves(entries: Entries) -> Iterator[tuple[Bounds, Entries, int]]:
+    """(rectangle bounds, target entries, edge type) of each edge leaving
+    an ASM, one per dual-essential rectangle, sorted by rectangle."""
     for bounds in _shift_rects(entries, -1):
-        rect = Rect(*bounds)
-        target = _shift_corners(entries, rect, -1)
-        upper, lower = target[rect.i - 1], target[rect.j - 1]
-        k, l = rect.k - 1, rect.l - 1
-        t = _TYPE_BY_TARGET_CORNERS[(upper[k], upper[l], lower[k], lower[l])]
-        out.append((rect, target, t))
-    return out
+        i, j, k, l = bounds
+        target = _shift_corners(entries, bounds, -1)
+        upper, lower = target[i - 1], target[j - 1]
+        yield bounds, target, _TYPE_BY_TARGET_CORNERS[
+            (upper[k - 1], upper[l - 1], lower[k - 1], lower[l - 1])
+        ]
 
 
 def edges_from(a: Asm) -> list[Edge]:
     """All edges of the ASM graph leaving a, sorted by rectangle."""
     return [
-        Edge(a, _trusted_asm(target), r, t) for r, target, t in _up_moves(a.entries)
+        Edge(a, _trusted_asm(target), Rect(*bounds), t)
+        for bounds, target, t in _up_moves(a.entries)
     ]
 
 
@@ -453,7 +470,7 @@ def fulton_essential_set(w: Permutation) -> set[tuple[int, int]]:
 def covered_by(a: Asm) -> list[Asm]:
     """Elements covered by a, one per essential point, in lex point order."""
     return [
-        _trusted_asm(_shift_corners(a.entries, Rect(i, i + 1, j, j + 1), 1))
+        _trusted_asm(_shift_corners(a.entries, (i, i + 1, j, j + 1), 1))
         for (i, j) in sorted(essential_points(a))
     ]
 
@@ -490,7 +507,7 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
         i, j = point
         c[i][j] += 1
         rect = Rect(i, i + 1, j, j + 1)
-        entries = _shift_corners(entries, rect, 1)
+        entries = _shift_corners(entries, rect.bounds, 1)
         steps.append((_trusted_asm(entries), rect))
     return steps[::-1]
 
@@ -519,34 +536,78 @@ class GraphEdge(NamedTuple):
     edge_type: int
 
 
+#: The largest n whose four rectangle bounds, n.bit_length() bits each,
+#: pack into one unsigned 64-bit entry of :attr:`AsmGraph.rects`.
+PACKED_SIZE_LIMIT = 2**16 - 1
+
+
+def _typecode(largest: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds 0..largest."""
+    for code in "BHILQ":
+        if largest < 1 << 8 * array(code).itemsize:
+            return code
+    raise OverflowError(f"{largest} does not fit in 64 bits")
+
+
+def _pack(bounds: Bounds, shift: int) -> int:
+    i, j, k, l = bounds
+    return ((i << shift | j) << shift | k) << shift | l
+
+
+def _columns(n: int, size: int) -> tuple[array, array, array, array]:
+    """Empty offsets (holding its leading 0), dst, types and rects columns
+    for a graph on `size` ASMs of size n."""
+    return (
+        array("Q", [0]),
+        array(_typecode(size)),
+        array("B"),
+        array(_typecode((1 << 4 * n.bit_length()) - 1)),
+    )
+
+
 @dataclass(frozen=True)
 class AsmGraph:
-    """The ASM graph on all n x n ASMs.
+    """The ASM graph on all n x n ASMs, its edges stored as CSR columns.
 
-    Nodes are in canonical enumeration order; edge endpoints are node
-    indices into that list, and edges are grouped by source in node
-    order.  The node index and the per-source edge offsets behind
-    :meth:`index_of` and :meth:`successors` are built on first use.
+    Nodes are in canonical enumeration order, and edges are grouped by
+    source in node order.  The edges leaving node s are the positions
+    offsets[s] to offsets[s + 1] of three ``array`` columns: dst, the
+    target's node index; types, the edge type 1..16; and rects, the
+    rectangle's bounds (i, j, k, l) packed into one int of
+    n.bit_length() bits per bound (:meth:`bounds` unpacks them).  Each
+    column takes the narrowest unsigned typecode that holds its values,
+    so at n = 7 an edge costs 7 bytes.  :attr:`edges` reads the columns
+    as :class:`GraphEdge` values on access.
     """
 
     n: int
     nodes: tuple[Asm, ...]
-    edges: tuple[GraphEdge, ...]
+    offsets: array
+    dst: array
+    types: array
+    rects: array
+
+    @classmethod
+    def from_edges(cls, n: int, nodes: Sequence[Asm], edges: Iterable[GraphEdge]) -> AsmGraph:
+        """Pack GraphEdges, which must be grouped by source in node order."""
+        offsets, dst, types, rects = _columns(n, len(nodes))
+        shift = n.bit_length()
+        for e in edges:
+            # offsets holds one entry per node before the current source.
+            if not len(offsets) - 1 <= e.src < len(nodes):
+                raise ValueError("edges are not grouped by source in node order")
+            while len(offsets) <= e.src:
+                offsets.append(len(dst))
+            dst.append(e.dst)
+            types.append(e.edge_type)
+            rects.append(_pack(e.rect.bounds, shift))
+        while len(offsets) <= len(nodes):
+            offsets.append(len(dst))
+        return cls(n, tuple(nodes), offsets, dst, types, rects)
 
     @cached_property
     def _index(self) -> dict[Asm, int]:
         return {a: i for i, a in enumerate(self.nodes)}
-
-    @cached_property
-    def _offsets(self) -> list[int]:
-        """Edges leaving node i are edges[offsets[i]:offsets[i + 1]]."""
-        srcs = [e.src for e in self.edges]
-        if any(a > b for a, b in zip(srcs, srcs[1:])):
-            raise ValueError("edges are not grouped by source in node order")
-        counts = [0] * (len(self.nodes) + 1)
-        for src in srcs:
-            counts[src + 1] += 1
-        return list(accumulate(counts))
 
     def index_of(self, a: Asm) -> int:
         try:
@@ -557,27 +618,83 @@ class AsmGraph:
     def successors(self, idx: int) -> list[int]:
         if idx not in range(len(self.nodes)):
             raise IndexError(f"node index {idx} out of range")
-        lo, hi = self._offsets[idx], self._offsets[idx + 1]
-        return [e.dst for e in self.edges[lo:hi]]
+        return list(self.dst[self.offsets[idx] : self.offsets[idx + 1]])
+
+    def bounds(self, code: int) -> Bounds:
+        """The rectangle bounds (i, j, k, l) packed in an entry of rects."""
+        shift = self.n.bit_length()
+        mask = (1 << shift) - 1
+        return (code >> 3 * shift, code >> 2 * shift & mask, code >> shift & mask, code & mask)
+
+    @property
+    def edges(self) -> Sequence[GraphEdge]:
+        return _EdgeView(self)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.dst)
+
+
+class _EdgeView(Sequence):
+    """The edges of an :class:`AsmGraph` as :class:`GraphEdge` values,
+    made from its columns on access.  Slices are tuples, and the view
+    equals a tuple of equal GraphEdges."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: AsmGraph):
+        self._graph = graph
+
+    def _edge(self, src: int, p: int) -> GraphEdge:
+        g = self._graph
+        return GraphEdge(src, g.dst[p], Rect(*g.bounds(g.rects[p])), g.types[p])
+
+    def __len__(self) -> int:
+        return len(self._graph.dst)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self[p] for p in range(*key.indices(len(self))))
+        p = range(len(self))[key]
+        return self._edge(bisect_right(self._graph.offsets, p) - 1, p)
+
+    def __iter__(self) -> Iterator[GraphEdge]:
+        offsets = self._graph.offsets
+        for src in range(len(offsets) - 1):
+            for p in range(offsets[src], offsets[src + 1]):
+                yield self._edge(src, p)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_EdgeView, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
     """Build the complete ASM graph for size n.
 
     Each target is looked up in the index of all n x n ASMs, so a wrong
-    target fails with a KeyError instead of entering the graph.
+    target fails with a KeyError instead of entering the graph.  The
+    edges go straight into the columns; no Rect or GraphEdge is made.
+    Beyond PACKED_SIZE_LIMIT, a SizeLimitExceededError says so before
+    any ASM is enumerated.
     """
+    _check_limit(n, size_limit)
+    if n > PACKED_SIZE_LIMIT:
+        raise SizeLimitExceededError(
+            n, PACKED_SIZE_LIMIT, "rectangle bounds are packed into 64 bits", guard="packing limit"
+        )
     nodes = tuple(enumerate_asms(n, size_limit=size_limit))
     index = {a.entries: i for i, a in enumerate(nodes)}
-    edges = []
-    for i, a in enumerate(nodes):
-        for r, target, t in _up_moves(a.entries):
-            edges.append(GraphEdge(i, index[target], r, t))
-    return AsmGraph(n, nodes, tuple(edges))
+    offsets, dst, types, rects = _columns(n, len(nodes))
+    shift = n.bit_length()
+    for a in nodes:
+        for bounds, target, t in _up_moves(a.entries):
+            dst.append(index[target])
+            types.append(t)
+            rects.append(_pack(bounds, shift))
+        offsets.append(len(dst))
+    return AsmGraph(n, nodes, offsets, dst, types, rects)
 
 
 #: Fixed palette for the sixteen edge types in DOT output.
@@ -603,8 +720,12 @@ def export_dot(g: AsmGraph, *, name: str = "asm_graph") -> str:
         lines.append(f"  {{ rank=same; {members} }}")
     for i, b in enumerate(betas):
         lines.append(f'  n{i} [label="{i}:{b}"];')
-    for e in g.edges:
-        color = EDGE_TYPE_COLORS[e.edge_type - 1]
-        lines.append(f'  n{e.src} -> n{e.dst} [label="{e.edge_type}", color="{color}"];')
+    offsets, dst, types = g.offsets, g.dst, g.types
+    for src in range(len(g.nodes)):
+        lo, hi = offsets[src], offsets[src + 1]
+        lines.extend(
+            f'  n{src} -> n{d} [label="{t}", color="{EDGE_TYPE_COLORS[t - 1]}"];'
+            for d, t in zip(dst[lo:hi], types[lo:hi])
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -496,7 +496,7 @@ def verify_certificate(
             )
         if s.source.entries != entries:
             raise VerificationFailureError("step does not continue the chain", step=t)
-        entries = _shift_corners(entries, r, -1)
+        entries = _shift_corners(entries, r.bounds, -1)
     if entries != cert.target.entries:
         raise VerificationFailureError(f"the {len(cert.steps)} steps do not end at the target")
     rng = random.Random(seed)
@@ -579,7 +579,7 @@ def certificate_from_json_dict(d: Mapping) -> SflCertificate:
             step = EdgeFactorization(lower, Rect(i, j, k, l))
             if _step_to_json(step) != s:
                 raise ValueError("it is not the step its chain rebuilds")
-            lower = Asm(_shift_corners(lower.entries, step.rect, -1))
+            lower = Asm(_shift_corners(lower.entries, step.rect.bounds, -1))
         except (LookupError, TypeError, ValueError) as exc:
             raise VerificationFailureError(f"step {t} does not replay: {exc}", step=t) from exc
         steps.append(step)

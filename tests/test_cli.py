@@ -4,6 +4,7 @@ Everything here drives ``main(argv)`` in-process for speed; one
 subprocess test at the end checks the ``python -m`` entry point.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,8 +12,15 @@ import sys
 import pytest
 
 from asmgraph.cli import main
-from asmgraph.core import format_asm_text, parse_asm_text, parse_permutation, permutation_to_asm
-from asmgraph.enumeration import enumerate_asms
+from asmgraph.core import (
+    asm_to_json_dict,
+    format_asm_text,
+    parse_asm_text,
+    parse_permutation,
+    permutation_to_asm,
+)
+from asmgraph.enumeration import enumerate_asms, iter_asms
+from asmgraph.lattice import build_graph
 from asmgraph.symbolic import certificate_from_json, verify_certificate
 from asmgraph.verify import check_dodgson
 
@@ -48,6 +56,13 @@ class TestEnumerate:
         assert len(docs) == 7
         assert all(doc["n"] == 3 and "entries" in doc for doc in docs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_json_is_the_dumped_list(self, capsys, n):
+        """The streamed list is byte for byte json.dumps of the dicts."""
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--json")
+        assert code == 0
+        assert out == json.dumps([asm_to_json_dict(a) for a in iter_asms(n)]) + "\n"
+
 
 class TestGraph:
     def test_dot_file(self, capsys, tmp_path):
@@ -71,6 +86,42 @@ class TestGraph:
         assert len(doc["nodes"]) == 7
         assert len(doc["edges"]) == 13
         assert all(1 <= e["type"] <= 16 for e in doc["edges"])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_json_is_the_dumped_payload(self, capsys, n):
+        """The streamed document is byte for byte json.dumps of the dict
+        payload built from the edge view, plus print's newline."""
+        g = build_graph(n)
+        payload = {
+            "n": g.n,
+            "nodes": [asm_to_json_dict(a) for a in g.nodes],
+            "edges": [
+                {
+                    "src": e.src,
+                    "dst": e.dst,
+                    "type": e.edge_type,
+                    "rect": [e.rect.i, e.rect.j, e.rect.k, e.rect.l],
+                }
+                for e in g.edges
+            ],
+        }
+        code, out, _ = run(capsys, "graph", "--n", str(n), "--json")
+        assert code == 0
+        assert out == json.dumps(payload) + "\n"
+
+    def test_json_a6_digest(self, capsys):
+        code, out, _ = run(capsys, "graph", "--n", "6", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "29eb28d536206cd4376ffcd929a4b6814341fff135e711280a560b3b6f4cc2fd"
+        )
+
+    def test_dot_a4_digest(self, capsys):
+        code, out, _ = run(capsys, "graph", "--n", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b72f157d34166c6233d81652bf3d1c02f3f6cc37e4ed34d7666342c399ca936b"
+        )
 
     def test_json_and_dot_exclude_each_other(self, capsys, tmp_path):
         target = tmp_path / "a2.dot"
@@ -399,6 +450,15 @@ class TestUsageAndGuards:
         code, _, err = run(capsys, "beta", "not-a-thing")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("spec", ["1,x", "1,,2", "x,1"])
+    def test_bad_comma_list_names_the_text(self, capsys, spec):
+        code, out, err = run(capsys, "beta", spec)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {spec!r} is neither a readable file nor a permutation: "
+            f"cannot parse permutation from {spec!r}\n"
+        )
 
     def test_negative_trials_is_a_usage_error(self, capsys):
         code, out, err = run(

@@ -393,6 +393,11 @@ class TestFormats:
         assert parse_permutation(format_permutation(w)) == w
         assert parse_permutation("4,3,1,2") == w
 
+    @pytest.mark.parametrize("text", ["1,x", "1,,2", "x,1", "4x12", ""])
+    def test_unparsable_permutation_is_an_asm_error(self, text):
+        with pytest.raises(AsmError, match="cannot parse permutation"):
+            parse_permutation(text)
+
     @pytest.mark.parametrize(
         "doc", [{"n": 2, "entries": 5}, {"n": 1, "entries": [1]}, {"n": 0}, [[1]]]
     )

@@ -21,6 +21,7 @@ implementation under test:
 """
 
 import tracemalloc
+from array import array
 from functools import lru_cache
 from math import comb
 
@@ -33,6 +34,7 @@ from asmgraph import (
     IncomparableError,
     NotAnEdgeError,
     Rect,
+    SizeLimitExceededError,
     apply_rect,
     asm_leq,
     beta,
@@ -67,11 +69,13 @@ from asmgraph import (
 from asmgraph.core import Permutation, corner_sum, is_corner_sum
 from asmgraph.lattice import (
     EDGE_TYPE_TABLE,
+    PACKED_SIZE_LIMIT,
     AsmGraph,
     Edge,
     GraphEdge,
     SizeMismatchError,
     _bigrassmannian_asms,
+    _typecode,
 )
 from asmgraph.verify import A5_TYPE_CENSUS
 
@@ -144,7 +148,7 @@ def _scan_graph(n):
         for i, a in enumerate(nodes)
         for e in _scan_edges_from(a)
     ]
-    return AsmGraph(n, nodes, tuple(edges))
+    return AsmGraph.from_edges(n, nodes, edges)
 
 
 @lru_cache(maxsize=None)
@@ -704,10 +708,46 @@ class TestGraphStructure:
             build_graph(3).index_of(identity_asm(4))
 
     def test_successors_need_edges_grouped_by_source(self):
+        """The CSR offsets behind successors exist only for grouped edges,
+        so packing ungrouped ones fails."""
         g = build_graph(3)
-        shuffled = AsmGraph(g.n, g.nodes, g.edges[::-1])
         with pytest.raises(ValueError):
-            shuffled.successors(0)
+            AsmGraph.from_edges(g.n, g.nodes, g.edges[::-1])
+
+    def test_edge_view_reads_the_columns(self):
+        g = build_graph(4)
+        edges = tuple(g.edges)
+        assert len(g.edges) == len(edges) == g.num_edges == 174
+        assert g.edges == edges and edges == g.edges
+        assert g.edges != edges[:-1] and g.edges != list(edges)
+        assert g.edges != edges[:-1] + (edges[0],)
+        assert [g.edges[p] for p in range(len(edges))] == list(edges)
+        assert g.edges[-1] == edges[-1] and g.edges[-174] == edges[0]
+        assert g.edges[5:40:3] == edges[5:40:3] and g.edges[::-1] == edges[::-1]
+        for p in (174, -175):
+            with pytest.raises(IndexError):
+                g.edges[p]
+        assert AsmGraph.from_edges(g.n, g.nodes, edges) == g
+        assert [e.src for e in edges] == sorted(e.src for e in edges)
+
+    def test_packed_rectangles_are_exact_up_to_the_packing_limit(self):
+        n = PACKED_SIZE_LIMIT
+        rect = Rect(n - 1, n, 1, n)
+        g = AsmGraph.from_edges(n, (identity_asm(1),), [GraphEdge(0, 0, rect, 16)])
+        assert g.rects.itemsize == 8
+        assert list(g.edges) == [GraphEdge(0, 0, rect, 16)]
+        with pytest.raises(SizeLimitExceededError) as exc:
+            build_graph(n + 1, size_limit=None)
+        assert (exc.value.n, exc.value.limit) == (n + 1, n)
+
+    def test_columns_take_the_narrowest_type_that_holds_them(self):
+        assert [_typecode(v) for v in (0, 255, 256, 2**16 - 1, 2**16)] == list("BBHHI")
+        assert array(_typecode(2**64 - 1)).itemsize == 8
+        with pytest.raises(OverflowError):
+            _typecode(2**64)
+        g = build_graph(5)
+        assert (g.offsets.typecode, g.dst.typecode, g.types.typecode) == ("Q", "H", "B")
+        assert g.rects.typecode == "H"  # 3 bits a bound at n = 5
 
     def test_dot_export(self):
         g = build_graph(2)
