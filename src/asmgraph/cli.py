@@ -17,6 +17,12 @@ Matrix arguments accept a file path (text or JSON format) or a
 permutation literal such as ``4312``.  Exit codes: 0 success (and the
 order holds where one is queried), 2 usage error, 3 the relation fails
 or the pair is incomparable, 1 anything else that goes wrong.
+
+Each handler returns ``(exit code, JSON document, text)`` and leaves
+printing to :func:`main`, which prints ``json.dumps(document)`` under
+``--json`` and the text otherwise.  The streaming writers (``enumerate``
+and ``graph``) write their own output and return None in place of
+what they wrote.  An error exit reports on stderr through ``_fail``.
 """
 
 from __future__ import annotations
@@ -126,23 +132,32 @@ def _size_kw(args: argparse.Namespace) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+#: A handler's (exit code, JSON document, text); see the module docstring.
+Outcome = tuple[int, object, str | None]
+
+
+def _fail(code: int, message: str) -> Outcome:
+    """Report an error on stderr and exit with code, printing nothing else."""
+    print(f"error: {message}", file=sys.stderr)
+    return code, None, None
+
+
+def cmd_enumerate(args: argparse.Namespace) -> Outcome:
     kw = _size_kw(args)
     if args.count_only:
-        print(count_asms(args.n, **kw))
-        return 0
+        count = count_asms(args.n, **kw)
+        return 0, count, str(count)
+    asms = iter_asms(args.n, **kw)  # the size guard fires here, before any output
     if args.json:
-        asms = iter_asms(args.n, **kw)  # the size guard fires here, before any output
         sys.stdout.write("[")
         _write_items(_asm_texts(asms))
         sys.stdout.write("]\n")
-        return 0
-    for a in iter_asms(args.n, **kw):
-        sys.stdout.write(format_asm_text(a) + "\n")
-    return 0
+    else:
+        sys.stdout.writelines(format_asm_text(a) + "\n" for a in asms)
+    return 0, None, None
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
+def cmd_graph(args: argparse.Namespace) -> Outcome:
     g = build_graph(args.n, **_size_kw(args))
     if args.json:
         sys.stdout.write(f'{{"n": {g.n}, "nodes": [')
@@ -150,115 +165,80 @@ def cmd_graph(args: argparse.Namespace) -> int:
         sys.stdout.write('], "edges": [')
         _write_items(_edge_chunks(g))
         sys.stdout.write("]}\n")
-        return 0
+        return 0, None, None
     dot = export_dot(g)
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
-        print(f"{len(g.nodes)} nodes, {g.num_edges} edges -> {args.dot}")
-    else:
-        sys.stdout.write(dot)
-    return 0
+        return 0, None, f"{len(g.nodes)} nodes, {g.num_edges} edges -> {args.dot}"
+    sys.stdout.write(dot)
+    return 0, None, None
 
 
-def cmd_leq(args: argparse.Namespace) -> int:
+def cmd_leq(args: argparse.Namespace) -> Outcome:
     holds = asm_leq(_load_asm(args.a), _load_asm(args.b))
-    if args.json:
-        print(json.dumps({"leq": holds}))
-    else:
-        print("true" if holds else "false")
-    return 0 if holds else 3
+    return (0 if holds else 3), {"leq": holds}, ("true" if holds else "false")
 
 
-def cmd_beta(args: argparse.Namespace) -> int:
+def cmd_beta(args: argparse.Namespace) -> Outcome:
     a = _load_asm(args.matrix)
     value = beta_checked(a)
-    if args.json:
-        print(json.dumps({"n": a.n, "beta": value}))
-    else:
-        print(value)
-    return 0
+    return 0, {"n": a.n, "beta": value}, str(value)
 
 
-def cmd_chain(args: argparse.Namespace) -> int:
+def cmd_chain(args: argparse.Namespace) -> Outcome:
     a, b = _load_asm(args.a), _load_asm(args.b)
     try:
         chain = covering_chain(a, b)
     except IncomparableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if args.json:
-        print(
-            json.dumps(
-                {"length": len(chain), "chain": [asm_to_json_dict(x) for x in chain]}
-            )
-        )
-    else:
-        for x in chain:
-            sys.stdout.write(format_asm_text(x) + "\n")
-    return 0
+        return _fail(3, str(exc))
+    doc = {"length": len(chain), "chain": [asm_to_json_dict(x) for x in chain]}
+    return 0, doc, "\n".join(map(format_asm_text, chain))
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
+def cmd_certify(args: argparse.Namespace) -> Outcome:
     a, b = _load_asm(args.a), _load_asm(args.b)
     try:
         cert = sfl_certificate(a, b)
     except IncomparableError:
         matrix, witness = counterexample_matrix(a, b)
         value = evaluate_difference(a, b, matrix)
-        if args.json:
-            payload = {
-                "result": "counterexample",
-                "matrix": [[str(v) for v in row] for row in matrix.rows],
-                "witness": list(witness),
-                "value": str(value),
-            }
-            print(json.dumps(payload))
-        else:
-            print("COUNTEREXAMPLE")
-            print(matrix)
-            print(f"witness cell: {witness}")
-            print(f"difference value: {value}")
-        return 3
+        doc = {
+            "result": "counterexample",
+            "matrix": [[str(v) for v in row] for row in matrix.rows],
+            "witness": list(witness),
+            "value": str(value),
+        }
+        lines = ["COUNTEREXAMPLE", str(matrix), f"witness cell: {witness}"]
+        return 3, doc, "\n".join(lines + [f"difference value: {value}"])
     verify_certificate(cert, seed=args.seed)
     doc = certificate_to_json_dict(cert)
+    lines = ["CERTIFICATE", f"beta: {cert.beta_pair[0]} -> {cert.beta_pair[1]}", str(cert)]
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print("CERTIFICATE")
-        print(f"beta: {cert.beta_pair[0]} -> {cert.beta_pair[1]}")
-        print(cert)
-        if args.out:
-            print(f"json -> {args.out}")
-    return 0
+        lines.append(f"json -> {args.out}")
+    return 0, doc, "\n".join(lines)
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> Outcome:
     a, b = _load_asm(args.a), _load_asm(args.b)
     report = qtnn_scan(a, b, q_grid=args.grid, samples=args.samples, seed=args.seed)
-    if args.json:
-        payload = {
-            "comparable": report.comparable,
-            "violations": report.has_violations,
-            "points": [
-                {
-                    "q0": str(p.q0),
-                    "samples": p.samples,
-                    "violations": len(p.violations),
-                }
-                for p in report.results
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        for p in report.results:
-            print(f"q0={p.q0}: samples={p.samples} violations={len(p.violations)}")
-        print(f"comparable: {'true' if report.comparable else 'false'}")
-    return 0 if report.comparable else 3
+    doc = {
+        "comparable": report.comparable,
+        "violations": report.has_violations,
+        "points": [
+            {"q0": str(p.q0), "samples": p.samples, "violations": len(p.violations)}
+            for p in report.results
+        ],
+    }
+    lines = [
+        f"q0={p.q0}: samples={p.samples} violations={len(p.violations)}"
+        for p in report.results
+    ]
+    lines.append(f"comparable: {'true' if report.comparable else 'false'}")
+    return (0 if report.comparable else 3), doc, "\n".join(lines)
 
 
-def cmd_bq(args: argparse.Namespace) -> int:
+def cmd_bq(args: argparse.Namespace) -> Outcome:
     names = list(BQ_METHODS) if args.method == "all" else [args.method]
     kw = _size_kw(args)
     # Only the definition and the q-determinant have a size guard.
@@ -267,24 +247,17 @@ def cmd_bq(args: argparse.Namespace) -> int:
         for name in names
     }
     if len({str(p) for p in polys.values()}) != 1:
-        print("error: the methods disagree", file=sys.stderr)
-        return 1
-    if args.json:
-        poly = polys[names[0]]
-        coeffs = {str(k): v for k, v in sorted(poly.coeffs_q().items())}
-        print(json.dumps({"n": args.n, "coeffs": coeffs}))
-    elif args.method == "all":
-        for name in names:
-            print(f"{name}: {polys[name]}")
-    else:
-        print(polys[args.method])
-    return 0
+        return _fail(1, "the methods disagree")
+    poly = polys[names[0]]
+    doc = {"n": args.n, "coeffs": {str(k): v for k, v in sorted(poly.coeffs_q().items())}}
+    if args.method != "all":
+        return 0, doc, str(poly)
+    return 0, doc, "\n".join(f"{name}: {polys[name]}" for name in names)
 
 
-def cmd_dodgson_verify(args: argparse.Namespace) -> int:
+def cmd_dodgson_verify(args: argparse.Namespace) -> Outcome:
     if args.n < 2:
-        print("error: condensation needs n >= 2", file=sys.stderr)
-        return 2
+        return _fail(2, "condensation needs n >= 2")
     rng = random.Random(args.seed)
     numeric_ok = skipped = q_ok = failures = 0
     for _ in range(args.trials):
@@ -300,50 +273,29 @@ def cmd_dodgson_verify(args: argparse.Namespace) -> int:
             q_ok += 1
         else:
             failures += 1
-    summary = {
-        "n": args.n,
-        "trials": args.trials,
-        "numeric_ok": numeric_ok,
-        "singular_skipped": skipped,
-        "q_ok": q_ok,
-        "failures": failures,
-    }
-    if args.json:
-        print(json.dumps(summary))
-    else:
-        print(" ".join(f"{k}={v}" for k, v in summary.items()))
-    return 0 if failures == 0 else 1
+    summary = dict(
+        n=args.n, trials=args.trials, numeric_ok=numeric_ok,
+        singular_skipped=skipped, q_ok=q_ok, failures=failures,
+    )
+    text = " ".join(f"{k}={v}" for k, v in summary.items())
+    return (0 if failures == 0 else 1), summary, text
 
 
-def cmd_verify_all(args: argparse.Namespace) -> int:
+def cmd_verify_all(args: argparse.Namespace) -> Outcome:
     names = None
     if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
         unknown = [s for s in names if s not in ALL_CHECKS]
         if unknown or not names:
-            known = ", ".join(ALL_CHECKS)
             what = f"unknown checks {unknown}" if unknown else f"--only {args.only!r} names no check"
-            print(f"error: {what}; choose from {known}", file=sys.stderr)
-            return 2
+            return _fail(2, f"{what}; choose from {', '.join(ALL_CHECKS)}")
     results = run_all(seed=args.seed, names=names)
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "details": r.details,
-                        "seconds": round(r.seconds, 3),
-                    }
-                    for r in results
-                ]
-            )
-        )
-    else:
-        for r in results:
-            print(r.line())
-    return 0 if all(r.passed for r in results) else 1
+    doc = [
+        {"name": r.name, "passed": r.passed, "details": r.details, "seconds": round(r.seconds, 3)}
+        for r in results
+    ]
+    code = 0 if all(r.passed for r in results) else 1
+    return code, doc, "\n".join(r.line() for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +460,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, doc, text = args.func(args)
     except (OSError, ValueError, ZeroDivisionError) as exc:
         message = str(exc)
         if isinstance(exc, SizeLimitExceededError) and "limit_override" in args:
             message = message.replace("size_limit=None", "--limit-override 0")
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+        code, doc, text = _fail(1, message)
+    if args.json:
+        text = None if doc is None else json.dumps(doc)
+    if text is not None:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import Asm, AsmError, asm_from_json_dict, asm_to_json_dict
+from .core import Asm, AsmError, _as_int, asm_from_json_dict, asm_to_json_dict
 from .lattice import (
     Edge,
     IncomparableError,
@@ -611,10 +611,11 @@ class HalfExpPoly:
     def __init__(self, terms: Mapping[int, int] | None = None):
         clean = {}
         for t, c in (terms or {}).items():
-            if int(t) != t or int(c) != c:
-                raise AsmError(f"need integer exponent/coefficient, got {t}: {c}")
-            if c != 0:
-                clean[int(t)] = int(c)
+            ti, ci = _as_int(t), _as_int(c)
+            if ti is None or ci is None:
+                raise AsmError(f"need integer exponent/coefficient, got {t!r}: {c!r}")
+            if ci:
+                clean[ti] = ci
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -645,13 +646,13 @@ class HalfExpPoly:
         out = dict(self.terms)
         for t, c in other.terms.items():
             out[t] = out.get(t, 0) + c
-        return HalfExpPoly(out)
+        return _trusted_poly(out)
 
     def __sub__(self, other: "HalfExpPoly") -> "HalfExpPoly":
         return self + (-other)
 
     def __neg__(self) -> "HalfExpPoly":
-        return HalfExpPoly({t: -c for t, c in self.terms.items()})
+        return _trusted_poly({t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other: "HalfExpPoly") -> "HalfExpPoly":
         out: dict[int, int] = {}
@@ -659,7 +660,7 @@ class HalfExpPoly:
             for t2, c2 in other.terms.items():
                 t = t1 + t2
                 out[t] = out.get(t, 0) + c1 * c2
-        return HalfExpPoly(out)
+        return _trusted_poly(out)
 
     def __pow__(self, k: int) -> "HalfExpPoly":
         if k < 0:
@@ -743,7 +744,7 @@ class HalfExpPoly:
                     rem[qt + t] = new
                 else:
                     rem.pop(qt + t, None)
-        return HalfExpPoly(quot)
+        return _trusted_poly(quot)
 
     # -- display ----------------------------------------------------------
     def __str__(self) -> str:
@@ -766,3 +767,11 @@ class HalfExpPoly:
 
     def __repr__(self) -> str:
         return f"HalfExpPoly({self.terms!r})"
+
+
+def _trusted_poly(terms: dict[int, int]) -> HalfExpPoly:
+    """A :class:`HalfExpPoly` without the term check, for the ring
+    operations whose terms are ints by construction; zeros are dropped."""
+    p = object.__new__(HalfExpPoly)
+    p.terms = {t: c for t, c in terms.items() if c}
+    return p

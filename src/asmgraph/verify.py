@@ -6,6 +6,12 @@ with frozen reference data that was computed by independent oracles
 order search).  The checks are deliberately redundant with the unit
 tests: they exercise the public API the way a user would, in one pass,
 and report timings.
+
+A check is one function decorated with ``@_check(key, display name)``:
+it takes the run's seed and returns its list of problems and the
+summary shown when that list is empty.  The decorator times it, turns
+the outcome into a :class:`CheckResult` and registers it in
+:data:`ALL_CHECKS`, so a new check needs nothing else.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable, Iterable
 
 from .core import (
@@ -119,99 +126,114 @@ class CheckResult:
         return f"{status} {self.name} ({self.seconds:.2f}s): {self.details}"
 
 
-def _run(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
-    start = time.perf_counter()
-    passed, details = fn()
-    return CheckResult(name, passed, details, time.perf_counter() - start)
+#: Every check by its ``--only`` key, in the order :func:`run_all` runs
+#: them; :func:`_check` fills it as the checks below are defined.
+ALL_CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 
 
-def _collect(problems: list[str], summary: str) -> tuple[bool, str]:
-    if problems:
-        shown = "; ".join(problems[:3])
-        more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
-        return False, shown + more
-    return True, summary
+def _check(key: str, name: str):
+    """Register a check as ``ALL_CHECKS[key]``, displayed as name.
+
+    The decorated function takes the run's seed (the deterministic
+    checks ignore it) and returns (problems, summary).  The registered
+    function times it and returns a CheckResult that passes with the
+    summary when there are no problems, and otherwise fails with the
+    first three.  A check that raises fails with ``"<ExcType>: <message>"``
+    and the checks after it still run.
+    """
+
+    def register(fn: Callable[[int], tuple[list[str], str]]) -> Callable[[int], CheckResult]:
+        @wraps(fn)
+        def run(seed: int = 0) -> CheckResult:
+            start = time.perf_counter()
+            try:
+                problems, summary = fn(seed)
+            except Exception as exc:
+                problems = [f"{type(exc).__name__}: {exc}"]
+            if problems:
+                more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
+                passed, details = False, "; ".join(problems[:3]) + more
+            else:
+                passed, details = True, summary
+            return CheckResult(name, passed, details, time.perf_counter() - start)
+
+        ALL_CHECKS[key] = run
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
 
-def check_a3_reconstruction() -> CheckResult:
+@_check("a3", "A3 reconstruction")
+def check_a3_reconstruction(seed: int = 0):
     """The seven 3x3 ASMs and their 13-edge graph, matched exactly."""
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        asms = enumerate_asms(3)
-        if {a.entries for a in asms} != set(A3_MATRICES.values()):
-            problems.append("3x3 enumeration differs from the reference set")
-        g = build_graph(3)
-        names = {entries: name for name, entries in A3_MATRICES.items()}
-        edges = {
-            (names[g.nodes[e.src].entries], names[g.nodes[e.dst].entries])
-            for e in g.edges
-        }
-        if edges != A3_EDGES:
-            problems.append(f"edge set mismatch: {sorted(edges ^ A3_EDGES)}")
-        out_min = [e for e in g.edges if g.nodes[e.src] == identity_asm(3)]
-        in_max = [e for e in g.edges if g.nodes[e.dst] == reverse_asm(3)]
-        if len(out_min) != 3 or len(in_max) != 3:
-            problems.append("extremes should have 3 outgoing/incoming edges")
-        long = [e for e in out_min if g.nodes[e.dst] == reverse_asm(3)]
-        if len(long) != 1 or long[0].rect.area != 4:
-            problems.append("missing the area-4 edge between the extremes")
-        return _collect(problems, "7 nodes, 13 edges, extremes of degree 3")
-
-    return _run("A3 reconstruction", body)
+    problems = []
+    asms = enumerate_asms(3)
+    if {a.entries for a in asms} != set(A3_MATRICES.values()):
+        problems.append("3x3 enumeration differs from the reference set")
+    g = build_graph(3)
+    names = {entries: name for name, entries in A3_MATRICES.items()}
+    edges = {
+        (names[g.nodes[e.src].entries], names[g.nodes[e.dst].entries])
+        for e in g.edges
+    }
+    if edges != A3_EDGES:
+        problems.append(f"edge set mismatch: {sorted(edges ^ A3_EDGES)}")
+    out_min = [e for e in g.edges if g.nodes[e.src] == identity_asm(3)]
+    in_max = [e for e in g.edges if g.nodes[e.dst] == reverse_asm(3)]
+    if len(out_min) != 3 or len(in_max) != 3:
+        problems.append("extremes should have 3 outgoing/incoming edges")
+    long = [e for e in out_min if g.nodes[e.dst] == reverse_asm(3)]
+    if len(long) != 1 or long[0].rect.area != 4:
+        problems.append("missing the area-4 edge between the extremes")
+    return problems, "7 nodes, 13 edges, extremes of degree 3"
 
 
-def check_beta_table() -> CheckResult:
+@_check("beta", "beta table S4")
+def check_beta_table(seed: int = 0):
     """sign and beta over S_4, all three beta evaluators agreeing."""
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        for word, (expect_sign, expect_beta) in S4_SIGN_BETA.items():
-            w = Permutation(tuple(int(c) for c in word))
-            a = permutation_to_asm(w)
-            values = {
-                "sign": sign(w) == expect_sign,
-                "perm": beta_permutation(w) == expect_beta,
-                "corner": _beta_corner_sum(a) == expect_beta,
-                "entry": beta(a) == expect_beta,
-                "count": beta_bigrassmannian_count(a) == expect_beta,
-            }
-            bad = [k for k, ok in values.items() if not ok]
-            if bad:
-                problems.append(f"{word}: {','.join(bad)} disagree")
-        return _collect(problems, "24 permutations, 3 evaluators, all equal")
-
-    return _run("beta table S4", body)
+    problems = []
+    for word, (expect_sign, expect_beta) in S4_SIGN_BETA.items():
+        w = Permutation(tuple(int(c) for c in word))
+        a = permutation_to_asm(w)
+        values = {
+            "sign": sign(w) == expect_sign,
+            "perm": beta_permutation(w) == expect_beta,
+            "corner": _beta_corner_sum(a) == expect_beta,
+            "entry": beta(a) == expect_beta,
+            "count": beta_bigrassmannian_count(a) == expect_beta,
+        }
+        bad = [k for k, ok in values.items() if not ok]
+        if bad:
+            problems.append(f"{word}: {','.join(bad)} disagree")
+    return problems, "24 permutations, 3 evaluators, all equal"
 
 
-def check_bq_four_ways() -> CheckResult:
+@_check("bq", "Bq four ways")
+def check_bq_four_ways(seed: int = 0):
     """B_n by definition, product, q-determinant, and recursion, n <= 6."""
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        for n in range(1, 7):
-            reference = bq_definition(n)
-            for label, value in (
-                ("prod", bq_product(n)),
-                ("qdet", bq_qdet(n)),
-                ("rec", bq_recursion(n)),
-            ):
-                if value != reference:
-                    problems.append(f"n={n}: {label} differs from definition")
-        if bq_definition(3).coeffs_q() != _B3_COEFFS:
-            problems.append("B_3 coefficients differ from the frozen reference")
-        if bq_definition(4).coeffs_q() != _B4_COEFFS:
-            problems.append("B_4 coefficients differ from the frozen reference")
-        return _collect(problems, "n=1..6 agree; B_3, B_4 coefficient-exact")
-
-    return _run("Bq four ways", body)
+    problems = []
+    for n in range(1, 7):
+        reference = bq_definition(n)
+        for label, value in (
+            ("prod", bq_product(n)),
+            ("qdet", bq_qdet(n)),
+            ("rec", bq_recursion(n)),
+        ):
+            if value != reference:
+                problems.append(f"n={n}: {label} differs from definition")
+    if bq_definition(3).coeffs_q() != _B3_COEFFS:
+        problems.append("B_3 coefficients differ from the frozen reference")
+    if bq_definition(4).coeffs_q() != _B4_COEFFS:
+        problems.append("B_4 coefficients differ from the frozen reference")
+    return problems, "n=1..6 agree; B_3, B_4 coefficient-exact"
 
 
-def check_order_oracle(seed: int = 0) -> CheckResult:
+@_check("order", "order oracle A4")
+def check_order_oracle(seed: int = 0):
     """leq, certificates, and counterexamples agree on all of A_4 x A_4.
 
     For each comparable pair the certificate is verified and evaluated
@@ -219,159 +241,143 @@ def check_order_oracle(seed: int = 0) -> CheckResult:
     monomial difference and be nonnegative; for each incomparable pair
     the 2-block counterexample must be TNN and evaluate negative.
     """
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        asms = enumerate_asms(4)
-        comparable_pairs = 0
-        incomparable_pairs = 0
-        for pi, a in enumerate(asms):
-            for pj, b in enumerate(asms):
-                comparable = asm_leq(a, b)
-                try:
-                    cert = sfl_certificate(a, b)
-                except IncomparableError:
-                    cert = None
-                try:
-                    cm, _witness = counterexample_matrix(a, b)
-                except ComparableError:
-                    cm = None
-                if (cert is not None) != comparable or (cm is None) != comparable:
-                    problems.append(f"pair ({pi},{pj}): the three oracles disagree")
-                    continue
-                if comparable:
-                    comparable_pairs += 1
-                    verify_certificate(cert, samples=1, seed=seed + pi)
-                    for k in range(5):
-                        m = random_tnn(4, seed=seed + pi * 1303 + pj * 31 + k)
-                        value = evaluate_certificate(cert, m.rows)
-                        direct = evaluate_difference(a, b, m)
-                        if value != direct or value < 0:
-                            problems.append(
-                                f"pair ({pi},{pj}) sample {k}: value {value}"
-                            )
-                else:
-                    incomparable_pairs += 1
-                    if not is_tnn(cm):
-                        problems.append(f"pair ({pi},{pj}): counterexample not TNN")
-                    elif evaluate_difference(a, b, cm) >= 0:
-                        problems.append(f"pair ({pi},{pj}): difference not negative")
-        return _collect(
-            problems,
-            f"{comparable_pairs} comparable and {incomparable_pairs} "
-            "incomparable pairs, all certified or separated",
-        )
-
-    return _run("order oracle A4", body)
+    problems = []
+    asms = enumerate_asms(4)
+    comparable_pairs = 0
+    incomparable_pairs = 0
+    for pi, a in enumerate(asms):
+        for pj, b in enumerate(asms):
+            comparable = asm_leq(a, b)
+            try:
+                cert = sfl_certificate(a, b)
+            except IncomparableError:
+                cert = None
+            try:
+                cm, _witness = counterexample_matrix(a, b)
+            except ComparableError:
+                cm = None
+            if (cert is not None) != comparable or (cm is None) != comparable:
+                problems.append(f"pair ({pi},{pj}): the three oracles disagree")
+                continue
+            if comparable:
+                comparable_pairs += 1
+                verify_certificate(cert, samples=1, seed=seed + pi)
+                for k in range(5):
+                    m = random_tnn(4, seed=seed + pi * 1303 + pj * 31 + k)
+                    value = evaluate_certificate(cert, m.rows)
+                    direct = evaluate_difference(a, b, m)
+                    if value != direct or value < 0:
+                        problems.append(f"pair ({pi},{pj}) sample {k}: value {value}")
+            else:
+                incomparable_pairs += 1
+                if not is_tnn(cm):
+                    problems.append(f"pair ({pi},{pj}): counterexample not TNN")
+                elif evaluate_difference(a, b, cm) >= 0:
+                    problems.append(f"pair ({pi},{pj}): difference not negative")
+    return problems, (
+        f"{comparable_pairs} comparable and {incomparable_pairs} "
+        "incomparable pairs, all certified or separated"
+    )
 
 
-def check_graded_lattice() -> CheckResult:
+@_check("lattice", "graded lattice A4/A5")
+def check_graded_lattice(seed: int = 0):
     """Coverings, beta grading, and edge typing on A_4; type census on A_5."""
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        asms = enumerate_asms(4)
-        m = len(asms)
-        strict = [
-            [asm_leq(asms[i], asms[j]) and i != j for j in range(m)]
-            for i in range(m)
-        ]
-        covers_by_order = set()
-        for i in range(m):
-            for j in range(m):
-                if not strict[i][j]:
-                    continue
-                if not any(strict[i][k] and strict[k][j] for k in range(m)):
-                    covers_by_order.add((i, j))
-        index = {a: i for i, a in enumerate(asms)}
-        covers_by_points = {
-            (index[lower], j)
-            for j, upper in enumerate(asms)
-            for lower in covered_by(upper)
-        }
-        if covers_by_order != covers_by_points:
-            problems.append("covering relations differ from essential points")
-        for i, j in covers_by_order:
-            if beta(asms[j]) - beta(asms[i]) != 1:
-                problems.append(f"cover ({i},{j}) does not step beta by 1")
-        g = build_graph(4)
-        for e in g.edges:
-            src, dst = g.nodes[e.src], g.nodes[e.dst]
-            if beta(dst) - beta(src) != e.rect.area:
-                problems.append(f"edge {e}: beta jump is not the area")
-            corners = tuple(
-                src.entry(p, q) - dst.entry(p, q) for (p, q) in e.rect.corners()
-            )
-            if corners != (1, -1, -1, 1):
-                problems.append(f"edge {e}: corner difference {corners}")
-            if classify_edge(src, dst, e.rect) != e.edge_type:
-                problems.append(f"edge {e}: reclassification disagrees")
-        census: dict[int, int] = {}
-        for a in enumerate_asms(5):
-            for e in edges_from(a):
-                census[e.edge_type] = census.get(e.edge_type, 0) + 1
-        if census != A5_TYPE_CENSUS:
-            problems.append(f"A5 type census differs: {census}")
-        present = sorted(census)
-        absent = sorted(set(range(1, 17)) - set(census))
-        return _collect(
-            problems,
-            f"84 covers match essential points; {g.num_edges} A4 edges typed; "
-            f"A5 types present {present}, absent {absent}",
+    problems = []
+    asms = enumerate_asms(4)
+    m = len(asms)
+    strict = [
+        [asm_leq(asms[i], asms[j]) and i != j for j in range(m)]
+        for i in range(m)
+    ]
+    covers_by_order = set()
+    for i in range(m):
+        for j in range(m):
+            if not strict[i][j]:
+                continue
+            if not any(strict[i][k] and strict[k][j] for k in range(m)):
+                covers_by_order.add((i, j))
+    index = {a: i for i, a in enumerate(asms)}
+    covers_by_points = {
+        (index[lower], j)
+        for j, upper in enumerate(asms)
+        for lower in covered_by(upper)
+    }
+    if covers_by_order != covers_by_points:
+        problems.append("covering relations differ from essential points")
+    for i, j in covers_by_order:
+        if beta(asms[j]) - beta(asms[i]) != 1:
+            problems.append(f"cover ({i},{j}) does not step beta by 1")
+    g = build_graph(4)
+    for e in g.edges:
+        src, dst = g.nodes[e.src], g.nodes[e.dst]
+        if beta(dst) - beta(src) != e.rect.area:
+            problems.append(f"edge {e}: beta jump is not the area")
+        corners = tuple(
+            src.entry(p, q) - dst.entry(p, q) for (p, q) in e.rect.corners()
         )
+        if corners != (1, -1, -1, 1):
+            problems.append(f"edge {e}: corner difference {corners}")
+        if classify_edge(src, dst, e.rect) != e.edge_type:
+            problems.append(f"edge {e}: reclassification disagrees")
+    census: dict[int, int] = {}
+    for a in enumerate_asms(5):
+        for e in edges_from(a):
+            census[e.edge_type] = census.get(e.edge_type, 0) + 1
+    if census != A5_TYPE_CENSUS:
+        problems.append(f"A5 type census differs: {census}")
+    present = sorted(census)
+    absent = sorted(set(range(1, 17)) - set(census))
+    return problems, (
+        f"84 covers match essential points; {g.num_edges} A4 edges typed; "
+        f"A5 types present {present}, absent {absent}"
+    )
 
-    return _run("graded lattice A4/A5", body)
 
-
-def check_dodgson(seed: int = 0) -> CheckResult:
+@_check("dodgson", "dodgson and q-dodgson")
+def check_dodgson(seed: int = 0):
     """Condensation against a determinant oracle, and its q-analogue."""
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        rng = random.Random(seed)
-        skipped = 0
-        for n in (3, 4, 5):
-            done = 0
-            while done < 100:
-                matrix = random_rational_matrix(n, rng)
-                try:
-                    value = dodgson(matrix)
-                except SingularInteriorError:
-                    skipped += 1
-                    continue
-                if value != det(matrix.rows):
-                    problems.append(f"n={n}: condensation != determinant")
-                done += 1
-        q_checked = 0
-        for n in (2, 3, 4):
-            for _ in range(100):
-                report = q_dodgson_check(random_rational_matrix(n, rng))
-                if not report.passed:
-                    problems.append(f"n={n}: q-identity failed")
-                q_checked += 1
-        return _collect(
-            problems,
-            f"300 numeric (skipped {skipped} singular interiors), "
-            f"{q_checked} symbolic q-identities, zero tolerance",
-        )
-
-    return _run("dodgson and q-dodgson", body)
+    problems = []
+    rng = random.Random(seed)
+    skipped = 0
+    for n in (3, 4, 5):
+        done = 0
+        while done < 100:
+            matrix = random_rational_matrix(n, rng)
+            try:
+                value = dodgson(matrix)
+            except SingularInteriorError:
+                skipped += 1
+                continue
+            if value != det(matrix.rows):
+                problems.append(f"n={n}: condensation != determinant")
+            done += 1
+    q_checked = 0
+    for n in (2, 3, 4):
+        for _ in range(100):
+            report = q_dodgson_check(random_rational_matrix(n, rng))
+            if not report.passed:
+                problems.append(f"n={n}: q-identity failed")
+            q_checked += 1
+    return problems, (
+        f"300 numeric (skipped {skipped} singular interiors), "
+        f"{q_checked} symbolic q-identities, zero tolerance"
+    )
 
 
-def check_fulton() -> CheckResult:
+@_check("fulton", "fulton S5")
+def check_fulton(seed: int = 0):
     """Fulton's essential set equals the 1x1 essential rectangles on S_5."""
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        for w in enumerate_permutations(5):
-            if fulton_essential_set(w) != set(essential_points(permutation_to_asm(w))):
-                problems.append(f"mismatch at {w}")
-        return _collect(problems, "120 permutations, both definitions equal")
-
-    return _run("fulton S5", body)
+    problems = [
+        f"mismatch at {w}"
+        for w in enumerate_permutations(5)
+        if fulton_essential_set(w) != set(essential_points(permutation_to_asm(w)))
+    ]
+    return problems, "120 permutations, both definitions equal"
 
 
-def check_sampling_scope() -> CheckResult:
+@_check("scope", "sampling scope note")
+def check_sampling_scope(seed: int = 0):
     """The constructive sides carry the universally quantified claims.
 
     Statements over all TNN matrices or all q > 0 cannot be decided by
@@ -380,40 +386,20 @@ def check_sampling_scope() -> CheckResult:
     (incomparable pairs); sampling only spot-checks evaluators.  This
     check re-runs both constructive sides over every 3x3 ordered pair.
     """
-
-    def body() -> tuple[bool, str]:
-        problems = []
-        asms = enumerate_asms(3)
-        for a in asms:
-            for b in asms:
-                if asm_leq(a, b):
-                    verify_certificate(sfl_certificate(a, b), samples=2, seed=1)
-                else:
-                    cm, _ = counterexample_matrix(a, b)
-                    if not is_tnn(cm) or evaluate_difference(a, b, cm) >= 0:
-                        problems.append("counterexample failed")
-        return _collect(
-            problems,
-            "universal claims carried by certificates/counterexamples; "
-            "sampling is falsification only",
-        )
-
-    return _run("sampling scope note", body)
-
-
-#: Every check by its ``--only`` name, in the order :func:`run_all` runs
-#: them.  Each is called with the run's seed; the deterministic ones
-#: ignore it.
-ALL_CHECKS: dict[str, Callable[[int], CheckResult]] = {
-    "a3": lambda seed: check_a3_reconstruction(),
-    "beta": lambda seed: check_beta_table(),
-    "bq": lambda seed: check_bq_four_ways(),
-    "order": check_order_oracle,
-    "lattice": lambda seed: check_graded_lattice(),
-    "dodgson": check_dodgson,
-    "fulton": lambda seed: check_fulton(),
-    "scope": lambda seed: check_sampling_scope(),
-}
+    problems = []
+    asms = enumerate_asms(3)
+    for a in asms:
+        for b in asms:
+            if asm_leq(a, b):
+                verify_certificate(sfl_certificate(a, b), samples=2, seed=1)
+            else:
+                cm, _ = counterexample_matrix(a, b)
+                if not is_tnn(cm) or evaluate_difference(a, b, cm) >= 0:
+                    problems.append("counterexample failed")
+    return problems, (
+        "universal claims carried by certificates/counterexamples; "
+        "sampling is falsification only"
+    )
 
 
 def run_all(seed: int = 0, names: Iterable[str] | None = None) -> tuple[CheckResult, ...]:

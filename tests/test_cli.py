@@ -21,7 +21,12 @@ from asmgraph.core import (
 )
 from asmgraph.enumeration import enumerate_asms, iter_asms
 from asmgraph.lattice import build_graph
-from asmgraph.symbolic import certificate_from_json, verify_certificate
+from asmgraph import verify
+from asmgraph.symbolic import (
+    VerificationFailureError,
+    certificate_from_json,
+    verify_certificate,
+)
 from asmgraph.verify import check_dodgson
 
 B3_STR = "1 - 2q + 2q^3 - q^4"
@@ -382,6 +387,29 @@ class TestVerifyAll:
         assert doc["details"] == check_dodgson(seed=5).details
         assert doc["details"] != check_dodgson(seed=0).details
 
+
+    @pytest.fixture
+    def failing_certificates(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise VerificationFailureError("injected failure")
+
+        monkeypatch.setattr(verify, "verify_certificate", fail)
+
+    def test_a_raising_check_fails_alone(self, capsys, failing_certificates):
+        code, out, err = run(capsys, "verify-all", "--only", "beta,order,fulton")
+        assert code == 1 and err == ""
+        beta, order, fulton = out.splitlines()
+        assert beta.startswith("PASS beta table S4 ")
+        assert order.startswith("FAIL order oracle A4 ")
+        assert order.endswith("): VerificationFailureError: injected failure")
+        assert fulton.startswith("PASS fulton S5 ")
+
+    def test_a_raising_check_fails_alone_json(self, capsys, failing_certificates):
+        code, out, _ = run(capsys, "verify-all", "--only", "order,scope,bq", "--json")
+        assert code == 1
+        docs = json.loads(out)
+        assert [d["passed"] for d in docs] == [False, False, True]
+        assert docs[1]["details"] == "VerificationFailureError: injected failure"
 
 class TestUsageAndGuards:
     def test_no_arguments(self, capsys):

@@ -662,6 +662,18 @@ class TestHalfExpPoly:
         with pytest.raises(AsmError):
             HalfExpPoly({1.5: 1})
 
+    @pytest.mark.parametrize("terms", [{0: True}, {True: 1}, {0: None}])
+    def test_rejects_bools_and_none(self, terms):
+        with pytest.raises(AsmError, match="need integer exponent/coefficient"):
+            HalfExpPoly(terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polys(), _polys())
+    def test_ring_results_hold_the_constructor_invariant(self, p, r):
+        for result in (p + r, p - r, -p, p * r, (p * r).divexact(r) if r.terms else p):
+            assert all(type(t) is int and type(c) is int and c for t, c in result.terms.items())
+            assert HalfExpPoly(result.terms) == result
+
     def test_str(self):
         assert str(HalfExpPoly.zero()) == "0"
         assert str(HalfExpPoly({0: 1, 2: -2, 6: 2, 8: -1})) == "1 - 2q + 2q^3 - q^4"
