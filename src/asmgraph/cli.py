@@ -133,16 +133,16 @@ def _size_kw(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 #: A handler's (exit code, JSON document, text); see the module docstring.
-Outcome = tuple[int, object, str | None]
+_Outcome = tuple[int, object, str | None]
 
 
-def _fail(code: int, message: str) -> Outcome:
+def _fail(code: int, message: str) -> _Outcome:
     """Report an error on stderr and exit with code, printing nothing else."""
     print(f"error: {message}", file=sys.stderr)
     return code, None, None
 
 
-def cmd_enumerate(args: argparse.Namespace) -> Outcome:
+def cmd_enumerate(args: argparse.Namespace) -> _Outcome:
     kw = _size_kw(args)
     if args.count_only:
         count = count_asms(args.n, **kw)
@@ -157,7 +157,7 @@ def cmd_enumerate(args: argparse.Namespace) -> Outcome:
     return 0, None, None
 
 
-def cmd_graph(args: argparse.Namespace) -> Outcome:
+def cmd_graph(args: argparse.Namespace) -> _Outcome:
     g = build_graph(args.n, **_size_kw(args))
     if args.json:
         sys.stdout.write(f'{{"n": {g.n}, "nodes": [')
@@ -174,18 +174,18 @@ def cmd_graph(args: argparse.Namespace) -> Outcome:
     return 0, None, None
 
 
-def cmd_leq(args: argparse.Namespace) -> Outcome:
+def cmd_leq(args: argparse.Namespace) -> _Outcome:
     holds = asm_leq(_load_asm(args.a), _load_asm(args.b))
     return (0 if holds else 3), {"leq": holds}, ("true" if holds else "false")
 
 
-def cmd_beta(args: argparse.Namespace) -> Outcome:
+def cmd_beta(args: argparse.Namespace) -> _Outcome:
     a = _load_asm(args.matrix)
     value = beta_checked(a)
     return 0, {"n": a.n, "beta": value}, str(value)
 
 
-def cmd_chain(args: argparse.Namespace) -> Outcome:
+def cmd_chain(args: argparse.Namespace) -> _Outcome:
     a, b = _load_asm(args.a), _load_asm(args.b)
     try:
         chain = covering_chain(a, b)
@@ -195,7 +195,7 @@ def cmd_chain(args: argparse.Namespace) -> Outcome:
     return 0, doc, "\n".join(map(format_asm_text, chain))
 
 
-def cmd_certify(args: argparse.Namespace) -> Outcome:
+def cmd_certify(args: argparse.Namespace) -> _Outcome:
     a, b = _load_asm(args.a), _load_asm(args.b)
     try:
         cert = sfl_certificate(a, b)
@@ -219,7 +219,7 @@ def cmd_certify(args: argparse.Namespace) -> Outcome:
     return 0, doc, "\n".join(lines)
 
 
-def cmd_scan(args: argparse.Namespace) -> Outcome:
+def cmd_scan(args: argparse.Namespace) -> _Outcome:
     a, b = _load_asm(args.a), _load_asm(args.b)
     report = qtnn_scan(a, b, q_grid=args.grid, samples=args.samples, seed=args.seed)
     doc = {
@@ -238,7 +238,7 @@ def cmd_scan(args: argparse.Namespace) -> Outcome:
     return (0 if report.comparable else 3), doc, "\n".join(lines)
 
 
-def cmd_bq(args: argparse.Namespace) -> Outcome:
+def cmd_bq(args: argparse.Namespace) -> _Outcome:
     names = list(BQ_METHODS) if args.method == "all" else [args.method]
     kw = _size_kw(args)
     # Only the definition and the q-determinant have a size guard.
@@ -255,7 +255,7 @@ def cmd_bq(args: argparse.Namespace) -> Outcome:
     return 0, doc, "\n".join(f"{name}: {polys[name]}" for name in names)
 
 
-def cmd_dodgson_verify(args: argparse.Namespace) -> Outcome:
+def cmd_dodgson_verify(args: argparse.Namespace) -> _Outcome:
     if args.n < 2:
         return _fail(2, "condensation needs n >= 2")
     rng = random.Random(args.seed)
@@ -273,15 +273,19 @@ def cmd_dodgson_verify(args: argparse.Namespace) -> Outcome:
             q_ok += 1
         else:
             failures += 1
-    summary = dict(
-        n=args.n, trials=args.trials, numeric_ok=numeric_ok,
-        singular_skipped=skipped, q_ok=q_ok, failures=failures,
-    )
+    summary = {
+        "n": args.n,
+        "trials": args.trials,
+        "numeric_ok": numeric_ok,
+        "singular_skipped": skipped,
+        "q_ok": q_ok,
+        "failures": failures,
+    }
     text = " ".join(f"{k}={v}" for k, v in summary.items())
     return (0 if failures == 0 else 1), summary, text
 
 
-def cmd_verify_all(args: argparse.Namespace) -> Outcome:
+def cmd_verify_all(args: argparse.Namespace) -> _Outcome:
     names = None
     if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]

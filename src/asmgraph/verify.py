@@ -7,11 +7,10 @@ order search).  The checks are deliberately redundant with the unit
 tests: they exercise the public API the way a user would, in one pass,
 and report timings.
 
-A check is one function decorated with ``@_check(key, display name)``:
-it takes the run's seed and returns its list of problems and the
-summary shown when that list is empty.  The decorator times it, turns
-the outcome into a :class:`CheckResult` and registers it in
-:data:`ALL_CHECKS`, so a new check needs nothing else.
+A new check is one function decorated with ``@_check(key, display
+name)`` that returns its problems and a summary (see :func:`_check`);
+the decorator registers it in :data:`ALL_CHECKS`, so nothing else needs
+to change.
 """
 
 from __future__ import annotations
@@ -368,11 +367,10 @@ def check_dodgson(seed: int = 0):
 @_check("fulton", "fulton S5")
 def check_fulton(seed: int = 0):
     """Fulton's essential set equals the 1x1 essential rectangles on S_5."""
-    problems = [
-        f"mismatch at {w}"
-        for w in enumerate_permutations(5)
-        if fulton_essential_set(w) != set(essential_points(permutation_to_asm(w)))
-    ]
+    problems = []
+    for w in enumerate_permutations(5):
+        if fulton_essential_set(w) != set(essential_points(permutation_to_asm(w))):
+            problems.append(f"mismatch at {w}")
     return problems, "120 permutations, both definitions equal"
 
 
