@@ -208,8 +208,8 @@ def cmd_certify(args: argparse.Namespace) -> _Outcome:
             "witness": list(witness),
             "value": str(value),
         }
-        lines = ["COUNTEREXAMPLE", str(matrix), f"witness cell: {witness}"]
-        return 3, doc, "\n".join(lines + [f"difference value: {value}"])
+        text = f"COUNTEREXAMPLE\n{matrix}\nwitness cell: {witness}\ndifference value: {value}"
+        return 3, doc, text
     verify_certificate(cert, seed=args.seed)
     doc = certificate_to_json_dict(cert)
     lines = ["CERTIFICATE", f"beta: {cert.beta_pair[0]} -> {cert.beta_pair[1]}", str(cert)]
