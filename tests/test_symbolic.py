@@ -575,6 +575,15 @@ class TestFrozenA4Certificates:
             "3fe0af23daeab4120ec5ab2aae41e9aaa1104407672b308afd67ef9e7f4e73de"
         )
 
+    def test_combined_form_digest(self):
+        lines = (
+            f"{c.laurent_prefix} | " + " + ".join(f"{m} * {r}" for m, r in c.terms)
+            for c in map(combined_form, _a4_certificates())
+        )
+        assert _sha256(lines) == (
+            "065e22f7ec2a8b3b5998238d4f8aaecc85778ac62a2a5a5dd0430906a8562da6"
+        )
+
     def test_every_certificate_reads_back_to_itself(self):
         for cert in _a4_certificates():
             assert certificate_from_json(certificate_to_json(cert)) == cert
