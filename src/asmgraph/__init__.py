@@ -114,11 +114,9 @@ from .symbolic import (
     certificate_from_json,
     certificate_to_json,
     combined_form,
-    edge_factorization,
     evaluate_certificate,
     evaluate_certificate_q,
     monomial,
-    q_monomial,
     sfl_certificate,
     verify_certificate,
 )

@@ -41,16 +41,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Asm, AsmError, _as_int, asm_from_json_dict, asm_to_json_dict
-from .lattice import (
-    Edge,
-    IncomparableError,
-    Rect,
-    SizeMismatchError,
-    _beta_corner_sum,
-    _chain_steps,
-    _shift_corners,
-    beta,
-)
+from .lattice import Rect, SizeMismatchError, _chain_steps, _shift_corners, beta
 
 
 class UndefinedEvaluationError(AsmError):
@@ -95,21 +86,6 @@ class LaurentMonomial:
     coeff: Fraction
     powers: tuple[tuple[Variable, int], ...]
 
-    def pow_dict(self) -> dict[Variable, int]:
-        return dict(self.powers)
-
-    def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        exps = self.pow_dict()
-        for v, e in other.powers:
-            exps[v] = exps.get(v, 0) + e
-        return monomial(exps, self.coeff * other.coeff)
-
-    def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        exps = self.pow_dict()
-        for v, e in other.powers:
-            exps[v] = exps.get(v, 0) - e
-        return monomial(exps, self.coeff / other.coeff)
-
     def is_almost_positive(self) -> bool:
         """Positive coefficient and every exponent >= -1."""
         return self.coeff > 0 and all(e >= -1 for _, e in self.powers)
@@ -131,9 +107,6 @@ def monomial(powers: Mapping[Variable, int], coeff=1) -> LaurentMonomial:
     """Canonical LaurentMonomial: zero exponents dropped, variables sorted."""
     items = tuple(sorted((v, e) for v, e in powers.items() if e != 0))
     return LaurentMonomial(Fraction(coeff), items)
-
-
-MONOMIAL_ONE = monomial({})
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -199,15 +172,6 @@ def _asm_difference(a: Asm, b: Asm, rows: Sequence[Sequence]) -> Fraction:
     return Fraction(an * bd - bn * ad, ad * bd)
 
 
-def q_monomial(a: Asm) -> tuple[LaurentMonomial, int]:
-    """x_q^a = q^{beta(a)} x^a as (x^a, beta(a)); the q-power is
-    cross-checked two ways."""
-    p1, p2 = beta(a), _beta_corner_sum(a)
-    if p1 != p2:
-        raise AsmError(f"beta evaluators disagree: {p1} vs {p2}")
-    return asm_monomial(a), p1
-
-
 # ---------------------------------------------------------------------------
 # 2x2 minors and edge factorization
 # ---------------------------------------------------------------------------
@@ -224,31 +188,6 @@ class MinorRef:
             raise ValueError("rows and cols must be nonempty, equal length")
         if any(list(x) != sorted(set(x)) for x in (self.rows, self.cols)):
             raise ValueError("rows and cols must be strictly increasing")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def is_small(self) -> bool:
-        return self.size <= 2
-
-    def is_solid(self) -> bool:
-        """Consecutive row and column indices."""
-        return self.rows[-1] - self.rows[0] == self.size - 1 and (
-            self.cols[-1] - self.cols[0] == self.size - 1
-        )
-
-    def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
-        sub, scale = _int_rows(
-            [[Fraction(rows[i - 1][j - 1]) for j in self.cols] for i in self.rows]
-        )
-        return Fraction(_det(sub, 1), scale)
-
-    def evaluate_q(self, rows: Sequence[Sequence[Fraction]], q: Fraction) -> Fraction:
-        """q-deformed value of a 2x2 minor: x_ik x_jl - q^area x_il x_jk."""
-        if self.size != 2:
-            raise ValueError("q-deformation implemented for 2x2 minors")
-        return Fraction(*_minor_q_ratio(_Cells(rows), *self.rows, *self.cols, q))
 
     def __str__(self) -> str:
         body = "; ".join(
@@ -360,9 +299,13 @@ class EdgeFactorization(NamedTuple):
         return MinorRef((self.rect.i, self.rect.j), (self.rect.k, self.rect.l))
 
 
-def edge_factorization(e: Edge) -> EdgeFactorization:
-    """Factor the monomial difference across one graph edge."""
-    return EdgeFactorization(e.source, e.rect)
+def _ratio_powers(s: EdgeFactorization) -> dict[Variable, int]:
+    """Exponents of prefix / divisor: the source's entries, less one at
+    the two divisor cells (zero exponents kept)."""
+    powers = dict(_asm_powers(s.source))
+    for v in (s.rect.i, s.rect.k), (s.rect.j, s.rect.l):
+        powers[v] = powers.get(v, 0) - 1
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +435,7 @@ def verify_certificate(
         # The ratio's exponents are the source's entries, less one at the divisor.
         if s.source.entry(r.i, r.k) < 0 or s.source.entry(r.j, r.l) < 0:
             raise VerificationFailureError(
-                f"step ratio {s.prefix / s.divisor} not almost positive", step=t
+                f"step ratio {monomial(_ratio_powers(s))} not almost positive", step=t
             )
         if s.source.entries != entries:
             raise VerificationFailureError("step does not continue the chain", step=t)
@@ -530,12 +473,13 @@ class CombinedForm(NamedTuple):
 
 
 def combined_form(cert: SflCertificate) -> CombinedForm:
-    ratios = [s.prefix / s.divisor for s in cert.steps]
-    variables = {v for r in ratios for v, _ in r.powers}
-    support = {v: min(r.pow_dict().get(v, 0) for r in ratios) for v in variables}
-    prefix = monomial(support)
-    terms = tuple((r / prefix, s.minor) for r, s in zip(ratios, cert.steps))
-    return CombinedForm(prefix, terms)
+    ratios = [_ratio_powers(s) for s in cert.steps]
+    support = {v: min(r.get(v, 0) for r in ratios) for v in set().union(*ratios)}
+    terms = tuple(
+        (monomial({v: r.get(v, 0) - e for v, e in support.items()}), s.minor)
+        for r, s in zip(ratios, cert.steps)
+    )
+    return CombinedForm(monomial(support), terms)
 
 
 # ---------------------------------------------------------------------------

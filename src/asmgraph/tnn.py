@@ -28,6 +28,14 @@ The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
 rational arithmetic, so q0 is restricted to perfect squares of
 rationals, making q0^{1/2} exact.
+
+Lemma (the incomparable half of the qTNN claim).  Let m be the 2-block
+matrix of an incomparable pair and q0 > 0.  Then m is the q-weighted
+image of its own unweighting, q_weighted(q_unweighted(m, q0), q0) == m,
+so q_unweighted(m, q0) is locally TNN at q0, and the difference at its
+q-weighted image is the same 2^{A~(k,l)} - 2^{B~(k,l)} < 0.  Every
+incomparable pair thus fails at every q0 with no sampling;
+:func:`qtnn_scan` uses this matrix as its sample 0.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from asmgraph import (
     AsmError,
     LaurentMonomial,
-    MinorRef,
     Rect,
     UndefinedEvaluationError,
     asm_leq,
@@ -52,7 +51,7 @@ def old_monomial_evaluate(m, rows):
 
 
 def old_minor_evaluate_q(minor, rows, q):
-    if minor.size != 2:
+    if len(minor.rows) != 2:
         raise ValueError("q-deformation implemented for 2x2 minors")
     (i, j), (k, l) = minor.rows, minor.cols
     area = (j - i) * (l - k)
@@ -164,16 +163,6 @@ def _laurent(n):
 
 
 @st.composite
-def _minor_refs(draw, n):
-    """Minors of size 1 to 3, mostly 2x2."""
-    k = draw(st.sampled_from([1, 2, 2, 2, 3]).filter(lambda k: k <= n))
-    picks = st.lists(
-        st.integers(min_value=1, max_value=n), min_size=k, max_size=k, unique=True
-    ).map(lambda xs: tuple(sorted(xs)))
-    return MinorRef(draw(picks), draw(picks))
-
-
-@st.composite
 def _rects(draw, n):
     """Rectangles of any shape inside an n x n matrix, n >= 2."""
     pair = st.lists(
@@ -223,18 +212,6 @@ class TestMonomialEvaluate:
     def test_zero_exponent_on_zero_base(self):
         m = LaurentMonomial(F(3), (((1, 1), 0),))
         assert m.evaluate([[0]]) == old_monomial_evaluate(m, [[0]]) == 0
-
-
-class TestMinorEvaluateQ:
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_matches_fraction_oracle(self, data):
-        rows = data.draw(_matrices())
-        minor = data.draw(_minor_refs(len(rows)))
-        q = data.draw(_qs)
-        assert outcome(minor.evaluate_q, rows, q) == outcome(
-            old_minor_evaluate_q, minor, rows, q
-        )
 
 
 class TestEvaluateCertificateQ:

@@ -118,6 +118,26 @@ class TestQWeighting:
         assert is_locally_tnn_at(local, F(1, 4))
         assert not is_locally_tnn_at(rational_matrix([[0, 1], [1, 0]]), 1)
 
+    def test_counterexample_is_its_own_unweighting_weighted(self):
+        """The qTNN lemma of the tnn docstring, at every witness cell of
+        the incomparable pairs for n <= 4 and a fixed stride of n = 5."""
+        witnesses = {}
+        for n in range(2, 6):
+            asms = enumerate_asms(n)
+            pairs = [(a, b) for a in asms for b in asms]
+            for a, b in pairs[:: 101 if n == 5 else 1]:
+                if not asm_leq(a, b):
+                    witnesses.setdefault((n, counterexample_matrix(a, b)[1]), (a, b))
+        # Every cell (k, l) with k, l < n is the witness of some pair.
+        assert len(witnesses) == 1 + 4 + 9 + 16
+        for a, b in witnesses.values():
+            cm, _ = counterexample_matrix(a, b)
+            for q in DEFAULT_Q_GRID:
+                local = q_unweighted(cm, q)
+                assert q_weighted(local, q) == cm
+                assert is_locally_tnn_at(local, q)
+                assert evaluate_difference(a, b, q_weighted(local, q)) < 0
+
 
 class TestBidiagonal:
     def test_identity(self):
