@@ -124,8 +124,7 @@ def _edge_chunks(g: AsmGraph) -> Iterator[str]:
 def _size_kw(args: argparse.Namespace) -> dict:
     if args.limit_override is None:
         return {}
-    value = args.limit_override
-    return {"size_limit": None if value <= 0 else value}
+    return {"size_limit": args.limit_override or None}
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +305,16 @@ def cmd_verify_all(args: argparse.Namespace) -> _Outcome:
 # parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes and counts: a usage error unless >= 1."""
+def _positive_int(text: str, least: int = 1) -> int:
+    """argparse type for sizes and counts: a usage error unless >= least
+    (0 for ``--limit-override``, where 0 removes the guard)."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = -1
+    if value < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
 
 
@@ -352,7 +353,7 @@ def _flags(p: argparse.ArgumentParser, *, seed: str = "", limit: bool = False):
     if limit:
         p.add_argument(
             "--limit-override",
-            type=int,
+            type=lambda text: _positive_int(text, 0),
             metavar="N",
             help="replace the built-in size guard (0 removes it entirely)",
         )

@@ -10,8 +10,9 @@ walk of n steps from the zero state is exactly one ASM: no
 post-filtering, no dead ends, and no corner sum is formed.
 
 Walking the successors of each state in lexicographic order yields the
-ASMs in canonical order, and adding up path counts layer by layer counts
-them without building a single matrix.
+ASMs in canonical order.  Adding up path counts layer by layer, each
+step weighed, counts them without building a single matrix, and over
+rows with a single +1 (the permutation matrices) it tallies B_n(q) too.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -106,19 +107,29 @@ def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[A
     return list(iter_asms(n, size_limit=size_limit))
 
 
-def count_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> int:
-    """Number of n x n ASMs: the walks of iter_asms, counted layer by
-    layer over the states without building any matrix."""
-    _check_limit(n, size_limit)
+def _tally(n: int, weigh: Callable[[int, Row, Row], tuple[int, int] | None]) -> Counter[int]:
+    """Sum of factor * x^exponent over the walks of iter_asms, layer by
+    layer: step i adds the exponent and multiplies the factor of
+    ``weigh(i, row, state)``, and None drops the walk."""
     steps = _step_table(n)
-    paths = Counter({(0,) * n: 1})
-    for _ in range(n):
-        layer: Counter[Row] = Counter()
-        for state, count in paths.items():
-            for _, nxt in steps(state):
-                layer[nxt] += count
+    paths = {(0,) * n: Counter({0: 1})}
+    for i in range(n):
+        layer: dict[Row, Counter[int]] = {}
+        for state, poly in paths.items():
+            for row, nxt in steps(state):
+                if (w := weigh(i, row, state)) is not None:
+                    out = layer.setdefault(nxt, Counter())
+                    for t, c in poly.items():
+                        out[t + w[0]] += c * w[1]
         paths = layer
     return paths[(1,) * n]
+
+
+def count_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> int:
+    """Number of n x n ASMs: the walks of iter_asms, tallied without
+    building any matrix."""
+    _check_limit(n, size_limit)
+    return _tally(n, lambda i, row, state: (0, 1))[0]
 
 
 def enumerate_permutations(

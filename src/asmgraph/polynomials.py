@@ -10,9 +10,11 @@ recurrence gives
 
     B_n = B_{n-1}^2 (1 - q^{n-1}) / B_{n-2}.
 
-This module computes B_n by definition, by product, by symbolic
-q-determinant, and by the recursion, plus the numeric Dodgson identity
-and its q-analogue on arbitrary rational matrices:
+This module computes B_n by definition (tallied over the column-state
+walks of the permutation matrices, never one permutation at a time), by
+product, by symbolic q-determinant, and by the recursion, plus the
+numeric Dodgson identity and its q-analogue on arbitrary rational
+matrices:
 
     |A| |A'| = |A del row 1 col 1| |A del row n col n|
              - |A del row 1 col n| |A del row n col 1|,
@@ -32,9 +34,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .core import AsmError, sign
-from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, enumerate_permutations
-from .lattice import beta_permutation
+from .core import AsmError
+from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _tally
 from .symbolic import HalfExpPoly, NonExactDivisionError, _det, _int_rows
 from .tnn import RationalMatrix
 
@@ -47,13 +48,18 @@ class SingularInteriorError(AsmError):
 
 
 def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
-    """sum over S_n of sign(w) q^{beta(w)}, or of q^{beta(w)} unsigned:
-    one pass over S_n, tallying coefficients by doubled exponent."""
-    tally: dict[int, int] = {}
-    for w in enumerate_permutations(n, size_limit=size_limit):
-        t = 2 * beta_permutation(w)
-        tally[t] = tally.get(t, 0) + (sign(w) if signed else 1)
-    return HalfExpPoly(tally)
+    """sum over S_n of sign(w) q^{beta(w)}, or unsigned: the column-state
+    walks with one +1 per row, whose 1 in column j of row i adds (i - j)^2
+    to 2 beta and an inversion per used column right of j."""
+    _check_limit(n, size_limit)
+
+    def weigh(i: int, row: tuple[int, ...], state: tuple[int, ...]):
+        if -1 in row:
+            return None
+        j = row.index(1)
+        return (i - j) ** 2, (-1) ** sum(state[j + 1 :]) if signed else 1
+
+    return HalfExpPoly(_tally(n, weigh))
 
 
 def bq_definition(

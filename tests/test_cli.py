@@ -447,6 +447,12 @@ class TestUsageAndGuards:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [("enumerate", "--count-only"), ("graph",), ("bq",)])
+    def test_negative_limit_override_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--n", "8", "--limit-override", "-1")
+        assert (code, out) == (2, "")
+        assert "expected a non-negative integer, got '-1'" in err
+
     def test_limit_override_lifts(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--n", "3", "--count-only", "--limit-override", "0"

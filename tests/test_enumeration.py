@@ -9,6 +9,7 @@ validating from_corner_sum.  Counts are also checked against the ASM
 product formula.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
@@ -31,6 +32,8 @@ from asmgraph import (
     reverse_asm,
     validate_asm,
 )
+from asmgraph.enumeration import _tally
+from asmgraph.lattice import beta
 
 
 def _oracle_rows(n):
@@ -148,6 +151,18 @@ class TestCounts:
 
         monkeypatch.setattr(asmgraph.enumeration, "_trusted_asm", refuse)
         assert count_asms(6) == 7436
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_weighted_tally_matches_the_walk(self, n):
+        """A weight that sees the -1 entries: exponent 2 beta, factor 2 per -1."""
+
+        def weigh(i, row, state):
+            return sum((i - j) ** 2 * e for j, e in enumerate(row)), 2 ** row.count(-1)
+
+        histogram = Counter()
+        for a in iter_asms(n):
+            histogram[2 * beta(a)] += 2 ** sum(row.count(-1) for row in a.entries)
+        assert _tally(n, weigh) == histogram
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_permutation_matrices_are_the_minus_one_free_asms(self, n):

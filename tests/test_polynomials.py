@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import asmgraph.enumeration
 from asmgraph import (
     AsmError,
     HalfExpPoly,
@@ -58,6 +59,31 @@ def _one_monomial_at_a_time(n, signed):
 def test_tally_matches_monomial_sum(n):
     assert bq_definition(n) == _one_monomial_at_a_time(n, signed=True)
     assert unsigned_permanent_q(n) == _one_monomial_at_a_time(n, signed=False)
+
+
+def _s_n_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
+    """The single-pass tally over S_n that B_n(q) used before the
+    column-state walk; kept as that walk's oracle."""
+    tally: dict[int, int] = {}
+    for w in enumerate_permutations(n, size_limit=size_limit):
+        t = 2 * beta_permutation(w)
+        tally[t] = tally.get(t, 0) + (sign(w) if signed else 1)
+    return HalfExpPoly(tally)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_tally_matches_the_s_n_tally(n):
+    assert bq_definition(n) == _s_n_tally(n, None, signed=True)
+    assert unsigned_permanent_q(n) == _s_n_tally(n, None, signed=False)
+
+
+def test_tally_builds_no_permutation(monkeypatch):
+    def refuse(p):
+        raise AssertionError("the B_n(q) tally built a permutation")
+
+    monkeypatch.setattr(asmgraph.enumeration, "_trusted_permutation", refuse)
+    assert bq_definition(8) == bq_product(8)
+    assert unsigned_permanent_q(8).evaluate_q(F(1)) == factorial(8)
 
 
 class TestBq:
