@@ -71,7 +71,6 @@ from .lattice import (
     beta,
     beta_bigrassmannian_count,
     beta_checked,
-    beta_entry_weighted,
     beta_permutation,
     build_graph,
     classify_edge,

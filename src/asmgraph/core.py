@@ -396,7 +396,7 @@ def asm_from_json_dict(d: dict) -> Asm:
     if not isinstance(d, dict) or "entries" not in d:
         raise AsmError("a JSON matrix must be an object with an 'entries' field")
     a = Asm(d["entries"])
-    if d.get("n") != a.n:
+    if _as_int(d.get("n")) != a.n:
         raise AsmError("JSON field 'n' disagrees with the entry rows")
     return a
 

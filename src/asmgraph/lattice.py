@@ -55,22 +55,21 @@ instead would recompute all of them at every step.
 
 A built :class:`AsmGraph` keeps its edges as CSR columns: per-source
 offsets into ``array`` columns of target indices, edge types and packed
-rectangle bounds.  :func:`build_graph` appends each up-move's bounds
-straight to them, and :attr:`AsmGraph.edges` is a read-only sequence
-view that makes :class:`GraphEdge` values on access, so the graph on
-all 218,348 7x7 ASMs (3,514,354 edges) fits in about 27 MB of columns.
+rectangle bounds.  :func:`build_graph` alone writes them, appending
+each up-move's bounds straight to them, and :attr:`AsmGraph.edges` is an
+iterator over the columns that makes :class:`GraphEdge` values as it
+goes, so the graph on all 218,348 7x7 ASMs (3,514,354 edges) fits in
+about 27 MB of columns.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations
-from operator import eq, lt, mul
-from typing import Iterable, Iterator, NamedTuple
+from operator import lt, mul
+from typing import Iterator, NamedTuple
 
 from .core import (
     Asm,
@@ -129,11 +128,6 @@ class Rect:
     def is_point(self) -> bool:
         """1x1 rectangles; these give the covering relations."""
         return self.j == self.i + 1 and self.l == self.k + 1
-
-    def cells(self) -> Iterable[tuple[int, int]]:
-        for p in range(self.i, self.j):
-            for q in range(self.k, self.l):
-                yield (p, q)
 
     def corners(self) -> tuple[tuple[int, int], ...]:
         return ((self.i, self.k), (self.i, self.l), (self.j, self.k), (self.j, self.l))
@@ -283,10 +277,6 @@ class Edge:
     rect: Rect
     edge_type: int
 
-    @property
-    def beta_jump(self) -> int:
-        return self.rect.area
-
 
 def classify_edge(source: Asm, target: Asm, r: Rect) -> int:
     """Edge type (1..16) of source -> target along rectangle r.
@@ -364,11 +354,6 @@ def asm_leq(a: Asm, b: Asm) -> bool:
     return _first_excess(corner_sum(a), corner_sum(b)) is None
 
 
-def beta(a: Asm) -> int:
-    """The bigrassmannian statistic, read off the entries."""
-    return beta_entry_weighted(a)
-
-
 def _beta_corner_sum(a: Asm) -> int:
     """beta via corner sums, the independent check on :func:`beta`."""
     cells = range(1, a.n + 1)
@@ -382,8 +367,8 @@ def _square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((i - j) ** 2 for j in range(n)) for i in range(n))
 
 
-def beta_entry_weighted(a: Asm) -> int:
-    """beta as half the (i - j)^2-weighted entry sum."""
+def beta(a: Asm) -> int:
+    """The bigrassmannian statistic: half the (i - j)^2-weighted entry sum."""
     return sum(
         sum(map(mul, weights, row))
         for weights, row in zip(_square_gaps(a.n), a.entries)
@@ -554,17 +539,6 @@ def _pack(bounds: Bounds, shift: int) -> int:
     return ((i << shift | j) << shift | k) << shift | l
 
 
-def _columns(n: int, size: int) -> tuple[array, array, array, array]:
-    """Empty offsets (holding its leading 0), dst, types and rects columns
-    for a graph on `size` ASMs of size n."""
-    return (
-        array("Q", [0]),
-        array(_typecode(size)),
-        array("B"),
-        array(_typecode((1 << 4 * n.bit_length()) - 1)),
-    )
-
-
 @dataclass(frozen=True)
 class AsmGraph:
     """The ASM graph on all n x n ASMs, its edges stored as CSR columns.
@@ -576,8 +550,8 @@ class AsmGraph:
     rectangle's bounds (i, j, k, l) packed into one int of
     n.bit_length() bits per bound (:meth:`bounds` unpacks them).  Each
     column takes the narrowest unsigned typecode that holds its values,
-    so at n = 7 an edge costs 7 bytes.  :attr:`edges` reads the columns
-    as :class:`GraphEdge` values on access.
+    so at n = 7 an edge costs 7 bytes.  :attr:`edges` iterates over the
+    columns, making a :class:`GraphEdge` per edge as it goes.
     """
 
     n: int
@@ -586,24 +560,6 @@ class AsmGraph:
     dst: array
     types: array
     rects: array
-
-    @classmethod
-    def from_edges(cls, n: int, nodes: Sequence[Asm], edges: Iterable[GraphEdge]) -> AsmGraph:
-        """Pack GraphEdges, which must be grouped by source in node order."""
-        offsets, dst, types, rects = _columns(n, len(nodes))
-        shift = n.bit_length()
-        for e in edges:
-            # offsets holds one entry per node before the current source.
-            if not len(offsets) - 1 <= e.src < len(nodes):
-                raise ValueError("edges are not grouped by source in node order")
-            while len(offsets) <= e.src:
-                offsets.append(len(dst))
-            dst.append(e.dst)
-            types.append(e.edge_type)
-            rects.append(_pack(e.rect.bounds, shift))
-        while len(offsets) <= len(nodes):
-            offsets.append(len(dst))
-        return cls(n, tuple(nodes), offsets, dst, types, rects)
 
     @cached_property
     def _index(self) -> dict[Asm, int]:
@@ -627,47 +583,16 @@ class AsmGraph:
         return (code >> 3 * shift, code >> 2 * shift & mask, code >> shift & mask, code & mask)
 
     @property
-    def edges(self) -> Sequence[GraphEdge]:
-        return _EdgeView(self)
+    def edges(self) -> Iterator[GraphEdge]:
+        """A fresh iterator over the edges, grouped by source in node order."""
+        offsets, dst, types, rects = self.offsets, self.dst, self.types, self.rects
+        for src in range(len(self.nodes)):
+            for p in range(offsets[src], offsets[src + 1]):
+                yield GraphEdge(src, dst[p], Rect(*self.bounds(rects[p])), types[p])
 
     @property
     def num_edges(self) -> int:
         return len(self.dst)
-
-
-class _EdgeView(Sequence):
-    """The edges of an :class:`AsmGraph` as :class:`GraphEdge` values,
-    made from its columns on access.  Slices are tuples, and the view
-    equals a tuple of equal GraphEdges."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: AsmGraph):
-        self._graph = graph
-
-    def _edge(self, src: int, p: int) -> GraphEdge:
-        g = self._graph
-        return GraphEdge(src, g.dst[p], Rect(*g.bounds(g.rects[p])), g.types[p])
-
-    def __len__(self) -> int:
-        return len(self._graph.dst)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return tuple(self[p] for p in range(*key.indices(len(self))))
-        p = range(len(self))[key]
-        return self._edge(bisect_right(self._graph.offsets, p) - 1, p)
-
-    def __iter__(self) -> Iterator[GraphEdge]:
-        offsets = self._graph.offsets
-        for src in range(len(offsets) - 1):
-            for p in range(offsets[src], offsets[src + 1]):
-                yield self._edge(src, p)
-
-    def __eq__(self, other):
-        if not isinstance(other, (_EdgeView, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
@@ -686,8 +611,13 @@ def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
         )
     nodes = tuple(enumerate_asms(n, size_limit=size_limit))
     index = {a.entries: i for i, a in enumerate(nodes)}
-    offsets, dst, types, rects = _columns(n, len(nodes))
     shift = n.bit_length()
+    offsets, dst, types, rects = (
+        array("Q", [0]),
+        array(_typecode(len(nodes))),
+        array("B"),
+        array(_typecode((1 << 4 * shift) - 1)),
+    )
     for a in nodes:
         for bounds, target, t in _up_moves(a.entries):
             dst.append(index[target])

@@ -40,7 +40,6 @@ from .symbolic import HalfExpPoly, NonExactDivisionError, _det, _int_rows
 from .tnn import RationalMatrix
 
 QDET_SIZE_LIMIT = 10
-PERMANENT_SIZE_LIMIT = 8
 
 
 class SingularInteriorError(AsmError):
@@ -134,7 +133,9 @@ BQ_METHODS = {
 }
 
 
-def unsigned_permanent_q(n: int, *, size_limit: int | None = PERMANENT_SIZE_LIMIT) -> HalfExpPoly:
+def unsigned_permanent_q(
+    n: int, *, size_limit: int | None = PERMUTATION_SIZE_LIMIT
+) -> HalfExpPoly:
     """sum over S_n of q^{beta(w)}, the permanent analogue of B_n."""
     return _beta_tally(n, size_limit, signed=False)
 

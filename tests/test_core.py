@@ -406,8 +406,10 @@ class TestFormats:
             asm_from_json(json.dumps(doc))
 
     def test_json_n_must_match(self):
-        with pytest.raises(AsmError, match="'n' disagrees"):
-            asm_from_json(json.dumps({"n": 2, "entries": [[1]]}))
+        for n in (2, True):
+            with pytest.raises(AsmError, match="'n' disagrees"):
+                asm_from_json(json.dumps({"n": n, "entries": [[1]]}))
+        assert asm_from_json(json.dumps({"n": 1.0, "entries": [[1]]})) == identity_asm(1)
 
     def test_validation_happens_on_parse(self):
         with pytest.raises(PrefixSumViolationError):

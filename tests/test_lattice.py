@@ -39,7 +39,6 @@ from asmgraph import (
     asm_leq,
     beta,
     beta_checked,
-    beta_entry_weighted,
     beta_bigrassmannian_count,
     beta_permutation,
     build_graph,
@@ -75,6 +74,7 @@ from asmgraph.lattice import (
     GraphEdge,
     SizeMismatchError,
     _bigrassmannian_asms,
+    _pack,
     _typecode,
 )
 from asmgraph.verify import A5_TYPE_CENSUS
@@ -126,8 +126,9 @@ def _shift_rects_scan(a, delta):
 
 def _bump(a, r, delta):
     rows = [list(row) for row in corner_sum(a).entries]
-    for (p, q) in r.cells():
-        rows[p - 1][q - 1] += delta
+    for p in range(r.i, r.j):
+        for q in range(r.k, r.l):
+            rows[p - 1][q - 1] += delta
     return rows
 
 
@@ -143,12 +144,12 @@ def _scan_edges_from(a):
 
 def _scan_graph(n):
     nodes = tuple(enumerate_asms(n))
-    edges = [
+    edges = tuple(
         GraphEdge(i, nodes.index(e.target), e.rect, e.edge_type)
         for i, a in enumerate(nodes)
         for e in _scan_edges_from(a)
-    ]
-    return AsmGraph.from_edges(n, nodes, edges)
+    )
+    return nodes, edges
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +209,6 @@ class TestRect:
         assert r.area == 6
         assert not r.is_point()
         assert Rect(2, 3, 2, 3).is_point()
-        assert set(r.cells()) == {(p, q) for p in (1, 2) for q in (2, 3, 4)}
         assert r.corners() == ((1, 2), (1, 5), (3, 2), (3, 5))
 
 
@@ -303,7 +303,7 @@ class TestEdges:
         e = edge_between(a3["123"], a3["321"])
         assert e.rect == Rect(1, 3, 1, 3)
         assert e.edge_type == 1
-        assert e.beta_jump == 4
+        assert e.rect.area == beta(a3["321"]) - beta(a3["123"]) == 4
 
     def test_not_edges(self, a3):
         with pytest.raises(NotAnEdgeError):
@@ -408,7 +408,8 @@ class TestGraphBuilder:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_build_graph_matches_scan(self, n):
-        assert build_graph(n) == _scan_graph(n)
+        g = build_graph(n)
+        assert (g.nodes, tuple(g.edges)) == _scan_graph(n)
 
     def test_type_16_first_appears_at_6x6(self):
         assert _type_census(build_graph(5)) == A5_TYPE_CENSUS
@@ -516,7 +517,6 @@ class TestBeta:
             assert sign(w) == sgn
             assert beta_permutation(w) == bta
             assert beta(a) == bta
-            assert beta_entry_weighted(a) == bta
             assert beta_bigrassmannian_count(a) == bta
 
     def test_center(self, a3):
@@ -707,34 +707,25 @@ class TestGraphStructure:
         with pytest.raises(ValueError):
             build_graph(3).index_of(identity_asm(4))
 
-    def test_successors_need_edges_grouped_by_source(self):
-        """The CSR offsets behind successors exist only for grouped edges,
-        so packing ungrouped ones fails."""
-        g = build_graph(3)
-        with pytest.raises(ValueError):
-            AsmGraph.from_edges(g.n, g.nodes, g.edges[::-1])
-
-    def test_edge_view_reads_the_columns(self):
+    def test_edges_iterate_over_the_columns(self):
         g = build_graph(4)
         edges = tuple(g.edges)
-        assert len(g.edges) == len(edges) == g.num_edges == 174
-        assert g.edges == edges and edges == g.edges
-        assert g.edges != edges[:-1] and g.edges != list(edges)
-        assert g.edges != edges[:-1] + (edges[0],)
-        assert [g.edges[p] for p in range(len(edges))] == list(edges)
-        assert g.edges[-1] == edges[-1] and g.edges[-174] == edges[0]
-        assert g.edges[5:40:3] == edges[5:40:3] and g.edges[::-1] == edges[::-1]
-        for p in (174, -175):
-            with pytest.raises(IndexError):
-                g.edges[p]
-        assert AsmGraph.from_edges(g.n, g.nodes, edges) == g
+        assert tuple(g.edges) == edges
+        assert len(edges) == g.num_edges == 174
         assert [e.src for e in edges] == sorted(e.src for e in edges)
+        assert edges == tuple(
+            GraphEdge(src, g.index_of(e.target), e.rect, e.edge_type)
+            for src, a in enumerate(g.nodes)
+            for e in edges_from(a)
+        )
 
     def test_packed_rectangles_are_exact_up_to_the_packing_limit(self):
         n = PACKED_SIZE_LIMIT
         rect = Rect(n - 1, n, 1, n)
-        g = AsmGraph.from_edges(n, (identity_asm(1),), [GraphEdge(0, 0, rect, 16)])
-        assert g.rects.itemsize == 8
+        code = _pack(rect.bounds, n.bit_length())
+        columns = array("Q", [0, 1]), array("B", [0]), array("B", [16]), array("Q", [code])
+        g = AsmGraph(n, (identity_asm(1),), *columns)
+        assert g.bounds(code) == rect.bounds
         assert list(g.edges) == [GraphEdge(0, 0, rect, 16)]
         with pytest.raises(SizeLimitExceededError) as exc:
             build_graph(n + 1, size_limit=None)

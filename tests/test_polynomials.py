@@ -145,7 +145,7 @@ class TestBq:
         with pytest.raises(AsmError, match="guard"):
             bq_qdet(11)
         with pytest.raises(SizeLimitExceededError):
-            unsigned_permanent_q(9)
+            unsigned_permanent_q(10)
 
 
 class TestUnsignedPermanent:

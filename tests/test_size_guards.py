@@ -23,7 +23,7 @@ from asmgraph import (
     unsigned_permanent_q,
 )
 from asmgraph.lattice import BETA_CHECKED_SIZE_LIMIT, beta_checked
-from asmgraph.polynomials import PERMANENT_SIZE_LIMIT, QDET_SIZE_LIMIT
+from asmgraph.polynomials import QDET_SIZE_LIMIT
 from asmgraph.tnn import TNN_SIZE_LIMIT, is_locally_tnn_at, is_tnn, rational_matrix
 
 
@@ -39,7 +39,7 @@ GUARDED = {
     "enumerate_permutations": (PERMUTATION_SIZE_LIMIT, enumerate_permutations),
     "build_graph": (ASM_SIZE_LIMIT, build_graph),
     "bq_definition": (PERMUTATION_SIZE_LIMIT, bq_definition),
-    "unsigned_permanent_q": (PERMANENT_SIZE_LIMIT, unsigned_permanent_q),
+    "unsigned_permanent_q": (PERMUTATION_SIZE_LIMIT, unsigned_permanent_q),
     "bq_qdet": (QDET_SIZE_LIMIT, bq_qdet),
     "is_tnn": (TNN_SIZE_LIMIT, lambda n: is_tnn(_ones(n))),
     "is_locally_tnn_at": (TNN_SIZE_LIMIT, lambda n: is_locally_tnn_at(_ones(n), 1)),
