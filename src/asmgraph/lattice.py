@@ -403,7 +403,7 @@ def beta_checked(a: Asm) -> int:
 
 def beta_permutation(w: Permutation) -> int:
     """beta of a permutation matrix: half the sum of (i - w(i))^2."""
-    return sum((i - w(i)) ** 2 for i in range(1, w.n + 1)) // 2
+    return sum(row[j - 1] for row, j in zip(_square_gaps(w.n), w.images)) // 2
 
 
 def is_bigrassmannian(w: Permutation) -> bool:

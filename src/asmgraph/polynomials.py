@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _tally
-from .symbolic import HalfExpPoly, NonExactDivisionError, _det, _int_rows
+from .lattice import _square_gaps
+from .symbolic import HalfExpPoly, _det, _int_rows
 from .tnn import RationalMatrix
 
 QDET_SIZE_LIMIT = 10
@@ -51,12 +51,13 @@ def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
     walks with one +1 per row, whose 1 in column j of row i adds (i - j)^2
     to 2 beta and an inversion per used column right of j."""
     _check_limit(n, size_limit)
+    gaps = _square_gaps(n)
 
     def weigh(i: int, row: tuple[int, ...], state: tuple[int, ...]):
         if -1 in row:
             return None
         j = row.index(1)
-        return (i - j) ** 2, (-1) ** sum(state[j + 1 :]) if signed else 1
+        return gaps[i][j], (-1) ** sum(state[j + 1 :]) if signed else 1
 
     return HalfExpPoly(_tally(n, weigh))
 
@@ -94,10 +95,9 @@ def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
 
 def _q_weight_matrix(rows: Sequence[Sequence[int]]) -> list[list[HalfExpPoly]]:
     """Entries m_ij * q^{(i-j)^2/2}, indices counted inside the matrix."""
-    n = len(rows)
     return [
-        [HalfExpPoly.q_pow_twice((i - j) ** 2, rows[i][j]) for j in range(n)]
-        for i in range(n)
+        [HalfExpPoly.q_pow_twice(g, x) for g, x in zip(gaps, row)]
+        for gaps, row in zip(_square_gaps(len(rows)), rows)
     ]
 
 
@@ -160,8 +160,8 @@ def dodgson(m: RationalMatrix) -> Fraction:
     """det(m) by one condensation step, exact: Dodgson's numerator over
     the interior minor (1 when n = 2).  Raises SingularInteriorError when
     the interior minor is zero (the classical proviso).  The minors are
-    taken on the row-scaled integer matrix, so the quotient grows by the
-    product of all row scales.
+    taken on the integer matrix scaled by the lcm of all denominators,
+    so the quotient grows by scale**n.
     """
     n = m.n
     if n < 2:
@@ -170,7 +170,7 @@ def dodgson(m: RationalMatrix) -> Fraction:
     interior, numerator = _condense(rows, 1)
     if interior == 0:
         raise SingularInteriorError("interior minor is zero")
-    return Fraction(numerator, interior * scale)
+    return Fraction(numerator, interior * scale**n)
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,8 @@ def _q_condensation(m: RationalMatrix) -> tuple[int, list, HalfExpPoly, HalfExpP
     """
     if m.n < 2:
         raise AsmError("condensation needs n >= 2")
-    scale = lcm(*(x.denominator for row in m.rows for x in row))
-    weighted = _q_weight_matrix([[int(x * scale) for x in row] for row in m.rows])
+    rows, scale = _int_rows(m.rows)
+    weighted = _q_weight_matrix(rows)
     return scale, weighted, *_condense(weighted, HalfExpPoly.one())
 
 

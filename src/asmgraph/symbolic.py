@@ -165,10 +165,12 @@ def asm_monomial(a: Asm) -> LaurentMonomial:
     return LaurentMonomial(Fraction(1), tuple(_asm_powers(a)))
 
 
-def _asm_difference(a: Asm, b: Asm, rows: Sequence[Sequence]) -> Fraction:
-    """x^a - x^b at rows, exactly; a is read first."""
+def _asm_difference(a: Asm, b: Asm, rows: Sequence[Sequence], wa=1, wb=1) -> Fraction:
+    """wa x^a - wb x^b at rows, exactly; a is read first."""
     cells = _Cells(rows)
-    (an, ad), (bn, bd) = (_monomial_ratio(_asm_powers(x), cells) for x in (a, b))
+    (an, ad), (bn, bd) = (
+        _monomial_ratio(_asm_powers(x), cells, *_ratio(w)) for x, w in ((a, wa), (b, wb))
+    )
     return Fraction(an * bd - bn * ad, ad * bd)
 
 
@@ -250,14 +252,11 @@ def _minors(rows: Sequence[Sequence], one, *, prefixes_only: bool = False):
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of
-    those positive scales, by which every minor of the rows grew."""
-    out, scale = [], 1
-    for row in rows:
-        row_scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (row_scale // x.denominator) for x in row])
-        scale *= row_scale
-    return out, scale
+    """The rows times the lcm of all their denominators, and that
+    positive scale; every k-minor of the rows grew by scale**k, so an
+    n x n determinant by scale**n."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def _det(rows: Sequence[Sequence], one):

@@ -11,18 +11,20 @@ built from the first corner-sum violation (k, l) already separates the
 pair, since every minor of that matrix is 0, 1 or 2 while the monomial
 difference evaluates to 2^{A~(k,l)} - 2^{B~(k,l)} < 0.
 
-The all-minors test evaluates no minor from scratch.  It scales each
-row by the lcm of its denominators, a positive factor that keeps the
-sign of every minor, and then builds each k-minor as an int from the
-stored (k-1)-minors by Laplace expansion along the last row of its row
-set; a negative minor ends the test at once.  The Gaussian :func:`det`
-stays as the independent reference: :func:`iter_minor_values` takes
-each minor with it.
+The all-minors test evaluates no minor from scratch.  It scales the
+whole matrix by the lcm of all its denominators, a positive factor that
+keeps the sign of every minor, and then builds each k-minor as an int
+from the stored (k-1)-minors by Laplace expansion along the last row of
+its row set; a negative minor ends the test at once.  The Gaussian
+:func:`det` stays as the independent reference: :func:`iter_minor_values`
+takes each minor with it.
 
-The sampler runs on integer ratios too: :func:`bidiagonal_product`
-holds each column as an int vector over one positive denominator,
-reduced after every update, and builds one Fraction per entry of the
-result.
+The matrices this module makes (samples, counterexamples, q-weightings)
+are built once, straight from Fractions, and not passed back through
+:func:`rational_matrix`, the entry point for rows from outside.  The
+sampler runs on integer ratios too: :func:`bidiagonal_product` holds
+each column as an int vector over one positive denominator, reduced
+after every update, and builds one Fraction per entry of the result.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
@@ -49,9 +51,8 @@ from typing import Iterable, Sequence
 
 from .core import Asm, AsmError
 from .enumeration import _check_limit
-from .lattice import SizeMismatchError, _first_excess, _same_size, beta, corner_sum
-from .symbolic import UndefinedEvaluationError, _asm_difference, _int_rows, _minors, _ratio
-from .symbolic import asm_monomial
+from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
+from .symbolic import _asm_difference, _int_rows, _minors, _ratio
 
 TNN_SIZE_LIMIT = 8
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
@@ -92,9 +93,8 @@ def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
 def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
     """n x n matrix of rationals p/q, -9 <= p <= 9 and 1 <= q <= 4,
     drawn row-major from rng (numerator, then denominator)."""
-    return rational_matrix(
-        [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-    )
+    entries = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n * n))
+    return RationalMatrix(tuple(zip(*[entries] * n)))
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -130,7 +130,7 @@ def iter_minor_values(m: RationalMatrix) -> Iterable[Fraction]:
 
 
 def is_tnn(m: RationalMatrix, *, size_limit: int | None = TNN_SIZE_LIMIT) -> bool:
-    """Exact check that every minor is >= 0, on row-scaled ints."""
+    """Exact check that every minor is >= 0, on the matrix scaled to ints."""
     if m.n:  # the 0 x 0 matrix is vacuously TNN, not a size error
         _check_limit(m.n, size_limit, "all-minors guard")
     rows, _ = _int_rows(m.rows)
@@ -149,28 +149,28 @@ def rational_sqrt(x) -> Fraction:
     return Fraction(rn, rd)
 
 
+def _reweighted(m: RationalMatrix, s: Fraction) -> RationalMatrix:
+    """The matrix (s^{(i-j)^2} m(i,j))."""
+    rows = zip(_square_gaps(m.n), m.rows)
+    return RationalMatrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
+
+
+def _inverse_root(q0) -> Fraction:
+    """1 / sqrt(q0), exact; q0 must be a positive perfect square."""
+    s = rational_sqrt(q0)
+    if s == 0:
+        raise AsmError("q0 must be positive")
+    return 1 / s
+
+
 def q_weighted(m: RationalMatrix, q0) -> RationalMatrix:
     """The matrix (q0^{(i-j)^2/2} m(i,j)); needs sqrt(q0) rational."""
-    s = rational_sqrt(q0)
-    return rational_matrix(
-        [
-            [m.entry(i, j) * s ** ((i - j) ** 2) for j in range(1, m.n + 1)]
-            for i in range(1, m.n + 1)
-        ]
-    )
+    return _reweighted(m, rational_sqrt(q0))
 
 
 def q_unweighted(m: RationalMatrix, q0) -> RationalMatrix:
     """Inverse of :func:`q_weighted`; q0 must be a positive perfect square."""
-    s = rational_sqrt(q0)
-    if s == 0:
-        raise AsmError("q0 must be positive")
-    return rational_matrix(
-        [
-            [m.entry(i, j) / s ** ((i - j) ** 2) for j in range(1, m.n + 1)]
-            for i in range(1, m.n + 1)
-        ]
-    )
+    return _reweighted(m, _inverse_root(q0))
 
 
 def is_locally_tnn_at(
@@ -208,36 +208,28 @@ def bidiagonal_product(
     1 1/3
     2 5/3
     """
-    word = _checked_word(diag, lower_params, upper_params)
     # Parameters are read in the order their factors apply.
     lower = [_ratio(t) for t in lower_params]
     diag_ratios = [_ratio(d) for d in diag]
     upper = [_ratio(t) for t in upper_params]
-    return _bidiagonal_ratios(word, diag_ratios, lower, upper)
-
-
-def _checked_word(diag: Sequence, lower: Sequence, upper: Sequence) -> list[int]:
-    """The reduced word for n = len(diag), if both parameter lists fit it."""
-    n = len(diag)
-    word = _longest_word(n)
-    if len(lower) != len(word) or len(upper) != len(word):
-        raise AsmError(f"need {len(word)} lower and upper parameters for n={n}")
-    return word
+    return _bidiagonal_ratios(diag_ratios, lower, upper)
 
 
 def _bidiagonal_ratios(
-    word: Sequence[int],
     diag: Sequence[tuple[int, int]],
     lower: Sequence[tuple[int, int]],
     upper: Sequence[tuple[int, int]],
 ) -> RationalMatrix:
     """:func:`bidiagonal_product` on parameters given as (numerator,
-    positive denominator).
+    positive denominator), after checking that both lists fit the word.
 
     Each column is an int vector over one positive denominator, kept in
     lowest terms, so the only Fractions built are the result's entries.
     """
     n = len(diag)
+    word = _longest_word(n)
+    if len(lower) != len(word) or len(upper) != len(word):
+        raise AsmError(f"need {len(word)} lower and upper parameters for n={n}")
     cols = [[int(r == c) for r in range(n)] for c in range(n)]
     dens = [1] * n
 
@@ -284,7 +276,7 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
     diag = [draw() for _ in range(n)]
     lower = [draw() for _ in range(count)]
     upper = [draw() for _ in range(count)]
-    return _bidiagonal_ratios(_checked_word(diag, lower, upper), diag, lower, upper)
+    return _bidiagonal_ratios(diag, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +308,10 @@ def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, in
     if witness is None:
         raise ComparableError("a <= b; the difference is nonnegative on TNN matrices")
     k, l = witness
-    rows = [
-        [Fraction(2) if i <= k and j <= l else Fraction(1) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return rational_matrix(rows), witness
+    cells = range(1, n + 1)
+    two, one = Fraction(2), Fraction(1)
+    rows = tuple(tuple(two if i <= k and j <= l else one for j in cells) for i in cells)
+    return RationalMatrix(rows), witness
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +356,8 @@ def qtnn_scan(
     pair is incomparable the deterministic 2-block counterexample is
     prepended as sample 0 at every grid point, so a violation is always
     exhibited.  Each sample also cross-checks the q-weighting identity
-    value(weighted) = q0^{beta(a)} x^a(m) - q0^{beta(b)} x^b(m).
+    value(weighted) = q0^{beta(a)} x^a(m) - q0^{beta(b)} x^b(m).  Every
+    q0 in the grid is validated, even where no sample is drawn.
     """
     try:
         extra = [counterexample_matrix(a, b)[0]]
@@ -373,11 +365,11 @@ def qtnn_scan(
         extra = []
     comparable = not extra
     # counterexample_matrix has checked that a and b have one size.
-    mono_a, mono_b = asm_monomial(a), asm_monomial(b)
     beta_a, beta_b = beta(a), beta(b)
     results = []
     for gi, q0 in enumerate(q_grid):
         q0 = Fraction(q0)
+        inverse = _inverse_root(q0)
         weight_a, weight_b = q0**beta_a, q0**beta_b
         violations = []
         for idx in range(samples + len(extra)):
@@ -385,12 +377,9 @@ def qtnn_scan(
                 weighted = extra[idx]
             else:
                 weighted = random_tnn(a.n, seed=seed * 1000003 + gi * 1009 + idx)
-            local = q_unweighted(weighted, q0)
-            value = mono_a.evaluate(weighted.rows) - mono_b.evaluate(weighted.rows)
-            check = weight_a * mono_a.evaluate(local.rows) - weight_b * mono_b.evaluate(
-                local.rows
-            )
-            if value != check:
+            local = _reweighted(weighted, inverse)
+            value = _asm_difference(a, b, weighted.rows)
+            if value != _asm_difference(a, b, local.rows, weight_a, weight_b):
                 raise AsmError("q-weighting identity failed; implementation bug")
             if value < 0:
                 violations.append((idx, value))

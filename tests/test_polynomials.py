@@ -213,8 +213,8 @@ class TestDodgson:
     @settings(deadline=None)
     @given(st.data())
     def test_matches_det_wherever_the_interior_is_nonsingular(self, data):
-        # Small entries with mixed denominators, so that rows scale
-        # differently and interiors are sometimes singular.
+        # Small entries with mixed denominators, so that the common scale
+        # is often above 1 and interiors are sometimes singular.
         n = data.draw(st.integers(min_value=1, max_value=6))
         entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]

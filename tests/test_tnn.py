@@ -1,5 +1,6 @@
 """Tests for exact total nonnegativity and the order separation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from asmgraph import (
 )
 from asmgraph.core import corner_sum
 from asmgraph.lattice import SizeMismatchError
-from asmgraph.tnn import det, iter_minor_values, q_unweighted, rational_sqrt
+from asmgraph.tnn import det, iter_minor_values, q_unweighted, random_rational_matrix, rational_sqrt
 
 F = Fraction
 
@@ -44,6 +45,28 @@ class TestRationalMatrix:
     def test_non_square(self):
         with pytest.raises(AsmError):
             rational_matrix([[1, 2], [3]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: counterexample_matrix(reverse_asm(3), identity_asm(3))[0],
+            lambda: q_weighted(rational_matrix([[1, 2], [3, 4]]), F(9, 4)),
+            lambda: q_unweighted(rational_matrix([[1, 2], [3, 4]]), F(9, 4)),
+            lambda: random_rational_matrix(3, random.Random(0)),
+            lambda: random_tnn(4, seed=3),
+            lambda: bidiagonal_product([1, 2], [3], ["1/3"]),
+        ],
+        ids=[
+            "counterexample_matrix", "q_weighted", "q_unweighted",
+            "random_rational_matrix", "random_tnn", "bidiagonal_product",
+        ],
+    )
+    def test_built_matrices_are_exact(self, build):
+        # These matrices skip rational_matrix; an int entry or a list row
+        # would still pass str, JSON and is_tnn, so the types are checked.
+        m = build()
+        assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+        assert all(type(x) is Fraction for row in m.rows for x in row)
 
 
 class TestDet:
@@ -345,9 +368,20 @@ class TestQtnnScan:
         assert report.results[0].q0 == F(9, 4)
         assert not report.has_violations
 
-    def test_irrational_grid_point(self, a3):
-        with pytest.raises(IrrationalSqrtError):
-            qtnn_scan(a3["123"], a3["321"], q_grid=[2], samples=1, seed=0)
+    @pytest.mark.parametrize("samples", [0, 1], ids=["samples0", "samples1"])
+    @pytest.mark.parametrize(
+        "q0, error, message",
+        [
+            (2, IrrationalSqrtError, "not a perfect rational square"),
+            (-1, IrrationalSqrtError, "is negative"),
+            (0, AsmError, "q0 must be positive"),
+        ],
+        ids=["q0=2", "q0=-1", "q0=0"],
+    )
+    def test_irrational_grid_point(self, a3, q0, error, message, samples):
+        # A grid point is checked even when it draws no sample.
+        with pytest.raises(error, match=message):
+            qtnn_scan(a3["123"], a3["321"], q_grid=[q0], samples=samples, seed=0)
 
 
 def _entries(nonnegative):
