@@ -16,7 +16,8 @@ Subcommands map one-to-one onto the library's capabilities:
 Matrix arguments accept a file path (text or JSON format) or a
 permutation literal such as ``4312``.  Exit codes: 0 success (and the
 order holds where one is queried), 2 usage error, 3 the relation fails
-or the pair is incomparable, 1 anything else that goes wrong.
+or the pair is incomparable, 1 anything else that goes wrong (silently
+when the reader closes the stdout pipe early).
 
 Each handler returns ``(exit code, JSON document, text)`` and leaves
 printing to :func:`main`, which prints ``json.dumps(document)`` under
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -466,15 +468,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, doc, text = args.func(args)
+        if args.json:
+            text = None if doc is None else json.dumps(doc)
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`); what is still buffered goes
+        # to devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError, ZeroDivisionError) as exc:
         message = str(exc)
         if isinstance(exc, SizeLimitExceededError) and "limit_override" in args:
             message = message.replace("size_limit=None", "--limit-override 0")
-        code, doc, text = _fail(1, message)
-    if args.json:
-        text = None if doc is None else json.dumps(doc)
-    if text is not None:
-        print(text)
+        return _fail(1, message)[0]
     return code
 
 

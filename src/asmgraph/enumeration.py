@@ -10,9 +10,12 @@ walk of n steps from the zero state is exactly one ASM: no
 post-filtering, no dead ends, and no corner sum is formed.
 
 Walking the successors of each state in lexicographic order yields the
-ASMs in canonical order.  Adding up path counts layer by layer, each
-step weighed, counts them without building a single matrix, and over
-rows with a single +1 (the permutation matrices) it tallies B_n(q) too.
+ASMs in canonical order.  iter_asms walks the first ceil(n/2) rows and
+joins each state reached to its completions, listed once per state (its
+ones fix the rows left) in a memo of the call: the shorter half, freed
+with the generator.  Adding up path counts layer by layer, each step
+weighed, counts them without building a single matrix, and over rows
+with a single +1 (the permutation matrices) it tallies B_n(q) too.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -81,21 +84,21 @@ def _step_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
 
 
 def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[Asm]:
-    """Stream all n x n ASMs in canonical order (see enumerate_asms)."""
+    """Stream all n x n ASMs in canonical order (see enumerate_asms) by
+    the half-walk join above, with a tail memo that lives for this call."""
     _check_limit(n, size_limit)
     steps = _step_table(n)
-    rows: list[Row] = []
 
-    def walk(state: Row) -> Iterator[Asm]:
-        if len(rows) == n:
-            yield _trusted_asm(tuple(rows))
-            return
-        for row, nxt in steps(state):
-            rows.append(row)
-            yield from walk(nxt)
-            rows.pop()
+    @cache
+    def tails(state: Row) -> list[tuple[Row, ...]]:
+        if all(state):
+            return [()]
+        return [(row, *tail) for row, nxt in steps(state) for tail in tails(nxt)]
 
-    return walk((0,) * n)
+    heads: Iterator[tuple[tuple[Row, ...], Row]] = iter([((), (0,) * n)])
+    for _ in range((n + 1) // 2):
+        heads = (((*head, row), nxt) for head, state in heads for row, nxt in steps(state))
+    return (_trusted_asm(head + tail) for head, mid in heads for tail in tails(mid))
 
 
 def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[Asm]:

@@ -1,7 +1,8 @@
 """CLI behaviour: output formats, exit codes, and round trips.
 
-Everything here drives ``main(argv)`` in-process for speed; one
-subprocess test at the end checks the ``python -m`` entry point.
+Everything here drives ``main(argv)`` in-process for speed; the
+subprocess tests at the end check the ``python -m`` entry point and a
+stdout pipe that its reader closes early.
 """
 
 import hashlib
@@ -536,3 +537,18 @@ def test_python_dash_m_entry_point():
         check=True,
     )
     assert result.stdout.strip() == "7"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_pipe_exits_1_without_an_error_line(fmt):
+    """`enumerate --n 6 | head -c 10`: the 7,436 matrices overfill the
+    pipe, so the writer meets the closed pipe while still streaming."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asmgraph", "enumerate", "--n", "6", *fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

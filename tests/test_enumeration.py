@@ -3,10 +3,11 @@
 The reference oracle here builds ASMs entry by entry (rows drawn from
 {-1, 0, 1} with the prefix-sum conditions enforced directly), which is
 deliberately a different algorithm from the column-state walk used by
-the package, so the two can cross-check each other.  A second oracle
-walks corner-sum rows as lattice paths and finishes each matrix with the
-validating from_corner_sum.  Counts are also checked against the ASM
-product formula.
+the package, so the two can cross-check each other.  The walk's own
+earlier form, one recursive frame per row, pins the order of the
+half-walk join.  A second oracle walks corner-sum rows as lattice paths
+and finishes each matrix with the validating from_corner_sum.  Counts
+are also checked against the ASM product formula.
 """
 
 from collections import Counter
@@ -66,13 +67,31 @@ def _oracle_asms(n):
             return
         for row in rows:
             nxt = tuple(c + v for c, v in zip(col_sums, row))
-            if all(s in (0, 1) for s in nxt):
+            if -1 not in nxt and 2 not in nxt:  # every column prefix sum in {0, 1}
                 stack.append(row)
                 place(stack, nxt)
                 stack.pop()
 
     place([], (0,) * n)
     return found
+
+
+def _recursive_walk(n):
+    """iter_asms before the half-walk join: a depth-n recursive generator
+    over the same successor table, each matrix passing up every frame."""
+    steps = asmgraph.enumeration._step_table(n)
+    rows = []
+
+    def walk(state):
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for row, nxt in steps(state):
+            rows.append(row)
+            yield from walk(nxt)
+            rows.pop()
+
+    return walk((0,) * n)
 
 
 def _next_rows(prev, i, n):
@@ -130,6 +149,12 @@ class TestCounts:
     def test_matches_entrywise_oracle(self, n):
         ours = {a.entries for a in iter_asms(n)}
         assert ours == _oracle_asms(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_recursive_walk(self, n):
+        walked = list(_recursive_walk(n))
+        assert [a.entries for a in iter_asms(n)] == walked
+        assert set(walked) == _oracle_asms(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_corner_sum_walk(self, n):

@@ -17,9 +17,12 @@ implementation under test:
   old_covering_chain), which re-tests each essential point with
   apply_rect and each candidate with a full asm_leq;
 - the directly built bigrassmannian permutations: the is_bigrassmannian
-  filter over S_n.
+  filter over S_n;
+- beta through row moments: the (i - j)^2-weighted half-sum it replaced,
+  and the corner-sum formula, on ASMs drawn as random column-state walks.
 """
 
+import sys
 import tracemalloc
 from array import array
 from functools import lru_cache
@@ -65,7 +68,8 @@ from asmgraph import (
     reverse_asm,
     validate_asm,
 )
-from asmgraph.core import Permutation, corner_sum, is_corner_sum
+from asmgraph.core import Asm, Permutation, corner_sum, is_corner_sum
+from asmgraph.enumeration import ASM_SIZE_LIMIT, _step_table
 from asmgraph.lattice import (
     EDGE_TYPE_TABLE,
     PACKED_SIZE_LIMIT,
@@ -73,8 +77,10 @@ from asmgraph.lattice import (
     Edge,
     GraphEdge,
     SizeMismatchError,
+    _beta_corner_sum,
     _bigrassmannian_asms,
     _pack,
+    _row_moments,
     _typecode,
 )
 from asmgraph.verify import A5_TYPE_CENSUS
@@ -167,6 +173,35 @@ def _type_census(g):
     for e in g.edges:
         census[e.edge_type] = census.get(e.edge_type, 0) + 1
     return census
+
+
+def _beta_square_sum(a):
+    """beta before the row-moment identity: (1/2) sum (i - j)^2 A(i, j)."""
+    rows = a.entries
+    return sum((i - j) ** 2 * v for i, row in enumerate(rows) for j, v in enumerate(row)) // 2
+
+
+@st.composite
+def _walked_asms(draw, max_n=12):
+    """An ASM of size 1..max_n, one drawn successor per row of the walk."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    steps, state, rows = _step_table(n), (0,) * n, []
+    for _ in range(n):
+        choices = steps(state)
+        row, state = choices[draw(st.integers(min_value=0, max_value=len(choices) - 1))]
+        rows.append(row)
+    return Asm(rows)
+
+
+def _memo_sizes():
+    """currsize of every memoised function at module level in asmgraph."""
+    return {
+        (module, name): fn.cache_info().currsize
+        for module, m in sys.modules.items()
+        if module.startswith("asmgraph")
+        for name, fn in vars(m).items()
+        if hasattr(fn, "cache_info")
+    }
 
 
 def _oracle_edges(asms):
@@ -548,6 +583,27 @@ class TestBeta:
             for b in enumerate_asms(3):
                 if asm_leq(a, b) and a != b:
                     assert beta(a) < beta(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_walked_asms())
+    def test_row_moments_match_the_square_sum(self, a):
+        assert beta(a) == _beta_square_sum(a) == _beta_corner_sum(a)
+
+    def test_row_moment_table(self):
+        """2^(n-1) rows per size up to the guard, the rows ASMs are made of;
+        beta above the guard reads the rows and memoises nothing."""
+        for n in range(1, ASM_SIZE_LIMIT + 1):
+            table = _row_moments(n)
+            assert len(table) == 2 ** (n - 1)
+            assert all(m == sum(j * v for j, v in enumerate(row)) for row, m in table.items())
+            if n <= 5:
+                assert set(table) == {row for a in iter_asms(n) for row in a.entries}
+        before = _memo_sizes()
+        for n in range(ASM_SIZE_LIMIT + 1, 13):
+            assert beta(reverse_asm(n)) == n * (n * n - 1) // 6
+            assert beta(identity_asm(n)) == 0
+        assert _memo_sizes() == before
+        assert _row_moments.cache_info().currsize == ASM_SIZE_LIMIT
 
     def test_streaming_holds_no_asm(self):
         """beta over all 7,436 6x6 ASMs keeps none of them alive."""
