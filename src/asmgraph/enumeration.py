@@ -10,12 +10,14 @@ walk of n steps from the zero state is exactly one ASM: no
 post-filtering, no dead ends, and no corner sum is formed.
 
 Walking the successors of each state in lexicographic order yields the
-ASMs in canonical order.  iter_asms walks the first ceil(n/2) rows and
-joins each state reached to its completions, listed once per state (its
-ones fix the rows left) in a memo of the call: the shorter half, freed
-with the generator.  Adding up path counts layer by layer, each step
-weighed, counts them without building a single matrix, and over rows
-with a single +1 (the permutation matrices) it tallies B_n(q) too.
+ASMs in canonical order.  iter_asms joins the walks over the first rows
+to the completions of each state reached (its ones fix the rows left),
+listed once per state in a memo of the call: the last floor(n/2) rows,
+at most ASM_SIZE_LIMIT // 2, so the memo is freed with the generator
+and stays polynomial in n with the guard lifted.  Adding up path counts
+layer by layer, each step weighed, counts them without building a
+single matrix, and over rows with a single +1 (the permutation
+matrices) it tallies B_n(q) too.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -96,7 +98,7 @@ def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[As
         return [(row, *tail) for row, nxt in steps(state) for tail in tails(nxt)]
 
     heads: Iterator[tuple[tuple[Row, ...], Row]] = iter([((), (0,) * n)])
-    for _ in range((n + 1) // 2):
+    for _ in range(n - min(n // 2, ASM_SIZE_LIMIT // 2)):
         heads = (((*head, row), nxt) for head, state in heads for row, nxt in steps(state))
     return (_trusted_asm(head + tail) for head, mid in heads for tail in tails(mid))
 
