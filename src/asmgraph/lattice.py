@@ -37,11 +37,20 @@ move by delta on the cells of [i, j) x [k, l) exactly when
 with e = 1 when lowering (dual essential) and e = 0 when raising
 (essential).  Every rectangle question (the essential and dual-essential
 tests and sets, :func:`apply_rect`, the essential points and the graph's
-edges) reads the runs of partial sums that satisfy these, never the
-other rectangles.  Lowering the corner sums by 1 on the cells of R
-changes A only at the corners (i,k), (i,l), (j,k), (j,l), where it adds
-(-1, +1, +1, -1); raising them adds (+1, -1, -1, +1).  Targets are
-formed by this corner update.
+edges) is one scan over bitmasks, never over the other rectangles.  Each
+row holds two masks: its nonzero entries, and the columns where its
+partial sum r is 1.  The column sums s after row p (Propp's monotone-
+triangle row, the state of the enumeration walk) are the running XOR of
+the nonzero masks.  The scan loops over row pairs i < j and reads the
+spans k < l that the two rows' partial-sum masks allow from a table
+keyed by that pair; a span is a rectangle when the AND of the states on
+rows i..j-1 has bit k and their OR lacks bit l.  Raising reads the
+complemented masks.  The rectangles come out in (i, j, k, l) order.
+Lowering the corner sums by 1 on the cells of R changes A only at the
+corners (i,k), (i,l), (j,k), (j,l), where it adds (-1, +1, +1, -1);
+raising them adds (+1, -1, -1, +1).  Targets are formed by this corner
+update, and the span table gives each edge's type from the source
+corners.
 
 Covering chains are one walk down the corner sums.  The point (i, j)
 is essential when the corner sum there equals its left and upper
@@ -55,11 +64,13 @@ instead would recompute all of them at every step.
 
 A built :class:`AsmGraph` keeps its edges as CSR columns: per-source
 offsets into ``array`` columns of target indices, edge types and packed
-rectangle bounds.  :func:`build_graph` alone writes them, appending
-each up-move's bounds straight to them, and :attr:`AsmGraph.edges` is an
-iterator over the columns that makes :class:`GraphEdge` values as it
-goes, so the graph on all 218,348 7x7 ASMs (3,514,354 edges) fits in
-about 27 MB of columns.
+rectangle bounds.  :func:`build_graph` alone writes them.  It codes each
+node by its entries as base-3 digits, so a target's code is its
+source's plus a product read from the span table, and looks that code
+up; no target matrix is formed.  :attr:`AsmGraph.edges` is an iterator
+over the columns that makes :class:`GraphEdge` values as it goes, so the
+graph on all 218,348 7x7 ASMs (3,514,354 edges) fits in about 27 MB of
+columns.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations, product
-from operator import lt, mul
+from operator import lt, mul, xor
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -139,40 +150,133 @@ def _same_size(a: Asm, b: Asm) -> int:
     return a.n
 
 
+class _Span(NamedTuple):
+    """Columns k < l (1-based) of a rectangle whose top and bottom rows
+    allow it, as the span table keeps them."""
+
+    kbit: int  # 1 << (k - 1), the column state bit s(., k)
+    lbit: int  # 1 << (l - 1)
+    k: int
+    l: int
+    edge_type: int  # of the edge across the rectangle, from its upper ASM
+    step: int  # change of the top row's base-3 code; the bottom's is -step
+    packed: int  # (k, l) as the low half of a packed rects entry
+
+
+class _Table(dict):
+    """A dict that fills itself: ``table[key]`` is ``make(key)``, made on
+    first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _row_bits(row: tuple[int, ...]) -> tuple[int, int, int]:
+    """(nonzero mask, partial-sum mask, base-3 code) of an ASM row, with
+    0-based columns q: the masks have bit q where row[q] != 0 and where
+    the partial sum up to row[q] is 1, and the code has digit row[q] + 1
+    at 3^q."""
+    nonzero = partial = code = 0
+    for q, (v, r) in enumerate(zip(row, accumulate(row))):
+        nonzero |= (v != 0) << q
+        partial |= r << q
+        code += (v + 1) * 3**q
+    return nonzero, partial, code
+
+
+def _spans(n: int, delta: int, key: int) -> tuple[_Span, ...]:
+    """Every span k < l on which the top row's partial sums are e and the
+    bottom row's 1 - e (e = 1 when lowering, 0 when raising), for the
+    partial-sum masks top << n | bottom, sorted by (k, l)."""
+    top, bottom = key >> n, key & ((1 << n) - 1)
+    flip = (1 << n) - 1 if delta > 0 else 0
+    run = (top ^ flip) & ~(bottom ^ flip)
+
+    def entry(mask: int, q: int) -> int:
+        """The row entry at 0-based column q: a step of its partial sums."""
+        return (mask >> q & 1) - (mask << 1 >> q & 1)
+
+    # The edge type is read off the upper ASM of the pair: the target
+    # (corners + (-1, 1, 1, -1)) when lowering, the source when raising.
+    upper = (delta - 1) // 2
+    shift = n.bit_length()
+    spans = []
+    for k in range(n):
+        l = k
+        while run >> l & 1:
+            l += 1
+            corners = (
+                entry(top, k) + upper,
+                entry(top, l) - upper,
+                entry(bottom, k) - upper,
+                entry(bottom, l) + upper,
+            )
+            spans.append(_Span(
+                1 << k, 1 << l, k + 1, l + 1, _TYPE_BY_TARGET_CORNERS[corners],
+                delta * (3**k - 3**l), _pack((0, 0, k + 1, l + 1), shift),
+            ))
+    return tuple(spans)
+
+
+@cache
+def _size_tables(n: int, delta: int) -> tuple[_Table, _Table]:
+    """The row table (row -> :func:`_row_bits`) and the span table
+    (partial-sum masks top << n | bottom -> :func:`_spans`) for size n."""
+    return _Table(_row_bits), _Table(lambda key: _spans(n, delta, key))
+
+
+def _tables(n: int, delta: int) -> tuple[_Table, _Table]:
+    """:func:`_size_tables`, memoised per size up to ASM_SIZE_LIMIT, where
+    they hold at most 2^(n-1) rows and 4^(n-1) pairs, and fresh above."""
+    if n <= ASM_SIZE_LIMIT:
+        return _size_tables(n, delta)
+    return _size_tables.__wrapped__(n, delta)
+
+
+def _scan(
+    bits: list[tuple[int, int, int]], spans: _Table, delta: int
+) -> Iterator[tuple[int, int, _Span]]:
+    """(i, j, span), 0-based rows i < j, for every rectangle on whose cells
+    the corner sums can move by delta, in (i, j, k, l) order.
+
+    bits holds each row's :func:`_row_bits`; the column states s(p, .),
+    complemented when raising, are the running XOR of the nonzero masks.
+    The span table gives the (k, l) that rows i and j allow; such a span
+    is a rectangle when the states on rows i..j-1 all have bit k and none
+    has bit l.
+    """
+    n = len(bits)
+    flip = (1 << n) - 1 if delta > 0 else 0
+    states = [state ^ flip for state in accumulate((b[0] for b in bits), xor)]
+    keys = [b[1] for b in bits]
+    for i in range(n - 1):
+        top = keys[i] << n
+        both = either = states[i]
+        for j in range(i + 1, n):
+            for span in spans[top | keys[j]]:
+                if both & span.kbit and not either & span.lbit:
+                    yield i, j, span
+            both &= states[j]
+            if not both:
+                break
+            either |= states[j]
+
+
+def _rects(entries: Entries, delta: int) -> Iterator[tuple[int, int, _Span]]:
+    """:func:`_scan` over the rows of one ASM."""
+    rows, spans = _tables(len(entries), delta)
+    return _scan([rows[row] for row in entries], spans, delta)
+
+
 def _shift_rects(entries: Entries, delta: int) -> list[Bounds]:
     """Sorted 1-based bounds (i, j, k, l) of every rectangle on whose
-    cells the corner sums of entries can move by delta (+1 or -1).
-
-    Reads the runs of the row partial sums r and the column partial sums
-    s (see the module docstring): each step into the rectangle must be 0
-    when raising and 1 when lowering, and each step out of it the other.
-    Indices in the walk are 0-based.
-    """
-    into, out = (1 - delta) // 2, (1 + delta) // 2
-    n = len(entries)
-    r = [list(accumulate(row)) for row in entries]
-    s = [list(accumulate(col)) for col in zip(*entries)]  # s[q][p]
-    rects = []
-    for i in range(n - 1):
-        top = r[i]
-        for k in range(n - 1):
-            if top[k] != into or s[k][i] != into:
-                continue
-            col_k = s[k]
-            # r(i, .) = into on columns k..l-1
-            for l in range(k + 1, n):
-                col_l = s[l]
-                # s(., k) = into and s(., l) = out on rows i..j-1
-                j = i + 1
-                while j < n and col_k[j - 1] == into and col_l[j - 1] == out:
-                    # r(j, .) = out on columns k..l-1
-                    if r[j][k:l].count(out) == l - k:
-                        rects.append((i + 1, j + 1, k + 1, l + 1))
-                    j += 1
-                if top[l] != into:
-                    break
-    rects.sort()
-    return rects
+    cells the corner sums of entries can move by delta (+1 or -1)."""
+    return [(i + 1, j + 1, span.k, span.l) for i, j, span in _rects(entries, delta)]
 
 
 def is_essential(a: Asm, r: Rect) -> bool:
@@ -314,24 +418,14 @@ def edge_between(source: Asm, target: Asm) -> Edge:
     return Edge(source, target, r, classify_edge(source, target, r))
 
 
-def _up_moves(entries: Entries) -> Iterator[tuple[Bounds, Entries, int]]:
-    """(rectangle bounds, target entries, edge type) of each edge leaving
-    an ASM, one per dual-essential rectangle, sorted by rectangle."""
-    for bounds in _shift_rects(entries, -1):
-        i, j, k, l = bounds
-        target = _shift_corners(entries, bounds, -1)
-        upper, lower = target[i - 1], target[j - 1]
-        yield bounds, target, _TYPE_BY_TARGET_CORNERS[
-            (upper[k - 1], upper[l - 1], lower[k - 1], lower[l - 1])
-        ]
-
-
 def edges_from(a: Asm) -> list[Edge]:
     """All edges of the ASM graph leaving a, sorted by rectangle."""
-    return [
-        Edge(a, _trusted_asm(target), Rect(*bounds), t)
-        for bounds, target, t in _up_moves(a.entries)
-    ]
+    edges = []
+    for i, j, span in _rects(a.entries, -1):
+        bounds = (i + 1, j + 1, span.k, span.l)
+        target = _trusted_asm(_shift_corners(a.entries, bounds, -1))
+        edges.append(Edge(a, target, Rect(*bounds), span.edge_type))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +710,15 @@ class AsmGraph:
 def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
     """Build the complete ASM graph for size n.
 
-    Each target is looked up in the index of all n x n ASMs, so a wrong
-    target fails with a KeyError instead of entering the graph.  The
-    edges go straight into the columns; no Rect or GraphEdge is made.
-    Beyond PACKED_SIZE_LIMIT, a SizeLimitExceededError says so before
-    any ASM is enumerated.
+    Each node's code has row p's base-3 code (digit A(p, q) + 1 at 3^q,
+    0-based) as its digit at W^p, W = 3^n.  Lowering the corner sums on
+    rectangle (i, j, k, l) moves the code by (3^l - 3^k)(W^i - W^j), in
+    0-based indices, and the target is looked up by that code in the
+    index of all n x n ASMs, so a wrong target fails with a KeyError
+    instead of entering the graph.  The edges go straight into the
+    columns; no target matrix, Rect or GraphEdge is made.  Beyond
+    PACKED_SIZE_LIMIT, a SizeLimitExceededError says so before any ASM
+    is enumerated.
     """
     _check_limit(n, size_limit)
     if n > PACKED_SIZE_LIMIT:
@@ -628,19 +726,28 @@ def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
             n, PACKED_SIZE_LIMIT, "rectangle bounds are packed into 64 bits", guard="packing limit"
         )
     nodes = tuple(enumerate_asms(n, size_limit=size_limit))
-    index = {a.entries: i for i, a in enumerate(nodes)}
+    rows, spans = _tables(n, -1)
+    width = 3**n
+    index = {}
+    for s, a in enumerate(nodes):
+        code = 0
+        for row in reversed(a.entries):
+            code = code * width + rows[row][2]
+        index[code] = s
     shift = n.bit_length()
+    lift = [[width**i - width**j for j in range(n)] for i in range(n)]
+    high = [[_pack((i + 1, j + 1, 0, 0), shift) for j in range(n)] for i in range(n)]
     offsets, dst, types, rects = (
         array("Q", [0]),
         array(_typecode(len(nodes))),
         array("B"),
         array(_typecode((1 << 4 * shift) - 1)),
     )
-    for a in nodes:
-        for bounds, target, t in _up_moves(a.entries):
-            dst.append(index[target])
-            types.append(t)
-            rects.append(_pack(bounds, shift))
+    for a, code in zip(nodes, index):
+        for i, j, span in _scan([rows[row] for row in a.entries], spans, -1):
+            dst.append(index[code + span.step * lift[i][j]])
+            types.append(span.edge_type)
+            rects.append(high[i][j] | span.packed)
         offsets.append(len(dst))
     return AsmGraph(n, nodes, offsets, dst, types, rects)
 
@@ -663,9 +770,11 @@ def export_dot(g: AsmGraph, *, name: str = "asm_graph") -> str:
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
     betas = [beta(a) for a in g.nodes]
-    for level in sorted(set(betas)):
-        members = " ".join(f"n{i};" for i, b in enumerate(betas) if b == level)
-        lines.append(f"  {{ rank=same; {members} }}")
+    levels: dict[int, list[str]] = {}
+    for i, b in enumerate(betas):
+        levels.setdefault(b, []).append(f"n{i};")
+    for level in sorted(levels):
+        lines.append(f"  {{ rank=same; {' '.join(levels[level])} }}")
     for i, b in enumerate(betas):
         lines.append(f'  n{i} [label="{i}:{b}"];')
     offsets, dst, types = g.offsets, g.dst, g.types

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
 from typing import Callable, Iterable
@@ -32,6 +33,7 @@ from .enumeration import enumerate_asms, enumerate_permutations
 from .lattice import (
     IncomparableError,
     _beta_corner_sum,
+    _pack,
     asm_leq,
     beta,
     beta_bigrassmannian_count,
@@ -103,11 +105,17 @@ _B4_COEFFS = {0: 1, 1: -3, 2: 1, 3: 4, 4: -2, 5: -2, 6: -2, 7: 4, 8: 1, 9: -3, 1
 
 #: Edge-type census of the full 5x5 ASM graph (3134 edges).  Type 16
 #: does not occur at this size; its corner pattern needs two -1 entries
-#: in each of two adjacent rows, which takes a 6x6 matrix.  The test
-#: suite freezes the 6x6 census too, where 16 edges have type 16.
+#: in each of two adjacent rows, which takes a 6x6 matrix.
 A5_TYPE_CENSUS = {
     1: 1212, 2: 382, 3: 382, 4: 39, 5: 382, 6: 75, 7: 75, 8: 4,
     9: 382, 10: 75, 11: 75, 12: 4, 13: 39, 14: 4, 15: 4,
+}
+
+#: Edge-type census of the full 6x6 ASM graph (84,016 edges): the first
+#: size with a type-16 edge.
+A6_TYPE_CENSUS = {
+    1: 25810, 2: 10566, 3: 10566, 4: 1573, 5: 10566, 6: 2908, 7: 2908, 8: 287,
+    9: 10566, 10: 2908, 11: 2908, 12: 287, 13: 1573, 14: 287, 15: 287, 16: 16,
 }
 
 
@@ -279,9 +287,10 @@ def check_order_oracle(seed: int = 0):
     )
 
 
-@_check("lattice", "graded lattice A4/A5")
+@_check("lattice", "graded lattice A4/A5/A6")
 def check_graded_lattice(seed: int = 0):
-    """Coverings, beta grading, and edge typing on A_4; type census on A_5."""
+    """Coverings, beta grading, and edge typing on A_4; the graph's columns
+    against edges_from on A_5; type censuses on A_5 and A_6."""
     problems = []
     asms = enumerate_asms(4)
     m = len(asms)
@@ -319,17 +328,30 @@ def check_graded_lattice(seed: int = 0):
             problems.append(f"edge {e}: corner difference {corners}")
         if classify_edge(src, dst, e.rect) != e.edge_type:
             problems.append(f"edge {e}: reclassification disagrees")
-    census: dict[int, int] = {}
-    for a in enumerate_asms(5):
+    g5 = build_graph(5)
+    offsets, dst, types, rects = [0], [], [], []
+    for a in g5.nodes:
         for e in edges_from(a):
-            census[e.edge_type] = census.get(e.edge_type, 0) + 1
-    if census != A5_TYPE_CENSUS:
-        problems.append(f"A5 type census differs: {census}")
-    present = sorted(census)
-    absent = sorted(set(range(1, 17)) - set(census))
+            dst.append(g5.index_of(e.target))
+            types.append(e.edge_type)
+            rects.append(_pack(e.rect.bounds, g5.n.bit_length()))
+        offsets.append(len(dst))
+    if [list(g5.offsets), list(g5.dst), list(g5.types), list(g5.rects)] != [
+        offsets, dst, types, rects
+    ]:
+        problems.append("A5 graph columns differ from edges_from")
+    census5, census6 = Counter(g5.types), Counter(build_graph(6).types)
+    if census5 != A5_TYPE_CENSUS:
+        problems.append(f"A5 type census differs: {dict(census5)}")
+    if census6 != A6_TYPE_CENSUS:
+        problems.append(f"A6 type census differs: {dict(census6)}")
+    present = sorted(census5)
+    absent = sorted(set(range(1, 17)) - set(census5))
     return problems, (
         f"84 covers match essential points; {g.num_edges} A4 edges typed; "
-        f"A5 types present {present}, absent {absent}"
+        f"{len(dst)} A5 edges match edges_from; "
+        f"A5 types present {present}, absent {absent}; "
+        f"{census6.total()} A6 edges, {census6[16]} of type 16"
     )
 
 

@@ -7,6 +7,9 @@ implementation under test:
   revalidate it globally, instead of checking boundary conditions;
 - the rectangle walk over partial sums behind every rectangle question:
   the corner-sum boundary test it replaced, on every rectangle;
+- the bitmask scan and its span tables: the list-based partial-sum walk
+  they replaced, on every ASM up to 5x5, every 7th 6x6 one, and ASMs of
+  up to 9x9 drawn as random column-state walks;
 - graph edges: scan all ordered pairs and ask whether the corner-sum
   difference is the cell indicator of a combinatorial rectangle;
 - the graph builder: the rectangle scan it replaced, which tests every
@@ -25,7 +28,9 @@ implementation under test:
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -68,6 +73,7 @@ from asmgraph import (
     reverse_asm,
     validate_asm,
 )
+from asmgraph import lattice
 from asmgraph.core import Asm, Permutation, corner_sum, is_corner_sum
 from asmgraph.enumeration import ASM_SIZE_LIMIT, _step_table
 from asmgraph.lattice import (
@@ -81,16 +87,12 @@ from asmgraph.lattice import (
     _bigrassmannian_asms,
     _pack,
     _row_moments,
+    _shift_rects,
+    _size_tables,
+    _Table,
     _typecode,
 )
-from asmgraph.verify import A5_TYPE_CENSUS
-
-#: Edge-type census of the full 6x6 ASM graph (84,016 edges): the first
-#: size with a type-16 edge.
-A6_TYPE_CENSUS = {
-    1: 25810, 2: 10566, 3: 10566, 4: 1573, 5: 10566, 6: 2908, 7: 2908, 8: 287,
-    9: 10566, 10: 2908, 11: 2908, 12: 287, 13: 1573, 14: 287, 15: 287, 16: 16,
-}
+from asmgraph.verify import A5_TYPE_CENSUS, A6_TYPE_CENSUS
 
 
 def _all_rects(n):
@@ -121,6 +123,37 @@ def _corner_sums_can_shift(c, r, delta):
         (v(r.i, q) - v(r.i - 1, q), v(r.j, q) - v(r.j - 1, q)) == steps
         for q in range(r.k, r.l)
     )
+
+
+def _list_shift_rects(entries, delta):
+    """_shift_rects before the bitmask scan: the runs of the row partial
+    sums r and the column partial sums s, rebuilt as lists for each ASM
+    and walked column pair by column pair, then sorted."""
+    into, out = (1 - delta) // 2, (1 + delta) // 2
+    n = len(entries)
+    r = [list(accumulate(row)) for row in entries]
+    s = [list(accumulate(col)) for col in zip(*entries)]  # s[q][p]
+    rects = []
+    for i in range(n - 1):
+        top = r[i]
+        for k in range(n - 1):
+            if top[k] != into or s[k][i] != into:
+                continue
+            col_k = s[k]
+            # r(i, .) = into on columns k..l-1
+            for l in range(k + 1, n):
+                col_l = s[l]
+                # s(., k) = into and s(., l) = out on rows i..j-1
+                j = i + 1
+                while j < n and col_k[j - 1] == into and col_l[j - 1] == out:
+                    # r(j, .) = out on columns k..l-1
+                    if r[j][k:l].count(out) == l - k:
+                        rects.append((i + 1, j + 1, k + 1, l + 1))
+                    j += 1
+                if top[l] != into:
+                    break
+    rects.sort()
+    return rects
 
 
 def _shift_rects_scan(a, delta):
@@ -166,13 +199,6 @@ def _asms5():
 @lru_cache(maxsize=None)
 def _asms6():
     return tuple(enumerate_asms(6))
-
-
-def _type_census(g):
-    census = {}
-    for e in g.edges:
-        census[e.edge_type] = census.get(e.edge_type, 0) + 1
-    return census
 
 
 def _beta_square_sum(a):
@@ -298,6 +324,64 @@ class TestEssential:
     def test_rect_outside_matrix(self, a3):
         assert not is_essential(a3["X"], Rect(1, 4, 1, 2))
         assert not is_dual_essential(a3["X"], Rect(1, 2, 1, 4))
+
+
+def _middle_walk(n):
+    """The ASM that takes the middle successor at every row of the walk."""
+    steps, state, rows = _step_table(n), (0,) * n, []
+    for _ in range(n):
+        choices = steps(state)
+        row, state = choices[len(choices) // 2]
+        rows.append(row)
+    return Asm(rows)
+
+
+class TestBitmaskScan:
+    """The bitmask scan against the list-based walk it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_list_walk(self, n):
+        for a in iter_asms(n):
+            for delta in (1, -1):
+                assert _shift_rects(a.entries, delta) == _list_shift_rects(a.entries, delta)
+
+    def test_matches_the_list_walk_on_every_7th_a6(self):
+        for a in _asms6()[::7]:
+            for delta in (1, -1):
+                assert _shift_rects(a.entries, delta) == _list_shift_rects(a.entries, delta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_walked_asms(max_n=9), st.sampled_from((1, -1)))
+    def test_matches_the_list_walk_on_walked_asms(self, a, delta):
+        assert _shift_rects(a.entries, delta) == _list_shift_rects(a.entries, delta)
+
+    def test_tables_are_memoised_only_up_to_the_guard(self):
+        """Per size up to the guard, at most the 2^(n-1) alternating rows
+        and their 4^(n-1) pairs; above it, nothing outlives the call."""
+        before = _memo_sizes()
+        for n in range(ASM_SIZE_LIMIT + 1, 13):
+            for a in (identity_asm(n), reverse_asm(n), _middle_walk(n)):
+                for delta in (1, -1):
+                    assert _shift_rects(a.entries, delta) == _list_shift_rects(a.entries, delta)
+        assert _memo_sizes() == before
+        for n in range(1, ASM_SIZE_LIMIT + 1):
+            for delta in (1, -1):
+                rows, spans = _size_tables(n, delta)
+                assert len(rows) <= 2 ** (n - 1) and len(spans) <= 4 ** (n - 1)
+        assert _size_tables.cache_info().currsize == 2 * ASM_SIZE_LIMIT
+
+    def test_a_wrong_target_code_raises(self, monkeypatch):
+        """Targets found by code arithmetic still go through the index of
+        the nodes: with the code step's sign flipped, the identity's first
+        move points below the minimum, and the build stops there."""
+
+        def flipped(n, delta):
+            rows, spans = _size_tables.__wrapped__(n, delta)
+            return rows, _Table(lambda key: tuple(s._replace(step=-s.step) for s in spans[key]))
+
+        monkeypatch.setattr(lattice, "_tables", flipped)
+        with pytest.raises(KeyError):
+            build_graph(4)
 
 
 class TestApplyRect:
@@ -447,10 +531,10 @@ class TestGraphBuilder:
         assert (g.nodes, tuple(g.edges)) == _scan_graph(n)
 
     def test_type_16_first_appears_at_6x6(self):
-        assert _type_census(build_graph(5)) == A5_TYPE_CENSUS
+        assert Counter(build_graph(5).types) == A5_TYPE_CENSUS
         g = build_graph(6)
         assert g.num_edges == 84016
-        assert _type_census(g) == A6_TYPE_CENSUS
+        assert Counter(g.types) == A6_TYPE_CENSUS
 
     def test_apply_rect_matches_corner_sum_rebuild(self):
         for a in enumerate_asms(4):
