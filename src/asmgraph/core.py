@@ -104,6 +104,9 @@ class Asm:
     """
 
     entries: tuple[tuple[int, ...], ...]
+    # beta as iter_asms summed it, or None; a class default, not a field,
+    # so equality, hashing and repr never see it (see lattice.beta).
+    _beta = None
 
     def __post_init__(self):
         mat = _square_int_rows(self.entries)
@@ -145,11 +148,15 @@ class Asm:
         return format_asm_text(self)
 
 
-def _trusted_asm(entries: tuple[tuple[int, ...], ...]) -> Asm:
+def _trusted_asm(entries: tuple[tuple[int, ...], ...], beta: int | None = None) -> Asm:
     """An :class:`Asm` without the axiom check, for the generators whose
-    entries are ASMs by construction; nothing else may call it."""
+    entries are ASMs by construction; nothing else may call it.  A
+    generator that has summed beta along the way passes it as the seed
+    that :func:`lattice.beta` returns."""
     a = object.__new__(Asm)
     object.__setattr__(a, "entries", entries)
+    if beta is not None:
+        object.__setattr__(a, "_beta", beta)
     return a
 
 

@@ -14,10 +14,16 @@ ASMs in canonical order.  iter_asms joins the walks over the first rows
 to the completions of each state reached (its ones fix the rows left),
 listed once per state in a memo of the call: the last floor(n/2) rows,
 at most ASM_SIZE_LIMIT // 2, so the memo is freed with the generator
-and stays polynomial in n with the guard lifted.  Adding up path counts
-layer by layer, each step weighed, counts them without building a
-single matrix, and over rows with a single +1 (the permutation
-matrices) it tallies B_n(q) too.
+and stays polynomial in n with the guard lifted.  The join carries the
+bigrassmannian statistic beta = sum_i i^2 - sum_i i m(row_i), with the
+row moment m(row) = sum_j j row_j (0-based i, j; see lattice.beta).  A
+state with i ones is always followed by row i, so each head holds
+sum_i i^2 less its rows' part, each memoised tail its rows' part, and
+an ASM's beta is one subtraction, handed over as its seed.
+
+Adding up path counts layer by layer, each step weighed, counts the
+walks without building a single matrix, and over rows with a single +1
+(the permutation matrices) it tallies B_n(q) too.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -29,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import permutations as _permutations
+from operator import mul
 from typing import Callable, Iterator
 
 from .core import Asm, AsmError, Permutation, _trusted_asm, _trusted_permutation
@@ -87,20 +94,35 @@ def _step_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
 
 def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[Asm]:
     """Stream all n x n ASMs in canonical order (see enumerate_asms) by
-    the half-walk join above, with a tail memo that lives for this call."""
+    the half-walk join above, with memos that live for this call.  The
+    join carries beta: each ASM is seeded with it (see lattice.beta)."""
     _check_limit(n, size_limit)
     steps = _step_table(n)
 
     @cache
-    def tails(state: Row) -> list[tuple[Row, ...]]:
-        if all(state):
-            return [()]
-        return [(row, *tail) for row, nxt in steps(state) for tail in tails(nxt)]
+    def moment(row: Row) -> int:
+        return sum(map(mul, range(n), row))
 
-    heads: Iterator[tuple[tuple[Row, ...], Row]] = iter([((), (0,) * n)])
+    @cache
+    def tails(state: Row) -> list[tuple[tuple[Row, ...], int]]:
+        if all(state):
+            return [((), 0)]
+        i = sum(state)  # the row after a state with i ones is row i
+        return [
+            ((row, *tail), i * moment(row) + t)
+            for row, nxt in steps(state)
+            for tail, t in tails(nxt)
+        ]
+
+    heads: Iterator[tuple[tuple[Row, ...], int, Row]]
+    heads = iter([((), (n - 1) * n * (2 * n - 1) // 6, (0,) * n)])
     for _ in range(n - min(n // 2, ASM_SIZE_LIMIT // 2)):
-        heads = (((*head, row), nxt) for head, state in heads for row, nxt in steps(state))
-    return (_trusted_asm(head + tail) for head, mid in heads for tail in tails(mid))
+        heads = (
+            ((*head, row), b - len(head) * moment(row), nxt)
+            for head, b, state in heads
+            for row, nxt in steps(state)
+        )
+    return (_trusted_asm(head + tail, b - t) for head, b, mid in heads for tail, t in tails(mid))
 
 
 def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[Asm]:

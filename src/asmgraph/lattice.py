@@ -15,8 +15,9 @@ The order is graded by the bigrassmannian statistic
             = (1/2) sum_{i,j} (i - j)^2 A(i, j)
             = #{bigrassmannian permutations B with B <= A},
 
-:func:`beta` reads the entry formula through row moments (see there);
-the other two formulas check it in :func:`beta_checked`.
+:func:`beta` reads the entry formula through row moments, or returns
+the seed that enumeration summed the same way (see there); the other
+two formulas check it in :func:`beta_checked`.
 
 A rectangle R = rows [i, j) x columns [k, l) is *essential* for A when
 the corner-sum matrix can be increased by 1 on exactly the cells of R
@@ -78,7 +79,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from operator import lt, mul, xor
 from typing import Iterator, NamedTuple
 
@@ -461,29 +462,22 @@ def _square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((i - j) ** 2 for j in range(n)) for i in range(n))
 
 
-@cache
-def _row_moments(n: int) -> dict[tuple[int, ...], int]:
-    """sum_j j row_j (0-based j) for each of the 2^(n-1) alternating rows
-    of length n: partial sums in {0, 1} and total 1."""
-    return {
-        row: sum(map(mul, range(n), row))
-        for row in product((-1, 0, 1), repeat=n)
-        if {*accumulate(row)} <= {0, 1} and sum(row) == 1
-    }
-
-
 def beta(a: Asm) -> int:
     """The bigrassmannian statistic (1/2) sum (i - j)^2 A(i, j).  Every
     row and every column of A sums to 1, so the i^2 and the j^2 terms
     each give sum_i i^2, and beta(A) = sum_i i^2 - sum_i i m(row_i) with
-    the row moment m(row) = sum_j j row_j (0-based i, j), read from a
-    per-size table up to ASM_SIZE_LIMIT and from the row above it."""
+    the row moment m(row) = sum_j j row_j (0-based i, j).
+
+    The ASMs that :func:`~asmgraph.enumeration.iter_asms` yields (and so
+    enumerate_asms and the nodes of build_graph) carry beta as a seed,
+    summed by the walk, and this returns it.  Every other ASM, from the
+    constructor or from a move, chain or certificate, has no seed and
+    beta is computed from its rows."""
+    if a._beta is not None:
+        return a._beta
     rows = a.entries
     n = len(rows)
-    if n <= ASM_SIZE_LIMIT:
-        moments = map(_row_moments(n).__getitem__, rows)
-    else:
-        moments = (sum(map(mul, range(n), row)) for row in rows)
+    moments = (sum(map(mul, range(n), row)) for row in rows)
     return (n - 1) * n * (2 * n - 1) // 6 - sum(map(mul, range(n), moments))
 
 

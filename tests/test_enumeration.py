@@ -162,11 +162,12 @@ class TestCounts:
     )
     def test_tail_memo_stays_small(self, n, count, size_limit):
         """The memo of a live call holds few blocks: just before the last
-        7x7 ASM it holds the 3-row tails (the 4-row ones take about three
-        times as many blocks), and with the guard lifted its tails are at
-        most as deep, where half of n rows would take about 200,000 blocks
-        after 100,000 ASMs of size 12 and 500,000 after the first of
-        size 14."""
+        7x7 ASM it holds the 3-row tails, each with its rows' part of
+        beta, in about 6,200 blocks (5,100 without beta; the 4-row tails
+        take about three times as many), and with the guard lifted its
+        tails are at most as deep, where half of n rows would take about
+        200,000 blocks after 100,000 ASMs of size 12 and 500,000 after the
+        first of size 14."""
         gc.collect()
         before = sys.getallocatedblocks()
         asms = iter_asms(n, size_limit=size_limit)

@@ -22,16 +22,22 @@ implementation under test:
 - the directly built bigrassmannian permutations: the is_bigrassmannian
   filter over S_n;
 - beta through row moments: the (i - j)^2-weighted half-sum it replaced,
-  and the corner-sum formula, on ASMs drawn as random column-state walks.
+  and the corner-sum formula, on ASMs drawn as random column-state walks;
+- beta seeded by iter_asms: the same half-sum, on every ASM up to 6x6,
+  every 7th 7x7 one and the first 20,000 of each size 8 to 10, and the
+  seeds' histogram against the column-state tally of 2 beta.
 """
 
+import pickle
 import sys
 import tracemalloc
 from array import array
 from collections import Counter
+from dataclasses import fields
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,7 +81,7 @@ from asmgraph import (
 )
 from asmgraph import lattice
 from asmgraph.core import Asm, Permutation, corner_sum, is_corner_sum
-from asmgraph.enumeration import ASM_SIZE_LIMIT, _step_table
+from asmgraph.enumeration import ASM_SIZE_LIMIT, _step_table, _tally
 from asmgraph.lattice import (
     EDGE_TYPE_TABLE,
     PACKED_SIZE_LIMIT,
@@ -86,9 +92,9 @@ from asmgraph.lattice import (
     _beta_corner_sum,
     _bigrassmannian_asms,
     _pack,
-    _row_moments,
     _shift_rects,
     _size_tables,
+    _square_gaps,
     _Table,
     _typecode,
 )
@@ -673,21 +679,14 @@ class TestBeta:
     def test_row_moments_match_the_square_sum(self, a):
         assert beta(a) == _beta_square_sum(a) == _beta_corner_sum(a)
 
-    def test_row_moment_table(self):
-        """2^(n-1) rows per size up to the guard, the rows ASMs are made of;
-        beta above the guard reads the rows and memoises nothing."""
-        for n in range(1, ASM_SIZE_LIMIT + 1):
-            table = _row_moments(n)
-            assert len(table) == 2 ** (n - 1)
-            assert all(m == sum(j * v for j, v in enumerate(row)) for row, m in table.items())
-            if n <= 5:
-                assert set(table) == {row for a in iter_asms(n) for row in a.entries}
+    def test_unseeded_beta_memoises_nothing(self):
+        """beta of an ASM with no seed reads its rows, above the guard too,
+        and memoises nothing."""
         before = _memo_sizes()
         for n in range(ASM_SIZE_LIMIT + 1, 13):
             assert beta(reverse_asm(n)) == n * (n * n - 1) // 6
             assert beta(identity_asm(n)) == 0
         assert _memo_sizes() == before
-        assert _row_moments.cache_info().currsize == ASM_SIZE_LIMIT
 
     def test_streaming_holds_no_asm(self):
         """beta over all 7,436 6x6 ASMs keeps none of them alive."""
@@ -700,6 +699,66 @@ class TestBeta:
             tracemalloc.stop()
         assert total > 0
         assert peak < 1_000_000
+
+
+class TestBetaSeed:
+    """iter_asms seeds each ASM with the beta its half-walk join summed."""
+
+    @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 7)])
+    def test_seed_is_the_square_sum(self, n, stride):
+        for a in islice(iter_asms(n), 0, None, stride):
+            assert a._beta is not None
+            assert beta(a) == _beta_square_sum(a)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_seed_beyond_the_guard(self, n):
+        for a in islice(iter_asms(n, size_limit=None), 20_000):
+            assert a._beta == _beta_square_sum(a)
+
+    def test_seeded_asm_is_the_plain_asm(self):
+        """The seed is no field: equality, hash, repr and pickling see the
+        entries alone."""
+        assert [f.name for f in fields(Asm)] == ["entries"]
+        for a in enumerate_asms(4):
+            plain = Asm(a.entries)
+            assert a == plain and hash(a) == hash(plain)
+            assert repr(a) == repr(plain) and str(a) == str(plain)
+            for x in (a, plain):
+                back = pickle.loads(pickle.dumps(x))
+                assert back == a and hash(back) == hash(a) and repr(back) == repr(a)
+                assert beta(back) == _beta_square_sum(a)
+
+    def test_other_asms_carry_no_seed(self):
+        """Only the enumeration seeds: the constructor, the named matrices,
+        moves and chains leave beta to be computed from the rows."""
+        x = Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
+        others = [
+            x,
+            identity_asm(4),
+            reverse_asm(4),
+            permutation_to_asm((2, 1, 3)),
+            from_corner_sum(corner_sum(x)),
+            apply_rect(x, Rect(1, 2, 1, 2)),
+            *(e.target for e in edges_from(x)),
+            *covering_chain(identity_asm(3), reverse_asm(3)),
+        ]
+        for a in others:
+            assert a._beta is None
+            assert beta(a) == _beta_square_sum(a)
+        assert all(a._beta is not None for a in build_graph(4).nodes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_census_without_matrices(self, n, monkeypatch):
+        """The beta histogram of the seeds equals the column-state tally of
+        2 beta = sum (i - j)^2 A(i, j), row by row, which builds no ASM."""
+        census = Counter(2 * beta(a) for a in iter_asms(n))
+
+        def refuse(*args):
+            raise AssertionError("the tally built an ASM")
+
+        monkeypatch.setattr("asmgraph.enumeration._trusted_asm", refuse)
+        gaps = _square_gaps(n)
+        assert _tally(n, lambda i, row, state: (sum(map(mul, gaps[i], row)), 1)) == census
 
 
 class TestBigrassmannian:

@@ -1,6 +1,7 @@
 """Tests for monomials, SFL certificates, and q^(1/2) polynomials."""
 
 import hashlib
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -340,8 +341,24 @@ class TestVerificationFailures:
 
         monkeypatch.setattr(asmgraph.symbolic, "evaluate_certificate", lambda c, rows: F(-1))
         with pytest.raises(VerificationFailureError, match="direct difference") as exc:
+            verify_certificate(self._cert(a3), samples=1, seed=5)
+        assert exc.value.step is None
+        # The point is the matrix of Fractions drawn in the same order as before.
+        rng = random.Random(5)
+        drawn = [[F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)] for _ in range(3)]
+        assert exc.value.point == drawn
+        assert all(type(x) is F for row in exc.value.point for x in row)
+
+    def test_no_samples_draw_nothing(self, a3, monkeypatch):
+        import asmgraph.symbolic
+
+        def refuse(seed):
+            raise AssertionError("an RNG was built for no samples")
+
+        monkeypatch.setattr(asmgraph.symbolic.random, "Random", refuse)
+        assert verify_certificate(self._cert(a3), samples=0).samples == 0
+        with pytest.raises(AssertionError, match="RNG"):
             verify_certificate(self._cert(a3), samples=1)
-        assert exc.value.point is not None and exc.value.step is None
 
     def test_non_solid_minor_fails_structurally(self, worked_5x5):
         a, _, c = worked_5x5
