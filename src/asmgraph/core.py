@@ -216,7 +216,7 @@ class Permutation:
         inv = [0] * self.n
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return _trusted_permutation(tuple(inv))
 
     def __str__(self) -> str:
         return format_permutation(self)
@@ -330,10 +330,7 @@ def asm_to_permutation(a: Asm) -> Permutation:
     """Inverse of :func:`permutation_to_asm`; rejects proper ASMs."""
     if a.is_proper():
         raise NotAPermutationError("matrix contains a -1 entry")
-    images = []
-    for row in a.entries:
-        images.append(row.index(1) + 1)
-    return Permutation(tuple(images))
+    return _trusted_permutation(tuple(row.index(1) + 1 for row in a.entries))
 
 
 def inversions(w: Permutation) -> list[tuple[int, int]]:

@@ -24,8 +24,9 @@ the corner-sum matrix can be increased by 1 on exactly the cells of R
 and stay a corner-sum matrix, and *dual essential* when it can be
 decreased likewise.  Adding moves down the order, subtracting moves up.
 The directed ASM graph has an edge A -> B whenever B is obtained from A
-by one such subtraction; its edges fall into sixteen types according to
-the four entries of the target at the rectangle's corner positions.
+by one such subtraction.  At the rectangle's corners B(i,k), B(j,l) are
+-1 or 0 and B(i,l), B(j,k) are 0 or 1, so the edge's type is 4 bits:
+1 + 8[B(i,k) = -1] + 4[B(j,l) = -1] + 2[B(j,k) = 0] + [B(i,l) = 0].
 
 A corner-sum step is a partial sum of A: A~(p, q) - A~(p, q-1) is
 s(p, q), the sum of column q down to row p, and A~(p, q) - A~(p-1, q)
@@ -50,8 +51,7 @@ complemented masks.  The rectangles come out in (i, j, k, l) order.
 Lowering the corner sums by 1 on the cells of R changes A only at the
 corners (i,k), (i,l), (j,k), (j,l), where it adds (-1, +1, +1, -1);
 raising them adds (+1, -1, -1, +1).  Targets are formed by this corner
-update, and the span table gives each edge's type from the source
-corners.
+update, and the span table types each edge by its target's corners.
 
 Covering chains are one walk down the corner sums.  The point (i, j)
 is essential when the corner sum there equals its left and upper
@@ -211,14 +211,14 @@ def _spans(n: int, delta: int, key: int) -> tuple[_Span, ...]:
         l = k
         while run >> l & 1:
             l += 1
-            corners = (
+            edge_type = _edge_type(
                 entry(top, k) + upper,
                 entry(top, l) - upper,
                 entry(bottom, k) - upper,
                 entry(bottom, l) + upper,
             )
             spans.append(_Span(
-                1 << k, 1 << l, k + 1, l + 1, _TYPE_BY_TARGET_CORNERS[corners],
+                1 << k, 1 << l, k + 1, l + 1, edge_type,
                 delta * (3**k - 3**l), _pack((0, 0, k + 1, l + 1), shift),
             ))
     return tuple(spans)
@@ -333,44 +333,10 @@ def _shift_corners(entries: Entries, bounds: Bounds, delta: int) -> Entries:
 # the sixteen edge types
 # ---------------------------------------------------------------------------
 
-#: Corner patterns of the sixteen edge types.  Keyed by the entries of
-#: the *target* matrix B at the rectangle's four corner positions, in
-#: the order (B(i,k), B(i,l), B(j,k), B(j,l)); the matching source
-#: entries are always obtained by adding (1, -1, -1, 1).
-EDGE_TYPE_TABLE: tuple[tuple[int, tuple[int, int, int, int], tuple[int, int, int, int]], ...] = (
-    (1, (0, 1, 1, 0), (1, 0, 0, 1)),
-    (2, (0, 0, 1, 0), (1, -1, 0, 1)),
-    (3, (0, 1, 0, 0), (1, 0, -1, 1)),
-    (4, (0, 0, 0, 0), (1, -1, -1, 1)),
-    (5, (0, 1, 1, -1), (1, 0, 0, 0)),
-    (6, (0, 0, 1, -1), (1, -1, 0, 0)),
-    (7, (0, 1, 0, -1), (1, 0, -1, 0)),
-    (8, (0, 0, 0, -1), (1, -1, -1, 0)),
-    (9, (-1, 1, 1, 0), (0, 0, 0, 1)),
-    (10, (-1, 0, 1, 0), (0, -1, 0, 1)),
-    (11, (-1, 1, 0, 0), (0, 0, -1, 1)),
-    (12, (-1, 0, 0, 0), (0, -1, -1, 1)),
-    (13, (-1, 1, 1, -1), (0, 0, 0, 0)),
-    (14, (-1, 0, 1, -1), (0, -1, 0, 0)),
-    (15, (-1, 1, 0, -1), (0, 0, -1, 0)),
-    (16, (-1, 0, 0, -1), (0, -1, -1, 0)),
-)
-
-_TYPE_BY_TARGET_CORNERS = {b: t for (t, b, _a) in EDGE_TYPE_TABLE}
-
-
-def _verify_edge_type_table() -> None:
-    """Consistency of the static table, run at import time."""
-    seen = set()
-    for t, b, a in EDGE_TYPE_TABLE:
-        assert tuple(x - y for x, y in zip(a, b)) == (1, -1, -1, 1), (t, a, b)
-        assert b[0] in (-1, 0) and b[3] in (-1, 0), t
-        assert b[1] in (0, 1) and b[2] in (0, 1), t
-        seen.add(b)
-    assert len(seen) == 16
-
-
-_verify_edge_type_table()
+def _edge_type(ik: int, il: int, jk: int, jl: int) -> int:
+    """Edge type 1..16 from the target's entries B(i,k), B(i,l), B(j,k),
+    B(j,l) at the rectangle's corners, each one of two values."""
+    return 1 + 8 * (ik == -1) + 4 * (jl == -1) + 2 * (jk == 0) + (il == 0)
 
 
 @dataclass(frozen=True)
@@ -396,7 +362,7 @@ def classify_edge(source: Asm, target: Asm, r: Rect) -> int:
         raise NotAnEdgeError(f"{r} does not fit in size {n}")
     if _shift_corners(target.entries, r.bounds, 1) != source.entries:
         raise NotAnEdgeError(f"source - target is not (1, -1, -1, 1) on {r}'s corners")
-    return _TYPE_BY_TARGET_CORNERS[tuple(target.entry(p, q) for p, q in r.corners())]
+    return _edge_type(*(target.entry(p, q) for p, q in r.corners()))
 
 
 def edge_between(source: Asm, target: Asm) -> Edge:

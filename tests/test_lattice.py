@@ -16,6 +16,7 @@ implementation under test:
   rectangle with that corner-sum test, rebuilds each target from its
   bumped corner sums and re-classifies the pair;
 - permutation subgraph: inversion-increasing transposition pairs;
+- the edge-type rule: the paper's 16-row listing of corner patterns;
 - covering chains: the walk they replaced (conftest's
   old_covering_chain), which re-tests each essential point with
   apply_rect and each candidate with a full asm_leq;
@@ -83,7 +84,6 @@ from asmgraph import lattice
 from asmgraph.core import Asm, Permutation, corner_sum, is_corner_sum
 from asmgraph.enumeration import ASM_SIZE_LIMIT, _step_table, _tally
 from asmgraph.lattice import (
-    EDGE_TYPE_TABLE,
     PACKED_SIZE_LIMIT,
     AsmGraph,
     Edge,
@@ -91,6 +91,7 @@ from asmgraph.lattice import (
     SizeMismatchError,
     _beta_corner_sum,
     _bigrassmannian_asms,
+    _edge_type,
     _pack,
     _shift_rects,
     _size_tables,
@@ -99,6 +100,27 @@ from asmgraph.lattice import (
     _typecode,
 )
 from asmgraph.verify import A5_TYPE_CENSUS, A6_TYPE_CENSUS
+
+#: The paper's sixteen edge types: (type, target corners, source corners),
+#: corners in the order (i,k), (i,l), (j,k), (j,l).
+EDGE_TYPE_TABLE = (
+    (1, (0, 1, 1, 0), (1, 0, 0, 1)),
+    (2, (0, 0, 1, 0), (1, -1, 0, 1)),
+    (3, (0, 1, 0, 0), (1, 0, -1, 1)),
+    (4, (0, 0, 0, 0), (1, -1, -1, 1)),
+    (5, (0, 1, 1, -1), (1, 0, 0, 0)),
+    (6, (0, 0, 1, -1), (1, -1, 0, 0)),
+    (7, (0, 1, 0, -1), (1, 0, -1, 0)),
+    (8, (0, 0, 0, -1), (1, -1, -1, 0)),
+    (9, (-1, 1, 1, 0), (0, 0, 0, 1)),
+    (10, (-1, 0, 1, 0), (0, -1, 0, 1)),
+    (11, (-1, 1, 0, 0), (0, 0, -1, 1)),
+    (12, (-1, 0, 0, 0), (0, -1, -1, 1)),
+    (13, (-1, 1, 1, -1), (0, 0, 0, 0)),
+    (14, (-1, 0, 1, -1), (0, -1, 0, 0)),
+    (15, (-1, 1, 0, -1), (0, 0, -1, 0)),
+    (16, (-1, 0, 0, -1), (0, -1, -1, 0)),
+)
 
 
 def _all_rects(n):
@@ -458,8 +480,12 @@ class TestEdges:
                         edge_between(a, b)
 
     def test_edge_type_table_source_patterns(self):
+        """Each source pattern is its target plus (1, -1, -1, 1), and
+        _edge_type numbers the sixteen targets 1..16 as the paper does."""
         for t, b, a in EDGE_TYPE_TABLE:
             assert tuple(x - y for x, y in zip(a, b)) == (1, -1, -1, 1)
+            assert _edge_type(*b) == t
+        assert [t for t, _b, _a in EDGE_TYPE_TABLE] == list(range(1, 17))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_graph_matches_pairwise_oracle(self, n):

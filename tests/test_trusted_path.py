@@ -4,8 +4,8 @@ The ``Asm`` constructor runs the full axiom scan; enumeration, permutation
 matrices and the rectangle moves produce ASMs by construction and skip
 it.  Each test counts calls of ``Asm.__post_init__`` while a generator
 runs, then checks every matrix it produced against the constructor.
-``enumerate_permutations`` skips the ``Permutation`` image check the same
-way.
+``enumerate_permutations``, ``Permutation.inverse`` and
+``asm_to_permutation`` skip the ``Permutation`` image check the same way.
 """
 
 import pytest
@@ -23,7 +23,7 @@ from asmgraph import (
     permutation_to_asm,
     sfl_certificate,
 )
-from asmgraph.core import Asm, Permutation
+from asmgraph.core import Asm, Permutation, asm_to_permutation
 from asmgraph.enumeration import enumerate_permutations
 
 A4 = enumerate_asms(4)
@@ -100,7 +100,11 @@ def test_enumerate_permutations(monkeypatch):
         check(self)
 
     monkeypatch.setattr(Permutation, "__post_init__", counted)
-    out = enumerate_permutations(5)
-    assert calls == [] and len(set(out)) == 120
-    for w in out:
+    perms = enumerate_permutations(5)
+    inverses = [w.inverse() for w in perms]
+    round_trips = [asm_to_permutation(permutation_to_asm(w)) for w in perms]
+    assert calls == [] and len(set(perms)) == 120 and round_trips == perms
+    for w, inv in zip(perms, inverses):
+        assert [inv(w(i)) for i in range(1, 6)] == [1, 2, 3, 4, 5]
+    for w in perms + inverses + round_trips:
         assert Permutation(w.images) == w and type(w.images) is tuple
