@@ -53,15 +53,11 @@ corners (i,k), (i,l), (j,k), (j,l), where it adds (-1, +1, +1, -1);
 raising them adds (+1, -1, -1, +1).  Targets are formed by this corner
 update, and the span table types each edge by its target's corners.
 
-Covering chains are one walk down the corner sums.  The point (i, j)
-is essential when the corner sum there equals its left and upper
-neighbours and is one less than its right and lower ones.  From b,
-:func:`covering_chain` raises, at each step, the corner sum at the
-row-major first essential point where A~(a) is still larger, and forms
-the lower matrix by the corner update; certificates take each step's
-rectangle from the same walk.  The chain keeps this 1x1 test on the
-corner sums it updates in place, since reading the runs of partial sums
-instead would recompute all of them at every step.
+Essential points are the same scan on adjacent rows and spans with
+l = k + 1.  From b, :func:`covering_chain` raises, at each step, the
+corner sum at the row-major first essential point where A~(a) is still
+larger, and forms the lower matrix by the corner update; certificates
+take each step's rectangle from the same walk.
 
 A built :class:`AsmGraph` keeps its edges as CSR columns: per-source
 offsets into ``array`` columns of target indices, edge types and packed
@@ -80,7 +76,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations
-from operator import lt, mul, xor
+from operator import lt, mul, sub, xor
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -272,6 +268,22 @@ def _rects(entries: Entries, delta: int) -> Iterator[tuple[int, int, _Span]]:
     """:func:`_scan` over the rows of one ASM."""
     rows, spans = _tables(len(entries), delta)
     return _scan([rows[row] for row in entries], spans, delta)
+
+
+def _points(entries: Entries, rows: _Table, spans: _Table) -> Iterator[tuple[int, int]]:
+    """1-based (i, k), in row-major order, of every point (1x1 rectangle)
+    on which the corner sums of entries can be raised: :func:`_scan` with
+    delta = 1 on adjacent rows and spans with l = k + 1, reading the
+    tables of ``_tables(n, 1)``."""
+    n = len(entries)
+    state = (1 << n) - 1  # complemented, as raising reads the states
+    below = rows[entries[0]]
+    for i in range(1, n):
+        top, below = below, rows[entries[i]]
+        state ^= top[0]
+        for span in spans[top[1] << n | below[1]]:
+            if span.l == span.k + 1 and state & span.kbit and not state & span.lbit:
+                yield i, span.k
 
 
 def _shift_rects(entries: Entries, delta: int) -> list[Bounds]:
@@ -502,9 +514,7 @@ def essential_points(a: Asm) -> frozenset[tuple[int, int]]:
     These biject with the elements covered by a; an ASM is a
     bigrassmannian permutation matrix iff it has exactly one.
     """
-    return frozenset(
-        (i, k) for i, j, k, l in _shift_rects(a.entries, 1) if j == i + 1 and l == k + 1
-    )
+    return frozenset(_points(a.entries, *_tables(a.n, 1)))
 
 
 def fulton_essential_set(w: Permutation) -> set[tuple[int, int]]:
@@ -528,7 +538,7 @@ def covered_by(a: Asm) -> list[Asm]:
     """Elements covered by a, one per essential point, in lex point order."""
     return [
         _trusted_asm(_shift_corners(a.entries, (i, i + 1, j, j + 1), 1))
-        for (i, j) in sorted(essential_points(a))
+        for i, j in _points(a.entries, *_tables(a.n, 1))
     ]
 
 
@@ -536,33 +546,34 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
     """(A_t, R_t) for each step t of :func:`covering_chain`, bottom up:
     raising the corner sum of A_{t+1} at the point R_t gives A_t.
 
-    As c <= A~(a) and only c(i, j) changes, A~(a)(i, j) > c(i, j) is
-    exactly a <= lower.  Raises IncomparableError unless a <= b.
+    gap holds each cell where A~(a) is still larger than the walk's corner
+    sums and by how much, so raising at a point of gap is exactly a <=
+    lower.  Raises IncomparableError unless a <= b.
     """
     n = _same_size(a, b)
     ca, cb = corner_sum(a), corner_sum(b)
     if _first_excess(ca, cb) is not None:
         raise IncomparableError("chain requires a <= b")
-    floor = ca.entries
-    c = [[0] * (n + 1)] + [[0, *row] for row in cb.entries]
+    gap = {
+        (i, j): d
+        for i, (ra, rb) in enumerate(zip(ca.entries, cb.entries), start=1)
+        for j, d in enumerate(map(sub, ra, rb), start=1)
+        if d
+    }
+    # Fetched once: above ASM_SIZE_LIMIT each call builds fresh tables.
+    rows, spans = _tables(n, 1)
     entries = b.entries
     steps = []
-    # beta(b) - beta(a) steps, each raising one corner sum by one.
-    for _ in range(sum(map(sum, floor)) - sum(map(sum, c))):
-        point = next(
-            (
-                (i, j)
-                for i in range(1, n)
-                for j in range(1, n)
-                if floor[i - 1][j - 1] > c[i][j] == c[i][j - 1] == c[i - 1][j]
-                and c[i][j + 1] == c[i + 1][j] == c[i][j] + 1
-            ),
-            None,
-        )
-        if point is None:
+    while gap:
+        for point in _points(entries, rows, spans):
+            if point in gap:
+                break
+        else:
             raise AsmError("no covering step stays above a; order is broken")
+        gap[point] -= 1
+        if not gap[point]:
+            del gap[point]
         i, j = point
-        c[i][j] += 1
         rect = Rect(i, i + 1, j, j + 1)
         entries = _shift_corners(entries, rect.bounds, 1)
         steps.append((_trusted_asm(entries), rect))

@@ -439,8 +439,11 @@ def verify_certificate(
     every matrix and every q, and the walk fixes the step count.  Spot
     check: at ``samples`` random positive rational matrices
     :func:`evaluate_certificate` equals x^source - x^target exactly.
-    Raises VerificationFailureError on the first failure.
+    Raises VerificationFailureError on the first failure, and AsmError
+    for negative ``samples``.
     """
+    if samples < 0:
+        raise AsmError(f"samples must be nonnegative, got {samples}")
     if tuple(cert.beta_pair) != (beta(cert.source), beta(cert.target)):
         raise VerificationFailureError("stored beta pair is wrong")
     entries = cert.source.entries
@@ -530,6 +533,9 @@ def certificate_from_json_dict(d: Mapping) -> SflCertificate:
     VerificationFailureError, which names the step if one fails."""
     try:
         (e0, e1), (b0, b1), raw = d["endpoints"], d["beta"], list(d["steps"])
+        beta_pair = _as_int(b0), _as_int(b1)
+        if None in beta_pair:
+            raise ValueError(f"beta {d['beta']!r} is not two integers")
     except (LookupError, TypeError, ValueError) as exc:
         raise VerificationFailureError(f"not a certificate document: {exc}") from exc
     source, target = asm_from_json_dict(e0), asm_from_json_dict(e1)
@@ -544,7 +550,7 @@ def certificate_from_json_dict(d: Mapping) -> SflCertificate:
         except (LookupError, TypeError, ValueError) as exc:
             raise VerificationFailureError(f"step {t} does not replay: {exc}", step=t) from exc
         steps.append(step)
-    return SflCertificate(source, target, (b0, b1), tuple(steps))
+    return SflCertificate(source, target, beta_pair, tuple(steps))
 
 
 def certificate_to_json(cert: SflCertificate) -> str:

@@ -357,8 +357,11 @@ def qtnn_scan(
     prepended as sample 0 at every grid point, so a violation is always
     exhibited.  Each sample also cross-checks the q-weighting identity
     value(weighted) = q0^{beta(a)} x^a(m) - q0^{beta(b)} x^b(m).  Every
-    q0 in the grid is validated, even where no sample is drawn.
+    q0 in the grid is validated, even where no sample is drawn.  Raises
+    AsmError for negative ``samples``.
     """
+    if samples < 0:
+        raise AsmError(f"samples must be nonnegative, got {samples}")
     try:
         extra = [counterexample_matrix(a, b)[0]]
     except ComparableError:

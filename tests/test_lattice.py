@@ -398,6 +398,24 @@ class TestBitmaskScan:
                 assert len(rows) <= 2 ** (n - 1) and len(spans) <= 4 ** (n - 1)
         assert _size_tables.cache_info().currsize == 2 * ASM_SIZE_LIMIT
 
+    def test_points_above_the_guard(self, old_covering_chain):
+        """Essential points and covering chains above ASM_SIZE_LIMIT, where
+        the tables are fresh per call and no memo grows."""
+        before = _memo_sizes()
+        for n in range(ASM_SIZE_LIMIT + 1, 13):
+            for a in (identity_asm(n), reverse_asm(n), _middle_walk(n)):
+                c = corner_sum(a)
+                assert essential_points(a) == {
+                    (i, j)
+                    for i in range(1, n)
+                    for j in range(1, n)
+                    if _corner_sums_can_shift(c, Rect(i, i + 1, j, j + 1), 1)
+                }
+        for n in range(ASM_SIZE_LIMIT + 1, 11):
+            a, b = identity_asm(n), reverse_asm(n)
+            assert covering_chain(a, b) == old_covering_chain(a, b)
+        assert _memo_sizes() == before
+
     def test_a_wrong_target_code_raises(self, monkeypatch):
         """Targets found by code arithmetic still go through the index of
         the nodes: with the code step's sign flipped, the identity's first
@@ -835,6 +853,12 @@ class TestFulton:
 class TestCoversAndChains:
     def test_covered_by_center(self, a3):
         assert covered_by(a3["X"]) == [a3["132"], a3["213"]]
+
+    def test_covered_by_in_point_order_on_a5(self):
+        for a in _asms5():
+            assert covered_by(a) == [
+                apply_rect(a, Rect(i, i + 1, j, j + 1)) for i, j in sorted(essential_points(a))
+            ]
 
     def test_covers_match_point_edges(self):
         g = build_graph(3)

@@ -360,6 +360,10 @@ class TestVerificationFailures:
         with pytest.raises(AssertionError, match="RNG"):
             verify_certificate(self._cert(a3), samples=1)
 
+    def test_negative_samples_raise(self, a3):
+        with pytest.raises(AsmError, match="nonnegative"):
+            verify_certificate(self._cert(a3), samples=-3)
+
     def test_non_solid_minor_fails_structurally(self, worked_5x5):
         a, _, c = worked_5x5
         cert = sfl_certificate(a, c)
@@ -522,6 +526,10 @@ def _with(key, value):
         _with("steps", 4),
         lambda d: {**d, "endpoints": d["endpoints"][:1]},
         _with("beta", [0, 4, 5]),
+        _with("beta", "03"),
+        _with("beta", [0.5, 4]),
+        _with("beta", ["0", "4"]),
+        _with("beta", [True, 4]),
         lambda d: [d],
         lambda d: None,
         lambda d: "steps",
@@ -533,6 +541,10 @@ def _with(key, value):
         "int steps",
         "one endpoint",
         "3-item beta",
+        "string beta",
+        "float beta",
+        "string items beta",
+        "bool beta",
         "list",
         "null",
         "string",

@@ -355,6 +355,16 @@ class TestQtnnScan:
             idx, value = r.violations[0]
             assert idx == 0 and value < 0
 
+    def test_negative_samples_raise(self, a3):
+        # A negative count would also drop the prepended counterexample.
+        with pytest.raises(AsmError, match="nonnegative"):
+            qtnn_scan(a3["231"], a3["312"], samples=-1)
+
+    def test_no_samples_keep_the_counterexample(self, a3):
+        report = qtnn_scan(a3["231"], a3["312"], samples=0)
+        assert report.has_violations
+        assert all(r.samples == 1 for r in report.results)
+
     def test_deterministic(self, a3):
         r1 = qtnn_scan(a3["231"], a3["312"], samples=3, seed=9)
         r2 = qtnn_scan(a3["231"], a3["312"], samples=3, seed=9)
