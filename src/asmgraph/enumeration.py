@@ -22,8 +22,10 @@ sum_i i^2 less its rows' part, each memoised tail its rows' part, and
 an ASM's beta is one subtraction, handed over as its seed.
 
 Adding up path counts layer by layer, each step weighed, counts the
-walks without building a single matrix, and over rows with a single +1
-(the permutation matrices) it tallies B_n(q) too.
+walks without building a single matrix.  The same tally over a table
+that lists only the rows with a single +1, in the order the successor
+table lists them, walks the permutation matrices alone and tallies
+B_n(q) too.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -92,6 +94,22 @@ def _step_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
     return steps
 
 
+def _permutation_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
+    """The rows of ``_step_table(n)`` with a single +1, in its order (the
+    +1 from the last free column to the first), memoised for one walk."""
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+
+    @cache
+    def steps(state: Row) -> list[tuple[Row, Row]]:
+        return [
+            (units[j], state[:j] + (1,) + state[j + 1 :])
+            for j in reversed(range(n))
+            if not state[j]
+        ]
+
+    return steps
+
+
 def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[Asm]:
     """Stream all n x n ASMs in canonical order (see enumerate_asms) by
     the half-walk join above, with memos that live for this call.  The
@@ -134,20 +152,23 @@ def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[A
     return list(iter_asms(n, size_limit=size_limit))
 
 
-def _tally(n: int, weigh: Callable[[int, Row, Row], tuple[int, int] | None]) -> Counter[int]:
-    """Sum of factor * x^exponent over the walks of iter_asms, layer by
-    layer: step i adds the exponent and multiplies the factor of
-    ``weigh(i, row, state)``, and None drops the walk."""
-    steps = _step_table(n)
+def _tally(
+    n: int,
+    steps: Callable[[Row], list[tuple[Row, Row]]],
+    weigh: Callable[[int, Row, Row], tuple[int, int]],
+) -> Counter[int]:
+    """Sum of factor * x^exponent over the n-step walks of the successor
+    table ``steps`` from the zero state, layer by layer: step i adds the
+    exponent and multiplies the factor of ``weigh(i, row, state)``."""
     paths = {(0,) * n: Counter({0: 1})}
     for i in range(n):
         layer: dict[Row, Counter[int]] = {}
         for state, poly in paths.items():
             for row, nxt in steps(state):
-                if (w := weigh(i, row, state)) is not None:
-                    out = layer.setdefault(nxt, Counter())
-                    for t, c in poly.items():
-                        out[t + w[0]] += c * w[1]
+                e, f = weigh(i, row, state)
+                out = layer.setdefault(nxt, Counter())
+                for t, c in poly.items():
+                    out[t + e] += c * f
         paths = layer
     return paths[(1,) * n]
 
@@ -156,7 +177,7 @@ def count_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> int:
     """Number of n x n ASMs: the walks of iter_asms, tallied without
     building any matrix."""
     _check_limit(n, size_limit)
-    return _tally(n, lambda i, row, state: (0, 1))[0]
+    return _tally(n, _step_table(n), lambda i, row, state: (0, 1))[0]
 
 
 def enumerate_permutations(

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import AsmError
-from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _tally
+from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
 from .lattice import _square_gaps
 from .symbolic import HalfExpPoly, _det, _int_rows
 from .tnn import RationalMatrix
@@ -48,18 +48,16 @@ class SingularInteriorError(AsmError):
 
 def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
     """sum over S_n of sign(w) q^{beta(w)}, or unsigned: the column-state
-    walks with one +1 per row, whose 1 in column j of row i adds (i - j)^2
-    to 2 beta and an inversion per used column right of j."""
+    tally over the permutation table, whose 1 in column j of row i adds
+    (i - j)^2 to 2 beta and an inversion per used column right of j."""
     _check_limit(n, size_limit)
     gaps = _square_gaps(n)
 
     def weigh(i: int, row: tuple[int, ...], state: tuple[int, ...]):
-        if -1 in row:
-            return None
         j = row.index(1)
         return gaps[i][j], (-1) ** sum(state[j + 1 :]) if signed else 1
 
-    return HalfExpPoly(_tally(n, weigh))
+    return HalfExpPoly(_tally(n, _permutation_table(n), weigh))
 
 
 def bq_definition(

@@ -570,7 +570,9 @@ class HalfExpPoly:
 
     Terms map doubled exponents to coefficients: {t: c} stands for
     c * q^(t/2).  Doubling keeps every exponent an exact int; zero
-    coefficients are never stored.
+    coefficients are never stored.  A product with a one-term factor is
+    a shift and scale of the other factor's terms, with nothing to
+    collect or cancel.
     """
 
     __slots__ = ("terms",)
@@ -610,24 +612,40 @@ class HalfExpPoly:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other: "HalfExpPoly") -> "HalfExpPoly":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0) + c
-        return _trusted_poly(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "HalfExpPoly") -> "HalfExpPoly":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "HalfExpPoly", sign: int) -> "HalfExpPoly":
+        """self + sign * other in one pass, dropping each coefficient as it
+        cancels.  The sum keeps self's term order, then other's new
+        exponents in theirs; repr shows that order."""
+        out = dict(self.terms)
+        for t, c in other.terms.items():
+            if s := out.get(t, 0) + sign * c:
+                out[t] = s
+            else:
+                del out[t]
+        return _trusted_poly(out)
 
     def __neg__(self) -> "HalfExpPoly":
         return _trusted_poly({t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other: "HalfExpPoly") -> "HalfExpPoly":
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            ((t1, c1),) = a.items()
+            return _trusted_poly({t1 + t: c1 * c for t, c in b.items()})
+        if len(b) == 1:
+            ((t2, c2),) = b.items()
+            return _trusted_poly({t + t2: c * c2 for t, c in a.items()})
         out: dict[int, int] = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
+        for t1, c1 in a.items():
+            for t2, c2 in b.items():
                 t = t1 + t2
                 out[t] = out.get(t, 0) + c1 * c2
-        return _trusted_poly(out)
+        return _trusted_poly({t: c for t, c in out.items() if c})
 
     def __pow__(self, k: int) -> "HalfExpPoly":
         if k < 0:
@@ -637,8 +655,9 @@ class HalfExpPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -737,8 +756,8 @@ class HalfExpPoly:
 
 
 def _trusted_poly(terms: dict[int, int]) -> HalfExpPoly:
-    """A :class:`HalfExpPoly` without the term check, for the ring
-    operations whose terms are ints by construction; zeros are dropped."""
+    """A :class:`HalfExpPoly` around ``terms`` itself, for the ring
+    operations whose terms are nonzero ints by construction."""
     p = object.__new__(HalfExpPoly)
-    p.terms = {t: c for t, c in terms.items() if c}
+    p.terms = terms
     return p

@@ -35,7 +35,7 @@ from asmgraph import (
     reverse_asm,
     validate_asm,
 )
-from asmgraph.enumeration import _tally
+from asmgraph.enumeration import _permutation_table, _step_table, _tally
 from asmgraph.lattice import beta
 
 
@@ -206,7 +206,7 @@ class TestCounts:
         histogram = Counter()
         for a in iter_asms(n):
             histogram[2 * beta(a)] += 2 ** sum(row.count(-1) for row in a.entries)
-        assert _tally(n, weigh) == histogram
+        assert _tally(n, _step_table(n), weigh) == histogram
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_permutation_matrices_are_the_minus_one_free_asms(self, n):
@@ -215,6 +215,14 @@ class TestCounts:
         assert perms <= asms
         proper = [a for a in asms if any(-1 in row for row in a)]
         assert len(proper) == len(asms) - len(perms)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_permutation_table_is_the_single_plus_one_rows(self, n):
+        """On every 0/1 state, reachable or not, the permutation table lists
+        the successor table's rows with a single +1, in the same order."""
+        steps, perms = _step_table(n), _permutation_table(n)
+        for state in product((0, 1), repeat=n):
+            assert perms(state) == [(row, nxt) for row, nxt in steps(state) if row.count(1) == 1]
 
 
 class TestOrderAndValidity:

@@ -78,10 +78,14 @@ def test_state_tally_matches_the_s_n_tally(n):
 
 
 def test_tally_builds_no_permutation(monkeypatch):
+    """The tally walks its own table of permutation rows: it builds no
+    permutation and no ASM successor table."""
+
     def refuse(p):
-        raise AssertionError("the B_n(q) tally built a permutation")
+        raise AssertionError("the B_n(q) tally built a permutation or an ASM successor table")
 
     monkeypatch.setattr(asmgraph.enumeration, "_trusted_permutation", refuse)
+    monkeypatch.setattr(asmgraph.enumeration, "_step_table", refuse)
     assert bq_definition(8) == bq_product(8)
     assert unsigned_permanent_q(8).evaluate_q(F(1)) == factorial(8)
 

@@ -667,6 +667,95 @@ def _polys(max_terms=5):
     ).map(HalfExpPoly)
 
 
+def _monomials():
+    return st.builds(
+        HalfExpPoly.q_pow_twice,
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=-5, max_value=5).filter(bool),
+    )
+
+
+# The ring operations as first written, kept as the oracle of the one-pass
+# forms: each fills a dict in full and drops its zeros afterwards (the
+# constructor drops them in order, as the old filter did).
+def _old_add(p, r):
+    out = dict(p.terms)
+    for t, c in r.terms.items():
+        out[t] = out.get(t, 0) + c
+    return HalfExpPoly(out)
+
+
+def _old_sub(p, r):
+    return _old_add(p, -r)
+
+
+def _old_mul(p, r):
+    out = {}
+    for t1, c1 in p.terms.items():
+        for t2, c2 in r.terms.items():
+            t = t1 + t2
+            out[t] = out.get(t, 0) + c1 * c2
+    return HalfExpPoly(out)
+
+
+def _old_pow(p, k):
+    result, base = HalfExpPoly.one(), p
+    while k:
+        if k & 1:
+            result = _old_mul(result, base)
+        base = _old_mul(base, base)
+        k >>= 1
+    return result
+
+
+_P = HalfExpPoly({4: 2, 0: -1, 7: 3})  # not in exponent order, so order shows
+_M = HalfExpPoly.q_pow_twice(3, -2)
+_Z = HalfExpPoly.zero()
+
+
+class TestRingOracle:
+    """The one-pass ring operations against the bodies they replaced, on
+    the terms and on their order, which repr shows."""
+
+    @staticmethod
+    def _assert_as_old(p, r, k=3):
+        for new, old in (
+            (p + r, _old_add(p, r)),
+            (p - r, _old_sub(p, r)),
+            (p * r, _old_mul(p, r)),
+            (p**k, _old_pow(p, k)),
+        ):
+            assert list(new.terms.items()) == list(old.terms.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(_polys(), _monomials()),
+        st.one_of(_polys(), _monomials()),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_matches_the_old_bodies(self, p, r, k):
+        self._assert_as_old(p, r, k)
+
+    @pytest.mark.parametrize(
+        "p, r",
+        [(_Z, _Z), (_Z, _P), (_P, _Z), (_Z, _M), (_M, _Z), (_M, _P), (_P, _M), (_M, _M), (_P, -_P)],
+    )
+    def test_zero_and_one_term_operands(self, p, r):
+        self._assert_as_old(p, r)
+
+    def test_one_term_product_shifts_in_order(self):
+        assert list((_M * _P).terms.items()) == [(7, -4), (3, 2), (10, -6)]
+        assert list((_P * _M).terms.items()) == [(7, -4), (3, 2), (10, -6)]
+
+    def test_exact_cancellation(self):
+        for zero in (_P - _P, _P + (-_P), _P * HalfExpPoly.const(-1) + _P):
+            assert zero.terms == {}
+            assert zero == _old_sub(_P, _P) == _Z
+        partial = _P + HalfExpPoly({0: 1, 9: 1})
+        assert list(partial.terms.items()) == [(4, 2), (7, 3), (9, 1)]
+        assert list((_P - HalfExpPoly({4: 2})).terms.items()) == [(0, -1), (7, 3)]
+
+
 class TestHalfExpPoly:
     def test_constructors(self):
         assert HalfExpPoly.zero().is_zero()
