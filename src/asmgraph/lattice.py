@@ -270,15 +270,18 @@ def _rects(entries: Entries, delta: int) -> Iterator[tuple[int, int, _Span]]:
     return _scan([rows[row] for row in entries], spans, delta)
 
 
-def _points(entries: Entries, rows: _Table, spans: _Table) -> Iterator[tuple[int, int]]:
+def _points(
+    entries: Entries, rows: _Table, spans: _Table, start: int = 1, state: int = -1
+) -> Iterator[tuple[int, int]]:
     """1-based (i, k), in row-major order, of every point (1x1 rectangle)
-    on which the corner sums of entries can be raised: :func:`_scan` with
-    delta = 1 on adjacent rows and spans with l = k + 1, reading the
-    tables of ``_tables(n, 1)``."""
+    with i >= start on which the corner sums of entries can be raised:
+    :func:`_scan` with delta = 1 on adjacent rows and spans with
+    l = k + 1, reading the tables of ``_tables(n, 1)``.  state is the
+    column state after the rows above start, complemented as raising
+    reads it; -1, every bit set, is the complement of the empty state."""
     n = len(entries)
-    state = (1 << n) - 1  # complemented, as raising reads the states
-    below = rows[entries[0]]
-    for i in range(1, n):
+    below = rows[entries[start - 1]]
+    for i in range(start, n):
         top, below = below, rows[entries[i]]
         state ^= top[0]
         for span in spans[top[1] << n | below[1]]:
@@ -563,9 +566,12 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
     # Fetched once: above ASM_SIZE_LIMIT each call builds fresh tables.
     rows, spans = _tables(n, 1)
     entries = b.entries
+    # states[p] is the complemented column state after the first p rows.
+    states = list(accumulate((rows[row][0] for row in entries), xor, initial=(1 << n) - 1))
+    start = 1
     steps = []
     while gap:
-        for point in _points(entries, rows, spans):
+        for point in _points(entries, rows, spans, start, states[start - 1]):
             if point in gap:
                 break
         else:
@@ -577,6 +583,11 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
         rect = Rect(i, i + 1, j, j + 1)
         entries = _shift_corners(entries, rect.bounds, 1)
         steps.append((_trusted_asm(entries), rect))
+        # The step changed rows i and i + 1, and of the states only the
+        # one after row i.  Points on rows up to i - 2 read neither; they
+        # precede (i, j), so none is in gap, which only shrinks.
+        states[i] = states[i - 1] ^ rows[entries[i - 1]][0]
+        start = max(i - 1, 1)
     return steps[::-1]
 
 

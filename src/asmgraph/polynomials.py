@@ -23,20 +23,26 @@ where A' is the interior (rows and columns 1 and n deleted); in the
 q-weighted version the second product picks up the factor q^{n-1}.
 That version is the same identity applied to the whole q-weighted
 matrix, whose two antidiagonal minors carry the q^{n-1} between them,
-so one condensation step serves both over ints and over polynomials.
-All arithmetic is exact.
+so one condensation step serves both.
+
+Every polynomial determinant here runs on ints by Kronecker
+substitution: the matrix is evaluated once at q^(1/2) = 2^width, the
+integer minor kernel of :mod:`symbolic` runs on those ints, and each
+result is read back as balanced base-2^width digits.  The width comes
+from Hadamard's bound on the matrix (see :func:`sym_det`), so all
+arithmetic stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
 from .lattice import _square_gaps
-from .symbolic import HalfExpPoly, _det, _int_rows
+from .symbolic import HalfExpPoly, _det, _int_rows, _trusted_poly
 from .tnn import RationalMatrix
 
 QDET_SIZE_LIMIT = 10
@@ -79,16 +85,80 @@ def bq_product(n: int) -> HalfExpPoly:
 
 
 def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
-    """Determinant of a matrix of polynomials.
+    """Determinant of a matrix of polynomials in q^(1/2), by Kronecker
+    substitution.
 
-    Laplace expansion along successive rows, each minor on the first k
-    rows built once from those on the first k - 1, so the work is
-    O(n 2^n) polynomial operations rather than n!.
+    With z = q^(1/2) and low the least doubled exponent of any entry,
+    each entry a_ij times z^-low is a polynomial in z, encoded as its
+    value at z = 2^width; the integer determinant of those values is
+    decoded as balanced base-2^width digits and shifted back by z^(n low).
+
+    Exactness.  Evaluation at 2^width is a ring homomorphism Z[z] -> Z,
+    so the minors on the way need no bound, and a minor that evaluates
+    to 0 contributes nothing whatever its polynomial.  Only the decoded
+    result needs one: its digits are its coefficients when each
+    coefficient c has |c| < 2^(width-1).  For P the shifted determinant,
+    |c| <= ||P||_2, the L2 norm of P(z) on |z| = 1, which is at most
+    max |P(z)| there; since |a_ij(z)| <= ||a_ij||_1 on the circle,
+    Hadamard's inequality bounds that by sqrt(H) with
+
+        H = prod_i max(1, sum_j ||a_ij||_1^2).
+
+    The max(1, .) makes sqrt(H) bound every minor of the matrix too, as
+    a row left out or a zero row cannot shrink it.  A product of two
+    minors is then bounded by H and a difference of two such products by
+    2H (:func:`_q_condensation` widens to that).  The width is the least
+    with 2^(width-1) above the bound; it is derived, never set.
     """
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise AsmError("matrix must be square")
-    return _det(entries, HalfExpPoly.one())
+    low, hadamard = _hadamard(entries)
+    width = _width(hadamard)
+    return _decode(_det(_encode(entries, low, width), 1), width, n * low)
+
+
+def _hadamard(entries: Sequence[Sequence[HalfExpPoly]]) -> tuple[int, int]:
+    """The least doubled exponent of the entries (0 if there is none) and
+    H = prod_i max(1, sum_j ||a_ij||_1^2), the square of Hadamard's bound
+    on every minor."""
+    low = min((t for row in entries for x in row for t in x.terms), default=0)
+    square = 1
+    for row in entries:
+        square *= max(1, sum(sum(map(abs, x.terms.values())) ** 2 for x in row))
+    return low, square
+
+
+def _width(bound_squared: int) -> int:
+    """The least width with 2^(width-1) > sqrt(bound_squared)."""
+    return (bound_squared.bit_length() + 3) // 2
+
+
+def _encode(entries: Sequence[Sequence[HalfExpPoly]], low: int, width: int) -> list[list[int]]:
+    """Each entry times q^(-low/2), at q^(1/2) = 2^width."""
+    return [
+        [sum(c << width * (t - low) for t, c in x.terms.items()) for x in row]
+        for row in entries
+    ]
+
+
+def _decode(value: int, width: int, shift: int) -> HalfExpPoly:
+    """The polynomial whose coefficients are the balanced base-2^width
+    digits of value, digit m that of q^((m + shift)/2); exact when every
+    coefficient is below 2^(width-1) in absolute value."""
+    half, mask = 1 << width - 1, (1 << width) - 1
+    terms = {}
+    # With width >= 2 the top digit is at least a third of value's
+    # magnitude, so value has no more digits than this range.
+    for t in range(shift, shift + abs(value).bit_length() // width + 2):
+        digit = value & mask
+        value >>= width
+        if digit >= half:  # a negative digit, borrowed from the next one up
+            digit -= 1 << width
+            value += 1
+        if digit:
+            terms[t] = digit
+    return _trusted_poly(terms)
 
 
 def _q_weight_matrix(rows: Sequence[Sequence[int]]) -> list[list[HalfExpPoly]]:
@@ -191,27 +261,42 @@ class QDodgsonReport:
         return self.lhs == self.rhs
 
 
-def _q_condensation(m: RationalMatrix) -> tuple[int, list, HalfExpPoly, HalfExpPoly]:
-    """Scale, q-weighted scaled matrix A_q, interior q-determinant and
-    condensation numerator of m, as :func:`q_dodgson_check` weights them.
+def _q_condensation(
+    m: RationalMatrix,
+) -> tuple[int, list[list[int]], Callable[[int, int], HalfExpPoly], int, int]:
+    """Scale, the q-weighted scaled matrix A_q encoded as in
+    :func:`sym_det`, a decoder for a product of minors of A_q with
+    ``size`` rows in all, and the encoded interior minor and condensation
+    numerator of A_q.
 
     Weighting A_q whole gives its interior and diagonal minors their own
     weights.  An antidiagonal minor's exponents shift by +-(i' - j') + 1/2,
     and the +-(i' - j') sum to zero over any permutation, so it carries
     q^{(n-1)/2}: Dodgson's numerator on A_q is the identity's right side.
+    That numerator and |A_q| |A'_q| are bounded by 2H, so the width is
+    taken for that bound (see :func:`sym_det`).
     """
     if m.n < 2:
         raise AsmError("condensation needs n >= 2")
     rows, scale = _int_rows(m.rows)
     weighted = _q_weight_matrix(rows)
-    return scale, weighted, *_condense(weighted, HalfExpPoly.one())
+    low, hadamard = _hadamard(weighted)
+    width = _width(4 * hadamard * hadamard)
+    encoded = _encode(weighted, low, width)
+
+    def decode(value: int, size: int) -> HalfExpPoly:
+        return _decode(value, width, size * low)
+
+    return scale, encoded, decode, *_condense(encoded, 1)
 
 
 def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
     """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|,
     each submatrix q-weighted with indices counted from 1 inside itself."""
-    scale, weighted, interior, numerator = _q_condensation(m)
-    return QDodgsonReport(m.n, scale, sym_det(weighted) * interior, numerator)
+    scale, encoded, decode, interior, numerator = _q_condensation(m)
+    size = 2 * m.n - 2
+    lhs = decode(_det(encoded, 1) * interior, size)
+    return QDodgsonReport(m.n, scale, lhs, decode(numerator, size))
 
 
 def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
@@ -222,7 +307,8 @@ def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
     polynomial.  The result equals the direct symbolic q-determinant of
     the scaled matrix (see :class:`QDodgsonReport` on scaling).
     """
-    _scale, _weighted, interior, numerator = _q_condensation(m)
+    _scale, _encoded, decode, interior, numerator = _q_condensation(m)
+    interior = decode(interior, m.n - 2)
     if interior.is_zero():
         raise SingularInteriorError("interior q-determinant is the zero polynomial")
-    return numerator.divexact(interior)
+    return decode(numerator, 2 * m.n - 2).divexact(interior)

@@ -29,6 +29,12 @@ certificate steps multiply plain ints, and each result is one Fraction.
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
 stands for q^(t/2) and coefficients are exact integers.
+
+The minor kernel :func:`_minors`, with :func:`_det` on top, needs only
+ring operations, and in this package it runs over ints alone:
+``tnn.is_tnn`` and ``polynomials.dodgson`` on lcm-scaled rows, and the
+polynomial determinants of ``polynomials`` on their Kronecker encodings.
+Over :class:`HalfExpPoly` it is the tests' oracle for that encoding.
 """
 
 from __future__ import annotations
@@ -570,9 +576,7 @@ class HalfExpPoly:
 
     Terms map doubled exponents to coefficients: {t: c} stands for
     c * q^(t/2).  Doubling keeps every exponent an exact int; zero
-    coefficients are never stored.  A product with a one-term factor is
-    a shift and scale of the other factor's terms, with nothing to
-    collect or cancel.
+    coefficients are never stored.
     """
 
     __slots__ = ("terms",)
@@ -633,16 +637,9 @@ class HalfExpPoly:
         return _trusted_poly({t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other: "HalfExpPoly") -> "HalfExpPoly":
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            ((t1, c1),) = a.items()
-            return _trusted_poly({t1 + t: c1 * c for t, c in b.items()})
-        if len(b) == 1:
-            ((t2, c2),) = b.items()
-            return _trusted_poly({t + t2: c * c2 for t, c in a.items()})
         out: dict[int, int] = {}
-        for t1, c1 in a.items():
-            for t2, c2 in b.items():
+        for t1, c1 in self.terms.items():
+            for t2, c2 in other.terms.items():
                 t = t1 + t2
                 out[t] = out.get(t, 0) + c1 * c2
         return _trusted_poly({t: c for t, c in out.items() if c})

@@ -912,6 +912,18 @@ class TestCoversAndChains:
                         covering_chain(a, b)
         assert comparable == 644
 
+    def test_chain_matches_old_walk_on_an_a5_stride(self, old_covering_chain):
+        """The walk resumes each scan at the row above its last step; the
+        chains must be those of the walk that rescans every point."""
+        asms = _asms5()
+        comparable = 0
+        for a in asms[::13]:
+            for b in asms[5::17]:
+                if asm_leq(a, b):
+                    assert covering_chain(a, b) == old_covering_chain(a, b)
+                    comparable += 1
+        assert comparable > 100
+
     @settings(deadline=None)
     @given(
         st.integers(min_value=0, max_value=KNOWN_ASM_COUNTS[5] - 1),

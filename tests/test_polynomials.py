@@ -28,7 +28,8 @@ from asmgraph import (
 from asmgraph.core import sign
 from asmgraph.enumeration import enumerate_permutations
 from asmgraph.lattice import beta_permutation
-from asmgraph.polynomials import BQ_METHODS, _q_weight_matrix
+from asmgraph.polynomials import BQ_METHODS, _condense, _q_weight_matrix
+from asmgraph.symbolic import _det, _int_rows
 from asmgraph.tnn import det
 
 F = Fraction
@@ -44,6 +45,29 @@ def _random_rational_rows(n, rng, lo=-9, hi=9):
         [F(rng.randint(lo, hi), rng.randint(1, 5)) for _ in range(n)]
         for _ in range(n)
     ]
+
+
+def _poly_det(rows):
+    """The minor kernel on HalfExpPoly entries: the oracle of the
+    Kronecker substitution in sym_det and q-Dodgson."""
+    return _det(rows, HalfExpPoly.one())
+
+
+def _sylvester(order):
+    """The Sylvester +-1 Hadamard matrix of order 1, 2, 4, 8, ..., whose
+    determinant meets Hadamard's bound order^(order/2) with equality."""
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [row + row for row in rows] + [row + [-x for x in row] for row in rows]
+    return rows
+
+
+# Doubled exponents of both signs and parities, coefficients up to 10^6.
+_POLY = st.dictionaries(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    max_size=3,
+).map(HalfExpPoly)
 
 
 def _one_monomial_at_a_time(n, signed):
@@ -182,6 +206,34 @@ class TestSymDet:
         with pytest.raises(AsmError):
             sym_det([[HalfExpPoly.one()], [HalfExpPoly.one()]])
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_the_poly_kernel(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        # About one row in five is a zero row.
+        rows = [
+            [data.draw(_POLY) for _ in range(n)]
+            if data.draw(st.integers(min_value=0, max_value=4))
+            else [HalfExpPoly.zero()] * n
+            for _ in range(n)
+        ]
+        assert sym_det(rows) == _poly_det(rows)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 8])
+    def test_sylvester_matrices_meet_the_bound(self, order):
+        """Hadamard's inequality holds with equality here, so the width
+        has no slack to spare; the first row negated flips the sign."""
+        plus = _sylvester(order)
+        for rows in (plus, [[-x for x in plus[0]], *plus[1:]]):
+            constants = [[HalfExpPoly.const(x) for x in row] for row in rows]
+            value = sym_det(constants)
+            assert value == _poly_det(constants)
+            assert abs(value.coefficient_q(0)) == order ** (order // 2) == abs(det(rows))
+            weighted = _q_weight_matrix(rows)
+            assert sym_det(weighted) == _poly_det(weighted)
+            shifted = [[HalfExpPoly.q_pow_twice(-5) * x for x in row] for row in weighted]
+            assert sym_det(shifted) == _poly_det(shifted)
+
 
 class TestDodgson:
     def test_tiny(self):
@@ -318,6 +370,32 @@ class TestQDodgson:
                 assert whole == factor * own
                 nonzero += not own.is_zero()
         assert nonzero > 20
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_poly_condensation(self, n):
+        """Both sides and the quotient against condensation on the
+        HalfExpPoly matrix; small entries make singular interiors, and a
+        zero diagonal moves the least exponent off 0."""
+        rng = random.Random(300 + n)
+        singular = 0
+        for trial in range(12):
+            rows = _random_rational_rows(n, rng, lo=-2, hi=2)
+            if trial % 3 == 0:
+                for i in range(n):
+                    rows[i][i] = F(0)
+            m = rational_matrix(rows)
+            weighted = _q_weight_matrix(_int_rows(m.rows)[0])
+            interior, numerator = _condense(weighted, HalfExpPoly.one())
+            report = q_dodgson_check(m)
+            assert report.rhs.terms == numerator.terms
+            assert report.lhs.terms == (_poly_det(weighted) * interior).terms
+            if interior.is_zero():
+                singular += 1
+                with pytest.raises(SingularInteriorError):
+                    q_dodgson_divided(m)
+            else:
+                assert q_dodgson_divided(m) == numerator.divexact(interior)
+        assert singular < 12
 
     def test_too_small(self):
         with pytest.raises(AsmError):
