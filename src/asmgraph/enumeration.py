@@ -22,10 +22,12 @@ sum_i i^2 less its rows' part, each memoised tail its rows' part, and
 an ASM's beta is one subtraction, handed over as its seed.
 
 Adding up path counts layer by layer, each step weighed, counts the
-walks without building a single matrix.  The same tally over a table
-that lists only the rows with a single +1, in the order the successor
-table lists them, walks the permutation matrices alone and tallies
-B_n(q) too.
+walks without building a single matrix.  Each state's weighted count
+is a plain dict {exponent: coefficient}, its terms in the order they
+first appear, which a HalfExpPoly's repr shows and so is kept.  The
+same tally over a table that lists only the rows with a single +1, in
+the order the successor table lists them, walks the permutation
+matrices alone and tallies B_n(q) too.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -34,7 +36,6 @@ entry points guard against accidentally huge sizes; pass
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import permutations as _permutations
 from operator import mul
@@ -156,19 +157,28 @@ def _tally(
     n: int,
     steps: Callable[[Row], list[tuple[Row, Row]]],
     weigh: Callable[[int, Row, Row], tuple[int, int]],
-) -> Counter[int]:
+) -> dict[int, int]:
     """Sum of factor * x^exponent over the n-step walks of the successor
     table ``steps`` from the zero state, layer by layer: step i adds the
-    exponent and multiplies the factor of ``weigh(i, row, state)``."""
-    paths = {(0,) * n: Counter({0: 1})}
+    exponent and multiplies the factor of ``weigh(i, row, state)``.
+
+    Each state's sum is a plain dict {exponent: coefficient}, zeros kept.
+    The first walk into a state copies its predecessor's terms shifted;
+    each later one adds its terms in place.  A new exponent goes last,
+    so the terms stay in the order they first appear, which is kept
+    because a HalfExpPoly's repr shows it."""
+    paths = {(0,) * n: {0: 1}}
     for i in range(n):
-        layer: dict[Row, Counter[int]] = {}
+        layer: dict[Row, dict[int, int]] = {}
         for state, poly in paths.items():
             for row, nxt in steps(state):
                 e, f = weigh(i, row, state)
-                out = layer.setdefault(nxt, Counter())
-                for t, c in poly.items():
-                    out[t + e] += c * f
+                out = layer.get(nxt)
+                if out is None:
+                    layer[nxt] = {t + e: c * f for t, c in poly.items()}
+                else:
+                    for t, c in poly.items():
+                        out[t + e] = out.get(t + e, 0) + c * f
         paths = layer
     return paths[(1,) * n]
 

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
 from .lattice import _square_gaps
-from .symbolic import HalfExpPoly, _det, _int_rows, _trusted_poly
+from .symbolic import HalfExpPoly, _det, _int_rows, _minors, _trusted_poly
 from .tnn import RationalMatrix
 
 QDET_SIZE_LIMIT = 10
@@ -213,15 +213,23 @@ def unsigned_permanent_q(
 # ---------------------------------------------------------------------------
 
 def _condense(rows: Sequence[Sequence], one):
-    """Interior minor and Dodgson numerator |NW| |SE| - |NE| |SW| of a
-    square matrix, n >= 2, over any ring with unit ``one``; NW, SE, NE
-    and SW are the four (n-1)-blocks, each minor a contiguous slice."""
-    head, tail, inner = slice(1, None), slice(None, len(rows) - 1), slice(1, -1)
-    nw, se, ne, sw, interior = (
-        _det([row[c] for row in rows[r]], one)
-        for r, c in ((tail, tail), (head, head), (tail, head), (head, tail), (inner, inner))
-    )
-    return interior, nw * se - ne * sw
+    """Interior minor, Dodgson numerator |NW| |SE| - |NE| |SW| and
+    determinant of a square matrix, n >= 2, over any ring with unit
+    ``one``; NW, SE, NE and SW are the four (n-1)-blocks.
+
+    Two row-prefix passes of the minor kernel over whole rows give all
+    six.  Over rows 1..n, the (n-1)-row table holds NW (columns 1..n-1)
+    and NE (columns 2..n), and the n-row table the determinant.  Over
+    rows 2..n, the (n-2)-row table holds the interior (columns 2..n-1),
+    and the (n-1)-row table SW and SE.
+    """
+    zero = one - one
+    full = (1 << len(rows)) - 1
+    west, east = full >> 1, full ^ 1
+    *_, (_, top), (_, whole) = _minors(rows, one, prefixes_only=True)
+    *_, (_, middle), (_, bottom) = _minors(rows[1:], one, prefixes_only=True)
+    nw, ne, sw, se = (table.get(c, zero) for table in (top, bottom) for c in (west, east))
+    return middle.get(west & east, zero), nw * se - ne * sw, whole.get(full, zero)
 
 
 def dodgson(m: RationalMatrix) -> Fraction:
@@ -229,13 +237,15 @@ def dodgson(m: RationalMatrix) -> Fraction:
     the interior minor (1 when n = 2).  Raises SingularInteriorError when
     the interior minor is zero (the classical proviso).  The minors are
     taken on the integer matrix scaled by the lcm of all denominators,
-    so the quotient grows by scale**n.
+    so the quotient grows by scale**n.  Of :func:`_condense`'s two
+    passes, the one over rows 1..n gives NW and NE, the one over rows
+    2..n the interior, SW and SE; its determinant goes unused.
     """
     n = m.n
     if n < 2:
         return m.entry(1, 1) if n else Fraction(1)
     rows, scale = _int_rows(m.rows)
-    interior, numerator = _condense(rows, 1)
+    interior, numerator, _ = _condense(rows, 1)
     if interior == 0:
         raise SingularInteriorError("interior minor is zero")
     return Fraction(numerator, interior * scale**n)
@@ -263,11 +273,11 @@ class QDodgsonReport:
 
 def _q_condensation(
     m: RationalMatrix,
-) -> tuple[int, list[list[int]], Callable[[int, int], HalfExpPoly], int, int]:
-    """Scale, the q-weighted scaled matrix A_q encoded as in
-    :func:`sym_det`, a decoder for a product of minors of A_q with
-    ``size`` rows in all, and the encoded interior minor and condensation
-    numerator of A_q.
+) -> tuple[int, Callable[[int, int], HalfExpPoly], int, int, int]:
+    """Scale, a decoder for a product of minors of A_q with ``size``
+    rows in all, and the interior minor, condensation numerator and
+    determinant of A_q, the q-weighted scaled matrix, each encoded as in
+    :func:`sym_det`.
 
     Weighting A_q whole gives its interior and diagonal minors their own
     weights.  An antidiagonal minor's exponents shift by +-(i' - j') + 1/2,
@@ -287,15 +297,19 @@ def _q_condensation(
     def decode(value: int, size: int) -> HalfExpPoly:
         return _decode(value, width, size * low)
 
-    return scale, encoded, decode, *_condense(encoded, 1)
+    return scale, decode, *_condense(encoded, 1)
 
 
 def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
     """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|,
-    each submatrix q-weighted with indices counted from 1 inside itself."""
-    scale, encoded, decode, interior, numerator = _q_condensation(m)
+    each submatrix q-weighted with indices counted from 1 inside itself.
+
+    All six minors come from :func:`_condense`'s two passes over A_q:
+    the pass over rows 1..n gives |A^nn_q|, |A^n1_q| and |A_q|, the pass
+    over rows 2..n gives |A'_q|, |A^1n_q| and |A^11_q|."""
+    scale, decode, interior, numerator, determinant = _q_condensation(m)
     size = 2 * m.n - 2
-    lhs = decode(_det(encoded, 1) * interior, size)
+    lhs = decode(determinant * interior, size)
     return QDodgsonReport(m.n, scale, lhs, decode(numerator, size))
 
 
@@ -307,7 +321,7 @@ def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
     polynomial.  The result equals the direct symbolic q-determinant of
     the scaled matrix (see :class:`QDodgsonReport` on scaling).
     """
-    _scale, _encoded, decode, interior, numerator = _q_condensation(m)
+    _scale, decode, interior, numerator, _ = _q_condensation(m)
     interior = decode(interior, m.n - 2)
     if interior.is_zero():
         raise SingularInteriorError("interior q-determinant is the zero polynomial")

@@ -1,5 +1,7 @@
 """Shared fixtures: small ASM menageries and frozen reference data."""
 
+from collections import Counter
+
 import pytest
 
 from asmgraph import Rect, apply_rect, asm_leq, essential_points, validate_asm
@@ -30,6 +32,22 @@ def _old_covering_chain(a, b):
     return chain[::-1]
 
 
+def _counter_tally(n, steps, weigh):
+    """The column-state tally as it was first written, one Counter per
+    state, as an oracle of the plain-dict tally's values and term order."""
+    paths = {(0,) * n: Counter({0: 1})}
+    for i in range(n):
+        layer = {}
+        for state, poly in paths.items():
+            for row, nxt in steps(state):
+                e, f = weigh(i, row, state)
+                out = layer.setdefault(nxt, Counter())
+                for t, c in poly.items():
+                    out[t + e] += c * f
+        paths = layer
+    return paths[(1,) * n]
+
+
 @pytest.fixture
 def a3():
     return A3
@@ -48,6 +66,11 @@ def s4_sign_beta():
 @pytest.fixture(scope="session")
 def old_covering_chain():
     return _old_covering_chain
+
+
+@pytest.fixture(scope="session")
+def counter_tally():
+    return _counter_tally
 
 
 @pytest.fixture

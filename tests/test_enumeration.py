@@ -189,6 +189,14 @@ class TestCounts:
     def test_count_matches_the_walk(self, n):
         assert count_asms(n) == sum(1 for _ in iter_asms(n))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_count_matches_the_counter_tally(self, n, counter_tally):
+        """The plain-dict tally against the Counter one, terms in order."""
+        fast = _tally(n, _step_table(n), lambda i, row, state: (0, 1))
+        oracle = counter_tally(n, _step_table(n), lambda i, row, state: (0, 1))
+        assert list(fast.items()) == list(oracle.items())
+        assert count_asms(n, size_limit=None) == oracle[0]
+
     def test_count_builds_no_matrix(self, monkeypatch):
         def refuse(rows):
             raise AssertionError("count_asms built a matrix")

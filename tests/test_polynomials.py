@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import asmgraph.enumeration
+import asmgraph.polynomials
 from asmgraph import (
     AsmError,
     HalfExpPoly,
@@ -99,6 +100,16 @@ def _s_n_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
 def test_state_tally_matches_the_s_n_tally(n):
     assert bq_definition(n) == _s_n_tally(n, None, signed=True)
     assert unsigned_permanent_q(n) == _s_n_tally(n, None, signed=False)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tally_keeps_the_counter_term_order(n, monkeypatch, counter_tally):
+    """The plain-dict tally against the Counter one: the same terms in the
+    same order, which repr shows."""
+    fast = [bq_definition(n), unsigned_permanent_q(n)]
+    monkeypatch.setattr(asmgraph.polynomials, "_tally", counter_tally)
+    for p, oracle in zip(fast, [bq_definition(n), unsigned_permanent_q(n)]):
+        assert list(p.terms.items()) == list(oracle.terms.items())
 
 
 def test_tally_builds_no_permutation(monkeypatch):
@@ -233,6 +244,52 @@ class TestSymDet:
             assert sym_det(weighted) == _poly_det(weighted)
             shifted = [[HalfExpPoly.q_pow_twice(-5) * x for x in row] for row in weighted]
             assert sym_det(shifted) == _poly_det(shifted)
+
+
+def _five_slices(rows, one):
+    """Interior minor and Dodgson numerator from five determinants on
+    contiguous slices, as condensation first took them; kept as the
+    oracle of the two-pass condensation."""
+    head, tail, inner = slice(1, None), slice(None, len(rows) - 1), slice(1, -1)
+    nw, se, ne, sw, interior = (
+        _det([row[c] for row in rows[r]], one)
+        for r, c in ((tail, tail), (head, head), (tail, head), (head, tail), (inner, inner))
+    )
+    return interior, nw * se - ne * sw
+
+
+def _condensation_cases(n, rng):
+    """Small random integer matrices, each also with a zero row, with a
+    zero diagonal and, for n >= 3, with a zero interior row."""
+    for _ in range(3):
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        yield rows
+        zero_row = [row[:] for row in rows]
+        zero_row[rng.randrange(n)] = [0] * n
+        yield zero_row
+        yield [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        if n >= 3:
+            singular = [row[:] for row in rows]
+            singular[1][1:-1] = [0] * (n - 2)
+            yield singular
+
+
+class TestCondense:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_two_passes_match_the_five_slices(self, n):
+        """Interior, numerator and determinant over ints and over the
+        q-weighted HalfExpPoly matrix, against five slices and _det; the
+        Desnanot-Jacobi identity ties the three together."""
+        rng = random.Random(700 + n)
+        singular = []
+        for rows in _condensation_cases(n, rng):
+            for matrix, one in ((rows, 1), (_q_weight_matrix(rows), HalfExpPoly.one())):
+                interior, numerator, determinant = _condense(matrix, one)
+                assert (interior, numerator) == _five_slices(matrix, one)
+                assert determinant == _det(matrix, one)
+                assert determinant * interior == numerator
+                singular.append(interior == one - one)
+        assert any(singular) == (n >= 3) and not all(singular)
 
 
 class TestDodgson:
@@ -385,7 +442,7 @@ class TestQDodgson:
                     rows[i][i] = F(0)
             m = rational_matrix(rows)
             weighted = _q_weight_matrix(_int_rows(m.rows)[0])
-            interior, numerator = _condense(weighted, HalfExpPoly.one())
+            interior, numerator = _five_slices(weighted, HalfExpPoly.one())
             report = q_dodgson_check(m)
             assert report.rhs.terms == numerator.terms
             assert report.lhs.terms == (_poly_det(weighted) * interior).terms
