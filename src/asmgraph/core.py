@@ -90,6 +90,12 @@ class Asm:
     is checked as its row completes and the full column sums at the end.
     Entries are stored as a tuple of int tuples.
 
+    An ASM is immutable, so values derived from it alone are kept on it
+    once computed: its corner sums (see :func:`corner_sum`) and, for the
+    ASMs that enumeration yields, beta.  Both are class defaults set
+    with ``object.__setattr__``, not fields, so equality, hashing, repr
+    and ``dataclasses.fields`` see the entries only.
+
     >>> a = Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
     >>> a.n
     3
@@ -107,6 +113,8 @@ class Asm:
     # beta as iter_asms summed it, or None; a class default, not a field,
     # so equality, hashing and repr never see it (see lattice.beta).
     _beta = None
+    # The CornerSum once corner_sum has built it, or None; likewise.
+    _corner = None
 
     def __post_init__(self):
         mat = _square_int_rows(self.entries)
@@ -272,11 +280,17 @@ def validate_asm(rows: Rows | Asm) -> Asm:
 
 def corner_sum(a: Asm) -> CornerSum:
     """Corner-sum matrix A~ of an ASM: row i adds the partial sums of
-    row i of A to row i - 1."""
-    out = [(0,) * a.n]
-    for row in a.entries:
-        out.append(tuple(map(add, out[-1], accumulate(row))))
-    return CornerSum(tuple(out[1:]))
+    row i of A to row i - 1.
+
+    Built on the first call and kept on ``a``, so each later call
+    returns the same :class:`CornerSum`; it lives and dies with ``a``,
+    and no cache outside the ASM holds it."""
+    if a._corner is None:
+        out = [(0,) * a.n]
+        for row in a.entries:
+            out.append(tuple(map(add, out[-1], accumulate(row))))
+        object.__setattr__(a, "_corner", CornerSum(tuple(out[1:])))
+    return a._corner
 
 
 def is_corner_sum(rows: Rows | CornerSum) -> bool:

@@ -6,8 +6,8 @@ permutation matrices this is the (strong) Bruhat order, and the full
 poset is the smallest lattice containing it; the identity matrix is the
 unique minimum and the reverse identity the unique maximum.  The order
 test is one row-major scan for a first cell with A~(A) < A~(B), the
-cell at which the TNN counterexample is built.  Corner sums are not
-cached; each call computes those of its arguments once.
+cell at which the TNN counterexample is built.  Each ASM builds its
+corner sums once, on first use, and keeps them (see core.corner_sum).
 
 The order is graded by the bigrassmannian statistic
 

@@ -11,6 +11,25 @@ built from the first corner-sum violation (k, l) already separates the
 pair, since every minor of that matrix is 0, 1 or 2 while the monomial
 difference evaluates to 2^{A~(k,l)} - 2^{B~(k,l)} < 0.
 
+Proof that m is TNN.  Every entry is 1 or 2.  Write m = J + u v^T, with
+J the all-ones matrix and the 0/1 indicators u(i) = [i <= k] and
+v(j) = [j <= l]; both are nonincreasing.  For rows i1 < i2 and columns
+j1 < j2 the 2 x 2 minor is
+
+    m(i1,j1) m(i2,j2) - m(i1,j2) m(i2,j1) = (u(i1) - u(i2)) (v(j1) - v(j2)),
+
+a product of two factors in {0, 1}, so it is 0 or 1.  m is the sum of
+two rank-one matrices, so its rank is at most 2 and every minor of size
+3 or more vanishes.  The product x^A at m is 2 to the sum of A over the
+block, 2^{A~(k,l)}, which gives the difference above.
+
+The matrix depends on (n, k, l) alone, so :func:`counterexample_matrix`
+returns one shared matrix per cell (memoised for n <= TNN_SIZE_LIMIT,
+at most 140 matrices, and built fresh above), and :func:`is_tnn` keeps
+its verdict on the matrix: the all-minors test runs once per cell, not
+once per pair.  The proof does not replace the test: each cell's
+matrix still goes through it.
+
 The all-minors test evaluates no minor from scratch.  It scales the
 whole matrix by the lcm of all its denominators, a positive factor that
 keeps the sign of every minor, and then builds each k-minor as an int
@@ -46,6 +65,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -68,9 +88,15 @@ class IrrationalSqrtError(AsmError):
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable matrix of exact rationals with 1-based accessor."""
+    """Immutable matrix of exact rationals with 1-based accessor.
+
+    :func:`is_tnn` keeps its all-minors verdict on the matrix once it
+    has computed it; like ``Asm._corner`` it is a class default, not a
+    field, so equality, hashing and repr see the rows only."""
 
     rows: tuple[tuple[Fraction, ...], ...]
+    # is_tnn's verdict, or None until is_tnn has computed it.
+    _tnn = None
 
     @property
     def n(self) -> int:
@@ -130,11 +156,17 @@ def iter_minor_values(m: RationalMatrix) -> Iterable[Fraction]:
 
 
 def is_tnn(m: RationalMatrix, *, size_limit: int | None = TNN_SIZE_LIMIT) -> bool:
-    """Exact check that every minor is >= 0, on the matrix scaled to ints."""
+    """Exact check that every minor is >= 0, on the matrix scaled to ints.
+
+    Every call checks the size guard first.  The first call that passes
+    it computes the verdict and keeps it on m; later calls read it."""
     if m.n:  # the 0 x 0 matrix is vacuously TNN, not a size error
         _check_limit(m.n, size_limit, "all-minors guard")
-    rows, _ = _int_rows(m.rows)
-    return not any(v < 0 for _, minors in _minors(rows, 1) for v in minors.values())
+    if m._tnn is None:
+        rows, _ = _int_rows(m.rows)
+        verdict = not any(v < 0 for _, minors in _minors(rows, 1) for v in minors.values())
+        object.__setattr__(m, "_tnn", verdict)
+    return m._tnn
 
 
 def rational_sqrt(x) -> Fraction:
@@ -298,20 +330,31 @@ def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, in
     """A TNN matrix on which x^a - x^b is negative, with its witness cell.
 
     The order test's scan gives the row-major first cell (k, l) where
-    A~(a) < A~(b), and the 2-block matrix is built for it.  Every minor
-    of that matrix is 0, 1 or 2, and the difference evaluates to
-    2^{A~(a)(k,l)} - 2^{A~(b)(k,l)} < 0.  Raises ComparableError when
-    a <= b (no such cell), in which case no TNN counterexample exists.
+    A~(a) < A~(b), and the 2-block matrix of that cell is returned.
+    Every minor of that matrix is 0, 1 or 2 (see the module docstring),
+    and the difference evaluates to 2^{A~(a)(k,l)} - 2^{A~(b)(k,l)} < 0.
+    Pairs with one witness cell share one matrix object for n <=
+    TNN_SIZE_LIMIT.  Raises ComparableError when a <= b (no such cell),
+    in which case no TNN counterexample exists.
     """
     n = _same_size(a, b)
     witness = _first_excess(corner_sum(a), corner_sum(b))
     if witness is None:
         raise ComparableError("a <= b; the difference is nonnegative on TNN matrices")
-    k, l = witness
+    # Memoised up to the guard, where witness cells have k, l < n (at
+    # most 140 matrices), and fresh above.
+    build = _two_block if n <= TNN_SIZE_LIMIT else _two_block.__wrapped__
+    return build(n, *witness), witness
+
+
+@cache
+def _two_block(n: int, k: int, l: int) -> RationalMatrix:
+    """The n x n matrix with 2 on rows <= k and columns <= l, 1 elsewhere."""
     cells = range(1, n + 1)
     two, one = Fraction(2), Fraction(1)
-    rows = tuple(tuple(two if i <= k and j <= l else one for j in cells) for i in cells)
-    return RationalMatrix(rows), witness
+    return RationalMatrix(
+        tuple(tuple(two if i <= k and j <= l else one for j in cells) for i in cells)
+    )
 
 
 # ---------------------------------------------------------------------------

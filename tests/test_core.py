@@ -8,6 +8,8 @@ checked against the constructor, ``from_corner_sum`` and
 
 import itertools
 import json
+import pickle
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -252,6 +254,30 @@ class TestCornerSum:
     def test_round_trip_center(self):
         a = validate_asm(CENTER)
         assert from_corner_sum(corner_sum(a)) == a
+
+    def test_kept_corner_sum_leaves_the_plain_asm(self):
+        """corner_sum keeps its result on the ASM and returns that object
+        again; equality, hash, repr, str, the fields and pickling still
+        see the entries alone."""
+        assert [f.name for f in fields(Asm)] == ["entries"]
+        for a in enumerate_asms(4):
+            plain = Asm(a.entries)
+            c = corner_sum(a)
+            assert corner_sum(a) is c
+            assert c == corner_sum(Asm(a.entries))
+            n = a.n
+            assert c.entries == tuple(
+                tuple(
+                    sum(a.entries[p][q] for p in range(i) for q in range(j))
+                    for j in range(1, n + 1)
+                )
+                for i in range(1, n + 1)
+            )
+            assert a == plain and hash(a) == hash(plain)
+            assert repr(a) == repr(plain) and str(a) == str(plain)
+            back = pickle.loads(pickle.dumps(a))
+            assert back == a and hash(back) == hash(a) and repr(back) == repr(a)
+            assert corner_sum(back) == c
 
     def test_from_corner_sum_raw_rows(self):
         assert from_corner_sum([[0, 1, 1], [1, 1, 2], [1, 2, 3]]) == validate_asm(CENTER)

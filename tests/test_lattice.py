@@ -668,12 +668,25 @@ class TestOrder:
                 assert len(least) == 1
 
     def test_asm_keyed_caches_are_bounded(self):
-        """The order over all 7,436 6x6 ASMs keeps nothing cached:
-        neither corner_sum nor essential_points has a cache."""
+        """No cache is keyed by an ASM: neither corner_sum nor
+        essential_points has one, and each ASM's corner sums, kept on the
+        ASM itself, go when it goes."""
         top = reverse_asm(6)
         assert all(asm_leq(a, top) for a in iter_asms(6))
         assert not hasattr(corner_sum, "cache_info")
         assert not hasattr(essential_points, "cache_info")
+
+    def test_streamed_order_holds_no_corner_sums(self):
+        """asm_leq against the top over all 7,436 streamed 6x6 ASMs keeps
+        the corner sums of none of them alive."""
+        top = reverse_asm(6)
+        tracemalloc.start()
+        try:
+            assert all(asm_leq(a, top) for a in iter_asms(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestBeta:

@@ -1,6 +1,8 @@
 """Tests for exact total nonnegativity and the order separation."""
 
+import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -16,11 +18,13 @@ from asmgraph import (
     asm_leq,
     bidiagonal_product,
     counterexample_matrix,
+    covered_by,
     enumerate_asms,
     evaluate_difference,
     identity_asm,
     is_locally_tnn_at,
     is_tnn,
+    iter_asms,
     q_weighted,
     qtnn_scan,
     random_tnn,
@@ -30,7 +34,16 @@ from asmgraph import (
 )
 from asmgraph.core import corner_sum
 from asmgraph.lattice import SizeMismatchError
-from asmgraph.tnn import det, iter_minor_values, q_unweighted, random_rational_matrix, rational_sqrt
+from asmgraph.tnn import (
+    TNN_SIZE_LIMIT,
+    RationalMatrix,
+    _two_block,
+    det,
+    iter_minor_values,
+    q_unweighted,
+    random_rational_matrix,
+    rational_sqrt,
+)
 
 F = Fraction
 
@@ -468,3 +481,73 @@ class TestIsTnnAgainstAllMinors:
             match=r"^n=9 exceeds the all-minors guard \(8\); pass size_limit=None to override$",
         ):
             is_tnn(random_tnn(9, seed=0))
+
+
+class TestSharedCounterexample:
+    """One checked 2-block matrix per witness cell, shared by its pairs."""
+
+    @pytest.mark.parametrize("n, stride", [(4, 1), (5, 13)])
+    def test_closed_form_on_one_matrix_per_cell(self, n, stride):
+        """Every incomparable pair (of every stride-th ordered pair) takes
+        the shared matrix of its witness cell, and the difference there is
+        2^A~(a)(k,l) - 2^A~(b)(k,l) < 0."""
+        asms = enumerate_asms(n)
+        shared = {}
+        for a, b in [(a, b) for a in asms for b in asms][::stride]:
+            if asm_leq(a, b):
+                continue
+            m, (k, l) = counterexample_matrix(a, b)
+            assert shared.setdefault((k, l), m) is m
+            value = evaluate_difference(a, b, m)
+            assert value == 2 ** corner_sum(a).value(k, l) - 2 ** corner_sum(b).value(k, l)
+            assert value < 0
+        assert len(shared) == (n - 1) ** 2
+
+    def test_cell_matrices_against_all_minors(self):
+        """Every witness cell for n <= 6 gives a matrix that is TNN by the
+        Gaussian oracle.  An ASM and one it covers at the point (k, l)
+        differ in the corner sum at (k, l) alone, so the pairs (a, c) with
+        c in covered_by(a) reach every cell k, l < n."""
+        matrices = {}
+        for n in range(2, 7):
+            for a in iter_asms(n):
+                for c in covered_by(a):
+                    m, witness = counterexample_matrix(a, c)
+                    matrices[n, witness] = m
+        assert len(matrices) == sum((n - 1) ** 2 for n in range(2, 7))
+        for m in matrices.values():
+            assert _all_minors_nonnegative(m)
+            assert is_tnn(m)
+
+    def test_memo_holds_sizes_up_to_the_guard(self):
+        top, bottom = reverse_asm(TNN_SIZE_LIMIT), identity_asm(TNN_SIZE_LIMIT)
+        assert counterexample_matrix(top, bottom)[0] is counterexample_matrix(top, bottom)[0]
+        before = _two_block.cache_info().currsize
+        n = TNN_SIZE_LIMIT + 1
+        top, bottom = reverse_asm(n), identity_asm(n)
+        m, witness = counterexample_matrix(top, bottom)
+        again, _ = counterexample_matrix(top, bottom)
+        assert m == again and m is not again
+        assert m.rows[0][0] == 2 and witness == (1, 1)
+        assert _two_block.cache_info().currsize == before <= 140
+
+    def test_guard_holds_after_an_override(self):
+        m, _ = counterexample_matrix(reverse_asm(9), identity_asm(9))
+        assert is_tnn(m, size_limit=None)
+        with pytest.raises(
+            AsmError,
+            match=r"^n=9 exceeds the all-minors guard \(8\); pass size_limit=None to override$",
+        ):
+            is_tnn(m)
+
+    def test_kept_verdict_leaves_the_plain_matrix(self):
+        """is_tnn keeps its verdict on the matrix, which equality, hash,
+        repr, the fields and pickling do not see."""
+        assert [f.name for f in fields(RationalMatrix)] == ["rows"]
+        for rows in ([[1, 1], [1, 2]], [[0, 1], [1, 0]]):
+            m, plain = rational_matrix(rows), rational_matrix(rows)
+            verdict = is_tnn(m)
+            assert is_tnn(m) is verdict is _all_minors_nonnegative(plain)
+            assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
+            back = pickle.loads(pickle.dumps(m))
+            assert back == plain and is_tnn(back) is verdict
