@@ -46,12 +46,14 @@ triangle row, the state of the enumeration walk) are the running XOR of
 the nonzero masks.  The scan loops over row pairs i < j and reads the
 spans k < l that the two rows' partial-sum masks allow from a table
 keyed by that pair; a span is a rectangle when the AND of the states on
-rows i..j-1 has bit k and their OR lacks bit l.  Raising reads the
-complemented masks.  The rectangles come out in (i, j, k, l) order.
-Lowering the corner sums by 1 on the cells of R changes A only at the
-corners (i,k), (i,l), (j,k), (j,l), where it adds (-1, +1, +1, -1);
-raising them adds (+1, -1, -1, +1).  Targets are formed by this corner
-update, and the span table types each edge by its target's corners.
+rows i..j-1 has bit k and their OR lacks bit l.  One table per size
+lists the lowering spans (e = 1); complementing a mask swaps e and 1 - e,
+so raising reads the complemented states and table keys.  The rectangles
+come out in (i, j, k, l) order.  Lowering the corner sums by 1 on the
+cells of R changes A only at the corners (i,k), (i,l), (j,k), (j,l),
+where it adds (-1, +1, +1, -1); raising them adds (+1, -1, -1, +1).
+Targets are formed by this corner update, and the span table types each
+lowering edge by its target's corners.
 
 Essential points are the same scan on adjacent rows and spans with
 l = k + 1.  From b, :func:`covering_chain` raises, at each step, the
@@ -73,10 +75,11 @@ columns.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, combinations
-from operator import lt, mul, sub, xor
+from operator import attrgetter, lt, mul, sub, xor
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -186,53 +189,46 @@ def _row_bits(row: tuple[int, ...]) -> tuple[int, int, int]:
     return nonzero, partial, code
 
 
-def _spans(n: int, delta: int, key: int) -> tuple[_Span, ...]:
-    """Every span k < l on which the top row's partial sums are e and the
-    bottom row's 1 - e (e = 1 when lowering, 0 when raising), for the
-    partial-sum masks top << n | bottom, sorted by (k, l)."""
+def _spans(n: int, key: int) -> tuple[_Span, ...]:
+    """The spans k < l that lowering allows, sorted by (k, l): the top
+    row's partial sums are 1 and the bottom row's 0 on them, for the
+    partial-sum masks top << n | bottom.  Raising, with sums 0 on top and
+    1 below, reads the spans of the complemented masks."""
     top, bottom = key >> n, key & ((1 << n) - 1)
-    flip = (1 << n) - 1 if delta > 0 else 0
-    run = (top ^ flip) & ~(bottom ^ flip)
+    run = top & ~bottom
 
     def entry(mask: int, q: int) -> int:
         """The row entry at 0-based column q: a step of its partial sums."""
         return (mask >> q & 1) - (mask << 1 >> q & 1)
 
-    # The edge type is read off the upper ASM of the pair: the target
-    # (corners + (-1, 1, 1, -1)) when lowering, the source when raising.
-    upper = (delta - 1) // 2
     shift = n.bit_length()
     spans = []
     for k in range(n):
         l = k
         while run >> l & 1:
             l += 1
+            # Typed by the target's corners: these rows plus (-1, 1, 1, -1).
             edge_type = _edge_type(
-                entry(top, k) + upper,
-                entry(top, l) - upper,
-                entry(bottom, k) - upper,
-                entry(bottom, l) + upper,
+                entry(top, k) - 1, entry(top, l) + 1, entry(bottom, k) + 1, entry(bottom, l) - 1
             )
             spans.append(_Span(
                 1 << k, 1 << l, k + 1, l + 1, edge_type,
-                delta * (3**k - 3**l), _pack((0, 0, k + 1, l + 1), shift),
+                3**l - 3**k, _pack((0, 0, k + 1, l + 1), shift),
             ))
     return tuple(spans)
 
 
 @cache
-def _size_tables(n: int, delta: int) -> tuple[_Table, _Table]:
+def _size_tables(n: int) -> tuple[_Table, _Table]:
     """The row table (row -> :func:`_row_bits`) and the span table
     (partial-sum masks top << n | bottom -> :func:`_spans`) for size n."""
-    return _Table(_row_bits), _Table(lambda key: _spans(n, delta, key))
+    return _Table(_row_bits), _Table(lambda key: _spans(n, key))
 
 
-def _tables(n: int, delta: int) -> tuple[_Table, _Table]:
-    """:func:`_size_tables`, memoised per size up to ASM_SIZE_LIMIT, where
-    they hold at most 2^(n-1) rows and 4^(n-1) pairs, and fresh above."""
-    if n <= ASM_SIZE_LIMIT:
-        return _size_tables(n, delta)
-    return _size_tables.__wrapped__(n, delta)
+def _tables(n: int) -> tuple[_Table, _Table]:
+    """:func:`_size_tables`, memoised up to ASM_SIZE_LIMIT, where a size
+    holds at most 2^(n-1) rows and 2 * 4^(n-1) mask pairs, and fresh above."""
+    return (_size_tables if n <= ASM_SIZE_LIMIT else _size_tables.__wrapped__)(n)
 
 
 def _scan(
@@ -241,16 +237,16 @@ def _scan(
     """(i, j, span), 0-based rows i < j, for every rectangle on whose cells
     the corner sums can move by delta, in (i, j, k, l) order.
 
-    bits holds each row's :func:`_row_bits`; the column states s(p, .),
-    complemented when raising, are the running XOR of the nonzero masks.
-    The span table gives the (k, l) that rows i and j allow; such a span
-    is a rectangle when the states on rows i..j-1 all have bit k and none
-    has bit l.
+    bits holds each row's :func:`_row_bits`.  The column states s(p, .)
+    are the running XOR of the nonzero masks.  The span table gives the
+    (k, l) that rows i and j allow; such a span is a rectangle when the
+    states on rows i..j-1 all have bit k and none has bit l.  Raising
+    complements both the states and the partial-sum masks it looks up.
     """
     n = len(bits)
     flip = (1 << n) - 1 if delta > 0 else 0
     states = [state ^ flip for state in accumulate((b[0] for b in bits), xor)]
-    keys = [b[1] for b in bits]
+    keys = [b[1] ^ flip for b in bits]
     for i in range(n - 1):
         top = keys[i] << n
         both = either = states[i]
@@ -266,7 +262,7 @@ def _scan(
 
 def _rects(entries: Entries, delta: int) -> Iterator[tuple[int, int, _Span]]:
     """:func:`_scan` over the rows of one ASM."""
-    rows, spans = _tables(len(entries), delta)
+    rows, spans = _tables(len(entries))
     return _scan([rows[row] for row in entries], spans, delta)
 
 
@@ -275,16 +271,17 @@ def _points(
 ) -> Iterator[tuple[int, int]]:
     """1-based (i, k), in row-major order, of every point (1x1 rectangle)
     with i >= start on which the corner sums of entries can be raised:
-    :func:`_scan` with delta = 1 on adjacent rows and spans with
-    l = k + 1, reading the tables of ``_tables(n, 1)``.  state is the
-    column state after the rows above start, complemented as raising
-    reads it; -1, every bit set, is the complement of the empty state."""
+    :func:`_scan` with delta = 1 on adjacent rows and spans with l = k + 1,
+    at the complemented partial-sum masks.  state is the column state after
+    the rows above start, complemented as raising reads it; -1, every bit
+    set, is the complement of the empty state."""
     n = len(entries)
+    flip = (1 << 2 * n) - 1
     below = rows[entries[start - 1]]
     for i in range(start, n):
         top, below = below, rows[entries[i]]
         state ^= top[0]
-        for span in spans[top[1] << n | below[1]]:
+        for span in spans[(top[1] << n | below[1]) ^ flip]:
             if span.l == span.k + 1 and state & span.kbit and not state & span.lbit:
                 yield i, span.k
 
@@ -437,9 +434,14 @@ def _beta_corner_sum(a: Asm) -> int:
     return total - sum(map(sum, corner_sum(a).entries))
 
 
-@cache
 def _square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
-    """(i - j)^2 for 0-based i, j < n."""
+    """(i - j)^2 for 0-based i, j < n, memoised per size up to
+    ASM_SIZE_LIMIT and built fresh above, as :func:`_tables` is."""
+    return (_size_square_gaps if n <= ASM_SIZE_LIMIT else _size_square_gaps.__wrapped__)(n)
+
+
+@cache
+def _size_square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((i - j) ** 2 for j in range(n)) for i in range(n))
 
 
@@ -490,7 +492,7 @@ def beta_checked(a: Asm) -> int:
 
 def beta_permutation(w: Permutation) -> int:
     """beta of a permutation matrix: half the sum of (i - w(i))^2."""
-    return sum(row[j - 1] for row, j in zip(_square_gaps(w.n), w.images)) // 2
+    return sum((i - j) ** 2 for i, j in enumerate(w.images, start=1)) // 2
 
 
 def is_bigrassmannian(w: Permutation) -> bool:
@@ -517,7 +519,7 @@ def essential_points(a: Asm) -> frozenset[tuple[int, int]]:
     These biject with the elements covered by a; an ASM is a
     bigrassmannian permutation matrix iff it has exactly one.
     """
-    return frozenset(_points(a.entries, *_tables(a.n, 1)))
+    return frozenset(_points(a.entries, *_tables(a.n)))
 
 
 def fulton_essential_set(w: Permutation) -> set[tuple[int, int]]:
@@ -541,7 +543,7 @@ def covered_by(a: Asm) -> list[Asm]:
     """Elements covered by a, one per essential point, in lex point order."""
     return [
         _trusted_asm(_shift_corners(a.entries, (i, i + 1, j, j + 1), 1))
-        for i, j in _points(a.entries, *_tables(a.n, 1))
+        for i, j in _points(a.entries, *_tables(a.n))
     ]
 
 
@@ -564,7 +566,7 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
         if d
     }
     # Fetched once: above ASM_SIZE_LIMIT each call builds fresh tables.
-    rows, spans = _tables(n, 1)
+    rows, spans = _tables(n)
     entries = b.entries
     # states[p] is the complemented column state after the first p rows.
     states = list(accumulate((rows[row][0] for row in entries), xor, initial=(1 << n) - 1))
@@ -655,15 +657,12 @@ class AsmGraph:
     types: array
     rects: array
 
-    @cached_property
-    def _index(self) -> dict[Asm, int]:
-        return {a: i for i, a in enumerate(self.nodes)}
-
     def index_of(self, a: Asm) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise ValueError(f"{a!r} is not a node of this graph") from None
+        """a's node index, bisected: canonical order is tuple order on entries."""
+        i = bisect_left(self.nodes, a.entries, key=attrgetter("entries"))
+        if i == len(self.nodes) or self.nodes[i].entries != a.entries:
+            raise ValueError(f"{a!r} is not a node of this graph")
+        return i
 
     def successors(self, idx: int) -> list[int]:
         if idx not in range(len(self.nodes)):
@@ -708,7 +707,7 @@ def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
             n, PACKED_SIZE_LIMIT, "rectangle bounds are packed into 64 bits", guard="packing limit"
         )
     nodes = tuple(enumerate_asms(n, size_limit=size_limit))
-    rows, spans = _tables(n, -1)
+    rows, spans = _tables(n)
     width = 3**n
     index = {}
     for s, a in enumerate(nodes):

@@ -58,6 +58,7 @@ def test_criterion_5_graded_lattice(capsys):
     result = verify.check_graded_lattice()
     assert "present [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]" in result.details
     assert "absent [16]" in result.details
+    assert "84016 A6 edges, 16 of type 16" in result.details
     _emit(capsys, 5, result, 60.0)
 
 

@@ -10,6 +10,8 @@ implementation under test:
 - the bitmask scan and its span tables: the list-based partial-sum walk
   they replaced, on every ASM up to 5x5, every 7th 6x6 one, and ASMs of
   up to 9x9 drawn as random column-state walks;
+- the one span table per size: the two tables per size it replaced, one
+  for each direction, on every partial-sum mask pair up to n = 7;
 - graph edges: scan all ordered pairs and ask whether the corner-sum
   difference is the cell indicator of a combinatorial rectangle;
 - the graph builder: the rectangle scan it replaced, which tests every
@@ -35,10 +37,11 @@ import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import comb
-from operator import mul
+from operator import attrgetter, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,11 +98,13 @@ from asmgraph.lattice import (
     _pack,
     _shift_rects,
     _size_tables,
+    _Span,
+    _spans,
     _square_gaps,
     _Table,
     _typecode,
 )
-from asmgraph.verify import A5_TYPE_CENSUS, A6_TYPE_CENSUS
+from asmgraph.tnn import q_weighted, rational_matrix
 
 #: The paper's sixteen edge types: (type, target corners, source corners),
 #: corners in the order (i,k), (i,l), (j,k), (j,l).
@@ -247,6 +252,38 @@ def _walked_asms(draw, max_n=12):
     return Asm(rows)
 
 
+def _two_way_spans(n, delta, key):
+    """The span table before it lost its direction: every span k < l on
+    which the top row's partial sums are e and the bottom row's 1 - e
+    (e = 1 when lowering, 0 when raising), each typed by the upper ASM of
+    its edge, for the partial-sum masks top << n | bottom."""
+    top, bottom = key >> n, key & ((1 << n) - 1)
+    flip = (1 << n) - 1 if delta > 0 else 0
+    run = (top ^ flip) & ~(bottom ^ flip)
+
+    def entry(mask, q):
+        return (mask >> q & 1) - (mask << 1 >> q & 1)
+
+    upper = (delta - 1) // 2
+    shift = n.bit_length()
+    spans = []
+    for k in range(n):
+        l = k
+        while run >> l & 1:
+            l += 1
+            edge_type = _edge_type(
+                entry(top, k) + upper,
+                entry(top, l) - upper,
+                entry(bottom, k) - upper,
+                entry(bottom, l) + upper,
+            )
+            spans.append(_Span(
+                1 << k, 1 << l, k + 1, l + 1, edge_type,
+                delta * (3**k - 3**l), _pack((0, 0, k + 1, l + 1), shift),
+            ))
+    return tuple(spans)
+
+
 def _memo_sizes():
     """currsize of every memoised function at module level in asmgraph."""
     return {
@@ -383,9 +420,23 @@ class TestBitmaskScan:
     def test_matches_the_list_walk_on_walked_asms(self, a, delta):
         assert _shift_rects(a.entries, delta) == _list_shift_rects(a.entries, delta)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_table_serves_both_directions(self, n):
+        """On every mask pair, the table holds the two-way oracle's
+        lowering spans field for field, and at the complemented masks its
+        raising spans' columns."""
+        flip = (1 << 2 * n) - 1
+        columns = attrgetter("k", "l", "kbit", "lbit")
+        for key in range(1 << 2 * n):
+            assert _spans(n, key) == _two_way_spans(n, -1, key)
+            raising = _two_way_spans(n, 1, key)
+            assert list(map(columns, _spans(n, key ^ flip))) == list(map(columns, raising))
+
     def test_tables_are_memoised_only_up_to_the_guard(self):
-        """Per size up to the guard, at most the 2^(n-1) alternating rows
-        and their 4^(n-1) pairs; above it, nothing outlives the call."""
+        """Per size up to the guard, one row table and one span table, with
+        at most the 2^(n-1) alternating rows and their 4^(n-1) pairs of
+        partial-sum masks, plain and complemented; above it, nothing
+        outlives the call."""
         before = _memo_sizes()
         for n in range(ASM_SIZE_LIMIT + 1, 13):
             for a in (identity_asm(n), reverse_asm(n), _middle_walk(n)):
@@ -393,10 +444,9 @@ class TestBitmaskScan:
                     assert _shift_rects(a.entries, delta) == _list_shift_rects(a.entries, delta)
         assert _memo_sizes() == before
         for n in range(1, ASM_SIZE_LIMIT + 1):
-            for delta in (1, -1):
-                rows, spans = _size_tables(n, delta)
-                assert len(rows) <= 2 ** (n - 1) and len(spans) <= 4 ** (n - 1)
-        assert _size_tables.cache_info().currsize == 2 * ASM_SIZE_LIMIT
+            rows, spans = _size_tables(n)
+            assert len(rows) <= 2 ** (n - 1) and len(spans) <= 2 * 4 ** (n - 1)
+        assert _size_tables.cache_info().currsize == ASM_SIZE_LIMIT
 
     def test_points_above_the_guard(self, old_covering_chain):
         """Essential points and covering chains above ASM_SIZE_LIMIT, where
@@ -421,8 +471,8 @@ class TestBitmaskScan:
         the nodes: with the code step's sign flipped, the identity's first
         move points below the minimum, and the build stops there."""
 
-        def flipped(n, delta):
-            rows, spans = _size_tables.__wrapped__(n, delta)
+        def flipped(n):
+            rows, spans = _size_tables.__wrapped__(n)
             return rows, _Table(lambda key: tuple(s._replace(step=-s.step) for s in spans[key]))
 
         monkeypatch.setattr(lattice, "_tables", flipped)
@@ -580,12 +630,6 @@ class TestGraphBuilder:
         g = build_graph(n)
         assert (g.nodes, tuple(g.edges)) == _scan_graph(n)
 
-    def test_type_16_first_appears_at_6x6(self):
-        assert Counter(build_graph(5).types) == A5_TYPE_CENSUS
-        g = build_graph(6)
-        assert g.num_edges == 84016
-        assert Counter(g.types) == A6_TYPE_CENSUS
-
     def test_apply_rect_matches_corner_sum_rebuild(self):
         for a in enumerate_asms(4):
             for r in _all_rects(4):
@@ -735,6 +779,20 @@ class TestBeta:
     @given(_walked_asms())
     def test_row_moments_match_the_square_sum(self, a):
         assert beta(a) == _beta_square_sum(a) == _beta_corner_sum(a)
+
+    def test_beta_permutation_sums_the_squares_directly(self):
+        """beta of the reverse permutation at n = 10^5 is C(n + 1, 3), and
+        neither it nor q_weighted above the guard memoises anything."""
+        before = _memo_sizes()
+        n = 10**5
+        assert beta_permutation(Permutation(tuple(range(n, 0, -1)))) == comb(n + 1, 3)
+        m = ASM_SIZE_LIMIT + 1
+        weighted = q_weighted(rational_matrix([[1] * m] * m), 4)
+        assert weighted.rows == tuple(
+            tuple(Fraction(2) ** (i - j) ** 2 for j in range(m)) for i in range(m)
+        )
+        assert _square_gaps(m) == _square_gaps(m) and _square_gaps(m) is not _square_gaps(m)
+        assert _memo_sizes() == before
 
     def test_unseeded_beta_memoises_nothing(self):
         """beta of an ASM with no seed reads its rows, above the guard too,
@@ -979,8 +1037,12 @@ class TestGraphStructure:
                 g.successors(idx)
 
     def test_index_of_rejects_foreign_matrix(self):
-        with pytest.raises(ValueError):
-            build_graph(3).index_of(identity_asm(4))
+        """Matrices of other sizes sort before, between and after the 3x3
+        nodes, and none is found."""
+        g = build_graph(3)
+        for foreign in (identity_asm(1), identity_asm(2), reverse_asm(4), identity_asm(4)):
+            with pytest.raises(ValueError):
+                g.index_of(foreign)
 
     def test_edges_iterate_over_the_columns(self):
         g = build_graph(4)
