@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import Asm, AsmError, _as_int, asm_from_json_dict, asm_to_json_dict
 from .lattice import Rect, SizeMismatchError, _chain_steps, _shift_corners, beta
@@ -97,8 +97,23 @@ class LaurentMonomial:
         return self.coeff > 0 and all(e >= -1 for _, e in self.powers)
 
     def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
-        """Exact value at a matrix (plain nested sequence, 0-based)."""
-        return Fraction(*_monomial_ratio(self.powers, _Cells(rows), *_ratio(self.coeff)))
+        """Exact value at a matrix (plain nested sequence, 0-based).
+
+        A zero base zeroes the value but the scan goes on, so a later
+        zero base with a negative exponent still raises."""
+        cells = _Cells(rows)
+        num, den = _ratio(self.coeff)
+        for v, e in self.powers:
+            p, r = cells[v]
+            if not p:
+                num = _zero_power(e, v)
+            elif e > 0:
+                num *= p**e
+                den *= r**e
+            else:
+                num *= r**-e
+                den *= p**-e
+        return Fraction(num, den)
 
     def __str__(self) -> str:
         parts = []
@@ -150,44 +165,43 @@ class _Cells(dict):
         return value
 
 
-def _monomial_ratio(powers: Iterable, cells: _Cells, num=1, den=1) -> tuple[int, int]:
-    """num/den times prod x_v^e over the (v, e) in powers, at the matrix
-    behind cells, as (numerator, nonzero denominator).
+def _zero_power(e: int, cell: Variable) -> int:
+    """0^e as a numerator factor: 0, or UndefinedEvaluationError if e < 0."""
+    if e < 0:
+        raise UndefinedEvaluationError(cell)
+    return 0
 
-    A zero base zeroes the value but the scan goes on, so a later zero
-    base with a negative exponent still raises UndefinedEvaluationError.
-    """
-    for v, e in powers:
-        p, r = cells[v]
-        if not p:
-            if e < 0:
-                raise UndefinedEvaluationError(v)
-            num = 0
-        elif e > 0:
-            num *= p**e
-            den *= r**e
-        else:
-            num *= r**-e
-            den *= p**-e
+
+def _asm_ratio(entries: Sequence[Sequence[int]], cells: _Cells, num=1, den=1) -> tuple[int, int]:
+    """num/den times x^A at the matrix behind cells, as (numerator,
+    nonzero denominator), for the entry rows of an ASM A (entries -1, 0
+    and 1), read row-major; zero bases as in LaurentMonomial.evaluate."""
+    for i, row in enumerate(entries, 1):
+        for j, e in enumerate(row, 1):
+            if e:
+                p, r = cells[i, j]
+                if not p:
+                    num = _zero_power(e, (i, j))
+                elif e > 0:
+                    num *= p
+                    den *= r
+                else:
+                    num *= r
+                    den *= p
     return num, den
-
-
-def _asm_powers(a: Asm) -> Iterable[tuple[Variable, int]]:
-    """((i, j), a(i, j)) for the nonzero entries, row-major (sorted) order."""
-    return (((i, j), x) for i, row in enumerate(a.entries, 1) for j, x in enumerate(row, 1) if x)
 
 
 def asm_monomial(a: Asm) -> LaurentMonomial:
     """x^a: one factor x_ij^{a(i,j)} per nonzero entry."""
-    return LaurentMonomial(Fraction(1), tuple(_asm_powers(a)))
+    rows = enumerate(a.entries, 1)
+    return monomial({(i, j): x for i, row in rows for j, x in enumerate(row, 1)})
 
 
 def _asm_difference(a: Asm, b: Asm, rows: Sequence[Sequence], wa=1, wb=1) -> Fraction:
     """wa x^a - wb x^b at rows, exactly; a is read first."""
     cells = _Cells(rows)
-    (an, ad), (bn, bd) = (
-        _monomial_ratio(_asm_powers(x), cells, *_ratio(w)) for x, w in ((a, wa), (b, wb))
-    )
+    an, ad = _asm_ratio(a.entries, cells, *_ratio(wa))
+    bn, bd = _asm_ratio(b.entries, cells, *_ratio(wb))
     return Fraction(an * bd - bn * ad, ad * bd)
 
 
@@ -213,19 +227,6 @@ class MinorRef:
             " ".join(_var_str((i, j)) for j in self.cols) for i in self.rows
         )
         return f"|{body}|"
-
-
-def _minor_q_ratio(cells: _Cells, i: int, j: int, k: int, l: int, q) -> tuple[int, int]:
-    """The q-deformed minor on rows (i, j), columns (k, l), as an integer ratio."""
-    # Read in the order the formula names them, so the first bad value raises.
-    an, ad = cells[i, k]
-    bn, bd = cells[j, l]
-    qn, qd = _ratio(q)
-    cn, cd = cells[i, l]
-    dn, dd = cells[j, k]
-    area = (j - i) * (l - k)
-    qn, qd = qn**area, qd**area
-    return an * bn * qd * cd * dd - qn * cn * dn * ad * bd, ad * bd * qd * cd * dd
 
 
 def _minors(rows: Sequence[Sequence], one, *, prefixes_only: bool = False):
@@ -318,7 +319,7 @@ class EdgeFactorization(NamedTuple):
 def _ratio_powers(s: EdgeFactorization) -> dict[Variable, int]:
     """Exponents of prefix / divisor: the source's entries, less one at
     the two divisor cells (zero exponents kept)."""
-    powers = dict(_asm_powers(s.source))
+    powers = dict(asm_monomial(s.source).powers)
     for v in (s.rect.i, s.rect.k), (s.rect.j, s.rect.l):
         powers[v] = powers.get(v, 0) - 1
     return powers
@@ -367,12 +368,26 @@ def _lowest(p: int, r: int) -> tuple[int, int]:
     return p // g, r // g
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> Iterator[int]:
+    """The values of ``count`` calls of ``rng.randint(lo, hi)``, drawn
+    lazily, leaving rng as those calls would: CPython's rejection rule,
+    k = width.bit_length() bits per try until one is below width."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        yield lo + r
+
+
 def _random_positive_rows(n: int, rng: random.Random) -> _Ratios:
     """An n x n matrix of ratios p/r in lowest terms, p and r drawn from
     1..9, row-major; unreduced, they would swell the products."""
-    return _Ratios(
-        [_lowest(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)
-    )
+    draws = _randints(rng, 1, 9, 2 * n * n)
+    cells = map(_lowest, draws, draws)
+    return _Ratios(map(list, zip(*[cells] * n)))
 
 
 def evaluate_certificate(
@@ -392,7 +407,8 @@ def evaluate_certificate_q(
     q-deformed; the sum equals q^{beta(a)} x^a - q^{beta(b)} x^b, so all
     q-powers are nonnegative and the whole thing is a polynomial in q.
     At q = 1 it is the plain certificate sum.  Each step is an integer
-    ratio read off its source's entries and its rectangle's corners.
+    ratio read off its source's entries and its rectangle's corners; q
+    is read once, and each step's q-power is the step before's times q.
     Raises SizeMismatchError unless rows is n x n for the certificate's n.
 
     >>> from asmgraph import identity_asm, reverse_asm
@@ -403,27 +419,27 @@ def evaluate_certificate_q(
     n = cert.source.n
     if len(rows) != n or any(len(row) != n for row in rows):
         raise SizeMismatchError(f"certificate is for n={n}, the matrix is not {n}x{n}")
-    q = Fraction(q)
-    qn, qd = q.numerator, q.denominator
+    qn, qd = _ratio(q)
     cells = _Cells(rows)
     total_num, total_den = 0, 1
-    base = cert.beta_pair[0]
+    e = cert.beta_pair[0]
+    if e < 0 and not qn and cert.steps:
+        raise ZeroDivisionError(f"q = 0 raised to the power {e}")
+    # q^(beta + t) as pn / pd, a nonzero denominator wherever it is used.
+    pn, pd = (qn**e, qd**e) if e >= 0 else (qd**-e, qn**-e)
     for t, s in enumerate(cert.steps):
-        i, j, k, l = s.rect.i, s.rect.j, s.rect.k, s.rect.l
-        e = base + t
-        if e >= 0:
-            num, den = qn**e, qd**e
-        elif qn:
-            num, den = qd**-e, qn**-e
-        else:
-            raise ZeroDivisionError(f"q = 0 raised to the power {e}")
-        num, den = _monomial_ratio(_asm_powers(s.source), cells, num, den)
-        mn, md = _minor_q_ratio(cells, i, j, k, l, q)
-        (an, ad), (bn, bd) = cells[i, k], cells[j, l]
+        i, j, k, l = s.rect.bounds
+        num, den = _asm_ratio(s.source.entries, cells, pn, pd)
+        # The minor x_ik x_jl - q^area x_il x_jk over x_ik x_jl, cells read in that order.
+        (an, ad), (bn, bd), (cn, cd), (dn, dd) = cells[i, k], cells[j, l], cells[i, l], cells[j, k]
         if not (an and bn):
             raise ZeroDivisionError(f"divisor {s.divisor} is zero at step {t}")
-        num *= mn * ad * bd
-        den *= md * an * bn
+        area = (j - i) * (l - k)
+        head = an * bn * qd**area * cd * dd
+        num *= head - qn**area * cn * dn * ad * bd
+        den *= head
+        pn *= qn
+        pd *= qd
         total_num = total_num * den + num * total_den
         total_den *= den
         g = gcd(total_num, total_den)

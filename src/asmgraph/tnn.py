@@ -42,8 +42,8 @@ The matrices this module makes (samples, counterexamples, q-weightings)
 are built once, straight from Fractions, and not passed back through
 :func:`rational_matrix`, the entry point for rows from outside.  The
 sampler runs on integer ratios too: :func:`bidiagonal_product` holds
-each column as an int vector over one positive denominator, reduced
-after every update, and builds one Fraction per entry of the result.
+each column as an unreduced int vector over the lcm of its denominators,
+and only the result's Fractions reduce, one per entry.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
@@ -72,7 +72,7 @@ from typing import Iterable, Sequence
 from .core import Asm, AsmError
 from .enumeration import _check_limit
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
-from .symbolic import _asm_difference, _int_rows, _minors, _ratio
+from .symbolic import _asm_difference, _int_rows, _minors, _randints, _ratio
 
 TNN_SIZE_LIMIT = 8
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
@@ -119,7 +119,7 @@ def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
 def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
     """n x n matrix of rationals p/q, -9 <= p <= 9 and 1 <= q <= 4,
     drawn row-major from rng (numerator, then denominator)."""
-    entries = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n * n))
+    entries = map(Fraction, _randints(rng, -9, 9, n * n), _randints(rng, 1, 4, n * n))
     return RationalMatrix(tuple(zip(*[entries] * n)))
 
 
@@ -255,8 +255,9 @@ def _bidiagonal_ratios(
     """:func:`bidiagonal_product` on parameters given as (numerator,
     positive denominator), after checking that both lists fit the word.
 
-    Each column is an int vector over one positive denominator, kept in
-    lowest terms, so the only Fractions built are the result's entries.
+    Each column is an int vector over one positive denominator, never
+    reduced: an update puts the two columns over the lcm of their
+    denominators, and the only gcds are the result's Fractions.
     """
     n = len(diag)
     word = _longest_word(n)
@@ -265,26 +266,21 @@ def _bidiagonal_ratios(
     cols = [[int(r == c) for r in range(n)] for c in range(n)]
     dens = [1] * n
 
-    def store(c: int, col: list[int], den: int) -> None:
-        """Column c := col / den, in lowest terms."""
-        g = math.gcd(den, *col)
-        cols[c] = [x // g for x in col] if g > 1 else col
-        dens[c] = den // g
-
     def add(c: int, o: int, t: tuple[int, int]) -> None:
         """Column c += t * column o."""
         tn, td = t
         if tn:
             dc, do = dens[c], td * dens[o]
-            den = math.lcm(dc, do)
+            den = dens[c] = math.lcm(dc, do)
             fc, fo = den // dc, den // do * tn
-            store(c, [x * fc + y * fo for x, y in zip(cols[c], cols[o])], den)
+            cols[c] = [x * fc + y * fo for x, y in zip(cols[c], cols[o])]
 
     # Right-multiply by lower factors: column i += t * column i+1.
     for idx, t in zip(word, lower):
         add(idx - 1, idx, t)
     for c, (dn, dd) in enumerate(diag):
-        store(c, [x * dn for x in cols[c]], dens[c] * dd)
+        cols[c] = [x * dn for x in cols[c]]
+        dens[c] *= dd
     # Right-multiply by upper factors: column i+1 += t * column i.
     for idx, t in zip(reversed(word), upper):
         add(idx, idx - 1, t)
@@ -297,18 +293,14 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
     """Random TNN matrix from a positive bidiagonal factorization.
 
     All factorization parameters are strictly positive, so the sample is
-    totally positive and every entry is a positive rational.
+    totally positive and every entry is a positive rational.  Each
+    parameter p/q draws p, then q, from 1..RANDOM_TNN_BOUND: the
+    diagonal first, then the lower word, then the upper.
     """
-    rng = random.Random(seed)
+    draws = _randints(random.Random(seed), 1, RANDOM_TNN_BOUND, 2 * n * n)
+    params = list(zip(draws, draws))
     count = n * (n - 1) // 2
-
-    def draw() -> tuple[int, int]:
-        return rng.randint(1, RANDOM_TNN_BOUND), rng.randint(1, RANDOM_TNN_BOUND)
-
-    diag = [draw() for _ in range(n)]
-    lower = [draw() for _ in range(count)]
-    upper = [draw() for _ in range(count)]
-    return _bidiagonal_ratios(diag, lower, upper)
+    return _bidiagonal_ratios(params[:n], params[n : n + count], params[n + count :])
 
 
 # ---------------------------------------------------------------------------

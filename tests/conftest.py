@@ -17,13 +17,17 @@ def _old_covering_chain(a, b):
 
     Each step lists the essential points of the current element, lowers
     it with apply_rect at each point in lex order and keeps the first
-    result that asm_leq puts above a.  The caller ensures a <= b.
+    result that asm_leq puts above a.  The caller ensures a <= b.  A
+    lowering that returns its input raises AssertionError, so a broken
+    essential-point test fails instead of looping forever.
     """
     chain = [b]
     while chain[-1] != a:
         current = chain[-1]
         for i, j in sorted(essential_points(current)):
             lower = apply_rect(current, Rect(i, i + 1, j, j + 1))
+            if lower == current:
+                raise AssertionError(f"apply_rect left {current.entries} at {(i, j)}")
             if asm_leq(a, lower):
                 chain.append(lower)
                 break

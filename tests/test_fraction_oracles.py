@@ -4,6 +4,8 @@ Monomial values, q-deformed 2x2 minors, certificate sums and the
 bidiagonal sampler all run on (numerator, denominator) pairs of ints.
 The per-factor Fraction versions are kept here as oracles: on every
 input both must give the same value or raise the same exception class.
+The samplers draw through one bit drawer, checked here against the
+random.randint calls they replaced.
 """
 
 import random
@@ -27,8 +29,15 @@ from asmgraph import (
     rational_matrix,
     sfl_certificate,
 )
-from asmgraph.symbolic import EdgeFactorization, SflCertificate
-from asmgraph.tnn import RANDOM_TNN_BOUND, _longest_word, random_rational_matrix
+from asmgraph import tnn
+from asmgraph.symbolic import (
+    EdgeFactorization,
+    SflCertificate,
+    _randints,
+    _random_positive_rows,
+    _Ratios,
+)
+from asmgraph.tnn import RANDOM_TNN_BOUND, RationalMatrix, _longest_word, random_rational_matrix
 
 F = Fraction
 
@@ -110,6 +119,17 @@ def old_random_tnn(n, seed):
     lower = [draw() for _ in range(count)]
     upper = [draw() for _ in range(count)]
     return old_bidiagonal_product(diag, lower, upper)
+
+
+def old_random_positive_rows(n, rng):
+    rows = [[F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+    return [[(x.numerator, x.denominator) for x in row] for row in rows]
+
+
+def old_random_rational_matrix(n, rng):
+    return RationalMatrix(
+        tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)) for _ in range(n))
+    )
 
 
 def outcome(f, *args):
@@ -302,3 +322,88 @@ class TestBidiagonalProduct:
             assert bidiagonal_product(diag, lower, upper) == old_bidiagonal_product(
                 diag, lower, upper
             )
+
+
+class TestBidiagonalGrowth:
+    """The columns are never reduced, only put over the lcm of their
+    denominators.  Plain products of the denominators would pass the value
+    checks but swell to 8,752 bits at n = 8; the lcm keeps them to 6n
+    bits on these inputs, so 16n bits is a generous bound."""
+
+    @pytest.fixture
+    def raw_denominators(self, monkeypatch):
+        """Bit lengths of the denominators the sampler hands to Fraction."""
+        seen = []
+
+        def recording(p, q=1):
+            seen.append(q.bit_length())
+            return Fraction(p, q)
+
+        monkeypatch.setattr(tnn, "Fraction", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_random_tnn(self, n, raw_denominators):
+        for seed in range(3):
+            m = random_tnn(n, seed)
+            assert max(raw_denominators) <= 16 * n
+            assert m == old_random_tnn(n, seed)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_bidiagonal_product(self, n, raw_denominators):
+        rng = random.Random(n)
+        count = n * (n - 1) // 2
+        for _ in range(3):
+            diag, lower, upper = (
+                [F(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(k)]
+                for k in (n, count, count)
+            )
+            m = bidiagonal_product(diag, lower, upper)
+            assert max(raw_denominators) <= 16 * n
+            assert m == old_bidiagonal_product(diag, lower, upper)
+
+
+class TestRandints:
+    """_randints(rng, lo, hi, count) is count calls of rng.randint(lo, hi):
+    the same values, and rng left in the same state."""
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        # The samplers' ranges, then the widths 1, 2, 8, 16 and 17.
+        [(1, 4), (1, 9), (-9, 9), (0, 0), (3, 4), (1, 8), (-8, 7), (0, 16)],
+    )
+    def test_matches_randint(self, lo, hi):
+        for seed in range(20):
+            for count in (0, 1, 2, 50):
+                rng, old = random.Random(seed), random.Random(seed)
+                assert list(_randints(rng, lo, hi, count)) == [
+                    old.randint(lo, hi) for _ in range(count)
+                ]
+                assert rng.getstate() == old.getstate()
+
+    def test_alternating_ranges(self):
+        for seed in range(20):
+            rng, old = random.Random(seed), random.Random(seed)
+            draws = zip(_randints(rng, 1, 4, 30), _randints(rng, -9, 9, 30))
+            assert list(draws) == [(old.randint(1, 4), old.randint(-9, 9)) for _ in range(30)]
+            assert rng.getstate() == old.getstate()
+
+
+class TestSamplersMatchRandint:
+    @pytest.mark.parametrize("n", range(9))
+    def test_random_positive_rows(self, n):
+        for seed in range(50):
+            rng, old = random.Random(seed), random.Random(seed)
+            rows = _random_positive_rows(n, rng)
+            assert type(rows) is _Ratios
+            assert rows == old_random_positive_rows(n, old)
+            assert rng.getstate() == old.getstate()
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_random_rational_matrix(self, n):
+        for seed in range(50):
+            rng, old = random.Random(seed), random.Random(seed)
+            m = random_rational_matrix(n, rng)
+            assert m == old_random_rational_matrix(n, old)
+            assert entry_types(m) <= {Fraction}
+            assert rng.getstate() == old.getstate()
