@@ -266,19 +266,18 @@ def _rects(entries: Entries, delta: int) -> Iterator[tuple[int, int, _Span]]:
     return _scan([rows[row] for row in entries], spans, delta)
 
 
-def _points(
-    entries: Entries, rows: _Table, spans: _Table, start: int = 1, state: int = -1
-) -> Iterator[tuple[int, int]]:
+def _points(entries: Entries, rows: _Table, spans: _Table) -> Iterator[tuple[int, int]]:
     """1-based (i, k), in row-major order, of every point (1x1 rectangle)
-    with i >= start on which the corner sums of entries can be raised:
-    :func:`_scan` with delta = 1 on adjacent rows and spans with l = k + 1,
-    at the complemented partial-sum masks.  state is the column state after
-    the rows above start, complemented as raising reads it; -1, every bit
-    set, is the complement of the empty state."""
+    on which the corner sums of entries can be raised: :func:`_scan` with
+    delta = 1 on adjacent rows and spans with l = k + 1, at the
+    complemented partial-sum masks.  The column state is complemented as
+    raising reads it: it starts at -1, every bit set, the complement of
+    the empty state."""
     n = len(entries)
     flip = (1 << 2 * n) - 1
-    below = rows[entries[start - 1]]
-    for i in range(start, n):
+    state = -1
+    below = rows[entries[0]]
+    for i in range(1, n):
         top, below = below, rows[entries[i]]
         state ^= top[0]
         for span in spans[(top[1] << n | below[1]) ^ flip]:
@@ -553,7 +552,9 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
 
     gap holds each cell where A~(a) is still larger than the walk's corner
     sums and by how much, so raising at a point of gap is exactly a <=
-    lower.  Raises IncomparableError unless a <= b.
+    lower.  Each step scans the current matrix's points from the top row
+    and raises at the first one in gap.  Raises IncomparableError unless
+    a <= b.
     """
     n = _same_size(a, b)
     ca, cb = corner_sum(a), corner_sum(b)
@@ -568,12 +569,9 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
     # Fetched once: above ASM_SIZE_LIMIT each call builds fresh tables.
     rows, spans = _tables(n)
     entries = b.entries
-    # states[p] is the complemented column state after the first p rows.
-    states = list(accumulate((rows[row][0] for row in entries), xor, initial=(1 << n) - 1))
-    start = 1
     steps = []
     while gap:
-        for point in _points(entries, rows, spans, start, states[start - 1]):
+        for point in _points(entries, rows, spans):
             if point in gap:
                 break
         else:
@@ -585,11 +583,6 @@ def _chain_steps(a: Asm, b: Asm) -> list[tuple[Asm, Rect]]:
         rect = Rect(i, i + 1, j, j + 1)
         entries = _shift_corners(entries, rect.bounds, 1)
         steps.append((_trusted_asm(entries), rect))
-        # The step changed rows i and i + 1, and of the states only the
-        # one after row i.  Points on rows up to i - 2 read neither; they
-        # precede (i, j), so none is in gap, which only shrinks.
-        states[i] = states[i - 1] ^ rows[entries[i - 1]][0]
-        start = max(i - 1, 1)
     return steps[::-1]
 
 

@@ -107,58 +107,57 @@ def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
     The max(1, .) makes sqrt(H) bound every minor of the matrix too, as
     a row left out or a zero row cannot shrink it.  A product of two
     minors is then bounded by H and a difference of two such products by
-    2H (:func:`_q_condensation` widens to that).  The width is the least
-    with 2^(width-1) above the bound; it is derived, never set.
+    2H.  The width is the least with 2^(width-1) above the bound, and
+    :func:`_kronecker` picks it; it is derived, never set.
     """
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise AsmError("matrix must be square")
-    low, hadamard = _hadamard(entries)
-    width = _width(hadamard)
-    return _decode(_det(_encode(entries, low, width), 1), width, n * low)
+    encoded, decode = _kronecker(entries)
+    return decode(_det(encoded, 1), n)
 
 
-def _hadamard(entries: Sequence[Sequence[HalfExpPoly]]) -> tuple[int, int]:
-    """The least doubled exponent of the entries (0 if there is none) and
-    H = prod_i max(1, sum_j ||a_ij||_1^2), the square of Hadamard's bound
-    on every minor."""
+def _kronecker(
+    entries: Sequence[Sequence[HalfExpPoly]], products: int = 1
+) -> tuple[list[list[int]], Callable[[int, int], HalfExpPoly]]:
+    """The entries as ints, each times q^(-low/2) at q^(1/2) = 2^width for
+    low their least doubled exponent (0 if there is none), and a decoder
+    for a value with ``size`` rows of them in all: balanced base-2^width
+    digits, digit m that of q^((m + size low)/2).
+
+    Exact for a minor when products is 1 and for a difference of two
+    products of minors when it is 2: the width is the least with
+    2^(width-1) above sqrt(H), or above 2H, for H = prod_i max(1, sum_j
+    ||a_ij||_1^2) (see :func:`sym_det`).
+    """
     low = min((t for row in entries for x in row for t in x.terms), default=0)
     square = 1
     for row in entries:
         square *= max(1, sum(sum(map(abs, x.terms.values())) ** 2 for x in row))
-    return low, square
-
-
-def _width(bound_squared: int) -> int:
-    """The least width with 2^(width-1) > sqrt(bound_squared)."""
-    return (bound_squared.bit_length() + 3) // 2
-
-
-def _encode(entries: Sequence[Sequence[HalfExpPoly]], low: int, width: int) -> list[list[int]]:
-    """Each entry times q^(-low/2), at q^(1/2) = 2^width."""
-    return [
+    bound_squared = square if products == 1 else 4 * square * square
+    width = (bound_squared.bit_length() + 3) // 2
+    half, mask = 1 << width - 1, (1 << width) - 1
+    encoded = [
         [sum(c << width * (t - low) for t, c in x.terms.items()) for x in row]
         for row in entries
     ]
 
+    def decode(value: int, size: int) -> HalfExpPoly:
+        terms = {}
+        # With width >= 2 the top digit is at least a third of value's
+        # magnitude, so value has no more digits than this range.
+        shift = size * low
+        for t in range(shift, shift + abs(value).bit_length() // width + 2):
+            digit = value & mask
+            value >>= width
+            if digit >= half:  # a negative digit, borrowed from the next one up
+                digit -= 1 << width
+                value += 1
+            if digit:
+                terms[t] = digit
+        return _trusted_poly(terms)
 
-def _decode(value: int, width: int, shift: int) -> HalfExpPoly:
-    """The polynomial whose coefficients are the balanced base-2^width
-    digits of value, digit m that of q^((m + shift)/2); exact when every
-    coefficient is below 2^(width-1) in absolute value."""
-    half, mask = 1 << width - 1, (1 << width) - 1
-    terms = {}
-    # With width >= 2 the top digit is at least a third of value's
-    # magnitude, so value has no more digits than this range.
-    for t in range(shift, shift + abs(value).bit_length() // width + 2):
-        digit = value & mask
-        value >>= width
-        if digit >= half:  # a negative digit, borrowed from the next one up
-            digit -= 1 << width
-            value += 1
-        if digit:
-            terms[t] = digit
-    return _trusted_poly(terms)
+    return encoded, decode
 
 
 def _q_weight_matrix(rows: Sequence[Sequence[int]]) -> list[list[HalfExpPoly]]:
@@ -283,20 +282,13 @@ def _q_condensation(
     weights.  An antidiagonal minor's exponents shift by +-(i' - j') + 1/2,
     and the +-(i' - j') sum to zero over any permutation, so it carries
     q^{(n-1)/2}: Dodgson's numerator on A_q is the identity's right side.
-    That numerator and |A_q| |A'_q| are bounded by 2H, so the width is
-    taken for that bound (see :func:`sym_det`).
+    That numerator and |A_q| |A'_q| are bounded by 2H, so the encoding is
+    taken for products of two minors (see :func:`sym_det`).
     """
     if m.n < 2:
         raise AsmError("condensation needs n >= 2")
     rows, scale = _int_rows(m.rows)
-    weighted = _q_weight_matrix(rows)
-    low, hadamard = _hadamard(weighted)
-    width = _width(4 * hadamard * hadamard)
-    encoded = _encode(weighted, low, width)
-
-    def decode(value: int, size: int) -> HalfExpPoly:
-        return _decode(value, width, size * low)
-
+    encoded, decode = _kronecker(_q_weight_matrix(rows), products=2)
     return scale, decode, *_condense(encoded, 1)
 
 

@@ -99,13 +99,14 @@ class LaurentMonomial:
     def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
         """Exact value at a matrix (plain nested sequence, 0-based).
 
-        A zero base zeroes the value but the scan goes on, so a later
-        zero base with a negative exponent still raises."""
+        A zero base zeroes the value unless its exponent is 0, and the
+        scan goes on, so a later zero base with a negative exponent still
+        raises."""
         cells = _Cells(rows)
         num, den = _ratio(self.coeff)
         for v, e in self.powers:
             p, r = cells[v]
-            if not p:
+            if not p and e:
                 num = _zero_power(e, v)
             elif e > 0:
                 num *= p**e
