@@ -332,6 +332,8 @@ def permutation_to_asm(w: Permutation | Sequence[int]) -> Asm:
     if not isinstance(w, Permutation):
         w = Permutation(tuple(w))
     n = w.n
+    if not n:
+        raise NonSquareError("matrix must be square and nonempty")
     rows = []
     for i in range(1, n + 1):
         row = [0] * n

@@ -97,10 +97,11 @@ def _step_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
 
 def _permutation_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
     """The rows of ``_step_table(n)`` with a single +1, in its order (the
-    +1 from the last free column to the first), memoised for one walk."""
+    +1 from the last free column to the first).  Not memoised: a state
+    with i ones is reached only in layer i of :func:`_tally`, which steps
+    each state of a layer once, so no state is ever looked up twice."""
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
 
-    @cache
     def steps(state: Row) -> list[tuple[Row, Row]]:
         return [
             (units[j], state[:j] + (1,) + state[j + 1 :])

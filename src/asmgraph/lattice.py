@@ -434,13 +434,8 @@ def _beta_corner_sum(a: Asm) -> int:
 
 
 def _square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
-    """(i - j)^2 for 0-based i, j < n, memoised per size up to
-    ASM_SIZE_LIMIT and built fresh above, as :func:`_tables` is."""
-    return (_size_square_gaps if n <= ASM_SIZE_LIMIT else _size_square_gaps.__wrapped__)(n)
-
-
-@cache
-def _size_square_gaps(n: int) -> tuple[tuple[int, ...], ...]:
+    """(i - j)^2 for 0-based i, j < n, built at each call: its callers
+    each weigh one matrix, and a table costs microseconds per call."""
     return tuple(tuple((i - j) ** 2 for j in range(n)) for i in range(n))
 
 

@@ -22,9 +22,10 @@ matrix and every q, by checking that each step starts where the one
 before ended; random points only spot-check the evaluator.  A
 certificate read from JSON is rebuilt by replaying its chain.
 
-Evaluation runs on integer ratios.  Each matrix cell a value needs is
-read once as (numerator, denominator); monomials, q-deformed minors and
-certificate steps multiply plain ints, and each result is one Fraction.
+Evaluation runs on integer ratios.  Each matrix cell is read where it
+is used, as (numerator, denominator), with no table of cells kept;
+monomials, q-deformed minors and certificate steps multiply plain ints,
+and each result is one Fraction.
 
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
@@ -44,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import Asm, AsmError, _as_int, asm_from_json_dict, asm_to_json_dict
 from .lattice import Rect, SizeMismatchError, _chain_steps, _shift_corners, beta
@@ -102,10 +103,10 @@ class LaurentMonomial:
         A zero base zeroes the value unless its exponent is 0, and the
         scan goes on, so a later zero base with a negative exponent still
         raises."""
-        cells = _Cells(rows)
+        cell = _reader(rows)
         num, den = _ratio(self.coeff)
         for v, e in self.powers:
-            p, r = cells[v]
+            p, r = cell(*v)
             if not p and e:
                 num = _zero_power(e, v)
             elif e > 0:
@@ -140,30 +141,21 @@ def _ratio(x) -> tuple[int, int]:
 
 
 class _Ratios(list):
-    """Rows of (numerator, denominator) pairs that _Cells takes as they
+    """Rows of (numerator, denominator) pairs that _reader takes as they
     are, so a generated matrix needs no Fraction per cell."""
 
     def fractions(self) -> list[list[Fraction]]:
         return [[Fraction(p, r) for p, r in row] for row in self]
 
 
-class _Cells(dict):
-    """The entries of a 0-based nested sequence as integer ratios, keyed
-    by 1-based (i, j).  A cell is read on first use, so a missing or
-    malformed entry raises exactly where it is first needed; the cells
-    of _Ratios are taken whole."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = rows
-        if isinstance(rows, _Ratios):
-            self.update(((i, j), c) for i, row in enumerate(rows, 1) for j, c in enumerate(row, 1))
-
-    def __missing__(self, cell: Variable) -> tuple[int, int]:
-        i, j = cell
-        value = self[cell] = _ratio(self.rows[i - 1][j - 1])
-        return value
+def _reader(rows: Sequence[Sequence]) -> Callable[[int, int], tuple[int, int]]:
+    """cell(i, j): the 1-based entry (i, j) of a 0-based nested sequence
+    as an integer ratio, read at each call, so a missing or malformed
+    entry raises where it is first needed; _Ratios give their stored
+    pairs."""
+    if isinstance(rows, _Ratios):
+        return lambda i, j: rows[i - 1][j - 1]
+    return lambda i, j: _ratio(rows[i - 1][j - 1])
 
 
 def _zero_power(e: int, cell: Variable) -> int:
@@ -173,14 +165,14 @@ def _zero_power(e: int, cell: Variable) -> int:
     return 0
 
 
-def _asm_ratio(entries: Sequence[Sequence[int]], cells: _Cells, num=1, den=1) -> tuple[int, int]:
-    """num/den times x^A at the matrix behind cells, as (numerator,
+def _asm_ratio(entries: Sequence[Sequence[int]], cell, num=1, den=1) -> tuple[int, int]:
+    """num/den times x^A at the matrix that cell reads, as (numerator,
     nonzero denominator), for the entry rows of an ASM A (entries -1, 0
     and 1), read row-major; zero bases as in LaurentMonomial.evaluate."""
     for i, row in enumerate(entries, 1):
         for j, e in enumerate(row, 1):
             if e:
-                p, r = cells[i, j]
+                p, r = cell(i, j)
                 if not p:
                     num = _zero_power(e, (i, j))
                 elif e > 0:
@@ -200,9 +192,9 @@ def asm_monomial(a: Asm) -> LaurentMonomial:
 
 def _asm_difference(a: Asm, b: Asm, rows: Sequence[Sequence], wa=1, wb=1) -> Fraction:
     """wa x^a - wb x^b at rows, exactly; a is read first."""
-    cells = _Cells(rows)
-    an, ad = _asm_ratio(a.entries, cells, *_ratio(wa))
-    bn, bd = _asm_ratio(b.entries, cells, *_ratio(wb))
+    cell = _reader(rows)
+    an, ad = _asm_ratio(a.entries, cell, *_ratio(wa))
+    bn, bd = _asm_ratio(b.entries, cell, *_ratio(wb))
     return Fraction(an * bd - bn * ad, ad * bd)
 
 
@@ -421,7 +413,7 @@ def evaluate_certificate_q(
     if len(rows) != n or any(len(row) != n for row in rows):
         raise SizeMismatchError(f"certificate is for n={n}, the matrix is not {n}x{n}")
     qn, qd = _ratio(q)
-    cells = _Cells(rows)
+    cell = _reader(rows)
     total_num, total_den = 0, 1
     e = cert.beta_pair[0]
     if e < 0 and not qn and cert.steps:
@@ -430,9 +422,9 @@ def evaluate_certificate_q(
     pn, pd = (qn**e, qd**e) if e >= 0 else (qd**-e, qn**-e)
     for t, s in enumerate(cert.steps):
         i, j, k, l = s.rect.bounds
-        num, den = _asm_ratio(s.source.entries, cells, pn, pd)
+        num, den = _asm_ratio(s.source.entries, cell, pn, pd)
         # The minor x_ik x_jl - q^area x_il x_jk over x_ik x_jl, cells read in that order.
-        (an, ad), (bn, bd), (cn, cd), (dn, dd) = cells[i, k], cells[j, l], cells[i, l], cells[j, k]
+        (an, ad), (bn, bd), (cn, cd), (dn, dd) = cell(i, k), cell(j, l), cell(i, l), cell(j, k)
         if not (an and bn):
             raise ZeroDivisionError(f"divisor {s.divisor} is zero at step {t}")
         area = (j - i) * (l - k)

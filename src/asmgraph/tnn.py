@@ -295,8 +295,11 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
     All factorization parameters are strictly positive, so the sample is
     totally positive and every entry is a positive rational.  Each
     parameter p/q draws p, then q, from 1..RANDOM_TNN_BOUND: the
-    diagonal first, then the lower word, then the upper.
+    diagonal first, then the lower word, then the upper.  n = 0 gives
+    the 0 x 0 matrix, and a negative n raises ValueError before any draw.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got n={n}")
     draws = _randints(random.Random(seed), 1, RANDOM_TNN_BOUND, 2 * n * n)
     params = list(zip(draws, draws))
     count = n * (n - 1) // 2

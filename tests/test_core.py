@@ -393,6 +393,13 @@ class TestPermutationBridge:
         assert str(w) == "21" and type(beta_permutation(w)) is int
         assert permutation_to_asm((1.0, 2.0)) == identity_asm(2)
 
+    def test_empty_permutation_matrix_is_rejected(self):
+        """The empty permutation has no ASM, as the Asm constructor has
+        none for the 0 x 0 matrix."""
+        for make, arg in [(permutation_to_asm, ()), (identity_asm, 0), (reverse_asm, 0), (reverse_asm, -2)]:
+            with pytest.raises(NonSquareError, match="matrix must be square and nonempty"):
+                make(arg)
+
 
 class TestFormats:
     def test_text_round_trip(self):

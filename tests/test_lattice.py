@@ -39,8 +39,8 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
-from math import comb
+from itertools import accumulate, islice, product
+from math import comb, factorial
 from operator import attrgetter, mul
 
 import pytest
@@ -577,7 +577,7 @@ class TestEdges:
         assert sum(1 for e in g.edges if e.rect.is_point()) == 84
         assert {e.edge_type for e in g.edges} == {1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13}
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_permutation_subgraph_is_transposition_graph(self, n):
         perm_entries = {
             permutation_to_asm(w).entries: w for w in enumerate_permutations(n)
@@ -608,8 +608,8 @@ class TestEdges:
                             )
                         )
         assert ours == oracle
-        if n == 3:
-            assert len(ours) == 9
+        # Half of the n! * C(n, 2) pairs (w, w t) go up: 9 at n = 3, 600 at n = 5.
+        assert len(ours) == factorial(n) * comb(n, 2) // 2
 
 
 class TestGraphBuilder:
@@ -710,6 +710,17 @@ class TestOrder:
                 ]
                 least = [u for u in uppers if all(asm_leq(u, c) for c in uppers)]
                 assert len(least) == 1
+
+    def test_joins_and_meets_of_a5_stride(self):
+        """The entrywise min and max of two A5 corner-sum matrices are
+        again A5 corner-sum matrices, on every 7th ordered pair (CI's
+        `A5 joins and meets` step takes all 184,041)."""
+        flat = [sum(corner_sum(a).entries, ()) for a in enumerate_asms(5)]
+        known = set(flat)
+        pairs = list(islice(product(flat, flat), 0, None, 7))
+        assert (len(known), len(pairs)) == (KNOWN_ASM_COUNTS[5], 26292)
+        for x, y in pairs:
+            assert tuple(map(min, x, y)) in known and tuple(map(max, x, y)) in known
 
     def test_asm_keyed_caches_are_bounded(self):
         """No cache is keyed by an ASM: neither corner_sum nor

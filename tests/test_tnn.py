@@ -203,6 +203,14 @@ class TestRandomTnn:
         assert random_tnn(4, seed=7) == random_tnn(4, seed=7)
         assert random_tnn(4, seed=7) != random_tnn(4, seed=8)
 
+    def test_size_zero_and_negative(self):
+        """n = 0 is the empty matrix; a negative n is rejected by name
+        before any draw, not read as a shorter parameter list."""
+        assert random_tnn(0, seed=5).rows == ()
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                random_tnn(n, seed=0)
+
     @pytest.mark.parametrize("seed", range(100))
     def test_always_totally_positive(self, seed):
         m = random_tnn(4, seed=seed)
