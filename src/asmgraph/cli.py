@@ -10,7 +10,8 @@ Subcommands map one-to-one onto the library's capabilities:
     certify     subtraction-free certificate, or a TNN counterexample
     scan        sample q-weighted locally-TNN matrices for violations
     bq          the signed generating function B_n(q), four ways
-    dodgson     randomized checks of the condensation identities
+    dodgson     random trials: Dodgson against the Gaussian determinant,
+                and the q-identity together with its value at q = 1
     verify-all  run the package's end-to-end verification checks
 
 Matrix arguments accept a file path (text or JSON format) or a
@@ -58,18 +59,16 @@ from .lattice import (
     covering_chain,
     export_dot,
 )
-from .polynomials import BQ_METHODS, SingularInteriorError, dodgson, q_dodgson_check
+from .polynomials import BQ_METHODS
 from .symbolic import certificate_to_json_dict, sfl_certificate, verify_certificate
 from .tnn import (
     DEFAULT_Q_GRID,
     counterexample_matrix,
-    det,
     evaluate_difference,
     qtnn_scan,
-    random_rational_matrix,
     rational_sqrt,
 )
-from .verify import ALL_CHECKS, run_all
+from .verify import ALL_CHECKS, _dodgson_trials, run_all
 
 
 def _load_asm(spec: str) -> Asm:
@@ -259,31 +258,10 @@ def cmd_bq(args: argparse.Namespace) -> _Outcome:
 def cmd_dodgson_verify(args: argparse.Namespace) -> _Outcome:
     if args.n < 2:
         return _fail(2, "condensation needs n >= 2")
-    rng = random.Random(args.seed)
-    numeric_ok = skipped = q_ok = failures = 0
-    for _ in range(args.trials):
-        m = random_rational_matrix(args.n, rng)
-        try:
-            if dodgson(m) == det(m.rows):
-                numeric_ok += 1
-            else:
-                failures += 1
-        except SingularInteriorError:
-            skipped += 1
-        if q_dodgson_check(m).passed:
-            q_ok += 1
-        else:
-            failures += 1
-    summary = {
-        "n": args.n,
-        "trials": args.trials,
-        "numeric_ok": numeric_ok,
-        "singular_skipped": skipped,
-        "q_ok": q_ok,
-        "failures": failures,
-    }
+    counts = _dodgson_trials(args.n, args.trials, random.Random(args.seed))
+    summary = {"n": args.n, "trials": args.trials, **counts}
     text = " ".join(f"{k}={v}" for k, v in summary.items())
-    return (0 if failures == 0 else 1), summary, text
+    return (0 if counts["failures"] == 0 else 1), summary, text
 
 
 def cmd_verify_all(args: argparse.Namespace) -> _Outcome:

@@ -377,7 +377,10 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> Iterator[int]
 
 def _random_positive_rows(n: int, rng: random.Random) -> _Ratios:
     """An n x n matrix of ratios p/r in lowest terms, p and r drawn from
-    1..9, row-major; unreduced, they would swell the products."""
+    1..9, row-major; unreduced, they would swell the products.  A
+    negative n raises ValueError before any draw."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got n={n}")
     draws = _randints(rng, 1, 9, 2 * n * n)
     cells = map(_lowest, draws, draws)
     return _Ratios(map(list, zip(*[cells] * n)))

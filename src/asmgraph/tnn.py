@@ -118,7 +118,10 @@ def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
 
 def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
     """n x n matrix of rationals p/q, -9 <= p <= 9 and 1 <= q <= 4,
-    drawn row-major from rng (numerator, then denominator)."""
+    drawn row-major from rng (numerator, then denominator).  n = 0 gives
+    the 0 x 0 matrix, and a negative n raises ValueError before any draw."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got n={n}")
     entries = map(Fraction, _randints(rng, -9, 9, n * n), _randints(rng, 1, 4, n * n))
     return RationalMatrix(tuple(zip(*[entries] * n)))
 

@@ -366,42 +366,46 @@ def check_graded_lattice(seed: int = 0):
     )
 
 
+def _dodgson_trials(n: int, trials: int, rng: random.Random) -> dict[str, int]:
+    """Condensation on ``trials`` random rational n x n matrices from rng.
+
+    Each trial compares Dodgson's quotient with the Gaussian determinant
+    (a zero interior minor counts as skipped) and checks the q-identity,
+    whose left side at q = 1 must also be |A| |A'| scale^(2n-2): both
+    sides come from one encoding, so agreeing alone cannot show a
+    decoding fault.  The counts come in the order ``dodgson verify``
+    prints them; a trial can fail both comparisons."""
+    counts = dict.fromkeys(("numeric_ok", "singular_skipped", "q_ok", "failures"), 0)
+    for _ in range(trials):
+        matrix = random_rational_matrix(n, rng)
+        value = det(matrix.rows)
+        try:
+            counts["numeric_ok" if dodgson(matrix) == value else "failures"] += 1
+        except SingularInteriorError:
+            counts["singular_skipped"] += 1
+        report = q_dodgson_check(matrix)
+        interior = det([row[1:-1] for row in matrix.rows[1:-1]])
+        at_one = value * interior * report.scale ** (2 * n - 2)
+        passed = report.passed and report.lhs.evaluate_sqrt(1) == at_one
+        counts["q_ok" if passed else "failures"] += 1
+    return counts
+
+
 @_check("dodgson", "dodgson and q-dodgson")
 def check_dodgson(seed: int = 0):
-    """Condensation against a determinant oracle, and its q-analogue,
-    whose left side at q = 1 must also be |A| |A'| times scale^(2n-2):
-    both sides come from one encoding, so agreeing alone cannot show a
-    decoding fault."""
+    """:func:`_dodgson_trials`, the trials of ``dodgson verify``: 100 at
+    each n from 2 to 5, drawn from one generator, with no tolerance."""
     problems = []
     rng = random.Random(seed)
-    skipped = 0
-    for n in (3, 4, 5):
-        done = 0
-        while done < 100:
-            matrix = random_rational_matrix(n, rng)
-            try:
-                value = dodgson(matrix)
-            except SingularInteriorError:
-                skipped += 1
-                continue
-            if value != det(matrix.rows):
-                problems.append(f"n={n}: condensation != determinant")
-            done += 1
-    q_checked = 0
-    for n in (2, 3, 4):
-        for _ in range(100):
-            matrix = random_rational_matrix(n, rng)
-            report = q_dodgson_check(matrix)
-            if not report.passed:
-                problems.append(f"n={n}: q-identity failed")
-            interior = [row[1:-1] for row in matrix.rows[1:-1]]
-            at_one = det(matrix.rows) * det(interior) * report.scale ** (2 * n - 2)
-            if report.lhs.evaluate_sqrt(1) != at_one:
-                problems.append(f"n={n}: q-identity at q=1 != determinants")
-            q_checked += 1
+    totals = Counter()
+    for n in (2, 3, 4, 5):
+        counts = _dodgson_trials(n, 100, rng)
+        if counts["failures"]:
+            problems.append(f"n={n}: {counts['failures']} failed comparisons in 100 trials")
+        totals.update(counts)
     return problems, (
-        f"300 numeric (skipped {skipped} singular interiors), "
-        f"{q_checked} symbolic q-identities, each at q=1 against det, zero tolerance"
+        f"{totals['numeric_ok']} numeric (skipped {totals['singular_skipped']} singular interiors), "
+        f"{totals['q_ok']} symbolic q-identities, each at q=1 against det, zero tolerance"
     )
 
 

@@ -22,7 +22,7 @@ from asmgraph.core import (
 )
 from asmgraph.enumeration import enumerate_asms, iter_asms
 from asmgraph.lattice import build_graph
-from asmgraph import verify
+from asmgraph import polynomials, verify
 from asmgraph.symbolic import (
     VerificationFailureError,
     certificate_from_json,
@@ -343,6 +343,36 @@ class TestDodgson:
         assert doc["numeric_ok"] + doc["singular_skipped"] == 10
         assert doc["q_ok"] == 10
         assert doc["failures"] == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_each_trial_counts_twice(self, capsys, n):
+        """Each trial adds one to numeric_ok, singular_skipped or failures
+        for Dodgson against det, and one to q_ok or failures for the
+        q-identity."""
+        code, out, _ = run(
+            capsys, "dodgson", "verify", "--n", str(n), "--trials", "40", "--seed", "2", "--json"
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["numeric_ok"] + doc["singular_skipped"] + doc["q_ok"] + doc["failures"] == 80
+
+    def test_decoding_fault_fails(self, capsys, monkeypatch):
+        """A decoder that negates every coefficient keeps the two sides of
+        the q-identity equal, as both come from one encoding; the left
+        side's value at q = 1 against the determinants shows the fault."""
+        kronecker = polynomials._kronecker
+
+        def negating(entries, products=1):
+            encoded, decode = kronecker(entries, products)
+            return encoded, lambda value, size: -decode(value, size)
+
+        monkeypatch.setattr(polynomials, "_kronecker", negating)
+        code, out, _ = run(
+            capsys, "dodgson", "verify", "--n", "4", "--trials", "20", "--seed", "1", "--json"
+        )
+        doc = json.loads(out)
+        assert code == 1
+        assert (doc["q_ok"], doc["failures"]) == (0, 20)
 
     def test_needs_subcommand(self, capsys):
         assert run(capsys, "dodgson")[0] == 2

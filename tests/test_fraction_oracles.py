@@ -404,3 +404,14 @@ class TestSamplersMatchRandint:
             assert m == old_random_rational_matrix(n, old)
             assert entry_types(m) <= {Fraction}
             assert rng.getstate() == old.getstate()
+
+    @pytest.mark.parametrize("sampler", [_random_positive_rows, random_rational_matrix])
+    def test_negative_size_is_rejected(self, sampler):
+        """A negative n is rejected by name before any draw, not read as
+        an empty matrix."""
+        for n in (-1, -3):
+            rng = random.Random(0)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=f"n={n}"):
+                sampler(n, rng)
+            assert rng.getstate() == state
