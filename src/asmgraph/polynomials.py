@@ -27,10 +27,10 @@ so one condensation step serves both.
 
 Every polynomial determinant here runs on ints by Kronecker
 substitution: the matrix is evaluated once at q^(1/2) = 2^width, the
-integer minor kernel of :mod:`symbolic` runs on those ints, and each
-result is read back as balanced base-2^width digits.  The width comes
-from Hadamard's bound on the matrix (see :func:`sym_det`), so all
-arithmetic stays exact.
+fraction-free elimination of :mod:`symbolic` runs on those ints, and
+each result is read back as balanced base-2^width digits.  The width
+comes from Hadamard's bound on the matrix (see :func:`sym_det`), so
+the decoded coefficients are exact.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
 from .lattice import _square_gaps
-from .symbolic import HalfExpPoly, _det, _int_rows, _minors, _trusted_poly
+from .symbolic import HalfExpPoly, _det, _int_rows, _trusted_poly
 from .tnn import RationalMatrix
 
 QDET_SIZE_LIMIT = 10
@@ -94,10 +94,12 @@ def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
     decoded as balanced base-2^width digits and shifted back by z^(n low).
 
     Exactness.  Evaluation at 2^width is a ring homomorphism Z[z] -> Z,
-    so the minors on the way need no bound, and a minor that evaluates
-    to 0 contributes nothing whatever its polynomial.  Only the decoded
-    result needs one: its digits are its coefficients when each
-    coefficient c has |c| < 2^(width-1).  For P the shifted determinant,
+    so the integer determinant is P(2^width) for P the shifted
+    determinant.  :func:`_det` takes it by elimination over the ints,
+    where every intermediate value is a minor of the encoded matrix
+    (Sylvester's identity): each ``//`` is exact and needs no bound.
+    Only decoding needs one: the digits of P(2^width) are P's
+    coefficients when each coefficient c has |c| < 2^(width-1).  Here
     |c| <= ||P||_2, the L2 norm of P(z) on |z| = 1, which is at most
     max |P(z)| there; since |a_ij(z)| <= ||a_ij||_1 on the circle,
     Hadamard's inequality bounds that by sqrt(H) with
@@ -114,7 +116,7 @@ def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
     if any(len(row) != n for row in entries):
         raise AsmError("matrix must be square")
     encoded, decode = _kronecker(entries)
-    return decode(_det(encoded, 1), n)
+    return decode(_det(encoded), n)
 
 
 def _kronecker(
@@ -125,10 +127,11 @@ def _kronecker(
     for a value with ``size`` rows of them in all: balanced base-2^width
     digits, digit m that of q^((m + size low)/2).
 
-    Exact for a minor when products is 1 and for a difference of two
-    products of minors when it is 2: the width is the least with
-    2^(width-1) above sqrt(H), or above 2H, for H = prod_i max(1, sum_j
-    ||a_ij||_1^2) (see :func:`sym_det`).
+    The decoding is exact for a minor when products is 1 and for a
+    difference of two products of minors when it is 2: the width is the
+    least with 2^(width-1) above sqrt(H), or above 2H, for H = prod_i
+    max(1, sum_j ||a_ij||_1^2).  The integer arithmetic that makes the
+    value needs no bound (see :func:`sym_det`).
     """
     low = min((t for row in entries for x in row for t in x.terms), default=0)
     square = 1
@@ -211,24 +214,17 @@ def unsigned_permanent_q(
 # Dodgson condensation, numeric and q-weighted
 # ---------------------------------------------------------------------------
 
-def _condense(rows: Sequence[Sequence], one):
-    """Interior minor, Dodgson numerator |NW| |SE| - |NE| |SW| and
-    determinant of a square matrix, n >= 2, over any ring with unit
-    ``one``; NW, SE, NE and SW are the four (n-1)-blocks.
-
-    Two row-prefix passes of the minor kernel over whole rows give all
-    six.  Over rows 1..n, the (n-1)-row table holds NW (columns 1..n-1)
-    and NE (columns 2..n), and the n-row table the determinant.  Over
-    rows 2..n, the (n-2)-row table holds the interior (columns 2..n-1),
-    and the (n-1)-row table SW and SE.
-    """
-    zero = one - one
-    full = (1 << len(rows)) - 1
-    west, east = full >> 1, full ^ 1
-    *_, (_, top), (_, whole) = _minors(rows, one, prefixes_only=True)
-    *_, (_, middle), (_, bottom) = _minors(rows[1:], one, prefixes_only=True)
-    nw, ne, sw, se = (table.get(c, zero) for table in (top, bottom) for c in (west, east))
-    return middle.get(west & east, zero), nw * se - ne * sw, whole.get(full, zero)
+def _condense(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Interior minor and Dodgson numerator |NW| |SE| - |NE| |SW| of a
+    square int matrix, n >= 2, where NW, SE, NE and SW are the four
+    (n-1)-blocks; all five are contiguous slices, each taken by
+    :func:`_det`."""
+    head, tail, inner = slice(1, None), slice(None, -1), slice(1, -1)
+    nw, se, ne, sw, interior = (
+        _det([row[c] for row in rows[r]])
+        for r, c in ((tail, tail), (head, head), (tail, head), (head, tail), (inner, inner))
+    )
+    return interior, nw * se - ne * sw
 
 
 def dodgson(m: RationalMatrix) -> Fraction:
@@ -236,15 +232,14 @@ def dodgson(m: RationalMatrix) -> Fraction:
     the interior minor (1 when n = 2).  Raises SingularInteriorError when
     the interior minor is zero (the classical proviso).  The minors are
     taken on the integer matrix scaled by the lcm of all denominators,
-    so the quotient grows by scale**n.  Of :func:`_condense`'s two
-    passes, the one over rows 1..n gives NW and NE, the one over rows
-    2..n the interior, SW and SE; its determinant goes unused.
+    so the quotient grows by scale**n.  The determinant itself is never
+    taken: :func:`_condense` gives only the interior and the numerator.
     """
     n = m.n
     if n < 2:
         return m.entry(1, 1) if n else Fraction(1)
     rows, scale = _int_rows(m.rows)
-    interior, numerator, _ = _condense(rows, 1)
+    interior, numerator = _condense(rows)
     if interior == 0:
         raise SingularInteriorError("interior minor is zero")
     return Fraction(numerator, interior * scale**n)
@@ -272,11 +267,11 @@ class QDodgsonReport:
 
 def _q_condensation(
     m: RationalMatrix,
-) -> tuple[int, Callable[[int, int], HalfExpPoly], int, int, int]:
-    """Scale, a decoder for a product of minors of A_q with ``size``
-    rows in all, and the interior minor, condensation numerator and
-    determinant of A_q, the q-weighted scaled matrix, each encoded as in
-    :func:`sym_det`.
+) -> tuple[int, list[list[int]], Callable[[int, int], HalfExpPoly], int, int]:
+    """Scale, A_q (the q-weighted scaled matrix) encoded as in
+    :func:`sym_det`, a decoder for a product of its minors with ``size``
+    rows in all, and its interior minor and condensation numerator,
+    encoded.
 
     Weighting A_q whole gives its interior and diagonal minors their own
     weights.  An antidiagonal minor's exponents shift by +-(i' - j') + 1/2,
@@ -289,19 +284,18 @@ def _q_condensation(
         raise AsmError("condensation needs n >= 2")
     rows, scale = _int_rows(m.rows)
     encoded, decode = _kronecker(_q_weight_matrix(rows), products=2)
-    return scale, decode, *_condense(encoded, 1)
+    return scale, encoded, decode, *_condense(encoded)
 
 
 def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
     """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|,
     each submatrix q-weighted with indices counted from 1 inside itself.
 
-    All six minors come from :func:`_condense`'s two passes over A_q:
-    the pass over rows 1..n gives |A^nn_q|, |A^n1_q| and |A_q|, the pass
-    over rows 2..n gives |A'_q|, |A^1n_q| and |A^11_q|."""
-    scale, decode, interior, numerator, determinant = _q_condensation(m)
+    The interior |A'_q| and the right side come from :func:`_condense`
+    on A_q, and |A_q| from one more :func:`_det`, all on one encoding."""
+    scale, encoded, decode, interior, numerator = _q_condensation(m)
     size = 2 * m.n - 2
-    lhs = decode(determinant * interior, size)
+    lhs = decode(_det(encoded) * interior, size)
     return QDodgsonReport(m.n, scale, lhs, decode(numerator, size))
 
 
@@ -313,7 +307,7 @@ def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
     polynomial.  The result equals the direct symbolic q-determinant of
     the scaled matrix (see :class:`QDodgsonReport` on scaling).
     """
-    _scale, decode, interior, numerator, _ = _q_condensation(m)
+    _scale, _encoded, decode, interior, numerator = _q_condensation(m)
     interior = decode(interior, m.n - 2)
     if interior.is_zero():
         raise SingularInteriorError("interior q-determinant is the zero polynomial")

@@ -31,11 +31,13 @@ Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
 stands for q^(t/2) and coefficients are exact integers.
 
-The minor kernel :func:`_minors`, with :func:`_det` on top, needs only
-ring operations, and in this package it runs over ints alone:
-``tnn.is_tnn`` and ``polynomials.dodgson`` on lcm-scaled rows, and the
-polynomial determinants of ``polynomials`` on their Kronecker encodings.
-Over :class:`HalfExpPoly` it is the tests' oracle for that encoding.
+Two integer kernels serve the exact linear algebra.  :func:`_minors`
+builds every minor of a matrix by Laplace expansion, for
+``tnn.is_tnn`` on lcm-scaled rows; it needs only ring operations, and
+over :class:`HalfExpPoly` it is the tests' oracle.  :func:`_det` takes
+one determinant by fraction-free elimination, for ``polynomials.dodgson``
+on lcm-scaled rows and the polynomial determinants of ``polynomials`` on
+their Kronecker encodings.
 """
 
 from __future__ import annotations
@@ -222,18 +224,17 @@ class MinorRef:
         return f"|{body}|"
 
 
-def _minors(rows: Sequence[Sequence], one, *, prefixes_only: bool = False):
-    """Yield (row mask, {column mask: minor}) for growing row sets.
+def _minors(rows: Sequence[Sequence], one):
+    """Yield (row mask, {column mask: minor}) for every row set.
 
     Bit r of a mask stands for row or column r (0-based).  Every minor
     is built from the stored minors one size smaller by Laplace
     expansion along the last row of its row set, starting from the
     empty minor ``one``; only nonzero minors are stored, so a column
     mask missing from a table is a zero minor.  Row sets come in order
-    of size.  With ``prefixes_only`` they are the prefixes {}, {0},
-    {0, 1}, ... and the last table holds the determinant; otherwise
-    every row set is yielded, so a caller may stop at the first table
-    it rejects.  Entries need only ``+``, ``-``, ``*`` and ``!=``.
+    of size, so a caller may stop at the first table it rejects, and
+    the last table holds the determinant.  Entries need only ``+``,
+    ``-``, ``*`` and ``!=``.
     """
     n = len(rows)
     zero = one - one
@@ -243,8 +244,7 @@ def _minors(rows: Sequence[Sequence], one, *, prefixes_only: bool = False):
     for k in range(n):
         below, level = level, {}
         for rmask, smaller in below.items():
-            top = rmask.bit_length()
-            for r in (top,) if prefixes_only else range(top, n):
+            for r in range(rmask.bit_length(), n):
                 table = {}
                 for cmask, v in smaller.items():
                     for bit, x in nonzero[r]:
@@ -270,11 +270,37 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def _det(rows: Sequence[Sequence], one):
-    """Determinant of a square matrix from its row-prefix minors."""
-    # The last row set holds all rows, and its one column set all columns.
-    *_, (full, table) = _minors(rows, one, prefixes_only=True)
-    return table.get(full, one - one)
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968); 1 for the 0 x 0 matrix.
+
+    Each step takes a row with a nonzero first entry p as pivot row
+    (0 if there is none), swapping it to the top, and leaves the rows
+    below it without their first entry: entry c of row r becomes the
+    2 x 2 determinant of the pivot row and row r on the first column and
+    column c, divided by the pivot before.  By Sylvester's identity each
+    entry after step k (from 0) is then the (k+2)-minor of the
+    row-swapped matrix on its first k+1 rows and row r and its first
+    k+1 columns and column c, so every ``//`` is exact and the last
+    pivot is the determinant.
+    """
+    a, sign, before = list(rows), 1, 1
+    while a:
+        top = a[0]
+        p = top[0]
+        if not p:
+            i = next((i for i, row in enumerate(a) if row[0]), None)
+            if i is None:
+                return 0
+            top, a[i] = a[i], top
+            p = top[0]
+            sign = -sign
+        right, below = top[1:], []
+        for row in a[1:]:
+            x = row[0]
+            below.append([(v * p - x * t) // before for v, t in zip(row[1:], right)])
+        a, before = below, p
+    return sign * before
 
 
 class EdgeFactorization(NamedTuple):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from asmgraph import Rect, apply_rect, asm_leq, essential_points, validate_asm
+from asmgraph.symbolic import _minors
 from asmgraph.verify import A3_EDGES, A3_MATRICES, S4_SIGN_BETA
 
 # The seven 3x3 ASMs, named by their one-line permutation where they
@@ -52,6 +53,15 @@ def _counter_tally(n, steps, weigh):
     return paths[(1,) * n]
 
 
+def _laplace_det(rows, one):
+    """The determinant as the last table of the minor kernel's
+    all-row-sets pass, over any ring with unit ``one``: the oracle of
+    the elimination in symbolic._det, and over HalfExpPoly of the
+    Kronecker substitution in polynomials."""
+    *_, (full, table) = _minors(rows, one)
+    return table.get(full, one - one)
+
+
 @pytest.fixture
 def a3():
     return A3
@@ -75,6 +85,11 @@ def old_covering_chain():
 @pytest.fixture(scope="session")
 def counter_tally():
     return _counter_tally
+
+
+@pytest.fixture(scope="session")
+def laplace_det():
+    return _laplace_det
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from asmgraph import (
 from asmgraph.core import sign
 from asmgraph.enumeration import enumerate_permutations
 from asmgraph.lattice import beta_permutation
-from asmgraph.polynomials import BQ_METHODS, _condense, _q_weight_matrix
+from asmgraph.polynomials import BQ_METHODS, _condense, _kronecker, _q_weight_matrix
 from asmgraph.symbolic import _det, _int_rows
 from asmgraph.tnn import det
 
@@ -46,12 +46,6 @@ def _random_rational_rows(n, rng, lo=-9, hi=9):
         [F(rng.randint(lo, hi), rng.randint(1, 5)) for _ in range(n)]
         for _ in range(n)
     ]
-
-
-def _poly_det(rows):
-    """The minor kernel on HalfExpPoly entries: the oracle of the
-    Kronecker substitution in sym_det and q-Dodgson."""
-    return _det(rows, HalfExpPoly.one())
 
 
 def _sylvester(order):
@@ -219,7 +213,7 @@ class TestSymDet:
 
     @settings(deadline=None)
     @given(st.data())
-    def test_matches_the_poly_kernel(self, data):
+    def test_matches_the_poly_kernel(self, laplace_det, data):
         n = data.draw(st.integers(min_value=0, max_value=6))
         # About one row in five is a zero row.
         rows = [
@@ -228,31 +222,32 @@ class TestSymDet:
             else [HalfExpPoly.zero()] * n
             for _ in range(n)
         ]
-        assert sym_det(rows) == _poly_det(rows)
+        assert sym_det(rows) == laplace_det(rows, HalfExpPoly.one())
 
     @pytest.mark.parametrize("order", [1, 2, 4, 8])
-    def test_sylvester_matrices_meet_the_bound(self, order):
+    def test_sylvester_matrices_meet_the_bound(self, order, laplace_det):
         """Hadamard's inequality holds with equality here, so the width
         has no slack to spare; the first row negated flips the sign."""
         plus = _sylvester(order)
+        one = HalfExpPoly.one()
         for rows in (plus, [[-x for x in plus[0]], *plus[1:]]):
             constants = [[HalfExpPoly.const(x) for x in row] for row in rows]
             value = sym_det(constants)
-            assert value == _poly_det(constants)
+            assert value == laplace_det(constants, one)
             assert abs(value.coefficient_q(0)) == order ** (order // 2) == abs(det(rows))
             weighted = _q_weight_matrix(rows)
-            assert sym_det(weighted) == _poly_det(weighted)
+            assert sym_det(weighted) == laplace_det(weighted, one)
             shifted = [[HalfExpPoly.q_pow_twice(-5) * x for x in row] for row in weighted]
-            assert sym_det(shifted) == _poly_det(shifted)
+            assert sym_det(shifted) == laplace_det(shifted, one)
 
 
-def _five_slices(rows, one):
-    """Interior minor and Dodgson numerator from five determinants on
-    contiguous slices, as condensation first took them; kept as the
-    oracle of the two-pass condensation."""
+def _five_slices(rows, one, laplace_det):
+    """Interior minor and Dodgson numerator from five Laplace
+    determinants on contiguous slices, over any ring with unit ``one``:
+    the oracle of _condense."""
     head, tail, inner = slice(1, None), slice(None, len(rows) - 1), slice(1, -1)
     nw, se, ne, sw, interior = (
-        _det([row[c] for row in rows[r]], one)
+        laplace_det([row[c] for row in rows[r]], one)
         for r, c in ((tail, tail), (head, head), (tail, head), (head, tail), (inner, inner))
     )
     return interior, nw * se - ne * sw
@@ -276,17 +271,26 @@ def _condensation_cases(n, rng):
 
 class TestCondense:
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_two_passes_match_the_five_slices(self, n):
-        """Interior, numerator and determinant over ints and over the
-        q-weighted HalfExpPoly matrix, against five slices and _det; the
-        Desnanot-Jacobi identity ties the three together."""
+    def test_matches_the_laplace_slices(self, n, laplace_det):
+        """Interior and numerator of _condense, and the determinant of
+        _det, over ints and over the q-weighted HalfExpPoly matrix
+        (Kronecker-encoded, then decoded), against five Laplace slices
+        and the Laplace determinant; the Desnanot-Jacobi identity ties
+        the three together."""
         rng = random.Random(700 + n)
         singular = []
         for rows in _condensation_cases(n, rng):
-            for matrix, one in ((rows, 1), (_q_weight_matrix(rows), HalfExpPoly.one())):
-                interior, numerator, determinant = _condense(matrix, one)
-                assert (interior, numerator) == _five_slices(matrix, one)
-                assert determinant == _det(matrix, one)
+            weighted = _q_weight_matrix(rows)
+            encoded, decode = _kronecker(weighted, products=2)
+            for matrix, one, ints, read in (
+                (rows, 1, rows, lambda value, size: value),
+                (weighted, HalfExpPoly.one(), encoded, decode),
+            ):
+                interior, numerator = _condense(ints)
+                interior, numerator = read(interior, n - 2), read(numerator, 2 * n - 2)
+                determinant = read(_det(ints), n)
+                assert (interior, numerator) == _five_slices(matrix, one, laplace_det)
+                assert determinant == laplace_det(matrix, one)
                 assert determinant * interior == numerator
                 singular.append(interior == one - one)
         assert any(singular) == (n >= 3) and not all(singular)
@@ -429,7 +433,7 @@ class TestQDodgson:
         assert nonzero > 20
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_matches_the_poly_condensation(self, n):
+    def test_matches_the_poly_condensation(self, n, laplace_det):
         """Both sides and the quotient against condensation on the
         HalfExpPoly matrix; small entries make singular interiors, and a
         zero diagonal moves the least exponent off 0."""
@@ -442,10 +446,10 @@ class TestQDodgson:
                     rows[i][i] = F(0)
             m = rational_matrix(rows)
             weighted = _q_weight_matrix(_int_rows(m.rows)[0])
-            interior, numerator = _five_slices(weighted, HalfExpPoly.one())
+            interior, numerator = _five_slices(weighted, HalfExpPoly.one(), laplace_det)
             report = q_dodgson_check(m)
             assert report.rhs.terms == numerator.terms
-            assert report.lhs.terms == (_poly_det(weighted) * interior).terms
+            assert report.lhs.terms == (laplace_det(weighted, HalfExpPoly.one()) * interior).terms
             if interior.is_zero():
                 singular += 1
                 with pytest.raises(SingularInteriorError):

@@ -37,6 +37,7 @@ from asmgraph import (
     verify_certificate,
 )
 from asmgraph.lattice import SizeMismatchError
+from asmgraph.polynomials import _kronecker, _q_weight_matrix
 from asmgraph.symbolic import (
     EdgeFactorization,
     SflCertificate,
@@ -637,7 +638,7 @@ class TestExactVerdict:
         assert cases == 1568
 
 
-def test_weighted_solid_minor_is_the_q_minor():
+def test_weighted_solid_minor_is_the_q_minor(laplace_det):
     """The 2x2 solid block of (q^((p-c)^2/2) x_pc) at a point (i, k) has
     determinant q^((i-k)^2) (x_ik x_(i+1)(k+1) - q x_i(k+1) x_(i+1)k), so a
     step's q-deformed minor is its weighted minor up to a power of q.  With
@@ -656,7 +657,8 @@ def test_weighted_solid_minor_is_the_q_minor():
                     for p in (i, i + 1)
                 ]
                 q_minor = c(x[i, k] * x[i + 1, k + 1]) - q * c(x[i, k + 1] * x[i + 1, k])
-                assert _det(block, HalfExpPoly.one()) == HalfExpPoly.q_pow((i - k) ** 2) * q_minor
+                expected = HalfExpPoly.q_pow((i - k) ** 2) * q_minor
+                assert laplace_det(block, HalfExpPoly.one()) == expected
 
 
 def _polys(max_terms=5):
@@ -879,16 +881,16 @@ class TestMinorKernel:
 
     @settings(max_examples=80, deadline=None)
     @given(_fraction_matrices(max_n=6), st.data())
-    def test_det_matches_gaussian(self, rows, data):
+    def test_det_matches_gaussian(self, laplace_det, rows, data):
         n = len(rows)
-        assert _det(rows, F(1)) == det(rows)
+        assert laplace_det(rows, F(1)) == det(rows)
         k = data.draw(st.integers(min_value=1, max_value=n))
         picks = st.lists(
             st.integers(1, n), min_size=k, max_size=k, unique=True
         ).map(lambda xs: tuple(sorted(xs)))
         picked_rows, picked_cols = data.draw(picks), data.draw(picks)
         sub = [[rows[i - 1][j - 1] for j in picked_cols] for i in picked_rows]
-        assert _det(sub, F(1)) == det(sub)
+        assert laplace_det(sub, F(1)) == det(sub)
 
     @settings(max_examples=60, deadline=None)
     @given(_fraction_matrices(max_n=4))
@@ -903,3 +905,40 @@ class TestMinorKernel:
                     expected = det(_submatrix(rows, rmask, cmask))
                     assert table.get(cmask, 0) == expected
         assert sorted(seen) == list(range(1 << n))
+
+
+def _int_matrices(max_n):
+    """Square int matrices with entries in -2..2: many zero pivots, row
+    swaps and singular matrices."""
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+class TestElimination:
+    """Fraction-free elimination against the Laplace kernel and Gaussian
+    elimination; a division that is not exact floors, and fails here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_int_matrices(max_n=7))
+    def test_matches_laplace_and_gaussian(self, laplace_det, rows):
+        assert _det(rows) == laplace_det(rows, 1) == det(rows)
+
+    def test_swaps_at_the_first_and_a_later_step(self, laplace_det):
+        # Step 0 finds (1, 1) zero and swaps rows 1 and 2; step 1 finds
+        # the 2-minor on rows 1, 2 and columns 1, 2 zero and swaps in row 4.
+        rows = [[0, 0, 1, 2], [1, 2, 0, 1], [2, 4, 1, 3], [1, 3, 2, 1]]
+        assert _det(rows) == laplace_det(rows, 1) == det(rows) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(_int_matrices(max_n=6))
+    def test_q_weighted_kronecker_encodings(self, laplace_det, rows):
+        weighted = _q_weight_matrix(rows)
+        encoded, decode = _kronecker(weighted)
+        value = _det(encoded)
+        assert value == laplace_det(encoded, 1)
+        assert decode(value, len(rows)) == laplace_det(weighted, HalfExpPoly.one())
