@@ -23,7 +23,9 @@ where A' is the interior (rows and columns 1 and n deleted); in the
 q-weighted version the second product picks up the factor q^{n-1}.
 That version is the same identity applied to the whole q-weighted
 matrix, whose two antidiagonal minors carry the q^{n-1} between them,
-so one condensation step serves both.
+so one condensation step serves both.  That step is one fraction-free
+elimination of the interior, bordered by rows and columns 1 and n,
+which leaves the interior minor and the four corner minors together.
 
 Every polynomial determinant here runs on ints by Kronecker
 substitution: the matrix is evaluated once at q^(1/2) = 2^width, the
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
 from .lattice import _square_gaps
-from .symbolic import HalfExpPoly, _det, _int_rows, _trusted_poly
+from .symbolic import HalfExpPoly, _bordered, _det, _int_rows, _trusted_poly
 from .tnn import RationalMatrix
 
 QDET_SIZE_LIMIT = 10
@@ -98,6 +100,8 @@ def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
     determinant.  :func:`_det` takes it by elimination over the ints,
     where every intermediate value is a minor of the encoded matrix
     (Sylvester's identity): each ``//`` is exact and needs no bound.
+    The same holds for the bordered elimination of :func:`_condense`,
+    whose five results are minors of the encoded matrix too.
     Only decoding needs one: the digits of P(2^width) are P's
     coefficients when each coefficient c has |c| < 2^(width-1).  Here
     |c| <= ||P||_2, the L2 norm of P(z) on |z| = 1, which is at most
@@ -217,14 +221,27 @@ def unsigned_permanent_q(
 def _condense(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Interior minor and Dodgson numerator |NW| |SE| - |NE| |SW| of a
     square int matrix, n >= 2, where NW, SE, NE and SW are the four
-    (n-1)-blocks; all five are contiguous slices, each taken by
-    :func:`_det`."""
-    head, tail, inner = slice(1, None), slice(None, -1), slice(1, -1)
-    nw, se, ne, sw, interior = (
+    (n-1)-blocks, from one :func:`_bordered` elimination.
+
+    Rows and columns go in the order 2..n-1, 1, n, so the leading block
+    is the interior and the bordered block holds the four corner blocks'
+    minors.  Row 1 and column 1 each move past the n - 2 interior ones,
+    so the entries for NW and SE are theirs, and those for NE and SW
+    are theirs times (-1)^(n-2) each, which cancels in the product.
+    When the interior minor is 0 the four blocks are taken as slices,
+    each by :func:`_det`, so the numerator is computed there too."""
+    n = len(rows)
+    order = [*range(1, n - 1), 0, n - 1]
+    interior, block = _bordered([[rows[i][j] for j in order] for i in order], 2)
+    if block is not None:
+        (nw, ne), (sw, se) = block
+        return interior, nw * se - ne * sw
+    head, tail = slice(1, None), slice(None, -1)
+    nw, se, ne, sw = (
         _det([row[c] for row in rows[r]])
-        for r, c in ((tail, tail), (head, head), (tail, head), (head, tail), (inner, inner))
+        for r, c in ((tail, tail), (head, head), (tail, head), (head, tail))
     )
-    return interior, nw * se - ne * sw
+    return 0, nw * se - ne * sw
 
 
 def dodgson(m: RationalMatrix) -> Fraction:
@@ -233,7 +250,8 @@ def dodgson(m: RationalMatrix) -> Fraction:
     the interior minor is zero (the classical proviso).  The minors are
     taken on the integer matrix scaled by the lcm of all denominators,
     so the quotient grows by scale**n.  The determinant itself is never
-    taken: :func:`_condense` gives only the interior and the numerator.
+    taken: :func:`_condense` gives only the interior and the numerator,
+    from one elimination.
     """
     n = m.n
     if n < 2:
@@ -292,7 +310,9 @@ def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
     each submatrix q-weighted with indices counted from 1 inside itself.
 
     The interior |A'_q| and the right side come from :func:`_condense`
-    on A_q, and |A_q| from one more :func:`_det`, all on one encoding."""
+    on A_q, one bordered elimination, and |A_q| from a separate full
+    :func:`_det`, all on one encoding.  Reading |A_q| off the bordered
+    block would assume the identity this checks."""
     scale, encoded, decode, interior, numerator = _q_condensation(m)
     size = 2 * m.n - 2
     lhs = decode(_det(encoded) * interior, size)

@@ -34,10 +34,13 @@ stands for q^(t/2) and coefficients are exact integers.
 Two integer kernels serve the exact linear algebra.  :func:`_minors`
 builds every minor of a matrix by Laplace expansion, for
 ``tnn.is_tnn`` on lcm-scaled rows; it needs only ring operations, and
-over :class:`HalfExpPoly` it is the tests' oracle.  :func:`_det` takes
-one determinant by fraction-free elimination, for ``polynomials.dodgson``
-on lcm-scaled rows and the polynomial determinants of ``polynomials`` on
-their Kronecker encodings.
+over :class:`HalfExpPoly` it is the tests' oracle.  :func:`_bordered`
+is the one fraction-free elimination: it takes a leading minor and the
+minors of that block bordered by each of the last few rows and columns.
+``polynomials._condense`` takes the interior and the four corner minors
+of Dodgson's condensation from one such pass, on lcm-scaled rows or a
+Kronecker encoding, and :func:`_det`, the pass with no border, takes the
+polynomial determinants of ``polynomials`` on their encodings.
 """
 
 from __future__ import annotations
@@ -270,28 +273,35 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square int matrix by fraction-free elimination
-    (Bareiss, Math. Comp. 22, 1968); 1 for the 0 x 0 matrix.
+def _bordered(rows: Sequence[Sequence[int]], keep: int) -> tuple[int, list[list[int]] | None]:
+    """The leading minor L of a square int matrix, on all but its last
+    ``keep`` rows and columns, and the keep x keep block of L bordered:
+    entry (r, c) is the minor on the leading rows and border row r and
+    the leading columns and border column c.  By fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968); L is 1 when keep is
+    the whole size.  When L is 0 the block is None: the bordered minors
+    need not vanish, and elimination cannot give them.
 
-    Each step takes a row with a nonzero first entry p as pivot row
-    (0 if there is none), swapping it to the top, and leaves the rows
-    below it without their first entry: entry c of row r becomes the
-    2 x 2 determinant of the pivot row and row r on the first column and
-    column c, divided by the pivot before.  By Sylvester's identity each
-    entry after step k (from 0) is then the (k+2)-minor of the
-    row-swapped matrix on its first k+1 rows and row r and its first
-    k+1 columns and column c, so every ``//`` is exact and the last
-    pivot is the determinant.
+    Each step takes a leading row with a nonzero first entry p as pivot
+    row (L is 0 if there is none; a border row is never a pivot),
+    swapping it to the top, and leaves the rows below it without their
+    first entry: entry c of row r becomes the 2 x 2 determinant of the
+    pivot row and row r on the first column and column c, divided by the
+    pivot before.  By Sylvester's identity each entry after step k (from
+    0) is then the (k+2)-minor of the row-swapped matrix on its first
+    k+1 rows and row r and its first k+1 columns and column c, so every
+    ``//`` is exact, the last pivot is L and, after the last leading
+    step, what is left is the bordered block; both times the sign of
+    the swaps.
     """
     a, sign, before = list(rows), 1, 1
-    while a:
+    for lead in range(len(a) - keep, 0, -1):
         top = a[0]
         p = top[0]
         if not p:
-            i = next((i for i, row in enumerate(a) if row[0]), None)
+            i = next((i for i in range(1, lead) if a[i][0]), None)
             if i is None:
-                return 0
+                return 0, None
             top, a[i] = a[i], top
             p = top[0]
             sign = -sign
@@ -300,7 +310,13 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
             x = row[0]
             below.append([(v * p - x * t) // before for v, t in zip(row[1:], right)])
         a, before = below, p
-    return sign * before
+    return sign * before, [[sign * v for v in row] for row in a]
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix: :func:`_bordered` with no
+    border; 1 for the 0 x 0 matrix."""
+    return _bordered(rows, 0)[0]
 
 
 class EdgeFactorization(NamedTuple):

@@ -127,9 +127,12 @@ def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+    """Exact determinant by fraction Gaussian elimination; AsmError
+    unless the matrix is square."""
     m = [[Fraction(x) for x in row] for row in rows]
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise AsmError("matrix must be square")
     sign = 1
     result = Fraction(1)
     for col in range(n):

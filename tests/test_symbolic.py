@@ -41,6 +41,7 @@ from asmgraph.polynomials import _kronecker, _q_weight_matrix
 from asmgraph.symbolic import (
     EdgeFactorization,
     SflCertificate,
+    _bordered,
     _det,
     _minors,
     certificate_to_json_dict,
@@ -919,6 +920,23 @@ def _int_matrices(max_n):
     )
 
 
+def _check_bordered(rows, keep, laplace_det):
+    """_bordered(rows, keep) against Laplace determinants: the leading
+    minor, and each bordered minor unless the leading minor is 0, when
+    the block must be None.  Returns the leading minor."""
+    lead = len(rows) - keep
+    leading, block = _bordered(rows, keep)
+    assert leading == laplace_det([row[:lead] for row in rows[:lead]], 1)
+    if leading == 0:
+        assert block is None
+        return leading
+    for r in range(keep):
+        for c in range(keep):
+            sub = [row[:lead] + [row[lead + c]] for row in [*rows[:lead], rows[lead + r]]]
+            assert block[r][c] == laplace_det(sub, 1)
+    return leading
+
+
 class TestElimination:
     """Fraction-free elimination against the Laplace kernel and Gaussian
     elimination; a division that is not exact floors, and fails here."""
@@ -942,3 +960,29 @@ class TestElimination:
         value = _det(encoded)
         assert value == laplace_det(encoded, 1)
         assert decode(value, len(rows)) == laplace_det(weighted, HalfExpPoly.one())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bordered_matches_laplace(self, laplace_det, data):
+        keep = data.draw(st.integers(min_value=0, max_value=2))
+        rows = data.draw(
+            _int_matrices(max_n=7).filter(lambda rows: len(rows) >= keep)
+        )
+        _check_bordered(rows, keep, laplace_det)
+
+    @pytest.mark.parametrize(
+        "rows, keep, leading",
+        [
+            # (1, 1) is zero, so step 0 swaps leading rows 1 and 2.
+            ([[0, 1, 1], [2, 1, 0], [1, 1, 1]], 1, -2),
+            ([[0, 1, 1, 2], [2, 1, 0, 1], [1, 1, 1, 0], [3, 0, 1, 1]], 2, -2),
+            # No leading row has a nonzero first entry, but a border row
+            # does: it must not become the pivot.
+            ([[0, 1, 1], [0, 2, 2], [1, 0, 0]], 1, 0),
+            ([[0, 1, 5], [0, 2, 1], [1, 0, 0]], 1, 0),
+            # Singular only at step 1, after a pivot was found.
+            ([[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 1, 1], [1, 0, 1, 2]], 2, 0),
+        ],
+    )
+    def test_bordered_swaps_and_singular_leading_blocks(self, laplace_det, rows, keep, leading):
+        assert _check_bordered(rows, keep, laplace_det) == leading

@@ -94,6 +94,15 @@ class TestDet:
     def test_exact_fractions(self):
         assert det([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]) == F(1, 10) - F(1, 12)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2, 3], [4, 5, 6]], [[1, 2]], [[1], [2]], [[1, 2], [3]], [[1], [2, 3]]],
+        ids=["wide", "one-row", "one-column", "short-row", "long-row"],
+    )
+    def test_non_square(self, rows):
+        with pytest.raises(AsmError, match="matrix must be square"):
+            det(rows)
+
 
 class TestIsTnn:
     def test_minor_count(self):
