@@ -218,7 +218,7 @@ def unsigned_permanent_q(
 # Dodgson condensation, numeric and q-weighted
 # ---------------------------------------------------------------------------
 
-def _condense(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+def _condense(rows: Sequence[Sequence[int]]) -> tuple[int, int | None]:
     """Interior minor and Dodgson numerator |NW| |SE| - |NE| |SW| of a
     square int matrix, n >= 2, where NW, SE, NE and SW are the four
     (n-1)-blocks, from one :func:`_bordered` elimination.
@@ -228,20 +228,15 @@ def _condense(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     minors.  Row 1 and column 1 each move past the n - 2 interior ones,
     so the entries for NW and SE are theirs, and those for NE and SW
     are theirs times (-1)^(n-2) each, which cancels in the product.
-    When the interior minor is 0 the four blocks are taken as slices,
-    each by :func:`_det`, so the numerator is computed there too."""
+    When the interior minor is 0 the elimination cannot give the corner
+    minors, and the numerator is None."""
     n = len(rows)
     order = [*range(1, n - 1), 0, n - 1]
     interior, block = _bordered([[rows[i][j] for j in order] for i in order], 2)
-    if block is not None:
-        (nw, ne), (sw, se) = block
-        return interior, nw * se - ne * sw
-    head, tail = slice(1, None), slice(None, -1)
-    nw, se, ne, sw = (
-        _det([row[c] for row in rows[r]])
-        for r, c in ((tail, tail), (head, head), (tail, head), (head, tail))
-    )
-    return 0, nw * se - ne * sw
+    if block is None:
+        return 0, None
+    (nw, ne), (sw, se) = block
+    return interior, nw * se - ne * sw
 
 
 def dodgson(m: RationalMatrix) -> Fraction:
@@ -251,7 +246,7 @@ def dodgson(m: RationalMatrix) -> Fraction:
     taken on the integer matrix scaled by the lcm of all denominators,
     so the quotient grows by scale**n.  The determinant itself is never
     taken: :func:`_condense` gives only the interior and the numerator,
-    from one elimination.
+    from one elimination, and no numerator when the interior is 0.
     """
     n = m.n
     if n < 2:
@@ -285,11 +280,11 @@ class QDodgsonReport:
 
 def _q_condensation(
     m: RationalMatrix,
-) -> tuple[int, list[list[int]], Callable[[int, int], HalfExpPoly], int, int]:
+) -> tuple[int, list[list[int]], Callable[[int, int], HalfExpPoly], int, int | None]:
     """Scale, A_q (the q-weighted scaled matrix) encoded as in
     :func:`sym_det`, a decoder for a product of its minors with ``size``
     rows in all, and its interior minor and condensation numerator,
-    encoded.
+    encoded, as :func:`_condense` gives them.
 
     Weighting A_q whole gives its interior and diagonal minors their own
     weights.  An antidiagonal minor's exponents shift by +-(i' - j') + 1/2,
@@ -312,11 +307,21 @@ def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
     The interior |A'_q| and the right side come from :func:`_condense`
     on A_q, one bordered elimination, and |A_q| from a separate full
     :func:`_det`, all on one encoding.  Reading |A_q| off the bordered
-    block would assume the identity this checks."""
+    block would assume the identity this checks.  When |A'_q| is 0 the
+    left side is 0, and the right side is taken from the four corner
+    blocks as slices, each by :func:`_det`, so it is computed there too."""
     scale, encoded, decode, interior, numerator = _q_condensation(m)
+    if numerator is None:
+        head, tail = slice(1, None), slice(None, -1)
+        nw, se, ne, sw = (
+            _det([row[c] for row in encoded[r]])
+            for r, c in ((tail, tail), (head, head), (tail, head), (head, tail))
+        )
+        lhs, numerator = 0, nw * se - ne * sw
+    else:
+        lhs = _det(encoded) * interior
     size = 2 * m.n - 2
-    lhs = decode(_det(encoded) * interior, size)
-    return QDodgsonReport(m.n, scale, lhs, decode(numerator, size))
+    return QDodgsonReport(m.n, scale, decode(lhs, size), decode(numerator, size))
 
 
 def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:

@@ -31,16 +31,16 @@ Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
 stands for q^(t/2) and coefficients are exact integers.
 
-Two integer kernels serve the exact linear algebra.  :func:`_minors`
-builds every minor of a matrix by Laplace expansion, for
-``tnn.is_tnn`` on lcm-scaled rows; it needs only ring operations, and
-over :class:`HalfExpPoly` it is the tests' oracle.  :func:`_bordered`
-is the one fraction-free elimination: it takes a leading minor and the
-minors of that block bordered by each of the last few rows and columns.
-``polynomials._condense`` takes the interior and the four corner minors
-of Dodgson's condensation from one such pass, on lcm-scaled rows or a
-Kronecker encoding, and :func:`_det`, the pass with no border, takes the
-polynomial determinants of ``polynomials`` on their encodings.
+Two fraction-free integer eliminations, each O(n^3) exact steps, serve
+the exact linear algebra.  :func:`_bordered` (Bareiss) takes a leading
+minor and the minors of that block bordered by each of the last few
+rows and columns.  ``polynomials._condense`` takes the interior and the
+four corner minors of Dodgson's condensation from one such pass, on
+lcm-scaled rows or a Kronecker encoding, and :func:`_det`, the pass
+with no border, takes the polynomial determinants of ``polynomials`` on
+their encodings.  ``tnn.is_tnn`` runs Neville elimination, by
+consecutive rows, on the rows :func:`_int_rows` scales by the lcm of
+their denominators.
 """
 
 from __future__ import annotations
@@ -225,44 +225,6 @@ class MinorRef:
             " ".join(_var_str((i, j)) for j in self.cols) for i in self.rows
         )
         return f"|{body}|"
-
-
-def _minors(rows: Sequence[Sequence], one):
-    """Yield (row mask, {column mask: minor}) for every row set.
-
-    Bit r of a mask stands for row or column r (0-based).  Every minor
-    is built from the stored minors one size smaller by Laplace
-    expansion along the last row of its row set, starting from the
-    empty minor ``one``; only nonzero minors are stored, so a column
-    mask missing from a table is a zero minor.  Row sets come in order
-    of size, so a caller may stop at the first table it rejects, and
-    the last table holds the determinant.  Entries need only ``+``,
-    ``-``, ``*`` and ``!=``.
-    """
-    n = len(rows)
-    zero = one - one
-    nonzero = [[(1 << c, x) for c, x in enumerate(row) if x != zero] for row in rows]
-    level = {0: {0: one}}
-    yield 0, level[0]
-    for k in range(n):
-        below, level = level, {}
-        for rmask, smaller in below.items():
-            for r in range(rmask.bit_length(), n):
-                table = {}
-                for cmask, v in smaller.items():
-                    for bit, x in nonzero[r]:
-                        if cmask & bit:
-                            continue
-                        key = cmask | bit
-                        # Row r is row k of the set, and the column sits
-                        # at position popcount(cmask below bit) of key.
-                        if (k + (cmask & (bit - 1)).bit_count()) & 1:
-                            table[key] = table.get(key, zero) - x * v
-                        else:
-                            table[key] = table.get(key, zero) + x * v
-                table = {c: v for c, v in table.items() if v != zero}
-                level[rmask | 1 << r] = table
-                yield rmask | 1 << r, table
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

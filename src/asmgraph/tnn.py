@@ -24,19 +24,39 @@ two rank-one matrices, so its rank is at most 2 and every minor of size
 block, 2^{A~(k,l)}, which gives the difference above.
 
 The matrix depends on (n, k, l) alone, so :func:`counterexample_matrix`
-returns one shared matrix per cell (memoised for n <= TNN_SIZE_LIMIT,
-at most 140 matrices, and built fresh above), and :func:`is_tnn` keeps
-its verdict on the matrix: the all-minors test runs once per cell, not
-once per pair.  The proof does not replace the test: each cell's
-matrix still goes through it.
+returns one shared matrix per cell (an LRU memo of 140 matrices, as
+many as the cells of all n <= 8), and :func:`is_tnn` keeps its
+verdict on the matrix: the test runs once per cell, not once per pair.
+The proof does not replace the test: each cell's matrix still goes
+through it.
 
-The all-minors test evaluates no minor from scratch.  It scales the
-whole matrix by the lcm of all its denominators, a positive factor that
-keeps the sign of every minor, and then builds each k-minor as an int
-from the stored (k-1)-minors by Laplace expansion along the last row of
-its row set; a negative minor ends the test at once.  The Gaussian
-:func:`det` stays as the independent reference: :func:`iter_minor_values`
-takes each minor with it.
+The test is Neville elimination (Gasca and Pena, "Total positivity and
+Neville elimination", Linear Algebra Appl. 165 (1992) 25-44; Cryer,
+"Some properties of totally positive matrices", Linear Algebra Appl. 15
+(1976) 1-25), O(n^3) exact steps on the matrix scaled to ints by the lcm
+of its denominators, a positive factor that keeps the sign of every
+minor.  Each round rejects a negative entry; deletes the zero rows and
+columns, which every minor through them leaves 0; rejects a first
+column whose positive entries are not a top block of rows (a nonzero
+row with first entry 0 above one with first entry x > 0 gives a 2 x 2
+minor -x y < 0 with a positive entry y of the upper row); replaces each
+row i of that block, bottom-up, by p row i - x row i-1 with p and x the
+first entries of rows i-1 and i, divided by its gcd (a positive row
+scale keeps a matrix TNN and not TNN alike, so no Fraction is needed);
+does the same to the first row by consecutive columns; and drops the
+first row and column, leaving a11 (+) B.
+
+Why it is exact.  A "yes" is sound on its own: undoing the round writes
+the matrix as L (a11 (+) B) U, with L and U products of elementary
+bidiagonal factors with nonnegative entries and positive diagonals,
+which are TNN, and a11 (+) B is TNN when B is, so the matrix is TNN by
+Cauchy-Binet.  A "no" in the first round is a negative 1 x 1 or 2 x 2
+minor.  A "no" in a later round rests on Gasca and Pena's theorem that
+Neville elimination, with zero rows set aside, keeps a TNN matrix TNN:
+if the input were TNN, so would be every matrix the rounds reach, and
+none of those can have a negative entry or a broken top block.  The
+Gaussian :func:`det` stays as the independent reference:
+:func:`iter_minor_values` takes each minor with it.
 
 The matrices this module makes (samples, counterexamples, q-weightings)
 are built once, straight from Fractions, and not passed back through
@@ -65,16 +85,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Asm, AsmError
-from .enumeration import _check_limit
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
-from .symbolic import _asm_difference, _int_rows, _minors, _randints, _ratio
+from .symbolic import _asm_difference, _int_rows, _randints, _ratio
 
-TNN_SIZE_LIMIT = 8
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
 
 
@@ -90,8 +108,8 @@ class IrrationalSqrtError(AsmError):
 class RationalMatrix:
     """Immutable matrix of exact rationals with 1-based accessor.
 
-    :func:`is_tnn` keeps its all-minors verdict on the matrix once it
-    has computed it; like ``Asm._corner`` it is a class default, not a
+    :func:`is_tnn` keeps its verdict on the matrix once it has
+    computed it; like ``Asm._corner`` it is a class default, not a
     field, so equality, hashing and repr see the rows only."""
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -161,18 +179,36 @@ def iter_minor_values(m: RationalMatrix) -> Iterable[Fraction]:
                 yield det([[m.rows[r][c] for c in cols] for r in rows])
 
 
-def is_tnn(m: RationalMatrix, *, size_limit: int | None = TNN_SIZE_LIMIT) -> bool:
-    """Exact check that every minor is >= 0, on the matrix scaled to ints.
-
-    Every call checks the size guard first.  The first call that passes
-    it computes the verdict and keeps it on m; later calls read it."""
-    if m.n:  # the 0 x 0 matrix is vacuously TNN, not a size error
-        _check_limit(m.n, size_limit, "all-minors guard")
+def is_tnn(m: RationalMatrix) -> bool:
+    """Exact check that every minor is >= 0, by :func:`_neville` on the
+    matrix scaled to ints.  The first call computes the verdict and
+    keeps it on m; later calls read it."""
     if m._tnn is None:
-        rows, _ = _int_rows(m.rows)
-        verdict = not any(v < 0 for _, minors in _minors(rows, 1) for v in minors.values())
-        object.__setattr__(m, "_tnn", verdict)
+        object.__setattr__(m, "_tnn", _neville(_int_rows(m.rows)[0]))
     return m._tnn
+
+
+def _neville(a: Sequence[Sequence[int]]) -> bool:
+    """Whether an int matrix of any shape is TNN, by the rounds of
+    Neville elimination in the module docstring."""
+    while True:
+        # Each half drops the zero lines, transposes and clears the first
+        # column: the first row in the first half, the first column next.
+        for _ in range(2):
+            a = [list(line) for line in zip(*(row for row in a if any(row))) if any(line)]
+            if not a:
+                return True
+            if any(x < 0 for line in a for x in line):
+                return False
+            top = next((i for i, line in enumerate(a) if not line[0]), len(a))
+            if any(line[0] for line in a[top:]):
+                return False
+            for i in range(top - 1, 0, -1):
+                p, x = a[i - 1][0], a[i][0]
+                new = [p * u - x * v for u, v in zip(a[i], a[i - 1])]
+                g = math.gcd(*new)
+                a[i] = [u // g for u in new] if g > 1 else new
+        a = [line[1:] for line in a[1:]]
 
 
 def rational_sqrt(x) -> Fraction:
@@ -211,10 +247,8 @@ def q_unweighted(m: RationalMatrix, q0) -> RationalMatrix:
     return _reweighted(m, _inverse_root(q0))
 
 
-def is_locally_tnn_at(
-    m: RationalMatrix, q0, *, size_limit: int | None = TNN_SIZE_LIMIT
-) -> bool:
-    return is_tnn(q_weighted(m, q0), size_limit=size_limit)
+def is_locally_tnn_at(m: RationalMatrix, q0) -> bool:
+    return is_tnn(q_weighted(m, q0))
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +368,19 @@ def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, in
     A~(a) < A~(b), and the 2-block matrix of that cell is returned.
     Every minor of that matrix is 0, 1 or 2 (see the module docstring),
     and the difference evaluates to 2^{A~(a)(k,l)} - 2^{A~(b)(k,l)} < 0.
-    Pairs with one witness cell share one matrix object for n <=
-    TNN_SIZE_LIMIT.  Raises ComparableError when a <= b (no such cell),
-    in which case no TNN counterexample exists.
+    Pairs with one witness cell share one matrix object while its cell
+    is among the last 140 used.  Raises ComparableError when a <= b (no
+    such cell), in which case no TNN counterexample exists.
     """
     n = _same_size(a, b)
     witness = _first_excess(corner_sum(a), corner_sum(b))
     if witness is None:
         raise ComparableError("a <= b; the difference is nonnegative on TNN matrices")
-    # Memoised up to the guard, where witness cells have k, l < n (at
-    # most 140 matrices), and fresh above.
-    build = _two_block if n <= TNN_SIZE_LIMIT else _two_block.__wrapped__
-    return build(n, *witness), witness
+    return _two_block(n, *witness), witness
 
 
-@cache
+# 140 matrices: the witness cells k, l < n of every n <= 8.
+@lru_cache(maxsize=140)
 def _two_block(n: int, k: int, l: int) -> RationalMatrix:
     """The n x n matrix with 2 on rows <= k and columns <= l, 1 elsewhere."""
     cells = range(1, n + 1)

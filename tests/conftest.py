@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from asmgraph import Rect, apply_rect, asm_leq, essential_points, validate_asm
-from asmgraph.symbolic import _minors
 from asmgraph.verify import A3_EDGES, A3_MATRICES, S4_SIGN_BETA
 
 # The seven 3x3 ASMs, named by their one-line permutation where they
@@ -53,6 +52,51 @@ def _counter_tally(n, steps, weigh):
     return paths[(1,) * n]
 
 
+def _minors(rows, one):
+    """Yield (row mask, {column mask: minor}) for every row set: the
+    all-minors oracle, by Laplace expansion over 2^n row sets.
+
+    Bit r of a mask stands for row or column r (0-based).  Every minor
+    is built from the stored minors one size smaller by Laplace
+    expansion along the last row of its row set, starting from the
+    empty minor ``one``; only nonzero minors are stored, so a column
+    mask missing from a table is a zero minor.  Row sets come in order
+    of size, so a caller may stop at the first table it rejects, and
+    the last table holds the determinant.  Entries need only ``+``,
+    ``-``, ``*`` and ``!=``.
+    """
+    n = len(rows)
+    zero = one - one
+    nonzero = [[(1 << c, x) for c, x in enumerate(row) if x != zero] for row in rows]
+    level = {0: {0: one}}
+    yield 0, level[0]
+    for k in range(n):
+        below, level = level, {}
+        for rmask, smaller in below.items():
+            for r in range(rmask.bit_length(), n):
+                table = {}
+                for cmask, v in smaller.items():
+                    for bit, x in nonzero[r]:
+                        if cmask & bit:
+                            continue
+                        key = cmask | bit
+                        # Row r is row k of the set, and the column sits
+                        # at position popcount(cmask below bit) of key.
+                        if (k + (cmask & (bit - 1)).bit_count()) & 1:
+                            table[key] = table.get(key, zero) - x * v
+                        else:
+                            table[key] = table.get(key, zero) + x * v
+                table = {c: v for c, v in table.items() if v != zero}
+                level[rmask | 1 << r] = table
+                yield rmask | 1 << r, table
+
+
+def _tnn_by_minors(rows):
+    """Whether every minor of an int or Fraction matrix, of any shape,
+    is >= 0: the oracle of tnn._neville."""
+    return all(v >= 0 for _, table in _minors(rows, 1) for v in table.values())
+
+
 def _laplace_det(rows, one):
     """The determinant as the last table of the minor kernel's
     all-row-sets pass, over any ring with unit ``one``: the oracle of
@@ -90,6 +134,16 @@ def counter_tally():
 @pytest.fixture(scope="session")
 def laplace_det():
     return _laplace_det
+
+
+@pytest.fixture(scope="session")
+def all_minors():
+    return _minors
+
+
+@pytest.fixture(scope="session")
+def tnn_by_minors():
+    return _tnn_by_minors
 
 
 @pytest.fixture

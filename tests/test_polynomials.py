@@ -296,12 +296,15 @@ class TestCondense:
                 (weighted, HalfExpPoly.one(), encoded, decode),
             ):
                 interior, numerator = _condense(ints)
+                singular.append(numerator is None)
+                # A zero interior gives no numerator; Desnanot-Jacobi makes it 0.
+                numerator = 0 if numerator is None else numerator
                 interior, numerator = read(interior, n - 2), read(numerator, 2 * n - 2)
                 determinant = read(_det(ints), n)
                 assert (interior, numerator) == _five_slices(matrix, one, laplace_det)
                 assert determinant == laplace_det(matrix, one)
                 assert determinant * interior == numerator
-                singular.append(interior == one - one)
+                assert singular[-1] == (interior == one - one)
         assert any(singular) == (n >= 3) and not all(singular)
 
 
@@ -321,32 +324,44 @@ class TestCondenseAgainstFiveSlices:
     @settings(max_examples=200, deadline=None)
     @given(_condensable())
     def test_one_elimination_matches_five(self, rows):
-        """The bordered elimination gives the five slices' values, and
-        the corner slices are taken (four _det calls) exactly when the
-        interior minor is 0."""
+        """The bordered elimination gives the five slices' values, with
+        no numerator when the interior minor is 0, and takes no slice."""
         with mock.patch.object(asmgraph.polynomials, "_det", wraps=_det) as spy:
             interior, numerator = _condense(rows)
-        assert (interior, numerator) == _five_det_slices(rows)
-        assert spy.call_count == (4 if interior == 0 else 0)
+        expected_interior, expected_numerator = _five_det_slices(rows)
+        assert interior == expected_interior
+        assert numerator == (expected_numerator if interior else None)
+        assert spy.call_count == 0
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_zero_interior_row_takes_the_slices(self, n):
-        """With the interior 0 the numerator is 0 too (Desnanot-Jacobi),
-        but it is computed, not assumed: a _det off by one shows in it."""
+        """On a zero interior dodgson and q_dodgson_divided raise with no
+        _det call, and q_dodgson_check alone takes the four corner slices.
+        Its right side is 0 then (Desnanot-Jacobi), but it is computed,
+        not assumed: a _det off by one shows in it."""
         rng = random.Random(900 + n)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         rows[n // 2][1:-1] = [0] * (n - 2)
-        encoded, _ = _kronecker(_q_weight_matrix(rows), products=2)
+        encoded, decode = _kronecker(_q_weight_matrix(rows), products=2)
+        for ints in (rows, encoded):
+            assert _condense(ints) == (0, None)
+            assert _five_det_slices(ints) == (0, 0)
+        m = rational_matrix(rows)
+        with mock.patch.object(asmgraph.polynomials, "_det", wraps=_det) as spy:
+            for divide in (dodgson, q_dodgson_divided):
+                with pytest.raises(SingularInteriorError):
+                    divide(m)
+            assert spy.call_count == 0
+            report = q_dodgson_check(m)
+            assert spy.call_count == 4
+        assert report.passed and report.lhs.is_zero()
 
         def shifted(rows):
             return _det(rows) + 1
 
-        for ints in (rows, encoded):
-            with mock.patch.object(asmgraph.polynomials, "_det", wraps=_det) as spy:
-                assert _condense(ints) == _five_det_slices(ints) == (0, 0)
-            assert spy.call_count == 4
-            with mock.patch.object(asmgraph.polynomials, "_det", shifted):
-                assert _condense(ints) == (0, _five_det_slices(ints, shifted)[1])
+        with mock.patch.object(asmgraph.polynomials, "_det", shifted):
+            report = q_dodgson_check(m)
+        assert report.rhs == decode(_five_det_slices(encoded, shifted)[1], 2 * n - 2)
 
 
 class TestDodgson:

@@ -24,12 +24,6 @@ from asmgraph import (
 )
 from asmgraph.lattice import BETA_CHECKED_SIZE_LIMIT, beta_checked
 from asmgraph.polynomials import QDET_SIZE_LIMIT
-from asmgraph.tnn import TNN_SIZE_LIMIT, is_locally_tnn_at, is_tnn, rational_matrix
-
-
-def _ones(n):
-    return rational_matrix([[1] * n] * n)
-
 
 GUARDED = {
     "count_asms": (ASM_SIZE_LIMIT, count_asms),
@@ -41,8 +35,6 @@ GUARDED = {
     "bq_definition": (PERMUTATION_SIZE_LIMIT, bq_definition),
     "unsigned_permanent_q": (PERMUTATION_SIZE_LIMIT, unsigned_permanent_q),
     "bq_qdet": (QDET_SIZE_LIMIT, bq_qdet),
-    "is_tnn": (TNN_SIZE_LIMIT, lambda n: is_tnn(_ones(n))),
-    "is_locally_tnn_at": (TNN_SIZE_LIMIT, lambda n: is_locally_tnn_at(_ones(n), 1)),
     "beta_checked": (BETA_CHECKED_SIZE_LIMIT, lambda n: beta_checked(identity_asm(n))),
 }
 

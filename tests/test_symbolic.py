@@ -43,7 +43,6 @@ from asmgraph.symbolic import (
     SflCertificate,
     _bordered,
     _det,
-    _minors,
     certificate_to_json_dict,
     certificate_from_json_dict,
     step_str,
@@ -895,10 +894,10 @@ class TestMinorKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(_fraction_matrices(max_n=4))
-    def test_every_row_set_holds_every_minor(self, rows):
+    def test_every_row_set_holds_every_minor(self, all_minors, rows):
         n = len(rows)
         seen = []
-        for rmask, table in _minors(rows, F(1)):
+        for rmask, table in all_minors(rows, F(1)):
             seen.append(rmask)
             assert all(v != 0 for v in table.values())
             for cmask in range(1 << n):

@@ -1,5 +1,6 @@
 """Tests for exact total nonnegativity and the order separation."""
 
+import itertools
 import pickle
 import random
 from dataclasses import fields
@@ -34,9 +35,10 @@ from asmgraph import (
 )
 from asmgraph.core import corner_sum
 from asmgraph.lattice import SizeMismatchError
+from asmgraph.symbolic import _int_rows
 from asmgraph.tnn import (
-    TNN_SIZE_LIMIT,
     RationalMatrix,
+    _neville,
     _two_block,
     det,
     iter_minor_values,
@@ -115,12 +117,6 @@ class TestIsTnn:
         assert not is_tnn(rational_matrix([[0, 1], [1, 0]]))
         assert not is_tnn(rational_matrix([[1, 3], [2, 1]]))
         assert is_tnn(rational_matrix([[1, 1, 1], [1, 2, 2], [1, 2, 3]]))
-
-    def test_guard(self):
-        m = rational_matrix([[1, 1, 1]] * 3)
-        with pytest.raises(AsmError, match="guard"):
-            is_tnn(m, size_limit=2)
-        assert is_tnn(m, size_limit=None)
 
 
 class TestRationalSqrt:
@@ -492,12 +488,64 @@ class TestIsTnnAgainstAllMinors:
             assert verdict == _all_minors_nonnegative(m)
             assert verdict
 
-    def test_guard_still_holds_at_nine(self):
-        with pytest.raises(
-            AsmError,
-            match=r"^n=9 exceeds the all-minors guard \(8\); pass size_limit=None to override$",
-        ):
-            is_tnn(random_tnn(9, seed=0))
+
+@st.composite
+def _neville_rows(draw):
+    """Int or Fraction rows for _neville, up to 8 x 8 and of any shape:
+    a bidiagonal product with small parameters, many of them 0, so TNN
+    and often singular, cut to a rectangle, and then, each about half
+    the time, given a zero row, a zero column and one entry moved by +-1."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    count = n * (n - 1) // 2
+    param = st.one_of(
+        st.just(0), st.integers(1, 3), st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    )
+    m = bidiagonal_product(*(draw(st.lists(param, min_size=k, max_size=k)) for k in (n, count, count)))
+    rows = _int_rows(m.rows)[0] if draw(st.booleans()) else [list(row) for row in m.rows]
+    width = draw(st.integers(min_value=1, max_value=n))
+    rows = [row[:width] for row in rows[: draw(st.integers(min_value=1, max_value=n))]]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * width)
+    if draw(st.booleans()):
+        c = draw(st.integers(0, width))
+        rows = [row[:c] + [0] + row[c:] for row in rows]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+        rows[i][j] += draw(st.sampled_from([-1, 1]))
+    return rows
+
+
+class TestNevilleAgainstAllMinors:
+    """The Neville elimination of is_tnn against the all-minors oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_neville_rows())
+    def test_near_tnn_rows(self, tnn_by_minors, rows):
+        verdict = tnn_by_minors(rows)
+        assert _neville(_int_rows(rows)[0]) is verdict
+        if len(rows) == len(rows[0]):
+            assert is_tnn(rational_matrix(rows)) is verdict
+
+    def test_every_3x3_over_0_1_2(self, tnn_by_minors):
+        tnn = 0
+        for entries in itertools.product(range(3), repeat=9):
+            rows = [list(entries[i : i + 3]) for i in (0, 3, 6)]
+            verdict = _neville(rows)
+            assert verdict is tnn_by_minors(rows), rows
+            tnn += verdict
+        assert tnn == 2210
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_tnn_at_32(self, seed):
+        """A 32 x 32 sample is TNN, and one 2 x 2 minor made negative deep
+        inside it is found: a_(i,j+1) is raised past a_ij a_(i+1,j+1) / a_(i+1,j)."""
+        m = random_tnn(32, seed)
+        assert is_tnn(m)
+        rows = [list(row) for row in m.rows]
+        i, j = 20, 9
+        rows[i][j + 1] = rows[i][j] * rows[i + 1][j + 1] / rows[i + 1][j] + 1
+        assert det([row[j : j + 2] for row in rows[i : i + 2]]) < 0
+        assert not is_tnn(rational_matrix(rows))
 
 
 class TestSharedCounterexample:
@@ -537,25 +585,22 @@ class TestSharedCounterexample:
             assert is_tnn(m)
 
     def test_memo_holds_sizes_up_to_the_guard(self):
-        top, bottom = reverse_asm(TNN_SIZE_LIMIT), identity_asm(TNN_SIZE_LIMIT)
-        assert counterexample_matrix(top, bottom)[0] is counterexample_matrix(top, bottom)[0]
-        before = _two_block.cache_info().currsize
-        n = TNN_SIZE_LIMIT + 1
+        """The 2-block memo keeps the last 140 matrices used: the cells of
+        one size share their matrices while at most 140 are in use, and
+        a sweep over the 144 cells of n = 13 keeps 140 of them."""
+        n = 13
         top, bottom = reverse_asm(n), identity_asm(n)
         m, witness = counterexample_matrix(top, bottom)
-        again, _ = counterexample_matrix(top, bottom)
-        assert m == again and m is not again
+        assert counterexample_matrix(top, bottom)[0] is m
         assert m.rows[0][0] == 2 and witness == (1, 1)
-        assert _two_block.cache_info().currsize == before <= 140
-
-    def test_guard_holds_after_an_override(self):
-        m, _ = counterexample_matrix(reverse_asm(9), identity_asm(9))
-        assert is_tnn(m, size_limit=None)
-        with pytest.raises(
-            AsmError,
-            match=r"^n=9 exceeds the all-minors guard \(8\); pass size_limit=None to override$",
-        ):
-            is_tnn(m)
+        cells = [(k, l) for k in range(1, n) for l in range(1, n)]
+        first = {cell: _two_block(n, *cell) for cell in cells[:140]}
+        assert all(_two_block(n, *cell) is shared for cell, shared in first.items())
+        for cell in cells:
+            _two_block(n, *cell)
+        assert _two_block.cache_info().currsize <= 140
+        again = _two_block(n, *cells[0])
+        assert again == first[cells[0]] and again is not first[cells[0]]
 
     def test_kept_verdict_leaves_the_plain_matrix(self):
         """is_tnn keeps its verdict on the matrix, which equality, hash,
