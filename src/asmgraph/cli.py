@@ -36,6 +36,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -58,6 +59,7 @@ from .lattice import (
     build_graph,
     covering_chain,
     export_dot,
+    _Table,
 )
 from .polynomials import BQ_METHODS
 from .symbolic import certificate_to_json_dict, sfl_certificate, verify_certificate
@@ -109,17 +111,19 @@ def _write_items(chunks: Iterable[str]) -> None:
 
 
 def _edge_chunks(g: AsmGraph) -> Iterator[str]:
-    """The JSON text of the edges leaving each node, one node at a time."""
-    rect_text = {code: "[%d, %d, %d, %d]" % g.bounds(code) for code in set(g.rects)}
-    offsets, dst, types, rects = g.offsets, g.dst, g.types, g.rects
+    """The JSON text of the edges leaving each node, one node at a time.
+    An edge is its source's head, its dst and the tail of its (type,
+    packed rect) pair.  Each head is formatted once, and each tail on
+    its pair's first edge; one pass over the columns feeds every node."""
+    tails = _Table(
+        lambda pair: ', "type": %d, "rect": [%d, %d, %d, %d]}' % (pair[0], *g.bounds(pair[1]))
+    )
+    edges = zip(g.dst, map(tails.__getitem__, zip(g.types, g.rects)))
+    offsets = g.offsets
     for src in range(len(g.nodes)):
-        lo, hi = offsets[src], offsets[src + 1]
-        yield ", ".join(
-            [
-                f'{{"src": {src}, "dst": {d}, "type": {t}, "rect": {rect_text[code]}}}'
-                for d, t, code in zip(dst[lo:hi], types[lo:hi], rects[lo:hi])
-            ]
-        )
+        head = f'{{"src": {src}, "dst": '
+        count = offsets[src + 1] - offsets[src]
+        yield ", ".join([f"{head}{d}{tail}" for d, tail in islice(edges, count)])
 
 
 def _size_kw(args: argparse.Namespace) -> dict:

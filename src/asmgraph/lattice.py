@@ -48,28 +48,31 @@ spans k < l that the two rows' partial-sum masks allow from a table
 keyed by that pair; a span is a rectangle when the AND of the states on
 rows i..j-1 has bit k and their OR lacks bit l.  One table per size
 lists the lowering spans (e = 1); complementing a mask swaps e and 1 - e,
-so raising reads the complemented states and table keys.  The rectangles
-come out in (i, j, k, l) order.  Lowering the corner sums by 1 on the
-cells of R changes A only at the corners (i,k), (i,l), (j,k), (j,l),
-where it adds (-1, +1, +1, -1); raising them adds (+1, -1, -1, +1).
-Targets are formed by this corner update, and the span table types each
-lowering edge by its target's corners.
+so raising reads the complemented states and table keys.  Lowering the
+corner sums by 1 on the cells of R changes A only at the corners (i,k),
+(i,l), (j,k), (j,l), where it adds (-1, +1, +1, -1); raising them adds
+(+1, -1, -1, +1).  The span table types each lowering edge by its
+target's corners.  The scan is a plain function of one ASM's rows that
+appends each rectangle, in (i, j, k, l) order, to three columns: the
+target, the edge type and the packed bounds.  :func:`build_graph` hands
+it the graph's arrays; the one-ASM questions hand it lists and form any
+target by the corner update.
 
-Essential points are the same scan on adjacent rows and spans with
-l = k + 1.  From b, :func:`covering_chain` raises, at each step, the
+Essential points are the scan's test on adjacent rows and spans with
+l = k + 1, which :func:`_points` yields as it goes.  From b, :func:`covering_chain` raises, at each step, the
 corner sum at the row-major first essential point where A~(a) is still
 larger, and forms the lower matrix by the corner update; certificates
 take each step's rectangle from the same walk.
 
 A built :class:`AsmGraph` keeps its edges as CSR columns: per-source
 offsets into ``array`` columns of target indices, edge types and packed
-rectangle bounds.  :func:`build_graph` alone writes them.  It codes each
-node by its entries as base-3 digits, so a target's code is its
-source's plus a product read from the span table, and looks that code
-up; no target matrix is formed.  :attr:`AsmGraph.edges` is an iterator
-over the columns that makes :class:`GraphEdge` values as it goes, so the
-graph on all 218,348 7x7 ASMs (3,514,354 edges) fits in about 27 MB of
-columns.
+rectangle bounds.  :func:`build_graph` alone writes them, by one scan
+per node that appends straight to them.  It codes each node by its
+entries as base-3 digits, so a target's code is its source's plus a
+product read from the span table, and looks that code up; no target
+matrix is formed.  :attr:`AsmGraph.edges` is an iterator over the
+columns that makes :class:`GraphEdge` values as it goes, so the graph on
+all 218,348 7x7 ASMs (3,514,354 edges) fits in about 27 MB of columns.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from operator import attrgetter, lt, mul, sub, xor
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     Asm,
@@ -150,19 +153,6 @@ def _same_size(a: Asm, b: Asm) -> int:
     return a.n
 
 
-class _Span(NamedTuple):
-    """Columns k < l (1-based) of a rectangle whose top and bottom rows
-    allow it, as the span table keeps them."""
-
-    kbit: int  # 1 << (k - 1), the column state bit s(., k)
-    lbit: int  # 1 << (l - 1)
-    k: int
-    l: int
-    edge_type: int  # of the edge across the rectangle, from its upper ASM
-    step: int  # change of the top row's base-3 code; the bottom's is -step
-    packed: int  # (k, l) as the low half of a packed rects entry
-
-
 class _Table(dict):
     """A dict that fills itself: ``table[key]`` is ``make(key)``, made on
     first use."""
@@ -189,11 +179,17 @@ def _row_bits(row: tuple[int, ...]) -> tuple[int, int, int]:
     return nonzero, partial, code
 
 
-def _spans(n: int, key: int) -> tuple[_Span, ...]:
+def _spans(n: int, key: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """The spans k < l that lowering allows, sorted by (k, l): the top
     row's partial sums are 1 and the bottom row's 0 on them, for the
     partial-sum masks top << n | bottom.  Raising, with sums 0 on top and
-    1 below, reads the spans of the complemented masks."""
+    1 below, reads the spans of the complemented masks.
+
+    Each span is (kbit, lbit, step, edge type, packed): the column state
+    bits 1 << k and 1 << l (0-based), the change of the top row's base-3
+    code (the bottom's is -step), the type of the edge across it from its
+    upper ASM, and (k, l) 1-based as the low half of a packed rects entry.
+    """
     top, bottom = key >> n, key & ((1 << n) - 1)
     run = top & ~bottom
 
@@ -211,10 +207,9 @@ def _spans(n: int, key: int) -> tuple[_Span, ...]:
             edge_type = _edge_type(
                 entry(top, k) - 1, entry(top, l) + 1, entry(bottom, k) + 1, entry(bottom, l) - 1
             )
-            spans.append(_Span(
-                1 << k, 1 << l, k + 1, l + 1, edge_type,
-                3**l - 3**k, _pack((0, 0, k + 1, l + 1), shift),
-            ))
+            spans.append(
+                (1 << k, 1 << l, 3**l - 3**k, edge_type, _pack((0, 0, k + 1, l + 1), shift))
+            )
     return tuple(spans)
 
 
@@ -231,39 +226,59 @@ def _tables(n: int) -> tuple[_Table, _Table]:
     return (_size_tables if n <= ASM_SIZE_LIMIT else _size_tables.__wrapped__)(n)
 
 
-def _scan(
-    bits: list[tuple[int, int, int]], spans: _Table, delta: int
-) -> Iterator[tuple[int, int, _Span]]:
-    """(i, j, span), 0-based rows i < j, for every rectangle on whose cells
-    the corner sums can move by delta, in (i, j, k, l) order.
+#: The append method of one column: a list's or an ``array``'s.
+_Put = Callable[[int], None]
 
-    bits holds each row's :func:`_row_bits`.  The column states s(p, .)
-    are the running XOR of the nonzero masks.  The span table gives the
-    (k, l) that rows i and j allow; such a span is a rectangle when the
-    states on rows i..j-1 all have bit k and none has bit l.  Raising
-    complements both the states and the partial-sum masks it looks up.
+
+def _scan(
+    bits: Iterable[tuple[int, int, int]], spans: _Table, delta: int,
+    code: int, find: Callable[[int], int], lift: list[list[int]], high: list[list[int]],
+    dst: _Put, types: _Put, rects: _Put,
+) -> None:
+    """Write every rectangle on whose cells the corner sums can move by
+    delta, in (i, j, k, l) order, as dst(find(code + step * lift[i][j])),
+    types(edge type) and rects(high[i][j] | packed), for 0-based rows
+    i < j and the span's step and packed (k, l) (see :func:`_spans` and
+    :func:`build_graph`); dst, types and rects append to the columns.
+
+    bits gives each row's :func:`_row_bits` and high is :func:`_highs`.
+    The column states s(p, .) are the running XOR of the nonzero masks.
+    The span table gives the (k, l) that rows i and j allow; such a span
+    is a rectangle when the states on rows i..j-1 all have bit k and none
+    has bit l.  Raising complements both the states and the partial-sum
+    masks it looks up; its moves and types are not those of its edges.
     """
-    n = len(bits)
+    nonzero, partial, _ = zip(*bits)
+    n = len(nonzero)
     flip = (1 << n) - 1 if delta > 0 else 0
-    states = [state ^ flip for state in accumulate((b[0] for b in bits), xor)]
-    keys = [b[1] ^ flip for b in bits]
+    states = [state ^ flip for state in accumulate(nonzero, xor)]
+    keys = [key ^ flip for key in partial]
     for i in range(n - 1):
-        top = keys[i] << n
+        top, lifts, highs = keys[i] << n, lift[i], high[i]
         both = either = states[i]
         for j in range(i + 1, n):
-            for span in spans[top | keys[j]]:
-                if both & span.kbit and not either & span.lbit:
-                    yield i, j, span
+            for kbit, lbit, step, edge_type, packed in spans[top | keys[j]]:
+                if both & kbit and not either & lbit:
+                    dst(find(code + step * lifts[j]))
+                    types(edge_type)
+                    rects(highs[j] | packed)
             both &= states[j]
             if not both:
                 break
             either |= states[j]
 
 
-def _rects(entries: Entries, delta: int) -> Iterator[tuple[int, int, _Span]]:
-    """:func:`_scan` over the rows of one ASM."""
-    rows, spans = _tables(len(entries))
-    return _scan([rows[row] for row in entries], spans, delta)
+def _rects(entries: Entries, delta: int) -> tuple[list[int], list[Bounds]]:
+    """:func:`_scan` over the rows of one ASM: the edge types and the
+    sorted 1-based bounds of its rectangles."""
+    n = len(entries)
+    rows, spans = _tables(n)
+    types, rects = [], []
+    # No node index here: a zero lift moves no code, and the dst column is dropped.
+    _scan(map(rows.__getitem__, entries), spans, delta, 0, int, [[0] * n] * n, _highs(n),
+          [].append, types.append, rects.append)
+    shift = n.bit_length()
+    return types, [_unpack(code, shift) for code in rects]
 
 
 def _points(entries: Entries, rows: _Table, spans: _Table) -> Iterator[tuple[int, int]]:
@@ -280,15 +295,15 @@ def _points(entries: Entries, rows: _Table, spans: _Table) -> Iterator[tuple[int
     for i in range(1, n):
         top, below = below, rows[entries[i]]
         state ^= top[0]
-        for span in spans[(top[1] << n | below[1]) ^ flip]:
-            if span.l == span.k + 1 and state & span.kbit and not state & span.lbit:
-                yield i, span.k
+        for kbit, lbit, _, _, _ in spans[(top[1] << n | below[1]) ^ flip]:
+            if lbit == kbit << 1 and state & kbit and not state & lbit:
+                yield i, kbit.bit_length()
 
 
 def _shift_rects(entries: Entries, delta: int) -> list[Bounds]:
     """Sorted 1-based bounds (i, j, k, l) of every rectangle on whose
     cells the corner sums of entries can move by delta (+1 or -1)."""
-    return [(i + 1, j + 1, span.k, span.l) for i, j, span in _rects(entries, delta)]
+    return _rects(entries, delta)[1]
 
 
 def is_essential(a: Asm, r: Rect) -> bool:
@@ -399,10 +414,9 @@ def edge_between(source: Asm, target: Asm) -> Edge:
 def edges_from(a: Asm) -> list[Edge]:
     """All edges of the ASM graph leaving a, sorted by rectangle."""
     edges = []
-    for i, j, span in _rects(a.entries, -1):
-        bounds = (i + 1, j + 1, span.k, span.l)
+    for edge_type, bounds in zip(*_rects(a.entries, -1)):
         target = _trusted_asm(_shift_corners(a.entries, bounds, -1))
-        edges.append(Edge(a, target, Rect(*bounds), span.edge_type))
+        edges.append(Edge(a, target, Rect(*bounds), edge_type))
     return edges
 
 
@@ -623,6 +637,19 @@ def _pack(bounds: Bounds, shift: int) -> int:
     return ((i << shift | j) << shift | k) << shift | l
 
 
+def _unpack(code: int, shift: int) -> Bounds:
+    mask = (1 << shift) - 1
+    return (code >> 3 * shift, code >> 2 * shift & mask, code >> shift & mask, code & mask)
+
+
+def _highs(n: int) -> list[list[int]]:
+    """(i + 1, j + 1) as the high half of a :func:`_pack` entry, for
+    0-based rows i < n - 1 and j."""
+    shift = n.bit_length()
+    lows = [j << 2 * shift for j in range(1, n + 1)]
+    return [[i << 3 * shift | low for low in lows] for i in range(1, n)]
+
+
 @dataclass(frozen=True)
 class AsmGraph:
     """The ASM graph on all n x n ASMs, its edges stored as CSR columns.
@@ -659,9 +686,7 @@ class AsmGraph:
 
     def bounds(self, code: int) -> Bounds:
         """The rectangle bounds (i, j, k, l) packed in an entry of rects."""
-        shift = self.n.bit_length()
-        mask = (1 << shift) - 1
-        return (code >> 3 * shift, code >> 2 * shift & mask, code >> shift & mask, code & mask)
+        return _unpack(code, self.n.bit_length())
 
     @property
     def edges(self) -> Iterator[GraphEdge]:
@@ -684,10 +709,11 @@ def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
     rectangle (i, j, k, l) moves the code by (3^l - 3^k)(W^i - W^j), in
     0-based indices, and the target is looked up by that code in the
     index of all n x n ASMs, so a wrong target fails with a KeyError
-    instead of entering the graph.  The edges go straight into the
-    columns; no target matrix, Rect or GraphEdge is made.  Beyond
-    PACKED_SIZE_LIMIT, a SizeLimitExceededError says so before any ASM
-    is enumerated.
+    instead of entering the graph.  One :func:`_scan` per node appends
+    its edges straight to the columns, and offsets records where each
+    node's edges end; no target matrix, Rect, GraphEdge or per-edge
+    tuple is made.  Beyond PACKED_SIZE_LIMIT, a SizeLimitExceededError
+    says so before any ASM is enumerated.
     """
     _check_limit(n, size_limit)
     if n > PACKED_SIZE_LIMIT:
@@ -703,20 +729,16 @@ def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
         for row in reversed(a.entries):
             code = code * width + rows[row][2]
         index[code] = s
-    shift = n.bit_length()
-    lift = [[width**i - width**j for j in range(n)] for i in range(n)]
-    high = [[_pack((i + 1, j + 1, 0, 0), shift) for j in range(n)] for i in range(n)]
     offsets, dst, types, rects = (
         array("Q", [0]),
         array(_typecode(len(nodes))),
         array("B"),
-        array(_typecode((1 << 4 * shift) - 1)),
+        array(_typecode((1 << 4 * n.bit_length()) - 1)),
     )
+    lift = [[width**i - width**j for j in range(n)] for i in range(n)]
+    shared = index.__getitem__, lift, _highs(n), dst.append, types.append, rects.append
     for a, code in zip(nodes, index):
-        for i, j, span in _scan([rows[row] for row in a.entries], spans, -1):
-            dst.append(index[code + span.step * lift[i][j]])
-            types.append(span.edge_type)
-            rects.append(high[i][j] | span.packed)
+        _scan(map(rows.__getitem__, a.entries), spans, -1, code, *shared)
         offsets.append(len(dst))
     return AsmGraph(n, nodes, offsets, dst, types, rects)
 
@@ -746,12 +768,10 @@ def export_dot(g: AsmGraph, *, name: str = "asm_graph") -> str:
         lines.append(f"  {{ rank=same; {' '.join(levels[level])} }}")
     for i, b in enumerate(betas):
         lines.append(f'  n{i} [label="{i}:{b}"];')
+    tails = [f' [label="{t}", color="{c}"];' for t, c in enumerate(EDGE_TYPE_COLORS, 1)]
     offsets, dst, types = g.offsets, g.dst, g.types
     for src in range(len(g.nodes)):
         lo, hi = offsets[src], offsets[src + 1]
-        lines.extend(
-            f'  n{src} -> n{d} [label="{t}", color="{EDGE_TYPE_COLORS[t - 1]}"];'
-            for d, t in zip(dst[lo:hi], types[lo:hi])
-        )
+        lines.extend(f"  n{src} -> n{d}{tails[t - 1]}" for d, t in zip(dst[lo:hi], types[lo:hi]))
     lines.append("}")
     return "\n".join(lines) + "\n"

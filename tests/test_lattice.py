@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, product
 from math import comb, factorial
-from operator import attrgetter, mul
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,10 +98,10 @@ from asmgraph.lattice import (
     _pack,
     _shift_rects,
     _size_tables,
-    _Span,
     _spans,
     _square_gaps,
     _Table,
+    _tables,
     _typecode,
 )
 from asmgraph.tnn import q_weighted, rational_matrix
@@ -277,9 +277,9 @@ def _two_way_spans(n, delta, key):
                 entry(bottom, k) - upper,
                 entry(bottom, l) + upper,
             )
-            spans.append(_Span(
-                1 << k, 1 << l, k + 1, l + 1, edge_type,
-                delta * (3**k - 3**l), _pack((0, 0, k + 1, l + 1), shift),
+            spans.append((
+                1 << k, 1 << l, delta * (3**k - 3**l), edge_type,
+                _pack((0, 0, k + 1, l + 1), shift),
             ))
     return tuple(spans)
 
@@ -426,7 +426,7 @@ class TestBitmaskScan:
         lowering spans field for field, and at the complemented masks its
         raising spans' columns."""
         flip = (1 << 2 * n) - 1
-        columns = attrgetter("k", "l", "kbit", "lbit")
+        columns = itemgetter(0, 1)  # kbit, lbit: the span's columns k and l
         for key in range(1 << 2 * n):
             assert _spans(n, key) == _two_way_spans(n, -1, key)
             raising = _two_way_spans(n, 1, key)
@@ -473,7 +473,7 @@ class TestBitmaskScan:
 
         def flipped(n):
             rows, spans = _size_tables.__wrapped__(n)
-            return rows, _Table(lambda key: tuple(s._replace(step=-s.step) for s in spans[key]))
+            return rows, _Table(lambda key: tuple((*s[:2], -s[2], *s[3:]) for s in spans[key]))
 
         monkeypatch.setattr(lattice, "_tables", flipped)
         with pytest.raises(KeyError):
@@ -624,6 +624,16 @@ class TestGraphBuilder:
     def test_edges_from_matches_scan_a6(self, idx):
         a = _asms6()[idx]
         assert edges_from(a) == _scan_edges_from(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_walked_asms(max_n=9))
+    def test_edges_from_matches_scan_on_walked_asms(self, a):
+        """Targets and types by the one-node column scan, at n = 8 and 9
+        too, where its tables are fresh per call and no memo grows."""
+        _tables(a.n)  # up to the guard, the size's one memo entry is made here
+        before = _memo_sizes()
+        assert edges_from(a) == _scan_edges_from(a)
+        assert _memo_sizes() == before
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_build_graph_matches_scan(self, n):
