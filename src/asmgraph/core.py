@@ -92,9 +92,13 @@ class Asm:
 
     An ASM is immutable, so values derived from it alone are kept on it
     once computed: its corner sums (see :func:`corner_sum`) and, for the
-    ASMs that enumeration yields, beta.  Both are class defaults set
-    with ``object.__setattr__``, not fields, so equality, hashing, repr
-    and ``dataclasses.fields`` see the entries only.
+    ASMs that enumeration yields, beta.  An ASM has a fixed layout of
+    three slots and no instance dict: the entries and these two kept
+    values, which are slots, not fields, so equality, hashing, repr and
+    ``dataclasses.fields`` see the entries only.  Every ASM sets all
+    three slots once when it is made, the kept values to None until they
+    are known.  Pickling and copying rebuild an ASM from its entries
+    through the constructor, so they check the axioms again.
 
     >>> a = Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
     >>> a.n
@@ -109,12 +113,13 @@ class Asm:
     asmgraph.core.PrefixSumViolationError: column prefix sum -1 at (2,1) not in {0, 1}
     """
 
+    # Declared by hand: dataclass(slots=True) would make the kept values
+    # fields.  _beta is beta as iter_asms summed it, or None (see
+    # lattice.beta); _corner is the CornerSum once corner_sum has built
+    # it, or None.
+    __slots__ = ("entries", "_beta", "_corner")
+
     entries: tuple[tuple[int, ...], ...]
-    # beta as iter_asms summed it, or None; a class default, not a field,
-    # so equality, hashing and repr never see it (see lattice.beta).
-    _beta = None
-    # The CornerSum once corner_sum has built it, or None; likewise.
-    _corner = None
 
     def __post_init__(self):
         mat = _square_int_rows(self.entries)
@@ -135,7 +140,12 @@ class Asm:
         for j, s in enumerate(col_sums, start=1):
             if s != 1:
                 raise TotalSumViolationError("column", j, s)
-        object.__setattr__(self, "entries", tuple(map(tuple, mat)))
+        _set_entries(self, tuple(map(tuple, mat)))
+        _set_beta(self, None)
+        _set_corner(self, None)
+
+    def __reduce__(self):
+        return Asm, (self.entries,)
 
     @property
     def n(self) -> int:
@@ -156,15 +166,22 @@ class Asm:
         return format_asm_text(self)
 
 
+# The slots' own setters, which bypass the frozen __setattr__.
+_set_entries = Asm.entries.__set__
+_set_beta = Asm._beta.__set__
+_set_corner = Asm._corner.__set__
+
+
 def _trusted_asm(entries: tuple[tuple[int, ...], ...], beta: int | None = None) -> Asm:
     """An :class:`Asm` without the axiom check, for the generators whose
-    entries are ASMs by construction; nothing else may call it.  A
-    generator that has summed beta along the way passes it as the seed
-    that :func:`lattice.beta` returns."""
+    entries are ASMs by construction; nothing else may call it.  It
+    makes the bare object and writes its three slots: the entries, beta
+    and no corner sums.  A generator that has summed beta along the way
+    passes it as the seed that :func:`lattice.beta` returns."""
     a = object.__new__(Asm)
-    object.__setattr__(a, "entries", entries)
-    if beta is not None:
-        object.__setattr__(a, "_beta", beta)
+    _set_entries(a, entries)
+    _set_beta(a, beta)
+    _set_corner(a, None)
     return a
 
 
@@ -282,14 +299,14 @@ def corner_sum(a: Asm) -> CornerSum:
     """Corner-sum matrix A~ of an ASM: row i adds the partial sums of
     row i of A to row i - 1.
 
-    Built on the first call and kept on ``a``, so each later call
-    returns the same :class:`CornerSum`; it lives and dies with ``a``,
-    and no cache outside the ASM holds it."""
+    Built on the first call and kept in ``a``'s ``_corner`` slot, so each
+    later call returns the same :class:`CornerSum`; it lives and dies
+    with ``a``, and no cache outside the ASM holds it."""
     if a._corner is None:
         out = [(0,) * a.n]
         for row in a.entries:
             out.append(tuple(map(add, out[-1], accumulate(row))))
-        object.__setattr__(a, "_corner", CornerSum(tuple(out[1:])))
+        _set_corner(a, CornerSum(tuple(out[1:])))
     return a._corner
 
 

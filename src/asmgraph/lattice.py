@@ -329,11 +329,17 @@ def apply_rect(a: Asm, r: Rect) -> Asm:
 
     Adds the cell indicator of r to the corner sums if r is essential
     for a (moving down the order), subtracts it if r is dual essential
-    (moving up), and otherwise returns a unchanged.
+    (moving up), and otherwise returns a unchanged.  At most one
+    direction can hold, and s(i, k) names it: raising needs 0 there and
+    lowering needs 1, so only that direction's rectangles are listed.
     """
-    for delta in (1, -1):
-        if r.bounds in _shift_rects(a.entries, delta):
-            return _trusted_asm(_shift_corners(a.entries, r.bounds, delta))
+    entries, bounds = a.entries, r.bounds
+    i, j, k, l = bounds
+    if j > len(entries) or l > len(entries):
+        return a
+    delta = -1 if sum(row[k - 1] for row in entries[:i]) else 1
+    if bounds in _shift_rects(entries, delta):
+        return _trusted_asm(_shift_corners(entries, bounds, delta))
     return a
 
 
@@ -461,9 +467,10 @@ def beta(a: Asm) -> int:
 
     The ASMs that :func:`~asmgraph.enumeration.iter_asms` yields (and so
     enumerate_asms and the nodes of build_graph) carry beta as a seed,
-    summed by the walk, and this returns it.  Every other ASM, from the
-    constructor or from a move, chain or certificate, has no seed and
-    beta is computed from its rows."""
+    summed by the walk and set once in their ``_beta`` slot when they are
+    made, and this returns it.  Every other ASM, from the constructor or
+    from a move, chain or certificate, has None in that slot and beta is
+    computed from its rows; the value is not stored back."""
     if a._beta is not None:
         return a._beta
     rows = a.entries

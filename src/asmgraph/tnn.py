@@ -109,8 +109,10 @@ class RationalMatrix:
     """Immutable matrix of exact rationals with 1-based accessor.
 
     :func:`is_tnn` keeps its verdict on the matrix once it has
-    computed it; like ``Asm._corner`` it is a class default, not a
-    field, so equality, hashing and repr see the rows only."""
+    computed it.  The verdict is a class default, not a field, so
+    equality, hashing and repr see the rows only; it is set on the
+    instance with ``object.__setattr__``, unlike ``Asm._corner``, a slot
+    that every ASM sets when it is made."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     # is_tnn's verdict, or None until is_tnn has computed it.

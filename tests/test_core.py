@@ -6,6 +6,7 @@ checked against the constructor, ``from_corner_sum`` and
 ``is_corner_sum``; the inversion count for the cycle-parity sign.
 """
 
+import copy
 import itertools
 import json
 import pickle
@@ -225,6 +226,23 @@ class TestValidation:
     def test_valid_asm_argument_is_returned_as_is(self):
         a = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
         assert validate_asm(a) is a
+
+    @pytest.mark.parametrize(
+        "rebuild", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy]
+    )
+    def test_pickle_and_copy_check_the_axioms(self, rebuild):
+        """Pickling and copying rebuild an ASM through the constructor, so
+        a value forged past it comes back as an error, not as an Asm."""
+        forged = object.__new__(Asm)
+        object.__setattr__(forged, "entries", ((1, 1), (0, 0)))
+        with pytest.raises(PrefixSumViolationError) as exc:
+            rebuild(forged)
+        assert exc.value.axis == "row" and exc.value.position == (1, 2)
+        a = Asm(((0, 1, 0), (1, -1, 1), (0, 1, 0)))
+        corner_sum(a)
+        back = rebuild(a)
+        assert back == a and back is not a
+        assert back._beta is None and back._corner is None
 
 
 class TestCornerSum:

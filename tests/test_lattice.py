@@ -501,6 +501,16 @@ class TestApplyRect:
                     assert beta(up) == beta(a) + r.area
                     assert apply_rect(up, r) == a
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_move_returns_a_itself(self, n):
+        """A rectangle that reaches past row or column n, or that is
+        neither essential nor dual essential, leaves a as it is."""
+        reach = range(1, n + 3)
+        for a in enumerate_asms(n):
+            for r in (Rect(i, j, k, l) for i, j, k, l in product(reach, repeat=4) if i < j and k < l):
+                if r.j > n or r.l > n or not (is_essential(a, r) or is_dual_essential(a, r)):
+                    assert apply_rect(a, r) is a
+
 
 class TestEdges:
     def test_edges_from_identity(self, a3):
@@ -882,6 +892,34 @@ class TestBetaSeed:
             assert a._beta is None
             assert beta(a) == _beta_square_sum(a)
         assert all(a._beta is not None for a in build_graph(4).nodes)
+
+    def test_every_maker_fills_the_three_slots(self):
+        """Every way to make an ASM sets its three slots and no instance
+        dict: _beta answers with a seed or None, and _corner is None until
+        corner_sum builds it and is that CornerSum after."""
+        x = Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
+        made = [
+            x,
+            *iter_asms(4),
+            *build_graph(4).nodes,
+            # The chain ends at its own argument, whose corner sums it read.
+            *covering_chain(identity_asm(3), reverse_asm(3))[:-1],
+            *covered_by(x),
+            *(e.target for e in edges_from(x)),
+            apply_rect(x, Rect(1, 2, 1, 2)),
+            apply_rect(x, Rect(1, 2, 2, 3)),
+            permutation_to_asm((2, 1, 3)),
+            identity_asm(4),
+            reverse_asm(4),
+            from_corner_sum(corner_sum(Asm(x.entries))),
+        ]
+        for a in made:
+            assert not hasattr(a, "__dict__")
+            assert a._beta is None or a._beta == _beta_square_sum(a)
+            assert a._corner is None
+        for a in made:
+            c = corner_sum(a)
+            assert a._corner is c and c == corner_sum(Asm(a.entries))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_census_without_matrices(self, n, monkeypatch):

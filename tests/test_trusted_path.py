@@ -6,6 +6,7 @@ it.  Each test counts calls of ``Asm.__post_init__`` while a generator
 runs, then checks every matrix it produced against the constructor.
 ``enumerate_permutations``, ``Permutation.inverse`` and
 ``asm_to_permutation`` skip the ``Permutation`` image check the same way.
+A trusted ASM has the constructor's layout: three slots, no instance dict.
 """
 
 import pytest
@@ -14,7 +15,9 @@ from asmgraph import (
     Rect,
     apply_rect,
     asm_leq,
+    beta,
     build_graph,
+    corner_sum,
     covered_by,
     covering_chain,
     edges_from,
@@ -54,6 +57,9 @@ def assert_trusted(checks, asms):
     assert checks == []
     for a in asms:
         assert Asm(a.entries) == a
+        assert not hasattr(a, "__dict__")
+        assert a._beta is None or a._beta == beta(Asm(a.entries))
+        assert a._corner is None or a._corner == corner_sum(Asm(a.entries))
 
 
 def test_iter_asms(checks):
