@@ -23,11 +23,13 @@ an ASM's beta is one subtraction, handed over as its seed.
 
 Adding up path counts layer by layer, each step weighed, counts the
 walks without building a single matrix.  Each state's weighted count
-is a plain dict {exponent: coefficient}, its terms in the order they
-first appear, which a HalfExpPoly's repr shows and so is kept.  The
-same tally over a table that lists only the rows with a single +1, in
-the order the successor table lists them, walks the permutation
-matrices alone and tallies B_n(q) too.
+is one int: the sum of factor * x^exponent over the walks into it,
+evaluated at x = 2^width (Kronecker substitution), so with width 0 it
+is the weighted count itself.  A caller that bounds the coefficients
+reads the exponents back as base-2^width digits.  The same tally over
+a table that lists only the rows with a single +1, in the order the
+successor table lists them, walks the permutation matrices alone and
+tallies B_n(q) too.
 
 The counts grow fast (1, 2, 7, 42, 429, 7436, 218348, ...), so the
 entry points guard against accidentally huge sizes; pass
@@ -158,37 +160,38 @@ def _tally(
     n: int,
     steps: Callable[[Row], list[tuple[Row, Row]]],
     weigh: Callable[[int, Row, Row], tuple[int, int]],
-) -> dict[int, int]:
+    width: int = 0,
+) -> int:
     """Sum of factor * x^exponent over the n-step walks of the successor
-    table ``steps`` from the zero state, layer by layer: step i adds the
-    exponent and multiplies the factor of ``weigh(i, row, state)``.
+    table ``steps`` from the zero state, at x = 2^width, layer by layer:
+    step i adds the exponent and multiplies the factor of
+    ``weigh(i, row, state)``.  Every exponent step must be >= 0: at
+    width > 0 a negative one raises ValueError (a negative shift count),
+    and width 0 reads no exponent.
 
-    Each state's sum is a plain dict {exponent: coefficient}, zeros kept.
-    The first walk into a state copies its predecessor's terms shifted;
-    each later one adds its terms in place.  A new exponent goes last,
-    so the terms stay in the order they first appear, which is kept
-    because a HalfExpPoly's repr shows it."""
-    paths = {(0,) * n: {0: 1}}
+    Each state holds one int, the sum at 2^width over its walks, so a
+    step is one shift and one add.  Evaluation at 2^width is a ring
+    homomorphism Z[x] -> Z, so the result is exactly P(2^width) for P
+    the tally polynomial, and no bound is needed along the way.  Only
+    reading P back needs one: its coefficients are the balanced
+    base-2^width digits of the result when each c has |c| < 2^(width-1)
+    (see polynomials._decode).  Width 0 gives P(1)."""
+    paths = {(0,) * n: 1}
     for i in range(n):
-        layer: dict[Row, dict[int, int]] = {}
-        for state, poly in paths.items():
+        layer: dict[Row, int] = {}
+        for state, value in paths.items():
             for row, nxt in steps(state):
                 e, f = weigh(i, row, state)
-                out = layer.get(nxt)
-                if out is None:
-                    layer[nxt] = {t + e: c * f for t, c in poly.items()}
-                else:
-                    for t, c in poly.items():
-                        out[t + e] = out.get(t + e, 0) + c * f
+                layer[nxt] = layer.get(nxt, 0) + (value << width * e) * f
         paths = layer
     return paths[(1,) * n]
 
 
 def count_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> int:
-    """Number of n x n ASMs: the walks of iter_asms, tallied without
-    building any matrix."""
+    """Number of n x n ASMs: the walks of iter_asms, tallied at width 0
+    (every walk weighs 1) without building any matrix."""
     _check_limit(n, size_limit)
-    return _tally(n, _step_table(n), lambda i, row, state: (0, 1))[0]
+    return _tally(n, _step_table(n), lambda i, row, state: (0, 1))
 
 
 def enumerate_permutations(

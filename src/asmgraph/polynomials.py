@@ -11,7 +11,8 @@ recurrence gives
     B_n = B_{n-1}^2 (1 - q^{n-1}) / B_{n-2}.
 
 This module computes B_n by definition (tallied over the column-state
-walks of the permutation matrices, never one permutation at a time), by
+walks of the permutation matrices, never one permutation at a time,
+each state's sum one int at q^(1/2) = 2^width), by
 product, by symbolic q-determinant, and by the recursion, plus the
 numeric Dodgson identity and its q-analogue on arbitrary rational
 matrices:
@@ -30,15 +31,17 @@ which leaves the interior minor and the four corner minors together.
 Every polynomial determinant here runs on ints by Kronecker
 substitution: the matrix is evaluated once at q^(1/2) = 2^width, the
 fraction-free elimination of :mod:`symbolic` runs on those ints, and
-each result is read back as balanced base-2^width digits.  The width
-comes from Hadamard's bound on the matrix (see :func:`sym_det`), so
-the decoded coefficients are exact.
+each result is read back as balanced base-2^width digits by
+:func:`_decode`.  The width comes from Hadamard's bound on the matrix
+(see :func:`sym_det`), and for the definition's tally from the n!
+terms of the sum, so the decoded coefficients are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Sequence
 
 from .core import AsmError
@@ -57,7 +60,12 @@ class SingularInteriorError(AsmError):
 def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
     """sum over S_n of sign(w) q^{beta(w)}, or unsigned: the column-state
     tally over the permutation table, whose 1 in column j of row i adds
-    (i - j)^2 to 2 beta and an inversion per used column right of j."""
+    (i - j)^2 to 2 beta and an inversion per used column right of j.
+
+    Each coefficient is a sum of at most n! terms +-1, so |c| <= n! <
+    2^(width-1) for the width below, and one decode of the tally's int
+    at q^(1/2) = 2^width gives the terms exactly (see :func:`_tally`),
+    in ascending exponent."""
     _check_limit(n, size_limit)
     gaps = _square_gaps(n)
 
@@ -65,7 +73,8 @@ def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
         j = row.index(1)
         return gaps[i][j], (-1) ** sum(state[j + 1 :]) if signed else 1
 
-    return HalfExpPoly(_tally(n, _permutation_table(n), weigh))
+    width = factorial(n).bit_length() + 1
+    return _decode(_tally(n, _permutation_table(n), weigh, width), width, 0)
 
 
 def bq_definition(
@@ -143,34 +152,38 @@ def _kronecker(
         square *= max(1, sum(sum(map(abs, x.terms.values())) ** 2 for x in row))
     bound_squared = square if products == 1 else 4 * square * square
     width = (bound_squared.bit_length() + 3) // 2
-    half, mask = 1 << width - 1, (1 << width) - 1
     encoded = [
         [sum(c << width * (t - low) for t, c in x.terms.items()) for x in row]
         for row in entries
     ]
+    return encoded, lambda value, size: _decode(value, width, size * low)
 
-    def decode(value: int, size: int) -> HalfExpPoly:
-        terms = {}
-        # With width >= 2 the top digit is at least a third of value's
-        # magnitude, so value has no more digits than this range.
-        shift = size * low
-        for t in range(shift, shift + abs(value).bit_length() // width + 2):
-            digit = value & mask
-            value >>= width
-            if digit >= half:  # a negative digit, borrowed from the next one up
-                digit -= 1 << width
-                value += 1
-            if digit:
-                terms[t] = digit
-        return _trusted_poly(terms)
 
-    return encoded, decode
+def _decode(value: int, width: int, low: int) -> HalfExpPoly:
+    """The polynomial whose doubled exponents, less ``low``, are the
+    positions of value's balanced base-2^width digits: digit m is the
+    coefficient of q^((m + low)/2), terms in ascending exponent.  Exact
+    when every coefficient c has |c| < 2^(width-1)."""
+    half, mask = 1 << width - 1, (1 << width) - 1
+    terms = {}
+    # With width >= 2 the top digit is at least a third of value's
+    # magnitude, so value has no more digits than this range.
+    for t in range(low, low + abs(value).bit_length() // width + 2):
+        digit = value & mask
+        value >>= width
+        if digit >= half:  # a negative digit, borrowed from the next one up
+            digit -= 1 << width
+            value += 1
+        if digit:
+            terms[t] = digit
+    return _trusted_poly(terms)
 
 
 def _q_weight_matrix(rows: Sequence[Sequence[int]]) -> list[list[HalfExpPoly]]:
-    """Entries m_ij * q^{(i-j)^2/2}, indices counted inside the matrix."""
+    """Entries m_ij * q^{(i-j)^2/2}, indices counted inside the matrix,
+    for int m_ij, built without the constructor's check."""
     return [
-        [HalfExpPoly.q_pow_twice(g, x) for g, x in zip(gaps, row)]
+        [_trusted_poly({g: x} if x else {}) for g, x in zip(gaps, row)]
         for gaps, row in zip(_square_gaps(len(rows)), rows)
     ]
 

@@ -38,7 +38,7 @@ def _old_covering_chain(a, b):
 
 def _counter_tally(n, steps, weigh):
     """The column-state tally as it was first written, one Counter per
-    state, as an oracle of the plain-dict tally's values and term order."""
+    state, as an oracle of the int tally's decoded terms."""
     paths = {(0,) * n: Counter({0: 1})}
     for i in range(n):
         layer = {}

@@ -18,6 +18,7 @@ from itertools import islice, product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import asmgraph.enumeration
 from asmgraph import (
@@ -37,6 +38,7 @@ from asmgraph import (
 )
 from asmgraph.enumeration import _permutation_table, _step_table, _tally
 from asmgraph.lattice import beta
+from asmgraph.polynomials import _decode
 
 
 def _oracle_rows(n):
@@ -191,11 +193,31 @@ class TestCounts:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_count_matches_the_counter_tally(self, n, counter_tally):
-        """The plain-dict tally against the Counter one, terms in order."""
+        """The width-0 int tally against the Counter one, whose only term
+        is the count at exponent 0."""
         fast = _tally(n, _step_table(n), lambda i, row, state: (0, 1))
         oracle = counter_tally(n, _step_table(n), lambda i, row, state: (0, 1))
-        assert list(fast.items()) == list(oracle.items())
-        assert count_asms(n, size_limit=None) == oracle[0]
+        assert list(oracle.items()) == [(0, fast)]
+        assert count_asms(n, size_limit=None) == fast
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), permutations_only=st.booleans(), rng=st.randoms(use_true_random=False))
+    def test_decoded_tally_matches_the_counter_tally(self, counter_tally, n, permutations_only, rng):
+        """Random exponent steps 0..4 and factors -3..3, one draw per
+        (layer, row, state): the int tally, decoded at the width that the
+        width-0 tally of |f| bounds, against the Counter one's nonzero terms."""
+        table = _permutation_table if permutations_only else _step_table
+        drawn = {}
+
+        def weigh(i, row, state):
+            return drawn.setdefault((i, row, state), (rng.randint(0, 4), rng.randint(-3, 3)))
+
+        oracle = counter_tally(n, table(n), weigh)
+        bound = _tally(n, table(n), lambda i, row, state: (0, abs(weigh(i, row, state)[1])))
+        width = bound.bit_length() + 1
+        decoded = _decode(_tally(n, table(n), weigh, width), width, 0).terms
+        assert decoded == {t: c for t, c in oracle.items() if c}
+        assert list(decoded) == sorted(decoded)
 
     def test_count_builds_no_matrix(self, monkeypatch):
         def refuse(rows):
@@ -206,7 +228,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_weighted_tally_matches_the_walk(self, n):
-        """A weight that sees the -1 entries: exponent 2 beta, factor 2 per -1."""
+        """A weight that sees the -1 entries: exponent 2 beta, factor 2 per -1.
+        Each coefficient is at most the width-0 tally of the factors."""
 
         def weigh(i, row, state):
             return sum((i - j) ** 2 * e for j, e in enumerate(row)), 2 ** row.count(-1)
@@ -214,7 +237,9 @@ class TestCounts:
         histogram = Counter()
         for a in iter_asms(n):
             histogram[2 * beta(a)] += 2 ** sum(row.count(-1) for row in a.entries)
-        assert _tally(n, _step_table(n), weigh) == histogram
+        bound = _tally(n, _step_table(n), lambda i, row, state: (0, abs(weigh(i, row, state)[1])))
+        width = bound.bit_length() + 1
+        assert _decode(_tally(n, _step_table(n), weigh, width), width, 0).terms == histogram
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_permutation_matrices_are_the_minus_one_free_asms(self, n):

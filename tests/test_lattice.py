@@ -61,6 +61,7 @@ from asmgraph import (
     beta_permutation,
     build_graph,
     classify_edge,
+    count_asms,
     covered_by,
     covering_chain,
     dual_essential_rects,
@@ -104,6 +105,7 @@ from asmgraph.lattice import (
     _tables,
     _typecode,
 )
+from asmgraph.polynomials import _decode
 from asmgraph.tnn import q_weighted, rational_matrix
 
 #: The paper's sixteen edge types: (type, target corners, source corners),
@@ -924,7 +926,8 @@ class TestBetaSeed:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_census_without_matrices(self, n, monkeypatch):
         """The beta histogram of the seeds equals the column-state tally of
-        2 beta = sum (i - j)^2 A(i, j), row by row, which builds no ASM."""
+        2 beta = sum (i - j)^2 A(i, j), row by row, which builds no ASM.
+        No count exceeds count_asms(n), which sets the decoding width."""
         census = Counter(2 * beta(a) for a in iter_asms(n))
 
         def refuse(*args):
@@ -932,8 +935,9 @@ class TestBetaSeed:
 
         monkeypatch.setattr("asmgraph.enumeration._trusted_asm", refuse)
         gaps = _square_gaps(n)
-        doubled = _tally(n, _step_table(n), lambda i, row, state: (sum(map(mul, gaps[i], row)), 1))
-        assert doubled == census
+        width = count_asms(n).bit_length() + 1
+        value = _tally(n, _step_table(n), lambda i, row, state: (sum(map(mul, gaps[i], row)), 1), width)
+        assert _decode(value, width, 0).terms == census
 
 
 class TestBigrassmannian:

@@ -99,12 +99,21 @@ def test_state_tally_matches_the_s_n_tally(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_tally_keeps_the_counter_term_order(n, monkeypatch, counter_tally):
-    """The plain-dict tally against the Counter one: the same terms in the
-    same order, which repr shows."""
-    fast = [bq_definition(n), unsigned_permanent_q(n)]
-    monkeypatch.setattr(asmgraph.polynomials, "_tally", counter_tally)
-    for p, oracle in zip(fast, [bq_definition(n), unsigned_permanent_q(n)]):
-        assert list(p.terms.items()) == list(oracle.terms.items())
+    """The decoded int tally against the Counter one on the same table and
+    weights: the same nonzero terms, in ascending exponent, so that
+    B_n(q) has bq_qdet's repr."""
+    tally = asmgraph.polynomials._tally
+    oracles = []
+
+    def also_counter(n, steps, weigh, width):
+        oracles.append(counter_tally(n, steps, weigh))
+        return tally(n, steps, weigh, width)
+
+    monkeypatch.setattr(asmgraph.polynomials, "_tally", also_counter)
+    for p, oracle in zip([bq_definition(n), unsigned_permanent_q(n)], oracles, strict=True):
+        assert p.terms == {t: c for t, c in oracle.items() if c}
+        assert list(p.terms) == sorted(p.terms)
+    assert repr(bq_definition(n)) == repr(bq_qdet(n))
 
 
 def test_tally_builds_no_permutation(monkeypatch):
