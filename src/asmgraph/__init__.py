@@ -42,6 +42,7 @@ from .core import (
     identity_asm,
     inversion_count,
     inversions,
+    is_corner_sum,
     parse_asm_text,
     parse_permutation,
     permutation_to_asm,

@@ -58,7 +58,8 @@ class PrefixSumViolationError(AsmError):
 
 
 class TotalSumViolationError(AsmError):
-    """A full row or column sum differs from 1."""
+    """A full row sum differs from 1.  ``axis`` is always "row": once
+    every row sums to 1, the column sums do too (see :class:`Asm`)."""
 
     def __init__(self, axis: str, index: int, value: int):
         self.axis = axis
@@ -87,8 +88,10 @@ class Asm:
     order, so a rejection always names the same first violation: cells
     are scanned row-major; at each cell the entry range is checked, then
     the column partial sum, then the row partial sum; each full row sum
-    is checked as its row completes and the full column sums at the end.
-    Entries are stored as a tuple of int tuples.
+    is checked as its row completes.  The full column sums need no
+    check: the n row sums are each 1, so the column sums add up to n,
+    and each is a last-row column partial sum, already checked to be 0
+    or 1, so each is 1.  Entries are stored as a tuple of int tuples.
 
     An ASM is immutable, so values derived from it alone are kept on it
     once computed: its corner sums (see :func:`corner_sum`) and, for the
@@ -137,9 +140,6 @@ class Asm:
                     raise PrefixSumViolationError("row", i, j, row_sum)
             if row_sum != 1:
                 raise TotalSumViolationError("row", i, row_sum)
-        for j, s in enumerate(col_sums, start=1):
-            if s != 1:
-                raise TotalSumViolationError("column", j, s)
         _set_entries(self, tuple(map(tuple, mat)))
         _set_beta(self, None)
         _set_corner(self, None)

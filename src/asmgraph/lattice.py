@@ -94,7 +94,7 @@ from .core import (
     corner_sum,
     permutation_to_asm,
 )
-from .enumeration import ASM_SIZE_LIMIT, SizeLimitExceededError, _check_limit, enumerate_asms
+from .enumeration import ASM_SIZE_LIMIT, SizeLimitExceededError, _check_limit, iter_asms
 
 Entries = tuple[tuple[int, ...], ...]
 #: A rectangle's corner rows and columns (i, j, k, l), as in :class:`Rect`.
@@ -727,7 +727,7 @@ def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
         raise SizeLimitExceededError(
             n, PACKED_SIZE_LIMIT, "rectangle bounds are packed into 64 bits", guard="packing limit"
         )
-    nodes = tuple(enumerate_asms(n, size_limit=size_limit))
+    nodes = tuple(iter_asms(n, size_limit=size_limit))
     rows, spans = _tables(n)
     width = 3**n
     index = {}
@@ -758,14 +758,21 @@ EDGE_TYPE_COLORS = (
     "#800000", "#aaffc3", "#808000", "#000075",
 )
 
+#: The DOT keywords, matched in any letter case: no unquoted ID may be one.
+_DOT_KEYWORDS = ("node", "edge", "graph", "digraph", "subgraph", "strict")
+
 
 def export_dot(g: AsmGraph, *, name: str = "asm_graph") -> str:
     """Render the graph in DOT format.
 
     Node labels are "index:beta"; edges are labelled and coloured with
     their type; nodes of equal beta share a rank so the drawing is
-    layered by the grading.
+    layered by the grading.  The graph's name is written as it is when
+    it is a plain ID, [A-Za-z_][A-Za-z0-9_]* and no DOT keyword, and
+    otherwise as a quoted string with \\ and " escaped.
     """
+    if not (name.isascii() and name.isidentifier()) or name.lower() in _DOT_KEYWORDS:
+        name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
     betas = [beta(a) for a in g.nodes]
     levels: dict[int, list[str]] = {}

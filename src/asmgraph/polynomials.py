@@ -86,8 +86,7 @@ def bq_definition(
 
 def bq_product(n: int) -> HalfExpPoly:
     """B_n(q) as the product of (1 - q^k)^(n-k) for k = 1..n-1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_limit(n, None)
     result = HalfExpPoly.one()
     for k in range(1, n):
         factor = HalfExpPoly.one() - HalfExpPoly.q_pow(k)
@@ -201,8 +200,7 @@ def bq_recursion(n: int) -> HalfExpPoly:
     exact polynomial division and raises NonExactDivisionError if a
     remainder ever appears (it cannot, but the check is real).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_limit(n, None)
     values = [None, bq_definition(1), bq_definition(2)]
     for k in range(3, n + 1):
         numerator = values[k - 1] * values[k - 1] * (

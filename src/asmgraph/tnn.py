@@ -55,8 +55,8 @@ minor.  A "no" in a later round rests on Gasca and Pena's theorem that
 Neville elimination, with zero rows set aside, keeps a TNN matrix TNN:
 if the input were TNN, so would be every matrix the rounds reach, and
 none of those can have a negative entry or a broken top block.  The
-Gaussian :func:`det` stays as the independent reference:
-:func:`iter_minor_values` takes each minor with it.
+Gaussian :func:`det` stays as the public reference determinant that
+``dodgson verify`` and the tests compare with.
 
 The matrices this module makes (samples, counterexamples, q-weightings)
 are built once, straight from Fractions, and not passed back through
@@ -86,8 +86,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Asm, AsmError
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
@@ -170,15 +169,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= factor * m[col][c]
     return sign * result
-
-
-def iter_minor_values(m: RationalMatrix) -> Iterable[Fraction]:
-    """All minors of all sizes, exact, in a deterministic order."""
-    n = m.n
-    for k in range(1, n + 1):
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                yield det([[m.rows[r][c] for c in cols] for r in rows])
 
 
 def is_tnn(m: RationalMatrix) -> bool:

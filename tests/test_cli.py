@@ -324,6 +324,13 @@ class TestBq:
         doc = json.loads(out)
         assert doc == {"n": 3, "coeffs": {"0": 1, "1": -2, "3": 2, "4": -1}}
 
+    def test_disagreeing_methods_fail(self, capsys, monkeypatch):
+        """One route giving another polynomial fails `--method all` with
+        an error line and no output."""
+        monkeypatch.setitem(polynomials.BQ_METHODS, "rec", lambda n: polynomials.bq_product(n + 1))
+        code, out, err = run(capsys, "bq", "--n", "3", "--method", "all")
+        assert (code, out, err) == (1, "", "error: the methods disagree\n")
+
 
 class TestDodgson:
     def test_verify_summary(self, capsys):
@@ -569,12 +576,17 @@ def test_python_dash_m_entry_point():
     assert result.stdout.strip() == "7"
 
 
-@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
-def test_closed_stdout_pipe_exits_1_without_an_error_line(fmt):
-    """`enumerate --n 6 | head -c 10`: the 7,436 matrices overfill the
-    pipe, so the writer meets the closed pipe while still streaming."""
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "6"], ["enumerate", "--n", "6", "--json"], ["graph", "--n", "6", "--json"]],
+    ids=["text", "json", "graph-json"],
+)
+def test_closed_stdout_pipe_exits_1_without_an_error_line(argv):
+    """`enumerate --n 6 | head -c 10`: the 7,436 matrices (or the
+    84,016 edges of their graph) overfill the pipe, so the writer meets
+    the closed pipe while still streaming."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "asmgraph", "enumerate", "--n", "6", *fmt],
+        [sys.executable, "-m", "asmgraph", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

@@ -3,7 +3,10 @@
 Oracles: the row-major axiom scan and the corner-sum boundary-and-step
 check as they stood before the ``Asm`` constructor took over the axioms,
 checked against the constructor, ``from_corner_sum`` and
-``is_corner_sum``; the inversion count for the cycle-parity sign.
+``is_corner_sum``; the inversion count for the cycle-parity sign.  The
+old scan still ends with the full column sums, a check the constructor
+drops as unreachable, so the constructor matching it on every input is
+the test of that proof.
 """
 
 import copy
@@ -431,6 +434,15 @@ class TestFormats:
         with pytest.raises(Exception):
             parse_asm_text("3\n1 0 0\n0 1 0\n")
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+    def test_text_rejects_empty_input(self, text):
+        with pytest.raises(AsmError, match="^empty input$"):
+            parse_asm_text(text)
+
+    def test_text_rejects_a_non_integer_token(self):
+        with pytest.raises(AsmError, match="^non-integer token in matrix text: "):
+            parse_asm_text("2\n1 0\nx 1\n")
+
     def test_json_round_trip(self):
         a = validate_asm(CENTER)
         assert asm_from_json(asm_to_json(a)) == a
@@ -443,6 +455,14 @@ class TestFormats:
         w = Permutation((4, 3, 1, 2))
         assert parse_permutation(format_permutation(w)) == w
         assert parse_permutation("4,3,1,2") == w
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_permutation_commas_from_n_10(self, n):
+        """From n = 10 on, images are comma-separated, and parse back."""
+        w = Permutation((2, 1, *range(n, 2, -1)))
+        text = format_permutation(w)
+        assert text == ",".join(map(str, w.images))
+        assert parse_permutation(text) == w
 
     @pytest.mark.parametrize("text", ["1,x", "1,,2", "x,1", "4x12", ""])
     def test_unparsable_permutation_is_an_asm_error(self, text):

@@ -1,11 +1,14 @@
-"""Every module of the package reads each name it imports, and some
-module of the package reads each private name a module defines.
+"""Every module of the package reads each name it imports, some module
+of the package reads each private name a module defines, and each public
+name a module defines is exported, read or registered.
 
 A name that is imported but only named in a docstring, or not at all, is
 a dead dependency.  ``__init__.py`` re-exports by design and ``from
 __future__ import annotations`` is a compiler directive, so both are
 exempt.  A private module-level name that no code of the package loads
-is a dead helper, even if a test still calls it.
+is a dead helper, even if a test still calls it.  A public one is also
+dead unless ``__init__.py`` exports it or a decorator of its module
+registers it, as ``verify._check`` registers each check.
 """
 
 import ast
@@ -48,26 +51,55 @@ def test_every_import_is_read(path):
     assert not unread, f"{path.name} imports {unread} but never reads them"
 
 
-def _private_names(tree: ast.Module):
-    """The private names (one leading underscore) the module's top level
-    defines or assigns."""
+def _defined(tree: ast.Module):
+    """(name, node) for each name the module's top level defines or
+    assigns."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+            yield from ((n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
 
 
-def test_every_private_name_is_read():
+def _package():
+    """Each module's tree by module name, and the names and attributes
+    that some module's code loads."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     loaded = set().union(*map(_read, trees.values()))
     loaded |= {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return trees, loaded
+
+
+def test_every_private_name_is_read():
+    trees, loaded = _package()
     unread = sorted(
-        f"{name}.{private}" for name, tree in trees.items() for private in _private_names(tree)
-        if private not in loaded
+        f"{module}.{name}" for module, tree in trees.items() for name, _ in _defined(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
     )
     assert not unread, f"no code in the package loads {unread}"
+
+
+def _registered(node: ast.AST, tree: ast.Module) -> bool:
+    """Whether a definition of the module is decorated by a call of a
+    decorator the module defines, which registers it (verify's
+    ``@_check``)."""
+    own = {name for name, _ in _defined(tree)}
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in own
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def test_every_public_name_is_exported_or_read():
+    """A public name that the package neither exports, loads nor
+    registers is reachable from tests alone: it belongs in the tests
+    or in ``__init__.py``'s exports."""
+    trees, loaded = _package()
+    known = loaded | set(_imported(trees.pop("__init__")))
+    del trees["__main__"]
+    stray = sorted(
+        f"{module}.{name}" for module, tree in trees.items() for name, node in _defined(tree)
+        if not name.startswith("_") and name not in known and not _registered(node, tree)
+    )
+    assert not stray, f"neither exported nor loaded by the package: {stray}"

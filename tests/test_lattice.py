@@ -546,6 +546,11 @@ class TestEdges:
         with pytest.raises(NotAnEdgeError):
             classify_edge(a3["132"], a3["X"], Rect(2, 3, 2, 3))
 
+    @pytest.mark.parametrize("r", [Rect(1, 4, 1, 3), Rect(1, 3, 2, 4)], ids=["rows", "columns"])
+    def test_classify_rejects_a_rect_past_the_size(self, a3, r):
+        with pytest.raises(NotAnEdgeError, match="does not fit in size 3"):
+            classify_edge(a3["123"], a3["321"], r)
+
     def test_edge_between_matches_pairwise_oracle_a4(self):
         asms = enumerate_asms(4)
         oracle = _oracle_edges(asms)
@@ -1149,3 +1154,21 @@ class TestGraphStructure:
         assert '"1"' in dot  # the single edge is labelled with its type
         assert dot.count("->") == 1
         assert 'color="#e6194b"' in dot  # coloured by type 1
+
+    @pytest.mark.parametrize(
+        "name, head",
+        [
+            ("tiny", "digraph tiny {"),
+            ("_a3", "digraph _a3 {"),
+            ("3x3", 'digraph "3x3" {'),
+            ("asm graph", 'digraph "asm graph" {'),
+            ('say "hi" \\', 'digraph "say \\"hi\\" \\\\" {'),
+            ("Graph", 'digraph "Graph" {'),
+            ("\u00e9", 'digraph "\u00e9" {'),
+        ],
+        ids=["plain", "underscore", "digit-first", "space", "escapes", "keyword", "non-ascii"],
+    )
+    def test_dot_name_is_a_valid_id(self, name, head):
+        """A name that is not a plain ID, or is a DOT keyword, is written
+        as a quoted string with backslashes and quotes escaped."""
+        assert export_dot(build_graph(2), name=name).splitlines()[0] == head

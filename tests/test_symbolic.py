@@ -781,6 +781,12 @@ class TestHalfExpPoly:
             assert all(type(t) is int and type(c) is int and c for t, c in result.terms.items())
             assert HalfExpPoly(result.terms) == result
 
+    def test_hash_ignores_term_order(self):
+        p, r = HalfExpPoly({4: 2, 0: -1, 7: 3}), HalfExpPoly({7: 3, 0: -1, 4: 2})
+        assert list(p.terms) != list(r.terms)
+        assert p == r and hash(p) == hash(r)
+        assert len({p, r, HalfExpPoly({0: -1}) + HalfExpPoly({4: 2, 7: 3})}) == 1
+
     def test_str(self):
         assert str(HalfExpPoly.zero()) == "0"
         assert str(HalfExpPoly({0: 1, 2: -2, 6: 2, 8: -1})) == "1 - 2q + 2q^3 - q^4"

@@ -5,6 +5,7 @@ import pickle
 import random
 from dataclasses import fields
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +42,22 @@ from asmgraph.tnn import (
     _neville,
     _two_block,
     det,
-    iter_minor_values,
     q_unweighted,
     random_rational_matrix,
     rational_sqrt,
 )
 
 F = Fraction
+
+
+def _every_minor_positive(all_minors, m):
+    """Whether every minor of m is > 0 by the all-minors oracle.  Its
+    tables leave zero minors out, so each row set's table must also
+    hold all column sets of its size."""
+    return all(
+        len(table) == comb(m.n, rmask.bit_count()) and all(v > 0 for v in table.values())
+        for rmask, table in all_minors(m.rows, 1)
+    )
 
 
 class TestRationalMatrix:
@@ -107,10 +117,6 @@ class TestDet:
 
 
 class TestIsTnn:
-    def test_minor_count(self):
-        m = rational_matrix([[1, 1, 1]] * 3)
-        assert len(list(iter_minor_values(m))) == 9 + 9 + 1
-
     def test_fixtures(self):
         assert is_tnn(rational_matrix([[1, 1], [1, 1]]))
         assert is_tnn(rational_matrix([[1, 2], [1, 3]]))
@@ -198,9 +204,9 @@ class TestBidiagonal:
         with pytest.raises(AsmError, match="parameters"):
             bidiagonal_product([1, 1, 1], [1], [1, 1, 1])
 
-    def test_total_positivity(self):
+    def test_total_positivity(self, all_minors):
         m = bidiagonal_product([1, 2, 1], [1, 1, 2], [3, 1, 1])
-        assert all(v > 0 for v in iter_minor_values(m))
+        assert _every_minor_positive(all_minors, m)
 
 
 class TestRandomTnn:
@@ -217,10 +223,10 @@ class TestRandomTnn:
                 random_tnn(n, seed=0)
 
     @pytest.mark.parametrize("seed", range(100))
-    def test_always_totally_positive(self, seed):
+    def test_always_totally_positive(self, all_minors, seed):
         m = random_tnn(4, seed=seed)
         assert all(x > 0 for row in m.rows for x in row)
-        assert all(v > 0 for v in iter_minor_values(m))
+        assert _every_minor_positive(all_minors, m)
 
 
 class TestEvaluateDifference:
@@ -273,9 +279,11 @@ class TestCounterexample:
         assert witness == (2, 1)
         assert evaluate_difference(a3["231"], a3["312"], m) < 0
 
-    def test_block_minors(self):
+    def test_block_minors(self, all_minors):
+        """Every minor is 0, 1 or 2; the tables leave the zeros out and
+        hold the empty minor 1."""
         m, _ = counterexample_matrix(reverse_asm(3), identity_asm(3))
-        assert set(iter_minor_values(m)) <= {F(0), F(1), F(2)}
+        assert {v for _, table in all_minors(m.rows, 1) for v in table.values()} <= {1, 2}
 
     def test_comparable_raises(self, a3):
         with pytest.raises(ComparableError):
@@ -458,24 +466,20 @@ def _near_tnn_matrices(draw):
     return rational_matrix(rows)
 
 
-def _all_minors_nonnegative(m):
-    return all(v >= 0 for v in iter_minor_values(m))
-
-
 class TestIsTnnAgainstAllMinors:
-    """is_tnn against the reference: every minor by Gaussian det."""
+    """is_tnn against the reference: every minor by the Laplace oracle."""
 
     @settings(max_examples=100, deadline=None)
     @given(_rational_matrices())
-    def test_rational_matrices(self, m):
-        assert is_tnn(m) == _all_minors_nonnegative(m)
+    def test_rational_matrices(self, tnn_by_minors, m):
+        assert is_tnn(m) == tnn_by_minors(m.rows)
 
     @settings(max_examples=150, deadline=None)
     @given(_near_tnn_matrices())
-    def test_near_tnn_matrices(self, m):
-        assert is_tnn(m) == _all_minors_nonnegative(m)
+    def test_near_tnn_matrices(self, tnn_by_minors, m):
+        assert is_tnn(m) == tnn_by_minors(m.rows)
 
-    def test_every_a4_counterexample(self):
+    def test_every_a4_counterexample(self, tnn_by_minors):
         asms = enumerate_asms(4)
         matrices = {
             counterexample_matrix(a, b)[0]
@@ -485,7 +489,7 @@ class TestIsTnnAgainstAllMinors:
         }
         for m in matrices:
             verdict = is_tnn(m)
-            assert verdict == _all_minors_nonnegative(m)
+            assert verdict == tnn_by_minors(m.rows)
             assert verdict
 
 
@@ -568,9 +572,9 @@ class TestSharedCounterexample:
             assert value < 0
         assert len(shared) == (n - 1) ** 2
 
-    def test_cell_matrices_against_all_minors(self):
+    def test_cell_matrices_against_all_minors(self, tnn_by_minors):
         """Every witness cell for n <= 6 gives a matrix that is TNN by the
-        Gaussian oracle.  An ASM and one it covers at the point (k, l)
+        all-minors oracle.  An ASM and one it covers at the point (k, l)
         differ in the corner sum at (k, l) alone, so the pairs (a, c) with
         c in covered_by(a) reach every cell k, l < n."""
         matrices = {}
@@ -581,7 +585,7 @@ class TestSharedCounterexample:
                     matrices[n, witness] = m
         assert len(matrices) == sum((n - 1) ** 2 for n in range(2, 7))
         for m in matrices.values():
-            assert _all_minors_nonnegative(m)
+            assert tnn_by_minors(m.rows)
             assert is_tnn(m)
 
     def test_memo_holds_sizes_up_to_the_guard(self):
@@ -602,14 +606,14 @@ class TestSharedCounterexample:
         again = _two_block(n, *cells[0])
         assert again == first[cells[0]] and again is not first[cells[0]]
 
-    def test_kept_verdict_leaves_the_plain_matrix(self):
+    def test_kept_verdict_leaves_the_plain_matrix(self, tnn_by_minors):
         """is_tnn keeps its verdict on the matrix, which equality, hash,
         repr, the fields and pickling do not see."""
         assert [f.name for f in fields(RationalMatrix)] == ["rows"]
         for rows in ([[1, 1], [1, 2]], [[0, 1], [1, 0]]):
             m, plain = rational_matrix(rows), rational_matrix(rows)
             verdict = is_tnn(m)
-            assert is_tnn(m) is verdict is _all_minors_nonnegative(plain)
+            assert is_tnn(m) is verdict is tnn_by_minors(plain.rows)
             assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
             back = pickle.loads(pickle.dumps(m))
             assert back == plain and is_tnn(back) is verdict
