@@ -152,7 +152,8 @@ class Asm:
         return len(self.entries)
 
     def entry(self, i: int, j: int) -> int:
-        """Entry at 1-based position (i, j)."""
+        """Entry at 1-based position (i, j); IndexError outside 1..n."""
+        _check_range(len(self.entries), 1, i, j)
         return self.entries[i - 1][j - 1]
 
     def is_permutation(self) -> bool:
@@ -201,7 +202,9 @@ class CornerSum:
         return len(self.entries)
 
     def value(self, i: int, j: int) -> int:
-        """A~(i, j); rows/columns 0 give the boundary value 0."""
+        """A~(i, j); rows/columns 0 give the boundary value 0, and
+        IndexError outside 0..n."""
+        _check_range(len(self.entries), 0, i, j)
         if i == 0 or j == 0:
             return 0
         return self.entries[i - 1][j - 1]
@@ -235,6 +238,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        """The image of i; IndexError outside 1..n."""
+        _check_range(len(self.images), 1, i, i)
         return self.images[i - 1]
 
     def inverse(self) -> "Permutation":
@@ -253,6 +258,13 @@ def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
     w = object.__new__(Permutation)
     object.__setattr__(w, "images", images)
     return w
+
+
+def _check_range(n: int, low: int, i: int, j: int) -> None:
+    """IndexError unless i and j lie in low..n, so that a 1-based
+    accessor never reads one of Python's negative indices."""
+    if not (low <= i <= n and low <= j <= n):
+        raise IndexError(f"index {j if low <= i <= n else i} is outside {low}..{n}")
 
 
 def _as_int(x) -> int | None:
@@ -418,7 +430,9 @@ def parse_asm_text(text: str) -> Asm:
     except ValueError as exc:
         raise AsmError(f"non-integer token in matrix text: {exc}") from None
     n = values[0]
-    if n <= 0 or len(values) != 1 + n * n:
+    if n <= 0:
+        raise AsmError(f"size line must be a positive integer, got {n}")
+    if len(values) != 1 + n * n:
         raise AsmError(f"expected {n}*{n} entries after the size line")
     body = values[1:]
     rows = [body[i * n : (i + 1) * n] for i in range(n)]

@@ -1,23 +1,25 @@
 """Exhaustive enumeration of ASMs and permutation matrices.
 
 ASMs are generated row by row through their column partial sums: after
-row i, the state s is the 0/1 tuple of column sums of rows 1..i, with i
-ones (the rows of Propp's monotone triangles).  The next entry row e has
-e_j in {0, +1} where s_j = 0 and e_j in {0, -1} where s_j = 1, and its
-nonzero entries alternate, starting and ending with +1; the next state
-is s + e.  Every state with fewer than n ones has a successor, so every
-walk of n steps from the zero state is exactly one ASM: no
-post-filtering, no dead ends, and no corner sum is formed.
+row i, the state s is an int whose bit j is the sum of column j over
+rows 1..i, with i bits set (the rows of Propp's monotone triangles, and
+the states that lattice's rectangle scan builds).  The next entry row e
+has e_j in {0, +1} where bit j of s is 0 and e_j in {0, -1} where it is
+1, and its nonzero entries alternate, starting and ending with +1; the
+next state is s XOR the mask of e's nonzero columns.  Every state with
+fewer than n bits set has a successor, so every walk of n steps from
+the state 0 is exactly one ASM: no post-filtering, no dead ends, and
+no corner sum is formed.
 
 Walking the successors of each state in lexicographic order yields the
 ASMs in canonical order.  iter_asms joins the walks over the first rows
-to the completions of each state reached (its ones fix the rows left),
+to the completions of each state reached (its bits fix the rows left),
 listed once per state in a memo of the call: the last floor(n/2) rows,
 at most ASM_SIZE_LIMIT // 2, so the memo is freed with the generator
 and stays polynomial in n with the guard lifted.  The join carries the
 bigrassmannian statistic beta = sum_i i^2 - sum_i i m(row_i), with the
 row moment m(row) = sum_j j row_j (0-based i, j; see lattice.beta).  A
-state with i ones is always followed by row i, so each head holds
+state with i bits set is always followed by row i, so each head holds
 sum_i i^2 less its rows' part, each memoised tail its rows' part, and
 an ASM's beta is one subtraction, handed over as its seed.
 
@@ -70,46 +72,44 @@ def _check_limit(n: int, size_limit: int | None, guard: str = "guard") -> None:
         raise SizeLimitExceededError(n, size_limit, guard=guard)
 
 
-def _step_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
-    """The successor table for n columns, memoised for one walk."""
+def _step_table(n: int) -> Callable[[int], list[tuple[Row, int]]]:
+    """The successor table for n columns, memoised for one walk: int
+    state -> (entry row, next int state) pairs."""
 
     @cache
-    def steps(state: Row) -> list[tuple[Row, Row]]:
+    def steps(state: int) -> list[tuple[Row, int]]:
         """Each entry row that can follow column partial sums `state`, with
         the state it leads to, in lexicographic order of entry rows."""
         out = []
         row = [0] * n
 
-        def extend(j: int, partial: int) -> None:
-            # partial is the row sum so far; a nonzero entry flips it, and
-            # may only sit where the column sum equals it.
+        def extend(j: int, partial: int, nxt: int) -> None:
+            # partial is the row sum so far; a nonzero entry flips it and
+            # its column's bit, and may only sit where the column sum
+            # equals it.
             if j == n:
                 if partial:
-                    out.append((tuple(row), tuple(s + e for s, e in zip(state, row))))
+                    out.append((tuple(row), nxt))
                 return
-            for v in (0,) if state[j] != partial else (-1, 0) if partial else (0, 1):
+            for v in (0,) if state >> j & 1 != partial else (-1, 0) if partial else (0, 1):
                 row[j] = v
-                extend(j + 1, partial + v)
+                extend(j + 1, partial + v, nxt ^ (v != 0) << j)
 
-        extend(0, 0)
+        extend(0, 0, state)
         return out
 
     return steps
 
 
-def _permutation_table(n: int) -> Callable[[Row], list[tuple[Row, Row]]]:
+def _permutation_table(n: int) -> Callable[[int], list[tuple[Row, int]]]:
     """The rows of ``_step_table(n)`` with a single +1, in its order (the
-    +1 from the last free column to the first).  Not memoised: a state
-    with i ones is reached only in layer i of :func:`_tally`, which steps
-    each state of a layer once, so no state is ever looked up twice."""
+    +1 from the last clear bit to the first).  Not memoised: a state
+    with i bits set is reached only in layer i of :func:`_tally`, which
+    steps each state of a layer once, so no state is looked up twice."""
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
 
-    def steps(state: Row) -> list[tuple[Row, Row]]:
-        return [
-            (units[j], state[:j] + (1,) + state[j + 1 :])
-            for j in reversed(range(n))
-            if not state[j]
-        ]
+    def steps(state: int) -> list[tuple[Row, int]]:
+        return [(units[j], state | 1 << j) for j in reversed(range(n)) if not state >> j & 1]
 
     return steps
 
@@ -119,25 +119,25 @@ def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[As
     the half-walk join above, with memos that live for this call.  The
     join carries beta: each ASM is seeded with it (see lattice.beta)."""
     _check_limit(n, size_limit)
-    steps = _step_table(n)
+    steps, full = _step_table(n), (1 << n) - 1
 
     @cache
     def moment(row: Row) -> int:
         return sum(map(mul, range(n), row))
 
     @cache
-    def tails(state: Row) -> list[tuple[tuple[Row, ...], int]]:
-        if all(state):
+    def tails(state: int) -> list[tuple[tuple[Row, ...], int]]:
+        if state == full:
             return [((), 0)]
-        i = sum(state)  # the row after a state with i ones is row i
+        i = state.bit_count()  # the row after a state with i bits set is row i
         return [
             ((row, *tail), i * moment(row) + t)
             for row, nxt in steps(state)
             for tail, t in tails(nxt)
         ]
 
-    heads: Iterator[tuple[tuple[Row, ...], int, Row]]
-    heads = iter([((), (n - 1) * n * (2 * n - 1) // 6, (0,) * n)])
+    heads: Iterator[tuple[tuple[Row, ...], int, int]]
+    heads = iter([((), (n - 1) * n * (2 * n - 1) // 6, 0)])
     for _ in range(n - min(n // 2, ASM_SIZE_LIMIT // 2)):
         heads = (
             ((*head, row), b - len(head) * moment(row), nxt)
@@ -158,14 +158,14 @@ def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[A
 
 def _tally(
     n: int,
-    steps: Callable[[Row], list[tuple[Row, Row]]],
-    weigh: Callable[[int, Row, Row], tuple[int, int]],
+    steps: Callable[[int], list[tuple[Row, int]]],
+    weigh: Callable[[int, Row, int], tuple[int, int]],
     width: int = 0,
 ) -> int:
     """Sum of factor * x^exponent over the n-step walks of the successor
-    table ``steps`` from the zero state, at x = 2^width, layer by layer:
-    step i adds the exponent and multiplies the factor of
-    ``weigh(i, row, state)``.  Every exponent step must be >= 0: at
+    table ``steps`` from the state 0 to the full state (1 << n) - 1, at
+    x = 2^width, layer by layer: step i adds the exponent and multiplies
+    the factor of ``weigh(i, row, state)``.  Every exponent step must be >= 0: at
     width > 0 a negative one raises ValueError (a negative shift count),
     and width 0 reads no exponent.
 
@@ -176,15 +176,15 @@ def _tally(
     reading P back needs one: its coefficients are the balanced
     base-2^width digits of the result when each c has |c| < 2^(width-1)
     (see polynomials._decode).  Width 0 gives P(1)."""
-    paths = {(0,) * n: 1}
+    paths = {0: 1}
     for i in range(n):
-        layer: dict[Row, int] = {}
+        layer: dict[int, int] = {}
         for state, value in paths.items():
             for row, nxt in steps(state):
                 e, f = weigh(i, row, state)
                 layer[nxt] = layer.get(nxt, 0) + (value << width * e) * f
         paths = layer
-    return paths[(1,) * n]
+    return paths[(1 << n) - 1]
 
 
 def count_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> int:

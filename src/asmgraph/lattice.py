@@ -42,8 +42,8 @@ tests and sets, :func:`apply_rect`, the essential points and the graph's
 edges) is one scan over bitmasks, never over the other rectangles.  Each
 row holds two masks: its nonzero entries, and the columns where its
 partial sum r is 1.  The column sums s after row p (Propp's monotone-
-triangle row, the state of the enumeration walk) are the running XOR of
-the nonzero masks.  The scan loops over row pairs i < j and reads the
+triangle row) are the running XOR of the nonzero masks: the same int, bit
+q for column q, that the enumeration walk keeps as its state.  The scan loops over row pairs i < j and reads the
 spans k < l that the two rows' partial-sum masks allow from a table
 keyed by that pair; a span is a rectangle when the AND of the states on
 rows i..j-1 has bit k and their OR lacks bit l.  One table per size

@@ -48,7 +48,7 @@ from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
 from .lattice import _square_gaps
 from .symbolic import HalfExpPoly, _bordered, _det, _int_rows, _trusted_poly
-from .tnn import RationalMatrix
+from .tnn import RationalMatrix, _check_square
 
 QDET_SIZE_LIMIT = 10
 
@@ -60,7 +60,8 @@ class SingularInteriorError(AsmError):
 def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
     """sum over S_n of sign(w) q^{beta(w)}, or unsigned: the column-state
     tally over the permutation table, whose 1 in column j of row i adds
-    (i - j)^2 to 2 beta and an inversion per used column right of j.
+    (i - j)^2 to 2 beta and an inversion per used column right of j, a
+    set bit of the int state above bit j.
 
     Each coefficient is a sum of at most n! terms +-1, so |c| <= n! <
     2^(width-1) for the width below, and one decode of the tally's int
@@ -69,9 +70,9 @@ def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
     _check_limit(n, size_limit)
     gaps = _square_gaps(n)
 
-    def weigh(i: int, row: tuple[int, ...], state: tuple[int, ...]):
+    def weigh(i: int, row: tuple[int, ...], state: int):
         j = row.index(1)
-        return gaps[i][j], (-1) ** sum(state[j + 1 :]) if signed else 1
+        return gaps[i][j], (-1) ** (state >> j + 1).bit_count() if signed else 1
 
     width = factorial(n).bit_length() + 1
     return _decode(_tally(n, _permutation_table(n), weigh, width), width, 0)
@@ -124,11 +125,9 @@ def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
     2H.  The width is the least with 2^(width-1) above the bound, and
     :func:`_kronecker` picks it; it is derived, never set.
     """
-    n = len(entries)
-    if any(len(row) != n for row in entries):
-        raise AsmError("matrix must be square")
+    _check_square(entries)
     encoded, decode = _kronecker(entries)
-    return decode(_det(encoded), n)
+    return decode(_det(encoded), len(entries))
 
 
 def _kronecker(
@@ -258,7 +257,9 @@ def dodgson(m: RationalMatrix) -> Fraction:
     so the quotient grows by scale**n.  The determinant itself is never
     taken: :func:`_condense` gives only the interior and the numerator,
     from one elimination, and no numerator when the interior is 0.
+    AsmError unless m is square.
     """
+    _check_square(m.rows)
     n = m.n
     if n < 2:
         return m.entry(1, 1) if n else Fraction(1)
@@ -302,8 +303,10 @@ def _q_condensation(
     and the +-(i' - j') sum to zero over any permutation, so it carries
     q^{(n-1)/2}: Dodgson's numerator on A_q is the identity's right side.
     That numerator and |A_q| |A'_q| are bounded by 2H, so the encoding is
-    taken for products of two minors (see :func:`sym_det`).
+    taken for products of two minors (see :func:`sym_det`).  AsmError
+    unless m is square with n >= 2.
     """
+    _check_square(m.rows)
     if m.n < 2:
         raise AsmError("condensation needs n >= 2")
     rows, scale = _int_rows(m.rows)

@@ -67,7 +67,7 @@ and only the result's Fractions reduce, one per entry.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
-rational arithmetic, so q0 is restricted to perfect squares of
+rational arithmetic, so q0 is restricted to positive perfect squares of
 rationals, making q0^{1/2} exact.
 
 Lemma (the incomparable half of the qTNN claim).  Let m be the 2-block
@@ -88,7 +88,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Asm, AsmError
+from .core import Asm, AsmError, _check_range
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
 from .symbolic import _asm_difference, _int_rows, _randints, _ratio
 
@@ -122,16 +122,23 @@ class RationalMatrix:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> Fraction:
+        """Entry at 1-based position (i, j); IndexError outside 1..n."""
+        _check_range(self.n, 1, i, j)
         return self.rows[i - 1][j - 1]
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
 
+def _check_square(rows: Sequence[Sequence]) -> None:
+    """AsmError unless rows make a square matrix."""
+    if any(len(row) != len(rows) for row in rows):
+        raise AsmError("matrix must be square")
+
+
 def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
     out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if any(len(row) != len(out) for row in out):
-        raise AsmError("matrix must be square")
+    _check_square(out)
     return RationalMatrix(out)
 
 
@@ -149,9 +156,8 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by fraction Gaussian elimination; AsmError
     unless the matrix is square."""
     m = [[Fraction(x) for x in row] for row in rows]
+    _check_square(m)
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise AsmError("matrix must be square")
     sign = 1
     result = Fraction(1)
     for col in range(n):
@@ -173,9 +179,10 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def is_tnn(m: RationalMatrix) -> bool:
     """Exact check that every minor is >= 0, by :func:`_neville` on the
-    matrix scaled to ints.  The first call computes the verdict and
-    keeps it on m; later calls read it."""
+    matrix scaled to ints.  The first call checks that m is square,
+    computes the verdict and keeps it on m; later calls read it."""
     if m._tnn is None:
+        _check_square(m.rows)
         object.__setattr__(m, "_tnn", _neville(_int_rows(m.rows)[0]))
     return m._tnn
 
@@ -221,22 +228,22 @@ def _reweighted(m: RationalMatrix, s: Fraction) -> RationalMatrix:
     return RationalMatrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
 
 
-def _inverse_root(q0) -> Fraction:
-    """1 / sqrt(q0), exact; q0 must be a positive perfect square."""
+def _root(q0) -> Fraction:
+    """sqrt(q0), exact; q0 must be a positive perfect square."""
     s = rational_sqrt(q0)
     if s == 0:
         raise AsmError("q0 must be positive")
-    return 1 / s
+    return s
 
 
 def q_weighted(m: RationalMatrix, q0) -> RationalMatrix:
-    """The matrix (q0^{(i-j)^2/2} m(i,j)); needs sqrt(q0) rational."""
-    return _reweighted(m, rational_sqrt(q0))
+    """The matrix (q0^{(i-j)^2/2} m(i,j)); q0 must be a positive perfect square."""
+    return _reweighted(m, _root(q0))
 
 
 def q_unweighted(m: RationalMatrix, q0) -> RationalMatrix:
     """Inverse of :func:`q_weighted`; q0 must be a positive perfect square."""
-    return _reweighted(m, _inverse_root(q0))
+    return _reweighted(m, 1 / _root(q0))
 
 
 def is_locally_tnn_at(m: RationalMatrix, q0) -> bool:
@@ -440,7 +447,7 @@ def qtnn_scan(
     results = []
     for gi, q0 in enumerate(q_grid):
         q0 = Fraction(q0)
-        inverse = _inverse_root(q0)
+        inverse = 1 / _root(q0)
         weight_a, weight_b = q0**beta_a, q0**beta_b
         violations = []
         for idx in range(samples + len(extra)):

@@ -39,7 +39,7 @@ def _old_covering_chain(a, b):
 def _counter_tally(n, steps, weigh):
     """The column-state tally as it was first written, one Counter per
     state, as an oracle of the int tally's decoded terms."""
-    paths = {(0,) * n: Counter({0: 1})}
+    paths = {0: Counter({0: 1})}
     for i in range(n):
         layer = {}
         for state, poly in paths.items():
@@ -49,7 +49,7 @@ def _counter_tally(n, steps, weigh):
                 for t, c in poly.items():
                     out[t + e] += c * f
         paths = layer
-    return paths[(1,) * n]
+    return paths[(1 << n) - 1]
 
 
 def _minors(rows, one):

@@ -422,6 +422,33 @@ class TestPermutationBridge:
                 make(arg)
 
 
+class TestOneBasedAccessors:
+    """Outside its range each 1-based accessor raises IndexError, where
+    it would read one of Python's negative indices or wrap past n."""
+
+    A = Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
+
+    def test_asm_entry(self):
+        assert (self.A.entry(1, 2), self.A.entry(2, 2), self.A.entry(3, 3)) == (1, -1, 0)
+        for i, j in [(-1, 2), (0, 0), (1, 0), (4, 1), (1, 4)]:
+            with pytest.raises(IndexError, match=r"^index -?\d is outside 1\.\.3$"):
+                self.A.entry(i, j)
+
+    def test_corner_sum_value(self):
+        c = corner_sum(self.A)
+        assert (c.value(0, 3), c.value(3, 0), c.value(0, 0), c.value(3, 3)) == (0, 0, 0, 3)
+        for i, j in [(-1, 3), (3, -1), (4, 1), (1, 4)]:
+            with pytest.raises(IndexError, match=r"^index -?\d is outside 0\.\.3$"):
+                c.value(i, j)
+
+    def test_permutation_call(self):
+        w = Permutation((3, 1, 2))
+        assert [w(i) for i in (1, 2, 3)] == [3, 1, 2]
+        for i in (-1, 0, 4):
+            with pytest.raises(IndexError, match=rf"^index {i} is outside 1\.\.3$"):
+                w(i)
+
+
 class TestFormats:
     def test_text_round_trip(self):
         a = validate_asm(CENTER)
@@ -431,8 +458,13 @@ class TestFormats:
         assert format_asm_text(identity_asm(2)) == "2\n1 0\n0 1\n"
 
     def test_text_rejects_length_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(AsmError, match=r"^expected 3\*3 entries after the size line$"):
             parse_asm_text("3\n1 0 0\n0 1 0\n")
+
+    @pytest.mark.parametrize("text, n", [("0", 0), ("-2 1 0 0 1", -2)], ids=["zero", "negative"])
+    def test_text_rejects_a_nonpositive_size_line(self, text, n):
+        with pytest.raises(AsmError, match=rf"^size line must be a positive integer, got {n}$"):
+            parse_asm_text(text)
 
     @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
     def test_text_rejects_empty_input(self, text):

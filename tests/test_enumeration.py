@@ -95,7 +95,7 @@ def _recursive_walk(n):
             yield from walk(nxt)
             rows.pop()
 
-    return walk((0,) * n)
+    return walk(0)
 
 
 def _next_rows(prev, i, n):
@@ -254,7 +254,7 @@ class TestCounts:
         """On every 0/1 state, reachable or not, the permutation table lists
         the successor table's rows with a single +1, in the same order."""
         steps, perms = _step_table(n), _permutation_table(n)
-        for state in product((0, 1), repeat=n):
+        for state in range(1 << n):
             assert perms(state) == [(row, nxt) for row, nxt in steps(state) if row.count(1) == 1]
 
 

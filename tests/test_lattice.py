@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, product
 from math import comb, factorial
-from operator import itemgetter, mul
+from operator import itemgetter, mul, xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +97,7 @@ from asmgraph.lattice import (
     _bigrassmannian_asms,
     _edge_type,
     _pack,
+    _row_bits,
     _shift_rects,
     _size_tables,
     _spans,
@@ -246,7 +247,7 @@ def _beta_square_sum(a):
 def _walked_asms(draw, max_n=12):
     """An ASM of size 1..max_n, one drawn successor per row of the walk."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    steps, state, rows = _step_table(n), (0,) * n, []
+    steps, state, rows = _step_table(n), 0, []
     for _ in range(n):
         choices = steps(state)
         row, state = choices[draw(st.integers(min_value=0, max_value=len(choices) - 1))]
@@ -395,7 +396,7 @@ class TestEssential:
 
 def _middle_walk(n):
     """The ASM that takes the middle successor at every row of the walk."""
-    steps, state, rows = _step_table(n), (0,) * n, []
+    steps, state, rows = _step_table(n), 0, []
     for _ in range(n):
         choices = steps(state)
         row, state = choices[len(choices) // 2]
@@ -421,6 +422,18 @@ class TestBitmaskScan:
     @given(_walked_asms(max_n=9), st.sampled_from((1, -1)))
     def test_matches_the_list_walk_on_walked_asms(self, a, delta):
         assert _shift_rects(a.entries, delta) == _list_shift_rects(a.entries, delta)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_walk_states_are_the_scan_states(self, n):
+        """Walking the successor table along each ASM's rows from 0 visits
+        the scan's column states, the running XOR of the nonzero masks."""
+        steps = _step_table(n)
+        for a in iter_asms(n):
+            state, walked = 0, []
+            for row in a.entries:
+                state = dict(steps(state))[row]
+                walked.append(state)
+            assert walked == list(accumulate((_row_bits(row)[0] for row in a.entries), xor))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_one_table_serves_both_directions(self, n):

@@ -32,9 +32,12 @@ from asmgraph.enumeration import enumerate_permutations
 from asmgraph.lattice import beta_permutation
 from asmgraph.polynomials import BQ_METHODS, _condense, _kronecker, _q_weight_matrix
 from asmgraph.symbolic import _det, _int_rows
-from asmgraph.tnn import det
+from asmgraph.tnn import RationalMatrix, det
 
 F = Fraction
+
+#: Rows that RationalMatrix takes but that make no square matrix.
+_NON_SQUARE = pytest.mark.parametrize("rows", [((1, 2, 3), (1, 2, 3)), ((5, 7),)], ids=["2x3", "1x2"])
 
 B3_STR = "1 - 2q + 2q^3 - q^4"
 B4_STR = (
@@ -404,6 +407,11 @@ class TestDodgson:
         with pytest.raises(SingularInteriorError):
             dodgson(rational_matrix([[1, 2, 3], [4, 0, 5], [6, 7, 8]]))
 
+    @_NON_SQUARE
+    def test_non_square(self, rows):
+        with pytest.raises(AsmError, match="^matrix must be square$"):
+            dodgson(RationalMatrix(rows))
+
     @settings(deadline=None)
     @given(st.data())
     def test_matches_det_wherever_the_interior_is_nonsingular(self, data):
@@ -540,3 +548,13 @@ class TestQDodgson:
             q_dodgson_check(rational_matrix([[1]]))
         with pytest.raises(AsmError):
             q_dodgson_divided(rational_matrix([[1]]))
+
+    @_NON_SQUARE
+    def test_check_rejects_non_square(self, rows):
+        with pytest.raises(AsmError, match="^matrix must be square$"):
+            q_dodgson_check(RationalMatrix(rows))
+
+    @_NON_SQUARE
+    def test_divided_rejects_non_square(self, rows):
+        with pytest.raises(AsmError, match="^matrix must be square$"):
+            q_dodgson_divided(RationalMatrix(rows))

@@ -71,6 +71,13 @@ class TestRationalMatrix:
         with pytest.raises(AsmError):
             rational_matrix([[1, 2], [3]])
 
+    def test_entry_outside_1_to_n(self):
+        m = rational_matrix([[1, 2], [3, 4]])
+        assert (m.entry(1, 1), m.entry(2, 1)) == (1, 3)
+        for i, j in [(0, 1), (1, 0), (-1, 1), (3, 1), (1, 3)]:
+            with pytest.raises(IndexError, match=r"^index -?\d is outside 1\.\.2$"):
+                m.entry(i, j)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -124,6 +131,13 @@ class TestIsTnn:
         assert not is_tnn(rational_matrix([[1, 3], [2, 1]]))
         assert is_tnn(rational_matrix([[1, 1, 1], [1, 2, 2], [1, 2, 3]]))
 
+    @pytest.mark.parametrize("rows", [((1, 2), (1,)), ((1, 2, 3), (1, 2, 3))], ids=["short-row", "2x3"])
+    def test_non_square(self, rows):
+        m = RationalMatrix(rows)
+        with pytest.raises(AsmError, match="^matrix must be square$"):
+            is_tnn(m)
+        assert m._tnn is None
+
 
 class TestRationalSqrt:
     def test_values(self):
@@ -146,6 +160,14 @@ class TestQWeighting:
         m = rational_matrix([[1, 1], [1, 1]])
         w = q_weighted(m, 4)  # sqrt = 2, so off-diagonal entries double
         assert w.rows == ((F(1), F(2)), (F(2), F(1)))
+
+    def test_zero_q0_is_rejected(self):
+        """As by q_unweighted: at q0 = 0 the weighting would keep only the
+        diagonal, and a matrix that is not TNN would pass as locally TNN."""
+        m = rational_matrix([[1, 2], [3, 4]])
+        for f in (q_weighted, q_unweighted, is_locally_tnn_at):
+            with pytest.raises(AsmError, match="^q0 must be positive$"):
+                f(m, 0)
 
     @pytest.mark.parametrize("q0", [F(1, 4), F(1), F(4), F(9, 16)])
     def test_round_trip(self, q0):

@@ -46,6 +46,23 @@ def test_a_broken_reference_fails_the_check(monkeypatch, key):
     assert result.details.startswith(report), result.details
 
 
+def test_run_all_runs_every_check_by_default(monkeypatch):
+    """With no names, run_all runs each registered check once, in
+    registration order, with the seed it is given."""
+    calls = []
+
+    def stub(name):
+        def run(seed):
+            calls.append((name, seed))
+            return name
+
+        return run
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", {"first": stub("first"), "second": stub("second")})
+    assert verify.run_all(seed=5) == ("first", "second")
+    assert calls == [("first", 5), ("second", 5)]
+
+
 def test_the_checks_after_a_failing_one_still_run(monkeypatch):
     name, broken, report = MUTATIONS["a3"]
     monkeypatch.setattr(verify, name, broken)
