@@ -52,11 +52,13 @@ so raising reads the complemented states and table keys.  Lowering the
 corner sums by 1 on the cells of R changes A only at the corners (i,k),
 (i,l), (j,k), (j,l), where it adds (-1, +1, +1, -1); raising them adds
 (+1, -1, -1, +1).  The span table types each lowering edge by its
-target's corners.  The scan is a plain function of one ASM's rows that
-appends each rectangle, in (i, j, k, l) order, to three columns: the
-target, the edge type and the packed bounds.  :func:`build_graph` hands
-it the graph's arrays; the one-ASM questions hand it lists and form any
-target by the corner update.
+target's corners.  The scan is a plain function that walks a sequence
+of matrices, looks up each row once, appends each matrix's rectangles,
+in (i, j, k, l) order, to three columns (the target, the edge type and
+the packed bounds) and then calls ``done`` with the matrix's code.
+:func:`build_graph` hands it all the nodes and the graph's arrays; the
+one-ASM questions hand it one matrix and lists, and form any target by
+the corner update.
 
 Essential points are the scan's test on adjacent rows and spans with
 l = k + 1, which :func:`_points` yields as it goes.  From b, :func:`covering_chain` raises, at each step, the
@@ -67,12 +69,15 @@ take each step's rectangle from the same walk.
 A built :class:`AsmGraph` keeps its edges as CSR columns: per-source
 offsets into ``array`` columns of target indices, edge types and packed
 rectangle bounds.  :func:`build_graph` alone writes them, by one scan
-per node that appends straight to them.  It codes each node by its
-entries as base-3 digits, so a target's code is its source's plus a
-product read from the span table, and looks that code up; no target
-matrix is formed.  :attr:`AsmGraph.edges` is an iterator over the
-columns that makes :class:`GraphEdge` values as it goes, so the graph on
-all 218,348 7x7 ASMs (3,514,354 edges) fits in about 27 MB of columns.
+over all nodes that appends straight to them.  The scan codes each node
+by its entries as base-3 digits, so a target's code is its source's plus
+a product read from the span table, and looks that code up; no target
+matrix is formed.  One pass is enough: lowering adds -1 at (i, k), the
+row-major first corner, so every target precedes its source in
+canonical order and is indexed before its source is scanned.
+:attr:`AsmGraph.edges` is an iterator over the columns that makes
+:class:`GraphEdge` values as it goes, so the graph on all 218,348 7x7
+ASMs (3,514,354 edges) fits in about 27 MB of columns.
 """
 
 from __future__ import annotations
@@ -231,52 +236,73 @@ _Put = Callable[[int], None]
 
 
 def _scan(
-    bits: Iterable[tuple[int, int, int]], spans: _Table, delta: int,
-    code: int, find: Callable[[int], int], lift: list[list[int]], high: list[list[int]],
-    dst: _Put, types: _Put, rects: _Put,
+    n: int, matrices: Iterable[Entries], delta: int, find: Callable[[int], int],
+    dst: _Put, types: _Put, rects: _Put, done: Callable[[int], None],
 ) -> None:
-    """Write every rectangle on whose cells the corner sums can move by
-    delta, in (i, j, k, l) order, as dst(find(code + step * lift[i][j])),
-    types(edge type) and rects(high[i][j] | packed), for 0-based rows
-    i < j and the span's step and packed (k, l) (see :func:`_spans` and
-    :func:`build_graph`); dst, types and rects append to the columns.
+    """Scan each n x n matrix in turn, then call done(code) with its code.
 
-    bits gives each row's :func:`_row_bits` and high is :func:`_highs`.
-    The column states s(p, .) are the running XOR of the nonzero masks.
-    The span table gives the (k, l) that rows i and j allow; such a span
-    is a rectangle when the states on rows i..j-1 all have bit k and none
-    has bit l.  Raising complements both the states and the partial-sum
-    masks it looks up; its moves and types are not those of its edges.
+    A matrix's code has row p's base-3 code (digit A(p, q) + 1 at 3^q,
+    0-based) as its digit at W^p, W = 3^n.  Lowering the corner sums on
+    rectangle (i, j, k, l) moves the code by step * lift, with the span's
+    step 3^l - 3^k and lift W^i - W^j, in 0-based indices.  The scan
+    writes every rectangle on whose cells the matrix's corner sums can
+    move by delta, in (i, j, k, l) order, as
+    dst(find(code + step * lift)), types(edge type) and
+    rects(high | packed), for rows i < j, the span's packed (k, l) (see
+    :func:`_spans`) and high the (i + 1, j + 1) half of the packed entry
+    (see :func:`_pack`); dst, types and rects append to the columns.
+
+    Each row is looked up once in the row table, for its two masks and
+    its code.  The column states s(p, .) are the running XOR of the
+    nonzero masks.  The span table gives the (k, l) that rows i and j
+    allow; such a span is a rectangle when the states on rows i..j-1 all
+    have bit k and none has bit l.  Raising complements both the states
+    and the partial-sum masks it looks up; its moves and types are not
+    those of its edges.
     """
-    nonzero, partial, _ = zip(*bits)
-    n = len(nonzero)
+    rows, spans = _tables(n)
+    powers = [3 ** (n * p) for p in range(n)]
     flip = (1 << n) - 1 if delta > 0 else 0
-    states = [state ^ flip for state in accumulate(nonzero, xor)]
-    keys = [key ^ flip for key in partial]
-    for i in range(n - 1):
-        top, lifts, highs = keys[i] << n, lift[i], high[i]
-        both = either = states[i]
-        for j in range(i + 1, n):
-            for kbit, lbit, step, edge_type, packed in spans[top | keys[j]]:
-                if both & kbit and not either & lbit:
-                    dst(find(code + step * lifts[j]))
-                    types(edge_type)
-                    rects(highs[j] | packed)
-            both &= states[j]
-            if not both:
-                break
-            either |= states[j]
+    shift = n.bit_length()
+    # Per top row i, shared by all matrices: the rows j below it, and each
+    # j's lift and high half _pack((i + 1, j + 1, 0, 0), shift).
+    plan = [
+        (
+            i, range(i + 1, n), [powers[i] - power for power in powers],
+            [((i + 1) << shift | j + 1) << 2 * shift for j in range(n)],
+        )
+        for i in range(n - 1)
+    ]
+    for entries in matrices:
+        nonzero, partial, codes = zip(*map(rows.__getitem__, entries))
+        code = sum(map(mul, codes, powers))
+        states = [state ^ flip for state in accumulate(nonzero, xor)]
+        for i, below, lifts, highs in plan:
+            # top ^ partial[j] is the span key of rows i and j, both masks
+            # complemented when raising.
+            top = (partial[i] ^ flip) << n | flip
+            both = either = states[i]
+            for j in below:
+                for kbit, lbit, step, edge_type, packed in spans[top ^ partial[j]]:
+                    if both & kbit and not either & lbit:
+                        dst(find(code + step * lifts[j]))
+                        types(edge_type)
+                        rects(highs[j] | packed)
+                both &= states[j]
+                if not both:
+                    break
+                either |= states[j]
+        done(code)
 
 
 def _rects(entries: Entries, delta: int) -> tuple[list[int], list[Bounds]]:
-    """:func:`_scan` over the rows of one ASM: the edge types and the
+    """:func:`_scan` over one ASM's entries alone: the edge types and the
     sorted 1-based bounds of its rectangles."""
     n = len(entries)
-    rows, spans = _tables(n)
     types, rects = [], []
-    # No node index here: a zero lift moves no code, and the dst column is dropped.
-    _scan(map(rows.__getitem__, entries), spans, delta, 0, int, [[0] * n] * n, _highs(n),
-          [].append, types.append, rects.append)
+    # No node index here: find passes each target code on to the dropped
+    # dst column, and done has nothing to record.
+    _scan(n, [entries], delta, int, [].append, types.append, rects.append, lambda code: None)
     shift = n.bit_length()
     return types, [_unpack(code, shift) for code in rects]
 
@@ -649,14 +675,6 @@ def _unpack(code: int, shift: int) -> Bounds:
     return (code >> 3 * shift, code >> 2 * shift & mask, code >> shift & mask, code & mask)
 
 
-def _highs(n: int) -> list[list[int]]:
-    """(i + 1, j + 1) as the high half of a :func:`_pack` entry, for
-    0-based rows i < n - 1 and j."""
-    shift = n.bit_length()
-    lows = [j << 2 * shift for j in range(1, n + 1)]
-    return [[i << 3 * shift | low for low in lows] for i in range(1, n)]
-
-
 @dataclass(frozen=True)
 class AsmGraph:
     """The ASM graph on all n x n ASMs, its edges stored as CSR columns.
@@ -711,16 +729,15 @@ class AsmGraph:
 def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
     """Build the complete ASM graph for size n.
 
-    Each node's code has row p's base-3 code (digit A(p, q) + 1 at 3^q,
-    0-based) as its digit at W^p, W = 3^n.  Lowering the corner sums on
-    rectangle (i, j, k, l) moves the code by (3^l - 3^k)(W^i - W^j), in
-    0-based indices, and the target is looked up by that code in the
-    index of all n x n ASMs, so a wrong target fails with a KeyError
-    instead of entering the graph.  One :func:`_scan` per node appends
-    its edges straight to the columns, and offsets records where each
-    node's edges end; no target matrix, Rect, GraphEdge or per-edge
-    tuple is made.  Beyond PACKED_SIZE_LIMIT, a SizeLimitExceededError
-    says so before any ASM is enumerated.
+    Each target is looked up by its code (see :func:`_scan`) in the
+    index of the nodes scanned so far, so a wrong target fails with a
+    KeyError instead of entering the graph.  One :func:`_scan` walks the
+    nodes in canonical order, appends their edges straight to the
+    columns and, after each node, indexes its code and records in
+    offsets where its edges end; every target is already indexed, as it
+    precedes its source (see the module docstring).  No target matrix,
+    Rect, GraphEdge or per-edge tuple is made.  Beyond PACKED_SIZE_LIMIT,
+    a SizeLimitExceededError says so before any ASM is enumerated.
     """
     _check_limit(n, size_limit)
     if n > PACKED_SIZE_LIMIT:
@@ -728,25 +745,20 @@ def build_graph(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> AsmGraph:
             n, PACKED_SIZE_LIMIT, "rectangle bounds are packed into 64 bits", guard="packing limit"
         )
     nodes = tuple(iter_asms(n, size_limit=size_limit))
-    rows, spans = _tables(n)
-    width = 3**n
-    index = {}
-    for s, a in enumerate(nodes):
-        code = 0
-        for row in reversed(a.entries):
-            code = code * width + rows[row][2]
-        index[code] = s
     offsets, dst, types, rects = (
         array("Q", [0]),
         array(_typecode(len(nodes))),
         array("B"),
         array(_typecode((1 << 4 * n.bit_length()) - 1)),
     )
-    lift = [[width**i - width**j for j in range(n)] for i in range(n)]
-    shared = index.__getitem__, lift, _highs(n), dst.append, types.append, rects.append
-    for a, code in zip(nodes, index):
-        _scan(map(rows.__getitem__, a.entries), spans, -1, code, *shared)
+    index = {}
+
+    def done(code: int) -> None:
+        index[code] = len(index)
         offsets.append(len(dst))
+
+    _scan(n, map(attrgetter("entries"), nodes), -1, index.__getitem__,
+          dst.append, types.append, rects.append, done)
     return AsmGraph(n, nodes, offsets, dst, types, rects)
 
 

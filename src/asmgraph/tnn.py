@@ -223,7 +223,8 @@ def rational_sqrt(x) -> Fraction:
 
 
 def _reweighted(m: RationalMatrix, s: Fraction) -> RationalMatrix:
-    """The matrix (s^{(i-j)^2} m(i,j))."""
+    """The matrix (s^{(i-j)^2} m(i,j)); AsmError unless m is square."""
+    _check_square(m.rows)
     rows = zip(_square_gaps(m.n), m.rows)
     return RationalMatrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
 
@@ -237,12 +238,14 @@ def _root(q0) -> Fraction:
 
 
 def q_weighted(m: RationalMatrix, q0) -> RationalMatrix:
-    """The matrix (q0^{(i-j)^2/2} m(i,j)); q0 must be a positive perfect square."""
+    """The matrix (q0^{(i-j)^2/2} m(i,j)); m must be square and q0 a
+    positive perfect square."""
     return _reweighted(m, _root(q0))
 
 
 def q_unweighted(m: RationalMatrix, q0) -> RationalMatrix:
-    """Inverse of :func:`q_weighted`; q0 must be a positive perfect square."""
+    """Inverse of :func:`q_weighted`; m must be square and q0 a positive
+    perfect square."""
     return _reweighted(m, 1 / _root(q0))
 
 
@@ -352,9 +355,10 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
 def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
     """Exact value of x^a - x^b at m.
 
-    Raises UndefinedEvaluationError when a zero entry of m meets a
-    negative exponent.
+    Raises AsmError unless m is square, and UndefinedEvaluationError
+    when a zero entry of m meets a negative exponent.
     """
+    _check_square(m.rows)
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
     return _asm_difference(a, b, m.rows)

@@ -670,6 +670,23 @@ class TestGraphBuilder:
         g = build_graph(n)
         assert (g.nodes, tuple(g.edges)) == _scan_graph(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_targets_precede_sources(self, n):
+        """Every edge goes to an earlier node, which build_graph's one
+        pass relies on: each target's code is indexed before its source
+        is scanned."""
+        g = build_graph(n)
+        offsets, dst = g.offsets, g.dst
+        for src in range(len(g.nodes)):
+            assert max(dst[offsets[src] : offsets[src + 1]], default=-1) < src
+
+    @settings(max_examples=100, deadline=None)
+    @given(_walked_asms(max_n=9))
+    def test_targets_sort_before_their_source(self, a):
+        """Lowering adds -1 at (i, k), the row-major first corner, so each
+        target's entries sort before its source's, past n = 6 too."""
+        assert all(e.target.entries < a.entries for e in edges_from(a))
+
     def test_apply_rect_matches_corner_sum_rebuild(self):
         for a in enumerate_asms(4):
             for r in _all_rects(4):

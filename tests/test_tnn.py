@@ -6,6 +6,7 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 from math import comb
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,11 @@ from asmgraph.tnn import (
 )
 
 F = Fraction
+
+#: Rows of two matrices that are not square: a short row, and 2x3.
+_non_square = pytest.mark.parametrize(
+    "rows", [((1, 2), (1,)), ((1, 2, 3), (1, 2, 3))], ids=["short-row", "2x3"]
+)
 
 
 def _every_minor_positive(all_minors, m):
@@ -131,7 +137,7 @@ class TestIsTnn:
         assert not is_tnn(rational_matrix([[1, 3], [2, 1]]))
         assert is_tnn(rational_matrix([[1, 1, 1], [1, 2, 2], [1, 2, 3]]))
 
-    @pytest.mark.parametrize("rows", [((1, 2), (1,)), ((1, 2, 3), (1, 2, 3))], ids=["short-row", "2x3"])
+    @_non_square
     def test_non_square(self, rows):
         m = RationalMatrix(rows)
         with pytest.raises(AsmError, match="^matrix must be square$"):
@@ -173,6 +179,14 @@ class TestQWeighting:
     def test_round_trip(self, q0):
         m = random_tnn(3, seed=2)
         assert q_unweighted(q_weighted(m, q0), q0) == m
+
+    @_non_square
+    @pytest.mark.parametrize("f", [q_weighted, q_unweighted, is_locally_tnn_at], ids=attrgetter("__name__"))
+    def test_non_square(self, f, rows):
+        """The weights are zipped against the n x n gaps, so a 2x3 matrix
+        would be cut to 2x2 and short rows would stay short."""
+        with pytest.raises(AsmError, match="^matrix must be square$"):
+            f(RationalMatrix(rows), 4)
 
     def test_errors(self):
         m = rational_matrix([[1]])
@@ -275,6 +289,13 @@ class TestEvaluateDifference:
         with pytest.raises(UndefinedEvaluationError) as exc:
             evaluate_difference(a3["X"], a3["321"], m)
         assert exc.value.position == (2, 2)
+
+    @_non_square
+    def test_non_square(self, rows):
+        """Two rows match the 2x2 ASMs' size, yet the matrix is not 2x2:
+        the 2x3 one would give 0 and the short row an IndexError."""
+        with pytest.raises(AsmError, match="^matrix must be square$"):
+            evaluate_difference(identity_asm(2), identity_asm(2), RationalMatrix(rows))
 
     def test_size_mismatch(self, a3):
         with pytest.raises(SizeMismatchError):
