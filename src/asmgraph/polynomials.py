@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
@@ -126,17 +126,18 @@ def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
     :func:`_kronecker` picks it; it is derived, never set.
     """
     _check_square(entries)
-    encoded, decode = _kronecker(entries)
-    return decode(_det(encoded), len(entries))
+    encoded, width, low = _kronecker(entries)
+    return _decode(_det(encoded), width, len(entries) * low)
 
 
 def _kronecker(
     entries: Sequence[Sequence[HalfExpPoly]], products: int = 1
-) -> tuple[list[list[int]], Callable[[int, int], HalfExpPoly]]:
+) -> tuple[list[list[int]], int, int]:
     """The entries as ints, each times q^(-low/2) at q^(1/2) = 2^width for
-    low their least doubled exponent (0 if there is none), and a decoder
-    for a value with ``size`` rows of them in all: balanced base-2^width
-    digits, digit m that of q^((m + size low)/2).
+    low their least doubled exponent (0 if there is none), with that
+    width and low.  A value with ``size`` rows of them in all decodes as
+    ``_decode(value, width, size * low)``: digit m is the coefficient of
+    q^((m + size low)/2).
 
     The decoding is exact for a minor when products is 1 and for a
     difference of two products of minors when it is 2: the width is the
@@ -154,7 +155,7 @@ def _kronecker(
         [sum(c << width * (t - low) for t, c in x.terms.items()) for x in row]
         for row in entries
     ]
-    return encoded, lambda value, size: _decode(value, width, size * low)
+    return encoded, width, low
 
 
 def _decode(value: int, width: int, low: int) -> HalfExpPoly:
@@ -292,11 +293,17 @@ class QDodgsonReport:
 
 def _q_condensation(
     m: RationalMatrix,
-) -> tuple[int, list[list[int]], Callable[[int, int], HalfExpPoly], int, int | None]:
-    """Scale, A_q (the q-weighted scaled matrix) encoded as in
-    :func:`sym_det`, a decoder for a product of its minors with ``size``
-    rows in all, and its interior minor and condensation numerator,
-    encoded, as :func:`_condense` gives them.
+) -> tuple[int, tuple[tuple[int, ...], ...], int, int, int, int | None]:
+    """Scale, A_q (the q-weighted scaled matrix) encoded by
+    :func:`_kronecker` as tuple rows, its width and low, and its interior
+    minor and condensation numerator, encoded, as :func:`_condense` gives
+    them.  A product of minors with ``size`` rows in all decodes as
+    ``_decode(value, width, size * low)``.
+
+    The first call on m checks it, computes the tuple and keeps it on m
+    (see :class:`RationalMatrix`); later calls read it, so
+    :func:`q_dodgson_check` and :func:`q_dodgson_divided` on one matrix
+    share one condensation.  The tuple is plain data, so m still pickles.
 
     Weighting A_q whole gives its interior and diagonal minors their own
     weights.  An antidiagonal minor's exponents shift by +-(i' - j') + 1/2,
@@ -304,27 +311,32 @@ def _q_condensation(
     q^{(n-1)/2}: Dodgson's numerator on A_q is the identity's right side.
     That numerator and |A_q| |A'_q| are bounded by 2H, so the encoding is
     taken for products of two minors (see :func:`sym_det`).  AsmError
-    unless m is square with n >= 2.
+    unless m is square with n >= 2, and then nothing is kept.
     """
-    _check_square(m.rows)
-    if m.n < 2:
-        raise AsmError("condensation needs n >= 2")
-    rows, scale = _int_rows(m.rows)
-    encoded, decode = _kronecker(_q_weight_matrix(rows), products=2)
-    return scale, encoded, decode, *_condense(encoded)
+    if m._q_condensed is None:
+        _check_square(m.rows)
+        if m.n < 2:
+            raise AsmError("condensation needs n >= 2")
+        rows, scale = _int_rows(m.rows)
+        encoded, width, low = _kronecker(_q_weight_matrix(rows), products=2)
+        kept = scale, tuple(map(tuple, encoded)), width, low, *_condense(encoded)
+        object.__setattr__(m, "_q_condensed", kept)
+    return m._q_condensed
 
 
 def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
     """Verify |A_q| |A'_q| = |A^11_q| |A^nn_q| - q^{n-1} |A^1n_q| |A^n1_q|,
     each submatrix q-weighted with indices counted from 1 inside itself.
 
-    The interior |A'_q| and the right side come from :func:`_condense`
-    on A_q, one bordered elimination, and |A_q| from a separate full
-    :func:`_det`, all on one encoding.  Reading |A_q| off the bordered
-    block would assume the identity this checks.  When |A'_q| is 0 the
-    left side is 0, and the right side is taken from the four corner
-    blocks as slices, each by :func:`_det`, so it is computed there too."""
-    scale, encoded, decode, interior, numerator = _q_condensation(m)
+    The interior |A'_q| and the right side come from the condensation
+    of :func:`_q_condensation`, one bordered elimination that m keeps for
+    :func:`q_dodgson_divided` too, and |A_q| from a separate full
+    :func:`_det` on the same encoding, taken on each call.  Reading |A_q|
+    off the bordered block would assume the identity this checks.  When
+    |A'_q| is 0 the left side is 0, and the right side is taken from the
+    four corner blocks as slices, each by :func:`_det`, so it is computed
+    there too."""
+    scale, encoded, width, low, interior, numerator = _q_condensation(m)
     if numerator is None:
         head, tail = slice(1, None), slice(None, -1)
         nw, se, ne, sw = (
@@ -334,8 +346,8 @@ def q_dodgson_check(m: RationalMatrix) -> QDodgsonReport:
         lhs, numerator = 0, nw * se - ne * sw
     else:
         lhs = _det(encoded) * interior
-    size = 2 * m.n - 2
-    return QDodgsonReport(m.n, scale, decode(lhs, size), decode(numerator, size))
+    shift = (2 * m.n - 2) * low
+    return QDodgsonReport(m.n, scale, _decode(lhs, width, shift), _decode(numerator, width, shift))
 
 
 def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
@@ -344,10 +356,13 @@ def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
     Exact polynomial division by the q-weighted interior determinant;
     raises SingularInteriorError when that determinant is the zero
     polynomial.  The result equals the direct symbolic q-determinant of
-    the scaled matrix (see :class:`QDodgsonReport` on scaling).
+    the scaled matrix (see :class:`QDodgsonReport` on scaling), terms in
+    ascending exponent.  The condensation is :func:`_q_condensation`'s,
+    kept on m, so after :func:`q_dodgson_check` only the decoding and
+    the division are left.
     """
-    _scale, _encoded, decode, interior, numerator = _q_condensation(m)
-    interior = decode(interior, m.n - 2)
+    _scale, _encoded, width, low, interior, numerator = _q_condensation(m)
+    interior = _decode(interior, width, (m.n - 2) * low)
     if interior.is_zero():
         raise SingularInteriorError("interior q-determinant is the zero polynomial")
-    return decode(numerator, 2 * m.n - 2).divexact(interior)
+    return _decode(numerator, width, (2 * m.n - 2) * low).divexact(interior)

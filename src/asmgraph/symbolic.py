@@ -715,7 +715,8 @@ class HalfExpPoly:
         return sum((c * q**k for k, c in self.coeffs_q().items()), Fraction(0))
 
     def divexact(self, divisor: "HalfExpPoly") -> "HalfExpPoly":
-        """Exact long division in integers.
+        """Exact long division in integers, the quotient's terms in
+        ascending exponent.
 
         Raises NonExactDivisionError as soon as a leading coefficient is
         not a multiple of the divisor's, or a remainder of lower degree
@@ -743,7 +744,7 @@ class HalfExpPoly:
                     rem[qt + t] = new
                 else:
                     rem.pop(qt + t, None)
-        return _trusted_poly(quot)
+        return _trusted_poly(dict(reversed(quot.items())))
 
     # -- display ----------------------------------------------------------
     def __str__(self) -> str:

@@ -60,10 +60,13 @@ Gaussian :func:`det` stays as the public reference determinant that
 
 The matrices this module makes (samples, counterexamples, q-weightings)
 are built once, straight from Fractions, and not passed back through
-:func:`rational_matrix`, the entry point for rows from outside.  The
-sampler runs on integer ratios too: :func:`bidiagonal_product` holds
-each column as an unreduced int vector over the lcm of its denominators,
-and only the result's Fractions reduce, one per entry.
+:func:`rational_matrix`, the entry point for rows from outside, which
+keeps an entry that is already a Fraction and converts any other.  A
+matrix keeps the values derived from it, the TNN verdict and the
+q-condensation, as :class:`RationalMatrix` says.  The sampler runs on
+integer ratios too: :func:`bidiagonal_product` holds each column as an
+unreduced int vector over the lcm of its denominators, and only the
+result's Fractions reduce, one per entry.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
@@ -107,15 +110,20 @@ class IrrationalSqrtError(AsmError):
 class RationalMatrix:
     """Immutable matrix of exact rationals with 1-based accessor.
 
-    :func:`is_tnn` keeps its verdict on the matrix once it has
-    computed it.  The verdict is a class default, not a field, so
-    equality, hashing and repr see the rows only; it is set on the
-    instance with ``object.__setattr__``, unlike ``Asm._corner``, a slot
-    that every ASM sets when it is made."""
+    The matrix keeps two derived values once they are computed:
+    :func:`is_tnn`'s verdict, and the q-condensation that
+    :func:`asmgraph.polynomials.q_dodgson_check` and
+    :func:`~asmgraph.polynomials.q_dodgson_divided` share.  Each is a
+    class default, not a field, so equality, hashing and repr see the
+    rows only; each is set on the instance with ``object.__setattr__``,
+    unlike ``Asm._corner``, a slot that every ASM sets when it is made.
+    Both are plain data, so the matrix pickles with them."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     # is_tnn's verdict, or None until is_tnn has computed it.
     _tnn = None
+    # polynomials._q_condensation's tuple, or None until it is computed.
+    _q_condensed = None
 
     @property
     def n(self) -> int:
@@ -137,7 +145,10 @@ def _check_square(rows: Sequence[Sequence]) -> None:
 
 
 def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """The rows as a :class:`RationalMatrix`: an entry whose type is
+    Fraction is kept as it is, and any other goes through
+    ``Fraction(x)``.  AsmError unless the matrix is square."""
+    out = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
     _check_square(out)
     return RationalMatrix(out)
 

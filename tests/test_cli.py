@@ -367,13 +367,8 @@ class TestDodgson:
         """A decoder that negates every coefficient keeps the two sides of
         the q-identity equal, as both come from one encoding; the left
         side's value at q = 1 against the determinants shows the fault."""
-        kronecker = polynomials._kronecker
-
-        def negating(entries, products=1):
-            encoded, decode = kronecker(entries, products)
-            return encoded, lambda value, size: -decode(value, size)
-
-        monkeypatch.setattr(polynomials, "_kronecker", negating)
+        decode = polynomials._decode
+        monkeypatch.setattr(polynomials, "_decode", lambda *args: -decode(*args))
         code, out, _ = run(
             capsys, "dodgson", "verify", "--n", "4", "--trials", "20", "--seed", "1", "--json"
         )

@@ -1,6 +1,8 @@
 """Tests for B_n(q) and Dodgson condensation."""
 
+import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import factorial, lcm
 from unittest import mock
@@ -30,7 +32,7 @@ from asmgraph import (
 from asmgraph.core import sign
 from asmgraph.enumeration import enumerate_permutations
 from asmgraph.lattice import beta_permutation
-from asmgraph.polynomials import BQ_METHODS, _condense, _kronecker, _q_weight_matrix
+from asmgraph.polynomials import BQ_METHODS, _condense, _decode, _kronecker, _q_weight_matrix
 from asmgraph.symbolic import _det, _int_rows
 from asmgraph.tnn import RationalMatrix, det
 
@@ -149,6 +151,12 @@ class TestBq:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_qdet_matches_product(self, n):
         assert bq_qdet(n) == bq_product(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_recursion_has_the_qdet_term_order(self, n):
+        """The recursion's exact divisions give their quotients in
+        ascending exponent, as the decoded q-determinant has them."""
+        assert repr(bq_recursion(n)) == repr(bq_qdet(n))
 
     def test_method_table(self):
         assert set(BQ_METHODS) == {"def", "prod", "qdet", "rec"}
@@ -302,7 +310,11 @@ class TestCondense:
         singular = []
         for rows in _condensation_cases(n, rng):
             weighted = _q_weight_matrix(rows)
-            encoded, decode = _kronecker(weighted, products=2)
+            encoded, width, low = _kronecker(weighted, products=2)
+
+            def decode(value, size):
+                return _decode(value, width, size * low)
+
             for matrix, one, ints, read in (
                 (rows, 1, rows, lambda value, size: value),
                 (weighted, HalfExpPoly.one(), encoded, decode),
@@ -332,6 +344,15 @@ def _condensable(draw):
     return rows
 
 
+def _zero_interior_rows(n, seed):
+    """A seeded n x n int matrix, entries -3..3, whose interior has a
+    zero row, so a zero interior minor."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    rows[n // 2][1:-1] = [0] * (n - 2)
+    return rows
+
+
 class TestCondenseAgainstFiveSlices:
     @settings(max_examples=200, deadline=None)
     @given(_condensable())
@@ -351,10 +372,8 @@ class TestCondenseAgainstFiveSlices:
         _det call, and q_dodgson_check alone takes the four corner slices.
         Its right side is 0 then (Desnanot-Jacobi), but it is computed,
         not assumed: a _det off by one shows in it."""
-        rng = random.Random(900 + n)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        rows[n // 2][1:-1] = [0] * (n - 2)
-        encoded, decode = _kronecker(_q_weight_matrix(rows), products=2)
+        rows = _zero_interior_rows(n, 900 + n)
+        encoded, width, low = _kronecker(_q_weight_matrix(rows), products=2)
         for ints in (rows, encoded):
             assert _condense(ints) == (0, None)
             assert _five_det_slices(ints) == (0, 0)
@@ -373,7 +392,8 @@ class TestCondenseAgainstFiveSlices:
 
         with mock.patch.object(asmgraph.polynomials, "_det", shifted):
             report = q_dodgson_check(m)
-        assert report.rhs == decode(_five_det_slices(encoded, shifted)[1], 2 * n - 2)
+        numerator = _five_det_slices(encoded, shifted)[1]
+        assert report.rhs == _decode(numerator, width, (2 * n - 2) * low)
 
 
 class TestDodgson:
@@ -482,6 +502,18 @@ class TestQDodgson:
                 continue
             assert divided == sym_det(_q_weight_matrix(rows))
 
+    def test_divided_has_the_sym_det_term_order(self):
+        """The quotient's repr is that of the direct q-determinant of the
+        same scaled, weighted matrix: terms in ascending exponent."""
+        m = rational_matrix([[1, 2], [3, 4]])
+        assert repr(q_dodgson_divided(m)) == "HalfExpPoly({0: 4, 2: -6})"
+        rng = random.Random(13)
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(4):
+                m = rational_matrix(_random_rational_rows(n, rng))
+                expected = sym_det(_q_weight_matrix(_int_rows(m.rows)[0]))
+                assert repr(q_dodgson_divided(m)) == repr(expected)
+
     def test_divided_value_at_one(self):
         m = rational_matrix([[F(1, 2), 1], [1, 3]])
         scale = lcm(*(x.denominator for row in m.rows for x in row))
@@ -558,3 +590,100 @@ class TestQDodgson:
     def test_divided_rejects_non_square(self, rows):
         with pytest.raises(AsmError, match="^matrix must be square$"):
             q_dodgson_divided(RationalMatrix(rows))
+
+
+_BOTH_ORDERS = pytest.mark.parametrize("first", ["check", "divided"])
+
+
+class TestKeptCondensation:
+    """q_dodgson_check and q_dodgson_divided share one condensation, kept
+    on the matrix, which equality, hash, repr, the fields and pickling
+    do not see."""
+
+    ROWS = [[F(1, 2), 2, -1, 3], [3, F(5, 3), 1, 0], [2, -1, F(7, 4), 1], [1, 1, 2, F(1, 5)]]
+
+    @staticmethod
+    def _both(m, first):
+        """The report and the quotient, the one named first called first."""
+        if first == "check":
+            report = q_dodgson_check(m)
+            return report, q_dodgson_divided(m)
+        quotient = q_dodgson_divided(m)
+        return q_dodgson_check(m), quotient
+
+    @_BOTH_ORDERS
+    def test_leaves_the_plain_matrix(self, first):
+        assert [f.name for f in fields(RationalMatrix)] == ["rows"]
+        m, plain = rational_matrix(self.ROWS), rational_matrix(self.ROWS)
+        self._both(m, first)
+        assert m._q_condensed is not None and plain._q_condensed is None
+        assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
+
+    @_BOTH_ORDERS
+    def test_pickles_after_each_call(self, first):
+        m = rational_matrix(self.ROWS)
+        fresh = self._both(rational_matrix(self.ROWS), first)
+        calls = (q_dodgson_check, q_dodgson_divided)
+        for call in calls if first == "check" else calls[::-1]:
+            call(m)
+            back = pickle.loads(pickle.dumps(m))
+            assert back == m and back._q_condensed == m._q_condensed
+            assert self._both(back, first) == fresh
+
+    @_BOTH_ORDERS
+    def test_one_condensation_per_matrix(self, first):
+        """One _condense call for the check and the quotient on one
+        matrix, and one per matrix on two equal but distinct ones."""
+        with mock.patch.object(asmgraph.polynomials, "_condense", wraps=_condense) as spy:
+            self._both(rational_matrix(self.ROWS), first)
+            assert spy.call_count == 1
+        a, b = rational_matrix(self.ROWS), rational_matrix(self.ROWS)
+        with mock.patch.object(asmgraph.polynomials, "_condense", wraps=_condense) as spy:
+            if first == "check":
+                q_dodgson_check(a), q_dodgson_divided(b)
+            else:
+                q_dodgson_divided(a), q_dodgson_check(b)
+            assert spy.call_count == 2
+
+    @_BOTH_ORDERS
+    def test_results_match_a_fresh_matrix(self, first):
+        """On nonsingular interiors; zero ones have their own test."""
+        rng = random.Random(41)
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(3):
+                rows = _random_rational_rows(n, rng)
+                if det([row[1:-1] for row in rows[1:-1]]) == 0:
+                    continue
+                m = rational_matrix(rows)
+                report, quotient = self._both(m, first)
+                assert report == q_dodgson_check(rational_matrix(rows))
+                assert repr(quotient) == repr(q_dodgson_divided(rational_matrix(rows)))
+                assert self._both(m, first) == (report, quotient)
+
+    @pytest.mark.parametrize("rows", [((1, 2, 3), (1, 2, 3)), ((5, 7),), ((4,),), ()])
+    def test_bad_input_keeps_nothing(self, rows):
+        m = RationalMatrix(tuple(tuple(map(F, row)) for row in rows))
+        for call in (q_dodgson_check, q_dodgson_divided):
+            with pytest.raises(AsmError):
+                call(m)
+            assert m._q_condensed is None
+
+    @_BOTH_ORDERS
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_zero_interior_in_either_order(self, first, n):
+        """On a zero interior the quotient raises with no _det call, and
+        each check takes the four corner slices, whichever came first."""
+        rows = _zero_interior_rows(n, 900 + n)
+        m = rational_matrix(rows)
+        with mock.patch.object(asmgraph.polynomials, "_det", wraps=_det) as spy:
+            for call in (["check", "divided"] if first == "check" else ["divided", "check"]) * 2:
+                before = spy.call_count
+                if call == "divided":
+                    with pytest.raises(SingularInteriorError):
+                        q_dodgson_divided(m)
+                    assert spy.call_count == before
+                else:
+                    report = q_dodgson_check(m)
+                    assert spy.call_count == before + 4
+                    assert report.passed and report.lhs.is_zero()
+        assert report == q_dodgson_check(rational_matrix(rows))

@@ -37,7 +37,7 @@ from asmgraph import (
     verify_certificate,
 )
 from asmgraph.lattice import SizeMismatchError
-from asmgraph.polynomials import _kronecker, _q_weight_matrix
+from asmgraph.polynomials import _decode, _kronecker, _q_weight_matrix
 from asmgraph.symbolic import (
     EdgeFactorization,
     SflCertificate,
@@ -961,10 +961,10 @@ class TestElimination:
     @given(_int_matrices(max_n=6))
     def test_q_weighted_kronecker_encodings(self, laplace_det, rows):
         weighted = _q_weight_matrix(rows)
-        encoded, decode = _kronecker(weighted)
+        encoded, width, low = _kronecker(weighted)
         value = _det(encoded)
         assert value == laplace_det(encoded, 1)
-        assert decode(value, len(rows)) == laplace_det(weighted, HalfExpPoly.one())
+        assert _decode(value, width, len(rows) * low) == laplace_det(weighted, HalfExpPoly.one())
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

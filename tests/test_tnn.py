@@ -66,6 +66,10 @@ def _every_minor_positive(all_minors, m):
     )
 
 
+class _FractionSubclass(Fraction):
+    """A Fraction subclass, which rational_matrix converts to Fraction."""
+
+
 class TestRationalMatrix:
     def test_construction(self):
         m = rational_matrix([[1, "1/2"], [F(3), 0]])
@@ -76,6 +80,41 @@ class TestRationalMatrix:
     def test_non_square(self):
         with pytest.raises(AsmError):
             rational_matrix([[1, 2], [3]])
+
+    def test_fraction_entries_are_kept(self):
+        x, y = F(3, 4), F(-5)
+        m = rational_matrix([[x, y], [y, x]])
+        assert m.rows[0][0] is x and m.rows[0][1] is y and m.rows[1][1] is x
+
+    @pytest.mark.parametrize(
+        "x", [7, "-7/3", 0.375, True, _FractionSubclass(2, 3)],
+        ids=["int", "str", "float", "bool", "Fraction subclass"],
+    )
+    def test_other_entries_become_fractions(self, x):
+        ((y,),) = rational_matrix([[x]]).rows
+        assert type(y) is Fraction and y == Fraction(x)
+
+    def test_ragged_fraction_rows(self):
+        with pytest.raises(AsmError, match="^matrix must be square$"):
+            rational_matrix([[F(1), F(2)], [F(3)]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_converting_every_entry(self, data):
+        """Against the conversion of every entry by Fraction(x)."""
+        n = data.draw(st.integers(min_value=0, max_value=4))
+        entry = st.one_of(
+            st.fractions(),
+            st.integers(),
+            st.booleans(),
+            st.fractions().map(str),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.fractions().map(lambda x: _FractionSubclass(x.numerator, x.denominator)),
+        )
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        got = rational_matrix(rows).rows
+        assert got == tuple(tuple(Fraction(x) for x in row) for row in rows)
+        assert all(type(x) is Fraction for row in got for x in row)
 
     def test_entry_outside_1_to_n(self):
         m = rational_matrix([[1, 2], [3, 4]])
