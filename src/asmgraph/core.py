@@ -35,7 +35,8 @@ class AsmError(ValueError):
 
 
 class NonSquareError(AsmError):
-    """Input matrix is empty or not square."""
+    """Input matrix is not square, or (for an ``Asm``) empty; a 0 x 0
+    rational matrix is legal."""
 
 
 class EntryOutOfRangeError(AsmError):

@@ -258,9 +258,7 @@ def dodgson(m: RationalMatrix) -> Fraction:
     so the quotient grows by scale**n.  The determinant itself is never
     taken: :func:`_condense` gives only the interior and the numerator,
     from one elimination, and no numerator when the interior is 0.
-    AsmError unless m is square.
     """
-    _check_square(m.rows)
     n = m.n
     if n < 2:
         return m.entry(1, 1) if n else Fraction(1)
@@ -300,7 +298,7 @@ def _q_condensation(
     them.  A product of minors with ``size`` rows in all decodes as
     ``_decode(value, width, size * low)``.
 
-    The first call on m checks it, computes the tuple and keeps it on m
+    The first call on m checks n, computes the tuple and keeps it on m
     (see :class:`RationalMatrix`); later calls read it, so
     :func:`q_dodgson_check` and :func:`q_dodgson_divided` on one matrix
     share one condensation.  The tuple is plain data, so m still pickles.
@@ -311,10 +309,9 @@ def _q_condensation(
     q^{(n-1)/2}: Dodgson's numerator on A_q is the identity's right side.
     That numerator and |A_q| |A'_q| are bounded by 2H, so the encoding is
     taken for products of two minors (see :func:`sym_det`).  AsmError
-    unless m is square with n >= 2, and then nothing is kept.
+    unless n >= 2, and then nothing is kept.
     """
     if m._q_condensed is None:
-        _check_square(m.rows)
         if m.n < 2:
             raise AsmError("condensation needs n >= 2")
         rows, scale = _int_rows(m.rows)

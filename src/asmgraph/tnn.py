@@ -58,8 +58,10 @@ none of those can have a negative entry or a broken top block.  The
 Gaussian :func:`det` stays as the public reference determinant that
 ``dodgson verify`` and the tests compare with.
 
-The matrices this module makes (samples, counterexamples, q-weightings)
-are built once, straight from Fractions, and not passed back through
+Every :class:`RationalMatrix` is square: its constructor checks the
+shape, so no function that takes one checks it again.  The matrices
+this module makes (samples, counterexamples, q-weightings) are built
+once, straight from Fractions, and not passed back through
 :func:`rational_matrix`, the entry point for rows from outside, which
 keeps an entry that is already a Fraction and converts any other.  A
 matrix keeps the values derived from it, the TNN verdict and the
@@ -91,7 +93,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Asm, AsmError, _check_range
+from .core import Asm, AsmError, NonSquareError, _check_range
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
 from .symbolic import _asm_difference, _int_rows, _randints, _ratio
 
@@ -108,7 +110,11 @@ class IrrationalSqrtError(AsmError):
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable matrix of exact rationals with 1-based accessor.
+    """Immutable square matrix of exact rationals with 1-based accessor.
+
+    The constructor keeps the rows as a tuple of tuples and raises
+    NonSquareError unless they are n rows of n entries (n = 0 too); it
+    converts no entry, which :func:`rational_matrix` does.
 
     The matrix keeps two derived values once they are computed:
     :func:`is_tnn`'s verdict, and the q-condensation that
@@ -125,6 +131,11 @@ class RationalMatrix:
     # polynomials._q_condensation's tuple, or None until it is computed.
     _q_condensed = None
 
+    def __post_init__(self):
+        rows = tuple(map(tuple, self.rows))
+        _check_square(rows)
+        object.__setattr__(self, "rows", rows)
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -139,17 +150,16 @@ class RationalMatrix:
 
 
 def _check_square(rows: Sequence[Sequence]) -> None:
-    """AsmError unless rows make a square matrix."""
+    """NonSquareError unless rows make a square matrix."""
     if any(len(row) != len(rows) for row in rows):
-        raise AsmError("matrix must be square")
+        raise NonSquareError("matrix must be square")
 
 
 def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
     """The rows as a :class:`RationalMatrix`: an entry whose type is
     Fraction is kept as it is, and any other goes through
-    ``Fraction(x)``.  AsmError unless the matrix is square."""
+    ``Fraction(x)``."""
     out = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
-    _check_square(out)
     return RationalMatrix(out)
 
 
@@ -163,11 +173,10 @@ def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
     return RationalMatrix(tuple(zip(*[entries] * n)))
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination; AsmError
-    unless the matrix is square."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    _check_square(m)
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination of the rows as
+    :func:`rational_matrix` reads them."""
+    m = [list(row) for row in rational_matrix(rows).rows]
     n = len(m)
     sign = 1
     result = Fraction(1)
@@ -190,10 +199,9 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def is_tnn(m: RationalMatrix) -> bool:
     """Exact check that every minor is >= 0, by :func:`_neville` on the
-    matrix scaled to ints.  The first call checks that m is square,
-    computes the verdict and keeps it on m; later calls read it."""
+    matrix scaled to ints.  The first call computes the verdict and
+    keeps it on m; later calls read it."""
     if m._tnn is None:
-        _check_square(m.rows)
         object.__setattr__(m, "_tnn", _neville(_int_rows(m.rows)[0]))
     return m._tnn
 
@@ -234,8 +242,7 @@ def rational_sqrt(x) -> Fraction:
 
 
 def _reweighted(m: RationalMatrix, s: Fraction) -> RationalMatrix:
-    """The matrix (s^{(i-j)^2} m(i,j)); AsmError unless m is square."""
-    _check_square(m.rows)
+    """The matrix (s^{(i-j)^2} m(i,j))."""
     rows = zip(_square_gaps(m.n), m.rows)
     return RationalMatrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
 
@@ -249,14 +256,14 @@ def _root(q0) -> Fraction:
 
 
 def q_weighted(m: RationalMatrix, q0) -> RationalMatrix:
-    """The matrix (q0^{(i-j)^2/2} m(i,j)); m must be square and q0 a
-    positive perfect square."""
+    """The matrix (q0^{(i-j)^2/2} m(i,j)); q0 must be a positive perfect
+    square."""
     return _reweighted(m, _root(q0))
 
 
 def q_unweighted(m: RationalMatrix, q0) -> RationalMatrix:
-    """Inverse of :func:`q_weighted`; m must be square and q0 a positive
-    perfect square."""
+    """Inverse of :func:`q_weighted`; q0 must be a positive perfect
+    square."""
     return _reweighted(m, 1 / _root(q0))
 
 
@@ -366,10 +373,9 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
 def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
     """Exact value of x^a - x^b at m.
 
-    Raises AsmError unless m is square, and UndefinedEvaluationError
-    when a zero entry of m meets a negative exponent.
+    Raises UndefinedEvaluationError when a zero entry of m meets a
+    negative exponent.
     """
-    _check_square(m.rows)
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
     return _asm_difference(a, b, m.rows)

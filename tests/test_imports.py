@@ -80,6 +80,28 @@ def test_every_private_name_is_read():
     assert not unread, f"no code in the package loads {unread}"
 
 
+def _readers(node: ast.AST, name: str, scope: str):
+    """The dotted scope (module, class, function) of each load of name
+    under node, as a Name or as an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _readers(child, name, f"{scope}.{child.name}")
+            continue
+        if (isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load)) or (
+            isinstance(child, ast.Attribute) and child.attr == name
+        ):
+            yield scope
+        yield from _readers(child, name, scope)
+
+
+def test_only_the_constructor_and_sym_det_check_squareness():
+    """A RationalMatrix is square once built, so no function that takes
+    one checks it again; only sym_det, on raw rows, checks its own."""
+    trees, _ = _package()
+    readers = {s for module, tree in trees.items() for s in _readers(tree, "_check_square", module)}
+    assert readers == {"tnn.RationalMatrix.__post_init__", "polynomials.sym_det"}
+
+
 def _registered(node: ast.AST, tree: ast.Module) -> bool:
     """Whether a definition of the module is decorated by a call of a
     decorator the module defines, which registers it (verify's

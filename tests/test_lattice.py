@@ -333,6 +333,17 @@ class TestRect:
         with pytest.raises(ValueError):
             Rect(1, 2, 0, 1)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(1, 2, 1, 2.5), (1.0, 2, 1, 2), (1, 2, True, 2), (1, 2, 1, "2"), (1, 2, 1, Fraction(2))],
+        ids=["float-l", "float-i", "bool-k", "str-l", "Fraction-l"],
+    )
+    def test_bounds_must_be_ints(self, bounds):
+        """A float bound used to build a rectangle that apply_rect
+        silently ignored and classify_edge met with a bare TypeError."""
+        with pytest.raises(ValueError, match="need int bounds"):
+            Rect(*bounds)
+
     def test_geometry(self):
         r = Rect(1, 3, 2, 5)
         assert r.area == 6

@@ -38,7 +38,7 @@ from asmgraph.tnn import RationalMatrix, det
 
 F = Fraction
 
-#: Rows that RationalMatrix takes but that make no square matrix.
+#: Rows that make no square matrix, which RationalMatrix rejects.
 _NON_SQUARE = pytest.mark.parametrize("rows", [((1, 2, 3), (1, 2, 3)), ((5, 7),)], ids=["2x3", "1x2"])
 
 B3_STR = "1 - 2q + 2q^3 - q^4"
@@ -662,7 +662,14 @@ class TestKeptCondensation:
 
     @pytest.mark.parametrize("rows", [((1, 2, 3), (1, 2, 3)), ((5, 7),), ((4,),), ()])
     def test_bad_input_keeps_nothing(self, rows):
-        m = RationalMatrix(tuple(tuple(map(F, row)) for row in rows))
+        """A non-square matrix cannot be built; a 1x1 or 0x0 one raises
+        in both calls and keeps nothing."""
+        rows = tuple(tuple(map(F, row)) for row in rows)
+        if any(len(row) != len(rows) for row in rows):
+            with pytest.raises(AsmError, match="^matrix must be square$"):
+                RationalMatrix(rows)
+            return
+        m = RationalMatrix(rows)
         for call in (q_dodgson_check, q_dodgson_divided):
             with pytest.raises(AsmError):
                 call(m)

@@ -16,6 +16,7 @@ from asmgraph import (
     AsmError,
     ComparableError,
     DEFAULT_Q_GRID,
+    HalfExpPoly,
     IrrationalSqrtError,
     UndefinedEvaluationError,
     asm_leq,
@@ -33,9 +34,10 @@ from asmgraph import (
     random_tnn,
     rational_matrix,
     reverse_asm,
+    sym_det,
     validate_asm,
 )
-from asmgraph.core import corner_sum
+from asmgraph.core import NonSquareError, corner_sum
 from asmgraph.lattice import SizeMismatchError
 from asmgraph.symbolic import _int_rows
 from asmgraph.tnn import (
@@ -97,6 +99,43 @@ class TestRationalMatrix:
     def test_ragged_fraction_rows(self):
         with pytest.raises(AsmError, match="^matrix must be square$"):
             rational_matrix([[F(1), F(2)], [F(3)]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2, 3], [4, 5, 6]], [[1, 2]], [[1], [2]], [[1, 2], [3]], [[1], [2, 3]]],
+        ids=["wide", "one-row", "one-column", "short-row", "long-row"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            rational_matrix,
+            RationalMatrix,
+            det,
+            lambda rows: sym_det([[HalfExpPoly.const(x) for x in row] for row in rows]),
+        ],
+        ids=["rational_matrix", "RationalMatrix", "det", "sym_det"],
+    )
+    def test_one_error_class_for_non_square(self, call, rows):
+        with pytest.raises(NonSquareError, match="^matrix must be square$"):
+            call([list(map(F, row)) for row in rows])
+
+    def test_list_rows_build_the_tuple_matrix(self):
+        """Rows given as lists are kept as tuples: the matrix equals,
+        hashes and pickles like the one built from tuples."""
+        rows = ((F(1), F(1, 2)), (F(3), F(0)))
+        listed = RationalMatrix([list(row) for row in rows])
+        assert type(listed.rows) is tuple and all(type(row) is tuple for row in listed.rows)
+        assert listed == RationalMatrix(rows)
+        assert hash(listed) == hash(RationalMatrix(rows))
+        assert pickle.loads(pickle.dumps(listed)) == RationalMatrix(rows)
+
+    def test_entries_are_not_converted(self):
+        """The constructor checks the shape alone: tuple rows are kept as
+        they are, and an entry is not converted, as rational_matrix's is."""
+        rows = ((1, F(2)), (F(3), 4))
+        m = RationalMatrix(rows)
+        assert all(a is b for a, b in zip(m.rows, rows))
+        assert type(m.entry(1, 1)) is int
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -178,10 +217,9 @@ class TestIsTnn:
 
     @_non_square
     def test_non_square(self, rows):
-        m = RationalMatrix(rows)
+        """No non-square matrix reaches is_tnn: it cannot be built."""
         with pytest.raises(AsmError, match="^matrix must be square$"):
-            is_tnn(m)
-        assert m._tnn is None
+            RationalMatrix(rows)
 
 
 class TestRationalSqrt:

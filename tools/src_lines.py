@@ -1,13 +1,16 @@
 """Count the lines and the code lines of the Python files under src/ at a
-git revision.
+git revision, or compare two revisions.
 
     python tools/src_lines.py [REV]
+    python tools/src_lines.py BASE REV
 
 REV defaults to HEAD.  The files are listed with ``git ls-tree`` and read
 with ``git show``, so the working tree plays no part.  Lines are newline
 characters.  A code line holds a token other than a comment, NL,
 NEWLINE, INDENT, DEDENT or ENDMARKER that lies outside every module,
-class and function docstring.  Prints both totals, lines first.
+class and function docstring.  Prints both totals, lines first, for each
+revision; given two, also prints the change, as in "4,200 → 4,205 lines,
+2,331 → 2,329 code lines".
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    rev = argv[0] if argv else "HEAD"
+def _counts(rev: str) -> tuple[int, int]:
+    """Lines and code lines of the Python files under src/ at rev."""
     paths = _git("ls-tree", "-r", "--name-only", rev, "--", "src").split()
     total = code = 0
     for path in paths:
@@ -66,7 +69,18 @@ def main(argv: list[str]) -> int:
             source = _git("show", f"{rev}:{path}")
             total += source.count("\n")
             code += code_lines(source)
-    print(f"src/ at {rev}: {total:,} lines, {code:,} code lines")
+    return total, code
+
+
+def main(argv: list[str]) -> int:
+    counts = []
+    for rev in argv or ["HEAD"]:
+        total, code = _counts(rev)
+        print(f"src/ at {rev}: {total:,} lines, {code:,} code lines")
+        counts.append((total, code))
+    if len(counts) == 2:
+        (base, base_code), (total, code) = counts
+        print(f"{base:,} → {total:,} lines, {base_code:,} → {code:,} code lines")
     return 0
 
 
