@@ -28,26 +28,29 @@ so one condensation step serves both.  That step is one fraction-free
 elimination of the interior, bordered by rows and columns 1 and n,
 which leaves the interior minor and the four corner minors together.
 
-Every polynomial determinant here runs on ints by Kronecker
-substitution: the matrix is evaluated once at q^(1/2) = 2^width, the
-fraction-free elimination of :mod:`symbolic` runs on those ints, and
-each result is read back as balanced base-2^width digits by
-:func:`_decode`.  The width comes from Hadamard's bound on the matrix
-(see :func:`sym_det`), and for the definition's tally from the n!
-terms of the sum, so the decoded coefficients are exact.
+Every polynomial computation here runs on ints by Kronecker
+substitution: each polynomial is evaluated once at q^(1/2) = 2^width,
+or at q = 2^width where every exponent is an integer, the products,
+the fraction-free elimination of :mod:`symbolic` and the divisions run
+on those ints, and each result is read back as balanced base-2^width
+digits by :func:`_decode`.  The width comes from Hadamard's bound on
+the matrix (see :func:`sym_det`), and for the definition's tally, the
+product and the recursion from the n! terms of the sum, so the decoded
+coefficients are exact.  A division is :func:`_exact_quotient`, one
+divmod confirmed at a second width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
 from .lattice import _square_gaps
-from .symbolic import HalfExpPoly, _bordered, _det, _int_rows, _trusted_poly
+from .symbolic import HalfExpPoly, NonExactDivisionError, _bordered, _det, _int_rows, _trusted_poly
 from .tnn import RationalMatrix, _check_square
 
 QDET_SIZE_LIMIT = 10
@@ -57,16 +60,23 @@ class SingularInteriorError(AsmError):
     """The interior minor vanishes, so the condensation quotient is undefined."""
 
 
+def _factorial_width(n: int) -> int:
+    """The width with n! < 2^(width-1): a polynomial whose coefficients
+    are sums of at most n! terms +-1, as those of B_k and of the unsigned
+    sum are for every k <= n, decodes exactly at it."""
+    return factorial(n).bit_length() + 1
+
+
 def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
     """sum over S_n of sign(w) q^{beta(w)}, or unsigned: the column-state
     tally over the permutation table, whose 1 in column j of row i adds
     (i - j)^2 to 2 beta and an inversion per used column right of j, a
     set bit of the int state above bit j.
 
-    Each coefficient is a sum of at most n! terms +-1, so |c| <= n! <
-    2^(width-1) for the width below, and one decode of the tally's int
-    at q^(1/2) = 2^width gives the terms exactly (see :func:`_tally`),
-    in ascending exponent."""
+    Each coefficient is a sum of at most n! terms +-1, so one decode of
+    the tally's int at q^(1/2) = 2^width, for the width of
+    :func:`_factorial_width`, gives the terms exactly (see
+    :func:`_tally`), in ascending exponent."""
     _check_limit(n, size_limit)
     gaps = _square_gaps(n)
 
@@ -74,7 +84,7 @@ def _beta_tally(n: int, size_limit: int | None, signed: bool) -> HalfExpPoly:
         j = row.index(1)
         return gaps[i][j], (-1) ** (state >> j + 1).bit_count() if signed else 1
 
-    width = factorial(n).bit_length() + 1
+    width = _factorial_width(n)
     return _decode(_tally(n, _permutation_table(n), weigh, width), width, 0)
 
 
@@ -86,13 +96,22 @@ def bq_definition(
 
 
 def bq_product(n: int) -> HalfExpPoly:
-    """B_n(q) as the product of (1 - q^k)^(n-k) for k = 1..n-1."""
+    """B_n(q) as the product of (1 - q^k)^(n-k) for k = 1..n-1, terms in
+    ascending exponent.
+
+    Every exponent is an integer, so the product is evaluated at q, not
+    at q^(1/2), = 2^width for the width of :func:`_factorial_width`, and
+    decoded once.  Evaluation is a ring homomorphism, so the partial
+    products need no bound; only B_n's coefficients must fit, and B_n is
+    a signed sum of n! terms."""
     _check_limit(n, None)
-    result = HalfExpPoly.one()
-    for k in range(1, n):
-        factor = HalfExpPoly.one() - HalfExpPoly.q_pow(k)
-        result = result * factor ** (n - k)
-    return result
+    width = _factorial_width(n)
+    factors = [(1 - (1 << width * k)) ** (n - k) for k in range(1, n)]
+    # A balanced product tree: multiplying partial products pairwise costs
+    # less than multiplying one growing product by each short factor.
+    while len(factors) > 1:
+        factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return _decode(prod(factors), width, 0, 2)
 
 
 def sym_det(entries: Sequence[Sequence[HalfExpPoly]]) -> HalfExpPoly:
@@ -158,16 +177,17 @@ def _kronecker(
     return encoded, width, low
 
 
-def _decode(value: int, width: int, low: int) -> HalfExpPoly:
-    """The polynomial whose doubled exponents, less ``low``, are the
-    positions of value's balanced base-2^width digits: digit m is the
-    coefficient of q^((m + low)/2), terms in ascending exponent.  Exact
-    when every coefficient c has |c| < 2^(width-1)."""
+def _decode(value: int, width: int, low: int, step: int = 1) -> HalfExpPoly:
+    """The polynomial whose coefficients are value's balanced
+    base-2^width digits: digit m is the coefficient of q^((low + step m)/2),
+    terms in ascending exponent.  Step 1 reads value as evaluated at
+    q^(1/2) = 2^width, step 2 at q = 2^width.  Exact when every
+    coefficient c has |c| < 2^(width-1)."""
     half, mask = 1 << width - 1, (1 << width) - 1
     terms = {}
     # With width >= 2 the top digit is at least a third of value's
     # magnitude, so value has no more digits than this range.
-    for t in range(low, low + abs(value).bit_length() // width + 2):
+    for t in range(low, low + step * (abs(value).bit_length() // width + 2), step):
         digit = value & mask
         value >>= width
         if digit >= half:  # a negative digit, borrowed from the next one up
@@ -176,6 +196,50 @@ def _decode(value: int, width: int, low: int) -> HalfExpPoly:
         if digit:
             terms[t] = digit
     return _trusted_poly(terms)
+
+
+def _exact_quotient(factors: Sequence[int], divisor: int, width: int) -> int:
+    """Q(2^width) for the polynomial Q in Z[z] with Q D = F_1 ... F_r,
+    given the values F_i(2^width) as ``factors`` and D(2^width) as
+    ``divisor``; NonExactDivisionError if there is no such Q.
+
+    The caller promises that each F_i and D, and Q if it exists, has
+    every coefficient c with |c| < 2^(width-1), so that each value's
+    balanced base-2^width digits (see :func:`_decode`) are its
+    polynomial's coefficients.  D must not be 0.
+
+    Evaluation at 2^width is a ring homomorphism, so if Q exists, the
+    product N of the factors' values is Q(2^width) D(2^width): one
+    divmod leaves no remainder, and a remainder proves that D does not
+    divide.  A zero remainder alone proves nothing, since 2^width is one
+    point: the integer quotient's digits give some Q' with Q' D = N at
+    z = 2^width only.  So Q' D = F_1 ... F_r is confirmed as polynomials
+    at a second width, read from the decoded norms: a coefficient of a
+    product is at most the product of the factors' L1 norms, so every
+    coefficient of the difference has absolute value at most
+
+        bound = ||Q'||_1 ||D||_1 + ||F_1||_1 ... ||F_r||_1,
+
+    and with 2^wide > bound, a nonzero difference is nonzero at
+    2^wide: its lowest nonzero coefficient c_m, with 0 < |c_m| < 2^wide,
+    is not a multiple of 2^wide, so the value is not 0 modulo
+    2^(wide (m+1)).  A passed confirmation thus proves the division
+    exact.  Conversely, if Q exists, the integer quotient is Q(2^width),
+    and since the first width bounds Q's coefficients, its balanced
+    digits, which are unique, are those coefficients: Q' is Q, and an
+    exact division always passes.
+    """
+    quotient, remainder = divmod(prod(factors), divisor)
+    if remainder:
+        raise NonExactDivisionError("the divisor leaves a remainder")
+    # Each distinct value is decoded once; the recursion passes one twice.
+    terms = {x: _decode(x, width, 0).terms for x in {quotient, divisor, *factors}}
+    norm = {x: sum(map(abs, t.values())) for x, t in terms.items()}
+    wide = (norm[quotient] * norm[divisor] + prod(norm[x] for x in factors)).bit_length()
+    at = {x: sum(c << wide * m for m, c in t.items()) for x, t in terms.items()}
+    if at[quotient] * at[divisor] != prod(at[x] for x in factors):
+        raise NonExactDivisionError("the quotient times the divisor is not the numerator")
+    return quotient
 
 
 def _q_weight_matrix(rows: Sequence[Sequence[int]]) -> list[list[HalfExpPoly]]:
@@ -194,20 +258,27 @@ def bq_qdet(n: int, *, size_limit: int | None = QDET_SIZE_LIMIT) -> HalfExpPoly:
 
 
 def bq_recursion(n: int) -> HalfExpPoly:
-    """B_n(q) by the three-term recursion, seeded from the definition.
+    """B_n(q) by the three-term recursion, seeded from the definition,
+    terms in ascending exponent.
 
-    B_1 and B_2 come from the signed-sum definition; every division is
-    exact polynomial division and raises NonExactDivisionError if a
-    remainder ever appears (it cannot, but the check is real).
+    B_1 and B_2 come from the signed-sum definition.  Each B_k is held
+    as its value at q = 2^width, for the width of
+    :func:`_factorial_width`, which every B_k with k <= n fits, and only
+    B_n is decoded for the result.  Each division
+    B_(k-1)^2 (1 - q^(k-1)) / B_(k-2) is :func:`_exact_quotient`: one
+    divmod, and a confirmation at a second width.  It raises
+    NonExactDivisionError if a division is not exact (none can be, but
+    the check is real).
     """
     _check_limit(n, None)
-    values = [None, bq_definition(1), bq_definition(2)]
+    width = _factorial_width(n)
+    values = [None] + [
+        sum(c << width * (t // 2) for t, c in bq_definition(k).terms.items()) for k in (1, 2)
+    ]
     for k in range(3, n + 1):
-        numerator = values[k - 1] * values[k - 1] * (
-            HalfExpPoly.one() - HalfExpPoly.q_pow(k - 1)
-        )
-        values.append(numerator.divexact(values[k - 2]))
-    return values[n]
+        factors = values[k - 1], values[k - 1], 1 - (1 << width * (k - 1))
+        values.append(_exact_quotient(factors, values[k - 2], width))
+    return _decode(values[n], width, 0, 2)
 
 
 BQ_METHODS = {
@@ -355,11 +426,17 @@ def q_dodgson_divided(m: RationalMatrix) -> HalfExpPoly:
     polynomial.  The result equals the direct symbolic q-determinant of
     the scaled matrix (see :class:`QDodgsonReport` on scaling), terms in
     ascending exponent.  The condensation is :func:`_q_condensation`'s,
-    kept on m, so after :func:`q_dodgson_check` only the decoding and
-    the division are left.
+    kept on m, so after :func:`q_dodgson_check` only the division and
+    one decoding are left.
+
+    The division is :func:`_exact_quotient` of the kept encoded
+    numerator by the kept encoded interior, at the condensation's width:
+    the numerator fits it (bounded by 2H), and the interior and the
+    quotient |A_q| are minors, bounded by sqrt(H) (see :func:`sym_det`).
+    It is confirmed at a second width, and the quotient, with n rows of
+    entries, decodes with shift n low.
     """
     _scale, _encoded, width, low, interior, numerator = _q_condensation(m)
-    interior = _decode(interior, width, (m.n - 2) * low)
-    if interior.is_zero():
+    if interior == 0:
         raise SingularInteriorError("interior q-determinant is the zero polynomial")
-    return _decode(numerator, width, (2 * m.n - 2) * low).divexact(interior)
+    return _decode(_exact_quotient((numerator,), interior, width), width, m.n * low)

@@ -74,7 +74,8 @@ class VerificationFailureError(AsmError):
 
 
 class NonExactDivisionError(AsmError):
-    """Polynomial division left a remainder."""
+    """Polynomial division was not exact: it left a remainder, or an int
+    quotient failed its confirmation (see polynomials._exact_quotient)."""
 
 
 Variable = tuple[int, int]
@@ -630,7 +631,7 @@ class HalfExpPoly:
         """coeff * q^k for integer k."""
         return cls({2 * k: coeff})
 
-    # -- ring operations ----------------------------------------------
+    # -- ring operations: the tests' oracle; no library path calls them --
     def __add__(self, other: "HalfExpPoly") -> "HalfExpPoly":
         return self._plus(other, 1)
 

@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
-from asmgraph import Rect, apply_rect, asm_leq, essential_points, validate_asm
+from asmgraph import HalfExpPoly, Rect, apply_rect, asm_leq, bq_definition, essential_points, validate_asm
+from asmgraph.core import NonSquareError
+from asmgraph.tnn import RationalMatrix
 from asmgraph.verify import A3_EDGES, A3_MATRICES, S4_SIGN_BETA
 
 # The seven 3x3 ASMs, named by their one-line permutation where they
@@ -106,6 +108,37 @@ def _laplace_det(rows, one):
     return table.get(full, one - one)
 
 
+def _ring_product(n):
+    """B_n(q) as the product of (1 - q^k)^(n-k) by HalfExpPoly's ring
+    operations: the oracle of polynomials.bq_product on ints."""
+    result = HalfExpPoly.one()
+    for k in range(1, n):
+        result = result * (HalfExpPoly.one() - HalfExpPoly.q_pow(k)) ** (n - k)
+    return result
+
+
+def _ring_recursion(n):
+    """[None, B_1, ..., B_n] by the recursion B_k = B_(k-1)^2 (1 - q^(k-1))
+    / B_(k-2) with HalfExpPoly's ring operations and divexact, seeded
+    from the definition: the oracle of polynomials.bq_recursion on ints."""
+    values = [None, bq_definition(1), bq_definition(2)]
+    for k in range(3, n + 1):
+        numerator = values[k - 1] * values[k - 1] * (HalfExpPoly.one() - HalfExpPoly.q_pow(k - 1))
+        values.append(numerator.divexact(values[k - 2]))
+    return values[: n + 1]
+
+
+def _refused_by_the_constructor(f, rows, before=(), after=()):
+    """Assert that f(*before, RationalMatrix(rows), *after) raises the one
+    non-square error from RationalMatrix's own check: the constructor's
+    frame is on the traceback and f's is not, so f never gets the rows
+    and needs no square check of its own."""
+    with pytest.raises(NonSquareError, match="^matrix must be square$") as info:
+        f(*before, RationalMatrix(rows), *after)
+    frames = [entry.name for entry in info.traceback]
+    assert "__post_init__" in frames and f.__name__ not in frames
+
+
 @pytest.fixture
 def a3():
     return A3
@@ -144,6 +177,21 @@ def all_minors():
 @pytest.fixture(scope="session")
 def tnn_by_minors():
     return _tnn_by_minors
+
+
+@pytest.fixture(scope="session")
+def refused_by_the_constructor():
+    return _refused_by_the_constructor
+
+
+@pytest.fixture(scope="session")
+def ring_product():
+    return _ring_product
+
+
+@pytest.fixture(scope="session")
+def ring_recursion():
+    return _ring_recursion
 
 
 @pytest.fixture

@@ -187,6 +187,14 @@ class TestCounts:
     def test_count_matches_product_formula(self, n):
         assert count_asms(n, size_limit=None) == _product_formula(n)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_two_enumeration_closed_form(self, n):
+        """Mills, Robbins and Rumsey: the sum over A_n of 2^N(A), N(A) the
+        number of -1 entries, is 2^(n(n-1)/2).  Each row contributes the
+        factor 2 per -1 it holds, so the tally at width 0 is that sum."""
+        two_enumeration = _tally(n, _step_table(n), lambda i, row, state: (0, 2 ** row.count(-1)))
+        assert two_enumeration == 2 ** (n * (n - 1) // 2)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_count_matches_the_walk(self, n):
         assert count_asms(n) == sum(1 for _ in iter_asms(n))

@@ -1,6 +1,7 @@
 """Every module of the package reads each name it imports, some module
 of the package reads each private name a module defines, and each public
-name a module defines is exported, read or registered.
+name a module defines is exported, read or registered.  No library path
+calls HalfExpPoly's ring operations.
 
 A name that is imported but only named in a docstring, or not at all, is
 a dead dependency.  ``__init__.py`` re-exports by design and ``from
@@ -13,8 +14,13 @@ registers it, as ``verify._check`` registers each check.
 
 import ast
 from pathlib import Path
+from random import Random
 
 import pytest
+
+from asmgraph import polynomials as poly, verify
+from asmgraph.symbolic import HalfExpPoly, _int_rows
+from asmgraph.tnn import random_rational_matrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asmgraph"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -125,3 +131,42 @@ def test_every_public_name_is_exported_or_read():
         if not name.startswith("_") and name not in known and not _registered(node, tree)
     )
     assert not stray, f"neither exported nor loaded by the package: {stray}"
+
+
+#: HalfExpPoly's ring operations, the tests' oracle, which no library path calls.
+RING_OPERATIONS = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "divexact")
+
+
+def test_library_paths_use_no_ring_operation(monkeypatch):
+    """With every ring operation of HalfExpPoly raising, B_n(q) four ways,
+    the permanent, the determinants and both condensations, and the bq
+    and dodgson checks of verify-all, still run: they compute on
+    Kronecker ints alone, and an operation that crept back would fail
+    here."""
+    def refuse(name):
+        def op(*args):
+            raise AssertionError(f"HalfExpPoly.{name} ran on a library path")
+
+        return op
+
+    for name in RING_OPERATIONS:
+        monkeypatch.setattr(HalfExpPoly, name, refuse(name))
+    for n in range(1, 7):
+        for f in (poly.bq_definition, poly.bq_product, poly.bq_qdet, poly.bq_recursion):
+            assert f(n) == poly.bq_definition(n)
+        poly.unsigned_permanent_q(n)
+    rng, singular = Random(46), 0
+    for n in range(2, 7):
+        for _ in range(10):
+            m = random_rational_matrix(n, rng)
+            weighted = poly._q_weight_matrix(_int_rows(m.rows)[0])
+            assert poly.q_dodgson_check(m).passed
+            try:
+                poly.dodgson(m)
+                assert poly.q_dodgson_divided(m) == poly.sym_det(weighted)
+            except poly.SingularInteriorError:
+                singular += 1
+    assert singular < 10
+    for key in ("bq", "dodgson"):
+        result = verify.ALL_CHECKS[key](0)
+        assert result.passed, result.details

@@ -4,7 +4,7 @@ import pickle
 import random
 from dataclasses import fields
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from unittest import mock
 
 import pytest
@@ -32,8 +32,10 @@ from asmgraph import (
 from asmgraph.core import sign
 from asmgraph.enumeration import enumerate_permutations
 from asmgraph.lattice import beta_permutation
-from asmgraph.polynomials import BQ_METHODS, _condense, _decode, _kronecker, _q_weight_matrix
-from asmgraph.symbolic import _det, _int_rows
+from asmgraph.polynomials import (
+    BQ_METHODS, _condense, _decode, _exact_quotient, _kronecker, _q_weight_matrix,
+)
+from asmgraph.symbolic import NonExactDivisionError, _det, _int_rows
 from asmgraph.tnn import RationalMatrix, det
 
 F = Fraction
@@ -68,6 +70,13 @@ _POLY = st.dictionaries(
     st.integers(min_value=-9, max_value=9),
     st.integers(min_value=-(10**6), max_value=10**6),
     max_size=3,
+).map(HalfExpPoly)
+
+
+# Nonnegative doubled exponents, and coefficients small enough that the
+# product of two such polynomials fits width 6: |c| <= 3 * 3 * 3 < 2^5.
+_SMALL_POLYS = st.dictionaries(
+    st.integers(min_value=0, max_value=4), st.integers(min_value=-3, max_value=3), max_size=3
 ).map(HalfExpPoly)
 
 
@@ -200,6 +209,74 @@ class TestBq:
             bq_qdet(11)
         with pytest.raises(SizeLimitExceededError):
             unsigned_permanent_q(10)
+
+
+def _at(p, width):
+    """p, with nonnegative doubled exponents, at q^(1/2) = 2^width."""
+    return sum(c << width * t for t, c in p.terms.items())
+
+
+class TestIntRoutes:
+    """The product, the recursion and the exact quotient on ints, against
+    HalfExpPoly's ring operations."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_product_matches_the_ring_oracle(self, n, ring_product):
+        assert bq_product(n) == ring_product(n)
+
+    def test_recursion_matches_the_ring_oracle(self, ring_recursion):
+        """Values and repr: the oracle's divexact gives its quotients in
+        ascending exponent too."""
+        oracle = ring_recursion(16)
+        for n in range(1, 17):
+            assert repr(bq_recursion(n)) == repr(oracle[n]), n
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_product_has_the_qdet_term_order(self, n):
+        assert repr(bq_product(n)) == repr(bq_qdet(n))
+
+    def test_exact_division(self):
+        z = HalfExpPoly({1: 1})
+        a, b = z * z - HalfExpPoly.const(3), z + HalfExpPoly.const(1)
+        assert _exact_quotient((_at(a, 4), _at(b, 4)), _at(b, 4), 4) == _at(a, 4)
+        assert _exact_quotient((0,), _at(b, 4), 4) == 0
+
+    def test_remainder_raises(self):
+        """z^2 + 1 over z + 1 leaves 2 at every width."""
+        with pytest.raises(NonExactDivisionError, match="remainder"):
+            _exact_quotient((_at(HalfExpPoly({0: 1, 2: 1}), 4),), _at(HalfExpPoly({0: 1, 1: 1}), 4), 4)
+
+    @pytest.mark.parametrize(
+        "factors, divisor, width",
+        [((3, 3), 9, 3), ((256,), 2, 4)],
+        ids=["constant 2^w + 1 over z + 1", "z^2 over 2"],
+    )
+    def test_forged_zero_remainder_raises(self, factors, divisor, width):
+        """Integers that divide while the polynomials do not.  At width 3,
+        the constants 3 and 3 make the constant 9 = 2^3 + 1, and z + 1 is
+        9 too; at width 4, z^2 is 256 and the constant 2 divides it, but
+        not in Z[z].  The divmod passes, and only the confirmation at the
+        second width catches it."""
+        assert prod(factors) % divisor == 0
+        with pytest.raises(NonExactDivisionError, match="not the numerator"):
+            _exact_quotient(factors, divisor, width)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_SMALL_POLYS, _SMALL_POLYS, _SMALL_POLYS)
+    def test_quotient_or_error_against_the_ring(self, a, b, d):
+        """Over factors and divisors that fit width 6, the quotient is
+        exact whenever it is returned, and a divisor that is a factor
+        always divides."""
+        if d.is_zero():
+            d = HalfExpPoly.one()
+        factors = _at(a, 6), _at(b, 6)
+        try:
+            quotient = _exact_quotient(factors, _at(d, 6), 6)
+        except NonExactDivisionError:
+            pass
+        else:
+            assert _decode(quotient, 6, 0) * d == a * b
+        assert _decode(_exact_quotient((*factors, _at(d, 6)), _at(d, 6), 6), 6, 0) == a * b
 
 
 class TestUnsignedPermanent:
@@ -428,9 +505,8 @@ class TestDodgson:
             dodgson(rational_matrix([[1, 2, 3], [4, 0, 5], [6, 7, 8]]))
 
     @_NON_SQUARE
-    def test_non_square(self, rows):
-        with pytest.raises(AsmError, match="^matrix must be square$"):
-            dodgson(RationalMatrix(rows))
+    def test_non_square(self, rows, refused_by_the_constructor):
+        refused_by_the_constructor(dodgson, rows)
 
     @settings(deadline=None)
     @given(st.data())
@@ -582,14 +658,12 @@ class TestQDodgson:
             q_dodgson_divided(rational_matrix([[1]]))
 
     @_NON_SQUARE
-    def test_check_rejects_non_square(self, rows):
-        with pytest.raises(AsmError, match="^matrix must be square$"):
-            q_dodgson_check(RationalMatrix(rows))
+    def test_check_rejects_non_square(self, rows, refused_by_the_constructor):
+        refused_by_the_constructor(q_dodgson_check, rows)
 
     @_NON_SQUARE
-    def test_divided_rejects_non_square(self, rows):
-        with pytest.raises(AsmError, match="^matrix must be square$"):
-            q_dodgson_divided(RationalMatrix(rows))
+    def test_divided_rejects_non_square(self, rows, refused_by_the_constructor):
+        refused_by_the_constructor(q_dodgson_divided, rows)
 
 
 _BOTH_ORDERS = pytest.mark.parametrize("first", ["check", "divided"])

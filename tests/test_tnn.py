@@ -259,11 +259,11 @@ class TestQWeighting:
 
     @_non_square
     @pytest.mark.parametrize("f", [q_weighted, q_unweighted, is_locally_tnn_at], ids=attrgetter("__name__"))
-    def test_non_square(self, f, rows):
+    def test_non_square(self, f, rows, refused_by_the_constructor):
         """The weights are zipped against the n x n gaps, so a 2x3 matrix
-        would be cut to 2x2 and short rows would stay short."""
-        with pytest.raises(AsmError, match="^matrix must be square$"):
-            f(RationalMatrix(rows), 4)
+        would be cut to 2x2 and short rows would stay short; the
+        constructor refuses both before f is called."""
+        refused_by_the_constructor(f, rows, after=(4,))
 
     def test_errors(self):
         m = rational_matrix([[1]])
@@ -368,11 +368,11 @@ class TestEvaluateDifference:
         assert exc.value.position == (2, 2)
 
     @_non_square
-    def test_non_square(self, rows):
+    def test_non_square(self, rows, refused_by_the_constructor):
         """Two rows match the 2x2 ASMs' size, yet the matrix is not 2x2:
-        the 2x3 one would give 0 and the short row an IndexError."""
-        with pytest.raises(AsmError, match="^matrix must be square$"):
-            evaluate_difference(identity_asm(2), identity_asm(2), RationalMatrix(rows))
+        the 2x3 one would give 0 and the short row an IndexError; the
+        constructor refuses both before evaluate_difference is called."""
+        refused_by_the_constructor(evaluate_difference, rows, before=(identity_asm(2),) * 2)
 
     def test_size_mismatch(self, a3):
         with pytest.raises(SizeMismatchError):
