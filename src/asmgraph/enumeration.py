@@ -117,8 +117,16 @@ def _permutation_table(n: int) -> Callable[[int], list[tuple[Row, int]]]:
 def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[Asm]:
     """Stream all n x n ASMs in canonical order (see enumerate_asms) by
     the half-walk join above, with memos that live for this call.  The
-    join carries beta: each ASM is seeded with it (see lattice.beta)."""
+    join carries beta: each ASM is seeded with it (see lattice.beta).
+    The size guard is checked at the call; the walk starts at the first
+    ``next()``."""
     _check_limit(n, size_limit)
+    return _walk_asms(n)
+
+
+def _walk_asms(n: int) -> Iterator[Asm]:
+    """:func:`iter_asms`' stream, a generator, so that its memos and the
+    chain of head walks are built at the first ``next()``."""
     steps, full = _step_table(n), (1 << n) - 1
 
     @cache
@@ -144,7 +152,9 @@ def iter_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> Iterator[As
             for head, b, state in heads
             for row, nxt in steps(state)
         )
-    return (_trusted_asm(head + tail, b - t) for head, b, mid in heads for tail, t in tails(mid))
+    for head, b, mid in heads:
+        for tail, t in tails(mid):
+            yield _trusted_asm(head + tail, b - t)
 
 
 def enumerate_asms(n: int, *, size_limit: int | None = ASM_SIZE_LIMIT) -> list[Asm]:

@@ -23,9 +23,11 @@ before ended; random points only spot-check the evaluator.  A
 certificate read from JSON is rebuilt by replaying its chain.
 
 Evaluation runs on integer ratios.  Each matrix cell is read where it
-is used, as (numerator, denominator), with no table of cells kept;
-monomials, q-deformed minors and certificate steps multiply plain ints,
-and each result is one Fraction.
+is used, as (numerator, denominator), from plain rows or from a
+:class:`_Ratios` table of such pairs (a sample, or the table that
+``tnn.evaluate_difference`` keeps on its matrix); monomials, q-deformed
+minors and certificate steps multiply plain ints, and each result is
+one Fraction.
 
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
@@ -138,12 +140,19 @@ def monomial(powers: Mapping[Variable, int], coeff=1) -> LaurentMonomial:
     return LaurentMonomial(Fraction(coeff), items)
 
 
+#: The types whose own as_integer_ratio() is the (numerator, denominator)
+#: of Fraction(x); a float or Decimal has one too, but goes through Fraction.
+_EXACT = frozenset((int, Fraction))
+
+
 def _ratio(x) -> tuple[int, int]:
-    """x as (numerator, denominator): an int, a Fraction, or anything
-    Fraction() accepts."""
-    if not isinstance(x, (int, Fraction)):
+    """x as (numerator, positive denominator) in lowest terms: an int or
+    a Fraction (exactly those types) by one ``as_integer_ratio()`` call,
+    anything else by ``Fraction(x)``, which raises what it raises on an
+    input it rejects."""
+    if type(x) not in _EXACT:
         x = Fraction(x)
-    return x.numerator, x.denominator
+    return x.as_integer_ratio()
 
 
 class _Ratios(list):
@@ -231,9 +240,15 @@ class MinorRef:
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """The rows times the lcm of all their denominators, and that
     positive scale; every k-minor of the rows grew by scale**k, so an
-    n x n determinant by scale**n."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+    n x n determinant by scale**n.  Each entry is read once: an int or a
+    Fraction as its ``as_integer_ratio()``, any other type by its
+    numerator and denominator."""
+    ratios = [
+        [x.as_integer_ratio() if type(x) in _EXACT else (x.numerator, x.denominator) for x in row]
+        for row in rows
+    ]
+    scale = lcm(*[d for row in ratios for _, d in row])
+    return [[p * (scale // d) for p, d in row] for row in ratios], scale
 
 
 def _bordered(rows: Sequence[Sequence[int]], keep: int) -> tuple[int, list[list[int]] | None]:
@@ -386,8 +401,8 @@ def _random_positive_rows(n: int, rng: random.Random) -> _Ratios:
     negative n raises ValueError before any draw."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got n={n}")
-    draws = _randints(rng, 1, 9, 2 * n * n)
-    cells = map(_lowest, draws, draws)
+    draws = list(_randints(rng, 1, 9, 2 * n * n))
+    cells = map(_lowest, draws[::2], draws[1::2])
     return _Ratios(map(list, zip(*[cells] * n)))
 
 
@@ -471,17 +486,19 @@ def verify_certificate(
         raise VerificationFailureError("stored beta pair is wrong")
     entries = cert.source.entries
     for t, s in enumerate(cert.steps):
-        r = s.rect
-        if not r.is_point() or max(r.j, r.l) > s.source.n:
+        bounds = i, j, k, l = s.rect.bounds
+        rows = s.source.entries
+        if j != i + 1 or l != k + 1 or max(j, l) > len(rows):
             raise VerificationFailureError(f"minor {s.minor} not 2x2 solid", step=t)
-        # The ratio's exponents are the source's entries, less one at the divisor.
-        if s.source.entry(r.i, r.k) < 0 or s.source.entry(r.j, r.l) < 0:
+        # The ratio's exponents are the source's entries, less one at the
+        # divisor; Rect keeps i and k >= 1, so the cells lie inside.
+        if rows[i - 1][k - 1] < 0 or rows[j - 1][l - 1] < 0:
             raise VerificationFailureError(
                 f"step ratio {monomial(_ratio_powers(s))} not almost positive", step=t
             )
-        if s.source.entries != entries:
+        if rows != entries:
             raise VerificationFailureError("step does not continue the chain", step=t)
-        entries = _shift_corners(entries, r.bounds, -1)
+        entries = _shift_corners(entries, bounds, -1)
     if entries != cert.target.entries:
         raise VerificationFailureError(f"the {len(cert.steps)} steps do not end at the target")
     if samples > 0:

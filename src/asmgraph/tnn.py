@@ -64,11 +64,14 @@ this module makes (samples, counterexamples, q-weightings) are built
 once, straight from Fractions, and not passed back through
 :func:`rational_matrix`, the entry point for rows from outside, which
 keeps an entry that is already a Fraction and converts any other.  A
-matrix keeps the values derived from it, the TNN verdict and the
-q-condensation, as :class:`RationalMatrix` says.  The sampler runs on
-integer ratios too: :func:`bidiagonal_product` holds each column as an
-unreduced int vector over the lcm of its denominators, and only the
-result's Fractions reduce, one per entry.
+matrix keeps the values derived from it, the TNN verdict, the
+q-condensation and its entries as integer ratios, as
+:class:`RationalMatrix` says.  The sampler runs on integer ratios too:
+:func:`random_tnn` takes its draws into one list and pairs them by
+slicing, and :func:`bidiagonal_product` walks a per-size plan of the
+longest word's column pairs, each column an unreduced int vector over
+the lcm of its denominators; only the result's Fractions reduce, one
+per entry.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
@@ -95,7 +98,7 @@ from typing import Sequence
 
 from .core import Asm, AsmError, NonSquareError, _check_range
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
-from .symbolic import _asm_difference, _int_rows, _randints, _ratio
+from .symbolic import _asm_difference, _int_rows, _randints, _ratio, _Ratios
 
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
 
@@ -116,20 +119,24 @@ class RationalMatrix:
     NonSquareError unless they are n rows of n entries (n = 0 too); it
     converts no entry, which :func:`rational_matrix` does.
 
-    The matrix keeps two derived values once they are computed:
-    :func:`is_tnn`'s verdict, and the q-condensation that
+    The matrix keeps three derived values once they are computed:
+    :func:`is_tnn`'s verdict, the q-condensation that
     :func:`asmgraph.polynomials.q_dodgson_check` and
-    :func:`~asmgraph.polynomials.q_dodgson_divided` share.  Each is a
-    class default, not a field, so equality, hashing and repr see the
-    rows only; each is set on the instance with ``object.__setattr__``,
-    unlike ``Asm._corner``, a slot that every ASM sets when it is made.
-    Both are plain data, so the matrix pickles with them."""
+    :func:`~asmgraph.polynomials.q_dodgson_divided` share, and the table
+    of its entries as integer ratios that :func:`evaluate_difference`
+    reads.  Each is a class default, not a field, so equality, hashing
+    and repr see the rows only; each is set on the instance with
+    ``object.__setattr__``, unlike ``Asm._corner``, a slot that every
+    ASM sets when it is made.  All are plain data, so the matrix pickles
+    with them."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     # is_tnn's verdict, or None until is_tnn has computed it.
     _tnn = None
     # polynomials._q_condensation's tuple, or None until it is computed.
     _q_condensed = None
+    # The rows as a symbolic._Ratios table, or None until evaluate_difference builds it.
+    _ratios = None
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
@@ -320,32 +327,37 @@ def _bidiagonal_ratios(
     denominators, and the only gcds are the result's Fractions.
     """
     n = len(diag)
+    lower_pairs, upper_pairs, identity = _word_plan(n)
+    if len(lower) != len(lower_pairs) or len(upper) != len(upper_pairs):
+        raise AsmError(f"need {len(lower_pairs)} lower and upper parameters for n={n}")
+    # Every update replaces a column, so the plan's identity columns are shared.
+    cols, dens = list(identity), [1] * n
+    # Each phase adds t * column o to column c along its word, then scales
+    # each column by its diagonal entry: L, then D, then U.
+    for pairs, params, scales in ((lower_pairs, lower, diag), (upper_pairs, upper, ())):
+        for (c, o), (tn, td) in zip(pairs, params):
+            if tn:
+                dc, do = dens[c], td * dens[o]
+                den = dens[c] = math.lcm(dc, do)
+                fc, fo = den // dc, den // do * tn
+                cols[c] = [x * fc + y * fo for x, y in zip(cols[c], cols[o])]
+        for c, (dn, dd) in enumerate(scales):
+            cols[c] = [x * dn for x in cols[c]]
+            dens[c] *= dd
+    return RationalMatrix(tuple(tuple(map(Fraction, row, dens)) for row in zip(*cols)))
+
+
+# One plan per size: sampling repeats a few sizes, and a plan is O(n^2) ints.
+@lru_cache(maxsize=16)
+def _word_plan(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The 0-based (updated, added) column pairs of the lower word (column
+    i += t * column i+1, 1-based) and of the upper word (column i+1 += t *
+    column i, the word reversed), and the n x n identity's columns."""
     word = _longest_word(n)
-    if len(lower) != len(word) or len(upper) != len(word):
-        raise AsmError(f"need {len(word)} lower and upper parameters for n={n}")
-    cols = [[int(r == c) for r in range(n)] for c in range(n)]
-    dens = [1] * n
-
-    def add(c: int, o: int, t: tuple[int, int]) -> None:
-        """Column c += t * column o."""
-        tn, td = t
-        if tn:
-            dc, do = dens[c], td * dens[o]
-            den = dens[c] = math.lcm(dc, do)
-            fc, fo = den // dc, den // do * tn
-            cols[c] = [x * fc + y * fo for x, y in zip(cols[c], cols[o])]
-
-    # Right-multiply by lower factors: column i += t * column i+1.
-    for idx, t in zip(word, lower):
-        add(idx - 1, idx, t)
-    for c, (dn, dd) in enumerate(diag):
-        cols[c] = [x * dn for x in cols[c]]
-        dens[c] *= dd
-    # Right-multiply by upper factors: column i+1 += t * column i.
-    for idx, t in zip(reversed(word), upper):
-        add(idx, idx - 1, t)
-    return RationalMatrix(
-        tuple(tuple(Fraction(col[r], den) for col, den in zip(cols, dens)) for r in range(n))
+    return (
+        tuple((i - 1, i) for i in word),
+        tuple((i, i - 1) for i in reversed(word)),
+        tuple(tuple(int(r == c) for r in range(n)) for c in range(n)),
     )
 
 
@@ -360,8 +372,8 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got n={n}")
-    draws = _randints(random.Random(seed), 1, RANDOM_TNN_BOUND, 2 * n * n)
-    params = list(zip(draws, draws))
+    draws = list(_randints(random.Random(seed), 1, RANDOM_TNN_BOUND, 2 * n * n))
+    params = list(zip(draws[::2], draws[1::2]))
     count = n * (n - 1) // 2
     return _bidiagonal_ratios(params[:n], params[n : n + count], params[n + count :])
 
@@ -373,12 +385,17 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
 def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
     """Exact value of x^a - x^b at m.
 
-    Raises UndefinedEvaluationError when a zero entry of m meets a
-    negative exponent.
+    The first call reads every entry of m as an integer ratio and keeps
+    the table on m, so an entry that no Fraction can be made of raises
+    here even where it meets a zero exponent; later calls read the
+    table.  Raises UndefinedEvaluationError when a zero entry of m meets
+    a negative exponent.
     """
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
-    return _asm_difference(a, b, m.rows)
+    if m._ratios is None:
+        object.__setattr__(m, "_ratios", _Ratios(tuple(map(_ratio, row)) for row in m.rows))
+    return _asm_difference(a, b, m._ratios)
 
 
 def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, int]]:

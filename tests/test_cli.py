@@ -7,8 +7,10 @@ stdout pipe that its reader closes early.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -561,9 +563,15 @@ class TestUsageAndGuards:
         assert "positive integer" in err
 
 
+#: The subprocesses import asmgraph from this checkout's src/, with or
+#: without PYTHONPATH set for the test run.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
 def test_python_dash_m_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "asmgraph", "enumerate", "--n", "3", "--count-only"],
+        env=SUBPROCESS_ENV,
         capture_output=True,
         text=True,
         check=True,
@@ -582,6 +590,7 @@ def test_closed_stdout_pipe_exits_1_without_an_error_line(argv):
     the closed pipe while still streaming."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "asmgraph", *argv],
+        env=SUBPROCESS_ENV,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

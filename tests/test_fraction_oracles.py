@@ -4,11 +4,15 @@ Monomial values, q-deformed 2x2 minors, certificate sums and the
 bidiagonal sampler all run on (numerator, denominator) pairs of ints.
 The per-factor Fraction versions are kept here as oracles: on every
 input both must give the same value or raise the same exception class.
+So are the readers of one entry, _ratio and _int_rows, against the
+property readers they replaced.
 The samplers draw through one bit drawer, checked here against the
 random.randint calls they replaced.
 """
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -33,8 +37,10 @@ from asmgraph import tnn
 from asmgraph.symbolic import (
     EdgeFactorization,
     SflCertificate,
+    _int_rows,
     _randints,
     _random_positive_rows,
+    _ratio,
     _Ratios,
 )
 from asmgraph.tnn import RANDOM_TNN_BOUND, RationalMatrix, _longest_word, random_rational_matrix
@@ -129,6 +135,21 @@ def old_random_rational_matrix(n, rng):
     )
 
 
+def old_ratio(x):
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def old_int_rows(rows):
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
 def outcome(f, *args):
     """The value with its type, or the class of the exception raised."""
     try:
@@ -195,6 +216,52 @@ _qs = st.one_of(st.just(F(0)), _small_fractions, _small_fractions.map(str))
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
+
+class TestRatio:
+    """_ratio reads an int or a Fraction by its as_integer_ratio() and
+    sends anything else through Fraction(), as the isinstance reader did."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, -7, 3**50, True, False, F(-3, 4), F(0), _FractionSubclass(2, 6), "-7/3", " 5 ",
+         "1e-3", 0.375, -2.5, Decimal("1.25"), Decimal("-0"), None, "x", math.nan, math.inf,
+         -math.inf, Decimal("NaN"), [1]],
+        ids=lambda x: f"{type(x).__name__}:{x!r}",
+    )
+    def test_matches_the_isinstance_reader(self, x):
+        got = outcome(_ratio, x)
+        assert got == outcome(old_ratio, x)
+        if isinstance(got, tuple):
+            (p, r) = got[1]
+            assert type(p) is type(r) is int and r > 0 and math.gcd(p, r) == 1
+
+
+class TestIntRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)),
+                    min_size=n, max_size=n,
+                ),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    def test_matches_the_property_reader(self, rows):
+        """Rows that mix int and Fraction entries, 0 x 0 too."""
+        got = _int_rows(rows)
+        assert got == old_int_rows(rows)
+        assert all(type(x) is int for row in got[0] for x in row) and type(got[1]) is int
+
+    @pytest.mark.parametrize("x", [0.5, Decimal("1.5"), "1/2", None])
+    def test_other_entries_raise_as_before(self, x):
+        """An entry that is not an int or a Fraction is read by its
+        numerator and denominator, so one without them raises as before."""
+        rows = [[F(1, 3), x], [2, 1]]
+        assert outcome(_int_rows, rows) == outcome(old_int_rows, rows) == AttributeError
+
 
 class TestMonomialEvaluate:
     @settings(max_examples=120, deadline=None)

@@ -1177,6 +1177,19 @@ class TestGraphStructure:
             build_graph(n + 1, size_limit=None)
         assert (exc.value.n, exc.value.limit) == (n + 1, n)
 
+    def test_packing_limit_is_checked_before_any_walk(self):
+        """iter_asms builds its walk at the first next(), so the packing
+        check that follows the call builds none of it: built at the call,
+        the chain of 65,533 head generators took 0.14 s and about 33 MB."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceededError, match="packing limit"):
+                build_graph(PACKED_SIZE_LIMIT + 1, size_limit=None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_columns_take_the_narrowest_type_that_holds_them(self):
         assert [_typecode(v) for v in (0, 255, 256, 2**16 - 1, 2**16)] == list("BBHHI")
         assert array(_typecode(2**64 - 1)).itemsize == 8

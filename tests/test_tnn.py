@@ -5,7 +5,7 @@ import pickle
 import random
 from dataclasses import fields
 from fractions import Fraction
-from math import comb
+from math import comb, nan
 from operator import attrgetter
 
 import pytest
@@ -737,3 +737,35 @@ class TestSharedCounterexample:
             assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
             back = pickle.loads(pickle.dumps(m))
             assert back == plain and is_tnn(back) is verdict
+
+    def test_kept_ratios_leave_the_plain_matrix(self, a3):
+        """evaluate_difference keeps the matrix's entries as integer
+        ratios, which equality, hash, repr, the fields and pickling do not
+        see; later calls read the kept table, and give what a fresh
+        matrix gives."""
+        assert [f.name for f in fields(RationalMatrix)] == ["rows"]
+        a, b = a3["X"], a3["321"]
+        for rows in ([[1, 2, 1], [F(1, 2), 3, 1], [1, 1, F(7, 3)]], [[2, 2, 1], [2, 2, 1], [1, 1, 1]]):
+            m, plain = rational_matrix(rows), rational_matrix(rows)
+            value = evaluate_difference(a, b, m)
+            kept = m._ratios
+            assert kept == [tuple((x.numerator, x.denominator) for x in row) for row in plain.rows]
+            assert plain._ratios is None
+            assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
+            assert evaluate_difference(b, a, m) == -value == -evaluate_difference(a, b, plain)
+            assert m._ratios is kept
+            back = pickle.loads(pickle.dumps(m))
+            assert back == plain and back._ratios == kept
+            assert evaluate_difference(a, b, back) == value
+
+    @pytest.mark.parametrize("bad, error", [(None, TypeError), ("x", ValueError), (nan, ValueError)])
+    def test_bad_entry_raises_at_the_first_call(self, bad, error):
+        """The constructor converts no entry, and the table reads every
+        one: an entry that no Fraction can be made of raises Fraction's
+        exception class at the first evaluate_difference, here at (1, 2),
+        where the identity's exponent is 0, and nothing is kept."""
+        m = RationalMatrix(((F(1), bad), (F(0), F(1))))
+        for _ in range(2):
+            with pytest.raises(error):
+                evaluate_difference(identity_asm(2), identity_asm(2), m)
+            assert m._ratios is None

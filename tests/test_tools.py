@@ -1,8 +1,10 @@
-"""The line counter in tools/src_lines.py, on a source given as text, so
-no git repository is needed."""
+"""The line counter and the argument checks of tools/src_lines.py, on a
+source given as text, so no git repository is needed."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
 
@@ -36,3 +38,25 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
     counts on the line where it starts, so the string's second line is
     not one."""
     assert _tool().code_lines(SOURCE) == 4
+
+
+def test_help_prints_the_usage(capsys):
+    assert _tool().main(["--help"]) == 0
+    assert _tool().main(["-h"]) == 0
+    out = capsys.readouterr()
+    assert out.out.count("python tools/src_lines.py BASE REV") == 2
+    assert out.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [(["--x"], "unknown option --x"), (["HEAD", "-v"], "unknown option -v"),
+     (["A", "B", "C"], "at most two revisions")],
+)
+def test_bad_arguments_exit_2_with_the_usage(argv, problem, capsys):
+    """Checked before git is run, so no revision needs to exist."""
+    assert _tool().main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[:2] == [f"src_lines.py: {problem}", "usage:"]
+    assert "python tools/src_lines.py BASE REV" in out.err

@@ -10,7 +10,8 @@ characters.  A code line holds a token other than a comment, NL,
 NEWLINE, INDENT, DEDENT or ENDMARKER that lies outside every module,
 class and function docstring.  Prints both totals, lines first, for each
 revision; given two, also prints the change, as in "4,200 → 4,205 lines,
-2,331 → 2,329 code lines".
+2,331 → 2,329 code lines".  ``-h`` or ``--help`` prints this text; any
+other option, or more than two revisions, exits with status 2.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ SKIPPED = {
     tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
 }
 OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+USAGE = "usage:\n" + "\n".join(line for line in __doc__.splitlines() if line.startswith("    python "))
 
 
 def _git(*args: str) -> str:
@@ -73,6 +75,14 @@ def _counts(rev: str) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
+    options = [arg for arg in argv if arg.startswith("-")]
+    if options or len(argv) > 2:
+        problem = f"unknown option {options[0]}" if options else "at most two revisions"
+        print(f"src_lines.py: {problem}\n{USAGE}", file=sys.stderr)
+        return 2
     counts = []
     for rev in argv or ["HEAD"]:
         total, code = _counts(rev)
