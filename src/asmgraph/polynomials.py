@@ -258,23 +258,20 @@ def bq_qdet(n: int, *, size_limit: int | None = QDET_SIZE_LIMIT) -> HalfExpPoly:
 
 
 def bq_recursion(n: int) -> HalfExpPoly:
-    """B_n(q) by the three-term recursion, seeded from the definition,
-    terms in ascending exponent.
+    """B_n(q) by the three-term recursion, terms in ascending exponent.
 
-    B_1 and B_2 come from the signed-sum definition.  Each B_k is held
-    as its value at q = 2^width, for the width of
-    :func:`_factorial_width`, which every B_k with k <= n fits, and only
-    B_n is decoded for the result.  Each division
-    B_(k-1)^2 (1 - q^(k-1)) / B_(k-2) is :func:`_exact_quotient`: one
-    divmod, and a confirmation at a second width.  It raises
+    It seeds itself with B_1 = 1 and B_2 = 1 - q, so it shares no B_k
+    with the other three ways.  Each B_k is held as its value at
+    q = 2^width, for the width of :func:`_factorial_width`, which every
+    B_k with k <= n fits, and only B_n is decoded for the result.  Each
+    division B_(k-1)^2 (1 - q^(k-1)) / B_(k-2) is :func:`_exact_quotient`:
+    one divmod, and a confirmation at a second width.  It raises
     NonExactDivisionError if a division is not exact (none can be, but
     the check is real).
     """
     _check_limit(n, None)
     width = _factorial_width(n)
-    values = [None] + [
-        sum(c << width * (t // 2) for t, c in bq_definition(k).terms.items()) for k in (1, 2)
-    ]
+    values = [None, 1, 1 - (1 << width)]
     for k in range(3, n + 1):
         factors = values[k - 1], values[k - 1], 1 - (1 << width * (k - 1))
         values.append(_exact_quotient(factors, values[k - 2], width))

@@ -240,11 +240,12 @@ class MinorRef:
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """The rows times the lcm of all their denominators, and that
     positive scale; every k-minor of the rows grew by scale**k, so an
-    n x n determinant by scale**n.  Each entry is read once: an int or a
-    Fraction as its ``as_integer_ratio()``, any other type by its
-    numerator and denominator."""
+    n x n determinant by scale**n.  Each entry is read once, by the rule
+    of :func:`_ratio`, with its int and Fraction case inline: any other
+    entry goes through ``Fraction(x)``, so 0.5 reads as 1/2 and None
+    raises TypeError, as wherever else an entry is read."""
     ratios = [
-        [x.as_integer_ratio() if type(x) in _EXACT else (x.numerator, x.denominator) for x in row]
+        [x.as_integer_ratio() if type(x) in _EXACT else _ratio(x) for x in row]
         for row in rows
     ]
     scale = lcm(*[d for row in ratios for _, d in row])
@@ -650,22 +651,15 @@ class HalfExpPoly:
 
     # -- ring operations: the tests' oracle; no library path calls them --
     def __add__(self, other: "HalfExpPoly") -> "HalfExpPoly":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "HalfExpPoly") -> "HalfExpPoly":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "HalfExpPoly", sign: int) -> "HalfExpPoly":
-        """self + sign * other in one pass, dropping each coefficient as it
-        cancels.  The sum keeps self's term order, then other's new
-        exponents in theirs; repr shows that order."""
+        """The sum keeps self's term order, then other's new exponents in
+        theirs; repr shows that order."""
         out = dict(self.terms)
         for t, c in other.terms.items():
-            if s := out.get(t, 0) + sign * c:
-                out[t] = s
-            else:
-                del out[t]
-        return _trusted_poly(out)
+            out[t] = out.get(t, 0) + c
+        return _trusted_poly({t: c for t, c in out.items() if c})
+
+    def __sub__(self, other: "HalfExpPoly") -> "HalfExpPoly":
+        return self + -other
 
     def __neg__(self) -> "HalfExpPoly":
         return _trusted_poly({t: -c for t, c in self.terms.items()})

@@ -117,7 +117,11 @@ class RationalMatrix:
 
     The constructor keeps the rows as a tuple of tuples and raises
     NonSquareError unless they are n rows of n entries (n = 0 too); it
-    converts no entry, which :func:`rational_matrix` does.
+    converts no entry, which :func:`rational_matrix` does.  Every
+    consumer reads an entry by one rule, ``symbolic._ratio``: an int or
+    a Fraction as it is, anything else through ``Fraction(x)``.  So an
+    entry 0.5 reads as 1/2 everywhere, and one that Fraction rejects
+    (None, "x", nan) raises Fraction's TypeError or ValueError.
 
     The matrix keeps three derived values once they are computed:
     :func:`is_tnn`'s verdict, the q-condensation that

@@ -46,11 +46,11 @@ from .lattice import (
     fulton_essential_set,
 )
 from .polynomials import (
+    BQ_METHODS,
     SingularInteriorError,
     bq_definition,
     bq_product,
     bq_qdet,
-    bq_recursion,
     dodgson,
     q_dodgson_check,
 )
@@ -228,17 +228,14 @@ def check_beta_table(seed: int = 0):
 
 @_check("bq", "Bq four ways")
 def check_bq_four_ways(seed: int = 0):
-    """B_n by definition, product, q-determinant, and recursion, n <= 6,
-    and the q-determinant against the product up to its guard, n <= 10."""
+    """Each way of ``BQ_METHODS`` (definition, product, q-determinant,
+    recursion) against the definition, n <= 6, and the q-determinant
+    against the product up to its guard, n <= 10."""
     problems = []
     for n in range(1, 7):
-        reference = bq_definition(n)
-        for label, value in (
-            ("prod", bq_product(n)),
-            ("qdet", bq_qdet(n)),
-            ("rec", bq_recursion(n)),
-        ):
-            if value != reference:
+        values = {label: method(n) for label, method in BQ_METHODS.items()}
+        for label, value in values.items():
+            if value != values["def"]:
                 problems.append(f"n={n}: {label} differs from definition")
     for n in range(7, 11):
         if bq_qdet(n) != bq_product(n):
@@ -250,19 +247,19 @@ def check_bq_four_ways(seed: int = 0):
     return problems, "n=1..6 agree, qdet = prod to n=10; B_3, B_4 coefficient-exact"
 
 
-@_check("order", "order oracle A4")
-def check_order_oracle(seed: int = 0):
-    """leq, certificates, and counterexamples agree on all of A_4 x A_4.
+def _constructive_sweep(n: int, seed: int) -> tuple[list[str], int, int]:
+    """leq, certificates and counterexamples on every ordered pair of
+    n x n ASMs: the problems, and the comparable and incomparable counts.
 
-    For each comparable pair the certificate is verified and evaluated
-    at 5 seeded TNN sample matrices, where it must equal the direct
-    monomial difference and be nonnegative; for each incomparable pair
-    the 2-block counterexample must be TNN and evaluate negative.
+    The three must agree on each pair.  For each comparable pair the
+    certificate is verified and evaluated at 5 seeded TNN sample
+    matrices, where it must equal the direct monomial difference and be
+    nonnegative; for each incomparable pair the 2-block counterexample
+    must be TNN and evaluate negative.
     """
     problems = []
-    asms = enumerate_asms(4)
-    comparable_pairs = 0
-    incomparable_pairs = 0
+    asms = enumerate_asms(n)
+    comparable_pairs = incomparable_pairs = 0
     for pi, a in enumerate(asms):
         for pj, b in enumerate(asms):
             comparable = asm_leq(a, b)
@@ -281,7 +278,7 @@ def check_order_oracle(seed: int = 0):
                 comparable_pairs += 1
                 verify_certificate(cert, samples=1, seed=seed + pi)
                 for k in range(5):
-                    m = random_tnn(4, seed=seed + pi * 1303 + pj * 31 + k)
+                    m = random_tnn(n, seed=seed + pi * 1303 + pj * 31 + k)
                     value = evaluate_certificate(cert, m.rows)
                     direct = evaluate_difference(a, b, m)
                     if value != direct or value < 0:
@@ -292,8 +289,16 @@ def check_order_oracle(seed: int = 0):
                     problems.append(f"pair ({pi},{pj}): counterexample not TNN")
                 elif evaluate_difference(a, b, cm) >= 0:
                     problems.append(f"pair ({pi},{pj}): difference not negative")
+    return problems, comparable_pairs, incomparable_pairs
+
+
+@_check("order", "order oracle A4")
+def check_order_oracle(seed: int = 0):
+    """leq, certificates, and counterexamples agree on all of A_4 x A_4:
+    :func:`_constructive_sweep` at n = 4."""
+    problems, comparable, incomparable = _constructive_sweep(4, seed)
     return problems, (
-        f"{comparable_pairs} comparable and {incomparable_pairs} "
+        f"{comparable} comparable and {incomparable} "
         "incomparable pairs, all certified or separated"
     )
 
@@ -427,18 +432,10 @@ def check_sampling_scope(seed: int = 0):
     sampling; the guarantees rest on certificates (comparable pairs),
     checked exactly by their chains, and explicit counterexamples
     (incomparable pairs); sampling only spot-checks evaluators.  This
-    check re-runs both constructive sides over every 3x3 ordered pair.
+    check re-runs both constructive sides, :func:`_constructive_sweep`,
+    over every 3x3 ordered pair.
     """
-    problems = []
-    asms = enumerate_asms(3)
-    for a in asms:
-        for b in asms:
-            if asm_leq(a, b):
-                verify_certificate(sfl_certificate(a, b), samples=2, seed=1)
-            else:
-                cm, _ = counterexample_matrix(a, b)
-                if not is_tnn(cm) or evaluate_difference(a, b, cm) >= 0:
-                    problems.append("counterexample failed")
+    problems, _, _ = _constructive_sweep(3, seed)
     return problems, (
         "universal claims carried by certificates/counterexamples; "
         "sampling is falsification only"

@@ -257,10 +257,18 @@ class TestIntRows:
 
     @pytest.mark.parametrize("x", [0.5, Decimal("1.5"), "1/2", None])
     def test_other_entries_raise_as_before(self, x):
-        """An entry that is not an int or a Fraction is read by its
-        numerator and denominator, so one without them raises as before."""
+        """An entry that is not an int or a Fraction is read by _ratio's
+        rule, through Fraction(x), where the property reader raised
+        AttributeError: 0.5, Decimal("1.5") and "1/2" read exactly, and
+        None raises Fraction's TypeError."""
         rows = [[F(1, 3), x], [2, 1]]
-        assert outcome(_int_rows, rows) == outcome(old_int_rows, rows) == AttributeError
+        # 1/3 and x over the lcm 6 of their denominators.
+        expected = {0.5: 3, Decimal("1.5"): 9, "1/2": 3}
+        if x in expected:
+            assert _int_rows(rows) == ([[2, expected[x]], [12, 6]], 6)
+        else:
+            assert outcome(_int_rows, rows) == TypeError
+        assert outcome(old_int_rows, rows) == AttributeError
 
 
 class TestMonomialEvaluate:

@@ -1,7 +1,8 @@
 """Every module of the package reads each name it imports, some module
 of the package reads each private name a module defines, and each public
 name a module defines is exported, read or registered.  No library path
-calls HalfExpPoly's ring operations.
+calls HalfExpPoly's ring operations.  Every name that the benchmark's
+traced run wraps by string exists.
 
 A name that is imported but only named in a docstring, or not at all, is
 a dead dependency.  ``__init__.py`` re-exports by design and ``from
@@ -13,6 +14,7 @@ registers it, as ``verify._check`` registers each check.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 from random import Random
 
@@ -170,3 +172,21 @@ def test_library_paths_use_no_ring_operation(monkeypatch):
     for key in ("bq", "dodgson"):
         result = verify.ALL_CHECKS[key](0)
         assert result.passed, result.details
+
+
+def test_every_traced_name_exists():
+    """perfbench/spans.py wraps these names, given as strings, when a
+    benchmark run is traced (``--trace 1``), so a rename in src/ would
+    break that run alone.  The module is loaded by path and not installed."""
+    path = PACKAGE.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans.SPANS.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"asmgraph.{layer}"), name)
+    ]
+    assert not missing, missing
+    assert set(spans.HALF_EXP_POLY_OPS) <= set(vars(HalfExpPoly))

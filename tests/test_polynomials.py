@@ -167,6 +167,16 @@ class TestBq:
         ascending exponent, as the decoded q-determinant has them."""
         assert repr(bq_recursion(n)) == repr(bq_qdet(n))
 
+    def test_recursion_seeds_itself(self, monkeypatch):
+        """The recursion runs no tally of the definition, so the bq
+        check's four ways share no B_k."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recursion ran the definition's tally")
+
+        monkeypatch.setattr(asmgraph.polynomials, "_beta_tally", refuse)
+        assert bq_recursion(8) == bq_product(8)
+
     def test_method_table(self):
         assert set(BQ_METHODS) == {"def", "prod", "qdet", "rec"}
         assert all(BQ_METHODS[k](3) == bq_definition(3) for k in BQ_METHODS)

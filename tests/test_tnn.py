@@ -23,12 +23,14 @@ from asmgraph import (
     bidiagonal_product,
     counterexample_matrix,
     covered_by,
+    dodgson,
     enumerate_asms,
     evaluate_difference,
     identity_asm,
     is_locally_tnn_at,
     is_tnn,
     iter_asms,
+    q_dodgson_check,
     q_weighted,
     qtnn_scan,
     random_tnn,
@@ -136,6 +138,25 @@ class TestRationalMatrix:
         m = RationalMatrix(rows)
         assert all(a is b for a, b in zip(m.rows, rows))
         assert type(m.entry(1, 1)) is int
+
+    def test_unconverted_entries_read_as_converted(self):
+        """A float the constructor kept reads as its exact value in
+        is_tnn, dodgson and the q-condensation, as in evaluate_difference."""
+        rows = ((0.5, 1), (1, 1))
+        a, b = identity_asm(2), reverse_asm(2)
+        for f in (is_tnn, dodgson, q_dodgson_check, lambda m: evaluate_difference(a, b, m)):
+            assert f(RationalMatrix(rows)) == f(rational_matrix(rows))
+
+    @pytest.mark.parametrize("x", [None, "x", nan], ids=["None", "str", "nan"])
+    def test_malformed_entries_raise_as_in_evaluate_difference(self, x):
+        """An entry that Fraction rejects raises its TypeError or
+        ValueError in every consumer, not an AttributeError."""
+        rows = ((x, 1), (1, 1))
+        with pytest.raises((TypeError, ValueError)) as first:
+            evaluate_difference(identity_asm(2), reverse_asm(2), RationalMatrix(rows))
+        for f in (is_tnn, dodgson, q_dodgson_check):
+            with pytest.raises(first.type):
+                f(RationalMatrix(rows))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

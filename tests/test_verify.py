@@ -33,7 +33,7 @@ MUTATIONS = {
     ),
     "dodgson": ("det", lambda rows: 7, "n=2: 200 failed comparisons in 100 trials;"),
     "fulton": ("fulton_essential_set", lambda w: set(), "mismatch at 12354;"),
-    "scope": ("is_tnn", lambda m: False, "counterexample failed;"),
+    "scope": ("is_tnn", lambda m: False, "pair (0,1): counterexample not TNN;"),
 }
 
 
