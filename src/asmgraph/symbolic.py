@@ -140,19 +140,13 @@ def monomial(powers: Mapping[Variable, int], coeff=1) -> LaurentMonomial:
     return LaurentMonomial(Fraction(coeff), items)
 
 
-#: The types whose own as_integer_ratio() is the (numerator, denominator)
-#: of Fraction(x); a float or Decimal has one too, but goes through Fraction.
-_EXACT = frozenset((int, Fraction))
-
-
 def _ratio(x) -> tuple[int, int]:
     """x as (numerator, positive denominator) in lowest terms: an int or
     a Fraction (exactly those types) by one ``as_integer_ratio()`` call,
     anything else by ``Fraction(x)``, which raises what it raises on an
-    input it rejects."""
-    if type(x) not in _EXACT:
-        x = Fraction(x)
-    return x.as_integer_ratio()
+    input it rejects.  A float or Decimal has an as_integer_ratio() too,
+    but goes through Fraction, as every other type does."""
+    return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
 
 
 class _Ratios(list):
@@ -240,14 +234,11 @@ class MinorRef:
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """The rows times the lcm of all their denominators, and that
     positive scale; every k-minor of the rows grew by scale**k, so an
-    n x n determinant by scale**n.  Each entry is read once, by the rule
-    of :func:`_ratio`, with its int and Fraction case inline: any other
-    entry goes through ``Fraction(x)``, so 0.5 reads as 1/2 and None
-    raises TypeError, as wherever else an entry is read."""
-    ratios = [
-        [x.as_integer_ratio() if type(x) in _EXACT else _ratio(x) for x in row]
-        for row in rows
-    ]
+    n x n determinant by scale**n.  Each entry is read once, by its own
+    ``as_integer_ratio()`` and nothing else: the rows are a
+    :class:`~asmgraph.tnn.RationalMatrix`'s, whose constructor has made
+    every entry a Fraction."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     scale = lcm(*[d for row in ratios for _, d in row])
     return [[p * (scale // d) for p, d in row] for row in ratios], scale
 

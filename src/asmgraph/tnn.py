@@ -58,20 +58,20 @@ none of those can have a negative entry or a broken top block.  The
 Gaussian :func:`det` stays as the public reference determinant that
 ``dodgson verify`` and the tests compare with.
 
-Every :class:`RationalMatrix` is square: its constructor checks the
-shape, so no function that takes one checks it again.  The matrices
-this module makes (samples, counterexamples, q-weightings) are built
-once, straight from Fractions, and not passed back through
-:func:`rational_matrix`, the entry point for rows from outside, which
-keeps an entry that is already a Fraction and converts any other.  A
-matrix keeps the values derived from it, the TNN verdict, the
-q-condensation and its entries as integer ratios, as
-:class:`RationalMatrix` says.  The sampler runs on integer ratios too:
-:func:`random_tnn` takes its draws into one list and pairs them by
-slicing, and :func:`bidiagonal_product` walks a per-size plan of the
-longest word's column pairs, each column an unreduced int vector over
-the lcm of its denominators; only the result's Fractions reduce, one
-per entry.
+Every :class:`RationalMatrix` is square and holds only Fractions: its
+constructor, the one reader of rows from outside (``rational_matrix``
+is the constructor itself), checks the shape and makes every entry a
+Fraction, so no function that takes one checks or converts an entry
+again.  The matrices this module makes (samples, counterexamples,
+q-weightings) are square tuples of Fractions by construction, and each
+is built once by ``_trusted_matrix``, which reads nothing.  A matrix
+keeps the values derived from it, the TNN verdict, the q-condensation
+and its entries as integer ratios, as :class:`RationalMatrix` says.
+The sampler runs on integer ratios too: :func:`random_tnn` takes its
+draws into one list and pairs them by slicing, and
+:func:`bidiagonal_product` walks a per-size plan of the longest word's
+column pairs, each column an unreduced int vector over the lcm of its
+denominators; only the result's Fractions reduce, one per entry.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
@@ -96,7 +96,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Asm, AsmError, NonSquareError, _check_range
+from .core import Asm, AsmError, NonSquareError, _check_range, _sequence
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
 from .symbolic import _asm_difference, _int_rows, _randints, _ratio, _Ratios
 
@@ -115,13 +115,17 @@ class IrrationalSqrtError(AsmError):
 class RationalMatrix:
     """Immutable square matrix of exact rationals with 1-based accessor.
 
-    The constructor keeps the rows as a tuple of tuples and raises
-    NonSquareError unless they are n rows of n entries (n = 0 too); it
-    converts no entry, which :func:`rational_matrix` does.  Every
-    consumer reads an entry by one rule, ``symbolic._ratio``: an int or
-    a Fraction as it is, anything else through ``Fraction(x)``.  So an
-    entry 0.5 reads as 1/2 everywhere, and one that Fraction rejects
-    (None, "x", nan) raises Fraction's TypeError or ValueError.
+    The constructor reads the rows once, as :class:`~asmgraph.core.Asm`'s
+    does, and keeps them as a tuple of tuples.  It raises AsmError for a
+    matrix or row that is not a sequence (a str or bytes is not one),
+    keeps an entry whose type is Fraction, makes any other one
+    ``Fraction(x)``, and raises NonSquareError unless the rows are n rows
+    of n entries (n = 0 too).  So every entry is a Fraction: 0.5 is 1/2
+    and "1/2" is 1/2 in equality, hashing, :meth:`entry` and ``str`` as
+    in :func:`is_tnn` and the evaluators, and an entry that Fraction
+    rejects (None, "x", nan) raises its TypeError or ValueError here,
+    before any matrix exists.  The module's generators build theirs
+    through ``_trusted_matrix``, from square tuples of Fractions.
 
     The matrix keeps three derived values once they are computed:
     :func:`is_tnn`'s verdict, the q-condensation that
@@ -143,7 +147,10 @@ class RationalMatrix:
     _ratios = None
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in _sequence(row, f"row {i}"))
+            for i, row in enumerate(_sequence(self.rows, "matrix"), start=1)
+        )
         _check_square(rows)
         object.__setattr__(self, "rows", rows)
 
@@ -166,12 +173,19 @@ def _check_square(rows: Sequence[Sequence]) -> None:
         raise NonSquareError("matrix must be square")
 
 
-def rational_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
-    """The rows as a :class:`RationalMatrix`: an entry whose type is
-    Fraction is kept as it is, and any other goes through
-    ``Fraction(x)``."""
-    out = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
-    return RationalMatrix(out)
+#: The entry point for rows from outside: the :class:`RationalMatrix`
+#: constructor itself.
+rational_matrix = RationalMatrix
+
+
+def _trusted_matrix(rows: tuple[tuple[Fraction, ...], ...]) -> RationalMatrix:
+    """A :class:`RationalMatrix` around ``rows`` itself, unread, for the
+    generators whose rows are square tuples of Fractions by
+    construction; nothing else may call it.  The twin of
+    ``core._trusted_asm``."""
+    m = object.__new__(RationalMatrix)
+    object.__setattr__(m, "rows", rows)
+    return m
 
 
 def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
@@ -181,13 +195,13 @@ def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got n={n}")
     entries = map(Fraction, _randints(rng, -9, 9, n * n), _randints(rng, 1, 4, n * n))
-    return RationalMatrix(tuple(zip(*[entries] * n)))
+    return _trusted_matrix(tuple(zip(*[entries] * n)))
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction Gaussian elimination of the rows as
-    :func:`rational_matrix` reads them."""
-    m = [list(row) for row in rational_matrix(rows).rows]
+    the :class:`RationalMatrix` constructor reads them."""
+    m = [list(row) for row in RationalMatrix(rows).rows]
     n = len(m)
     sign = 1
     result = Fraction(1)
@@ -255,7 +269,7 @@ def rational_sqrt(x) -> Fraction:
 def _reweighted(m: RationalMatrix, s: Fraction) -> RationalMatrix:
     """The matrix (s^{(i-j)^2} m(i,j))."""
     rows = zip(_square_gaps(m.n), m.rows)
-    return RationalMatrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
+    return _trusted_matrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
 
 
 def _root(q0) -> Fraction:
@@ -348,7 +362,7 @@ def _bidiagonal_ratios(
         for c, (dn, dd) in enumerate(scales):
             cols[c] = [x * dn for x in cols[c]]
             dens[c] *= dd
-    return RationalMatrix(tuple(tuple(map(Fraction, row, dens)) for row in zip(*cols)))
+    return _trusted_matrix(tuple(tuple(map(Fraction, row, dens)) for row in zip(*cols)))
 
 
 # One plan per size: sampling repeats a few sizes, and a plan is O(n^2) ints.
@@ -389,16 +403,16 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
 def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
     """Exact value of x^a - x^b at m.
 
-    The first call reads every entry of m as an integer ratio and keeps
-    the table on m, so an entry that no Fraction can be made of raises
-    here even where it meets a zero exponent; later calls read the
-    table.  Raises UndefinedEvaluationError when a zero entry of m meets
-    a negative exponent.
+    The first call takes every entry of m, a Fraction, as its integer
+    ratio and keeps the table on m; later calls read the table.  Raises
+    UndefinedEvaluationError when a zero entry of m meets a negative
+    exponent.
     """
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
     if m._ratios is None:
-        object.__setattr__(m, "_ratios", _Ratios(tuple(map(_ratio, row)) for row in m.rows))
+        ratios = _Ratios(tuple(x.as_integer_ratio() for x in row) for row in m.rows)
+        object.__setattr__(m, "_ratios", ratios)
     return _asm_difference(a, b, m._ratios)
 
 
@@ -426,7 +440,7 @@ def _two_block(n: int, k: int, l: int) -> RationalMatrix:
     """The n x n matrix with 2 on rows <= k and columns <= l, 1 elsewhere."""
     cells = range(1, n + 1)
     two, one = Fraction(2), Fraction(1)
-    return RationalMatrix(
+    return _trusted_matrix(
         tuple(tuple(two if i <= k and j <= l else one for j in cells) for i in cells)
     )
 

@@ -110,6 +110,17 @@ def test_only_the_constructor_and_sym_det_check_squareness():
     assert readers == {"tnn.RationalMatrix.__post_init__", "polynomials.sym_det"}
 
 
+def test_only_the_generators_build_trusted_matrices():
+    """_trusted_matrix skips the RationalMatrix constructor's reading,
+    so only the four generators whose rows are square tuples of
+    Fractions by construction call it."""
+    trees, _ = _package()
+    readers = {s for module, tree in trees.items() for s in _readers(tree, "_trusted_matrix", module)}
+    assert readers == {
+        "tnn.random_rational_matrix", "tnn._bidiagonal_ratios", "tnn._two_block", "tnn._reweighted",
+    }
+
+
 def _registered(node: ast.AST, tree: ast.Module) -> bool:
     """Whether a definition of the module is decorated by a call of a
     decorator the module defines, which registers it (verify's

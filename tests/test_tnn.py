@@ -131,17 +131,19 @@ class TestRationalMatrix:
         assert hash(listed) == hash(RationalMatrix(rows))
         assert pickle.loads(pickle.dumps(listed)) == RationalMatrix(rows)
 
-    def test_entries_are_not_converted(self):
-        """The constructor checks the shape alone: tuple rows are kept as
-        they are, and an entry is not converted, as rational_matrix's is."""
+    def test_every_entry_becomes_a_fraction(self):
+        """The constructor converts as rational_matrix does: an entry
+        that is a Fraction is kept, and an int becomes a Fraction."""
         rows = ((1, F(2)), (F(3), 4))
         m = RationalMatrix(rows)
-        assert all(a is b for a, b in zip(m.rows, rows))
-        assert type(m.entry(1, 1)) is int
+        assert m.rows[0][1] is rows[0][1] and m.rows[1][0] is rows[1][0]
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+        assert type(m.entry(1, 1)) is Fraction and m == rational_matrix(rows)
 
     def test_unconverted_entries_read_as_converted(self):
-        """A float the constructor kept reads as its exact value in
-        is_tnn, dodgson and the q-condensation, as in evaluate_difference."""
+        """A float given to the constructor reads as its exact value in
+        is_tnn, dodgson, the q-condensation and evaluate_difference, as
+        in rational_matrix: the constructor has made it that Fraction."""
         rows = ((0.5, 1), (1, 1))
         a, b = identity_asm(2), reverse_asm(2)
         for f in (is_tnn, dodgson, q_dodgson_check, lambda m: evaluate_difference(a, b, m)):
@@ -150,7 +152,8 @@ class TestRationalMatrix:
     @pytest.mark.parametrize("x", [None, "x", nan], ids=["None", "str", "nan"])
     def test_malformed_entries_raise_as_in_evaluate_difference(self, x):
         """An entry that Fraction rejects raises its TypeError or
-        ValueError in every consumer, not an AttributeError."""
+        ValueError when the matrix is built, one class on every path to
+        a consumer, and never an AttributeError."""
         rows = ((x, 1), (1, 1))
         with pytest.raises((TypeError, ValueError)) as first:
             evaluate_difference(identity_asm(2), reverse_asm(2), RationalMatrix(rows))
@@ -199,11 +202,61 @@ class TestRationalMatrix:
         ],
     )
     def test_built_matrices_are_exact(self, build):
-        # These matrices skip rational_matrix; an int entry or a list row
-        # would still pass str, JSON and is_tnn, so the types are checked.
+        # These matrices skip the constructor's reading; an int entry or a
+        # list row would still pass str, JSON and is_tnn, so the types are checked.
         m = build()
         assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
         assert all(type(x) is Fraction for row in m.rows for x in row)
+
+
+class TestRowsAreReadOnce:
+    """The constructor reads each row and entry once, so no consumer
+    sees a str row, a float or a str entry."""
+
+    @pytest.mark.parametrize(
+        "call, rows, message",
+        [
+            (rational_matrix, ["12", "34"], r"row 1 '12'"),
+            (RationalMatrix, "a", r"matrix 'a'"),
+            (RationalMatrix, b"ab", r"matrix b'ab'"),
+            (RationalMatrix, [b"12", b"34"], r"row 1 b'12'"),
+            (RationalMatrix, [[1, 2], "34"], r"row 2 '34'"),
+            (det, ["12", "34"], r"row 1 '12'"),
+        ],
+        ids=["rational_matrix", "str-matrix", "bytes-matrix", "bytes-rows", "second-row", "det"],
+    )
+    def test_string_rows_are_not_lists_of_digits(self, call, rows, message):
+        with pytest.raises(AsmError, match=f"^{message} is not a sequence$"):
+            call(rows)
+
+    def test_string_rows_raise_as_in_asm(self):
+        with pytest.raises(AsmError) as asm:
+            validate_asm(["10", "01"])
+        with pytest.raises(AsmError) as matrix:
+            RationalMatrix(["10", "01"])
+        assert str(matrix.value) == str(asm.value) == "row 1 '10' is not a sequence"
+
+    def test_q_reweighting_of_a_float_entry(self):
+        m = RationalMatrix(((1, 0.1), (0.1, 1)))
+        exact = RationalMatrix(((1, F(0.1)), (F(0.1), 1)))
+        q0 = F(9, 4)
+        for f in (q_weighted, q_unweighted):
+            got = f(m, q0)
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+            assert got.rows == f(exact, q0).rows
+        assert got.entry(1, 2) == F(0.1) * F(2, 3)
+        assert is_locally_tnn_at(m, q0) is is_locally_tnn_at(exact, q0) is True
+
+    def test_dodgson_of_one_entry_is_a_fraction(self):
+        d = dodgson(RationalMatrix(((0.5,),)))
+        assert type(d) is Fraction and d == F(1, 2)
+
+    def test_str_entry_is_its_fraction(self):
+        m = RationalMatrix((("1/2", 1), (1, 1)))
+        exact = RationalMatrix(((F(1, 2), F(1)), (F(1), F(1))))
+        assert m == exact and hash(m) == hash(exact)
+        assert type(m.entry(1, 1)) is Fraction
+        assert str(m).startswith("1/2 1")
 
 
 class TestDet:
@@ -781,12 +834,9 @@ class TestSharedCounterexample:
 
     @pytest.mark.parametrize("bad, error", [(None, TypeError), ("x", ValueError), (nan, ValueError)])
     def test_bad_entry_raises_at_the_first_call(self, bad, error):
-        """The constructor converts no entry, and the table reads every
-        one: an entry that no Fraction can be made of raises Fraction's
-        exception class at the first evaluate_difference, here at (1, 2),
-        where the identity's exponent is 0, and nothing is kept."""
-        m = RationalMatrix(((F(1), bad), (F(0), F(1))))
-        for _ in range(2):
-            with pytest.raises(error):
-                evaluate_difference(identity_asm(2), identity_asm(2), m)
-            assert m._ratios is None
+        """An entry that no Fraction can be made of raises Fraction's
+        exception class at the first call that meets it, the
+        constructor: no matrix holds it, so no evaluate_difference
+        table can."""
+        with pytest.raises(error):
+            RationalMatrix(((F(1), bad), (F(0), F(1))))

@@ -7,7 +7,13 @@ runs, then checks every matrix it produced against the constructor.
 ``enumerate_permutations``, ``Permutation.inverse`` and
 ``asm_to_permutation`` skip the ``Permutation`` image check the same way.
 A trusted ASM has the constructor's layout: three slots, no instance dict.
+The samplers, the 2-block counterexamples and the q-reweightings build
+each ``RationalMatrix`` once, from square tuples of Fractions, without
+the constructor's reading of its rows.
 """
+
+from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -28,6 +34,16 @@ from asmgraph import (
 )
 from asmgraph.core import Asm, Permutation, asm_to_permutation
 from asmgraph.enumeration import enumerate_permutations
+from asmgraph.tnn import (
+    RationalMatrix,
+    _two_block,
+    bidiagonal_product,
+    counterexample_matrix,
+    q_unweighted,
+    q_weighted,
+    random_rational_matrix,
+    random_tnn,
+)
 
 A4 = enumerate_asms(4)
 RECTS_4 = [
@@ -114,3 +130,39 @@ def test_enumerate_permutations(monkeypatch):
         assert [inv(w(i)) for i in range(1, 6)] == [1, 2, 3, 4, 5]
     for w in perms + inverses + round_trips:
         assert Permutation(w.images) == w and type(w.images) is tuple
+
+
+def test_generated_rational_matrices(monkeypatch):
+    """No generator reads its rows through the RationalMatrix
+    constructor, and each matrix it makes is one the constructor would
+    make: square, tuples of exact Fractions, equal to RationalMatrix(m.rows)."""
+    reads = []
+    read = RationalMatrix.__post_init__
+
+    def counted(self):
+        reads.append(self.rows)
+        read(self)
+
+    monkeypatch.setattr(RationalMatrix, "__post_init__", counted)
+    # The 2-block matrices are memoized; a fresh memo builds them here.
+    _two_block.cache_clear()
+    out = [random_tnn(n, s) for n in range(9) for s in range(3)]
+    out += [random_rational_matrix(n, Random(s)) for n in range(6) for s in range(3)]
+    out.append(bidiagonal_product([1, 2, "1/3"], [3, 0.5, Fraction(2, 3)], [1, 4, "5/2"]))
+    cells = {}
+    for n in range(2, 6):
+        for a in iter_asms(n):
+            for c in covered_by(a):
+                m, witness = counterexample_matrix(a, c)
+                cells[n, witness] = m
+    assert len(cells) == sum((n - 1) ** 2 for n in range(2, 6))
+    out += cells.values()
+    samples = [random_tnn(4, s) for s in range(3)] + list(cells.values())[:5]
+    for q0 in (Fraction(1, 4), 1, 4, Fraction(9, 4)):
+        out += [f(m, q0) for m in samples for f in (q_weighted, q_unweighted)]
+    assert reads == []
+    for m in out:
+        assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+        assert all(len(row) == m.n for row in m.rows)
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+        assert RationalMatrix(m.rows) == m
