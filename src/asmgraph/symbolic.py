@@ -22,12 +22,14 @@ matrix and every q, by checking that each step starts where the one
 before ended; random points only spot-check the evaluator.  A
 certificate read from JSON is rebuilt by replaying its chain.
 
-Evaluation runs on integer ratios.  Each matrix cell is read where it
-is used, as (numerator, denominator), from plain rows or from a
-:class:`_Ratios` table of such pairs (a sample, or the table that
-``tnn.evaluate_difference`` keeps on its matrix); monomials, q-deformed
-minors and certificate steps multiply plain ints, and each result is
-one Fraction.
+Evaluation runs on integer ratios.  Each public evaluator reads its
+rows once, at the call, into a table of (numerator, denominator) pairs
+by :func:`_pairs`, so an entry that Fraction rejects raises there,
+whichever cell it is in; the loops behind it (:func:`_asm_ratio`,
+:func:`_asm_difference`, :func:`_certificate_sum`) take only such a
+table: a sample's, or the one a ``tnn.RationalMatrix`` keeps.
+Monomials, q-deformed minors and certificate steps multiply plain ints,
+and each result is one Fraction.
 
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
@@ -52,9 +54,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .core import Asm, AsmError, _as_int, asm_from_json_dict, asm_to_json_dict
+from .core import Asm, AsmError, _as_int, _check_range, asm_from_json_dict, asm_to_json_dict
 from .lattice import Rect, SizeMismatchError, _chain_steps, _shift_corners, beta
 
 
@@ -106,17 +108,19 @@ class LaurentMonomial:
         return self.coeff > 0 and all(e >= -1 for _, e in self.powers)
 
     def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
-        """Exact value at a matrix (plain nested sequence, 0-based).
+        """Exact value at an n x n matrix (plain nested sequence, 0-based).
 
-        A zero base zeroes the value unless its exponent is 0, and the
-        scan goes on, so a later zero base with a negative exponent still
-        raises."""
-        cell = _reader(rows)
+        The rows are read once, at the call, by :func:`_pairs`.  Raises
+        IndexError for a variable outside 1..n.  A zero base zeroes the
+        value unless its exponent is 0, and the scan goes on, so a later
+        zero base with a negative exponent still raises."""
+        table = _pairs(rows)
         num, den = _ratio(self.coeff)
-        for v, e in self.powers:
-            p, r = cell(*v)
+        for (i, j), e in self.powers:
+            _check_range(len(table), 1, i, j)
+            p, r = table[i - 1][j - 1]
             if not p and e:
-                num = _zero_power(e, v)
+                num = _zero_power(e, (i, j))
             elif e > 0:
                 num *= p**e
                 den *= r**e
@@ -149,22 +153,9 @@ def _ratio(x) -> tuple[int, int]:
     return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
 
 
-class _Ratios(list):
-    """Rows of (numerator, denominator) pairs that _reader takes as they
-    are, so a generated matrix needs no Fraction per cell."""
-
-    def fractions(self) -> list[list[Fraction]]:
-        return [[Fraction(p, r) for p, r in row] for row in self]
-
-
-def _reader(rows: Sequence[Sequence]) -> Callable[[int, int], tuple[int, int]]:
-    """cell(i, j): the 1-based entry (i, j) of a 0-based nested sequence
-    as an integer ratio, read at each call, so a missing or malformed
-    entry raises where it is first needed; _Ratios give their stored
-    pairs."""
-    if isinstance(rows, _Ratios):
-        return lambda i, j: rows[i - 1][j - 1]
-    return lambda i, j: _ratio(rows[i - 1][j - 1])
+def _pairs(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The table of rows: every entry as :func:`_ratio` reads it."""
+    return tuple(tuple(map(_ratio, row)) for row in rows)
 
 
 def _zero_power(e: int, cell: Variable) -> int:
@@ -174,14 +165,15 @@ def _zero_power(e: int, cell: Variable) -> int:
     return 0
 
 
-def _asm_ratio(entries: Sequence[Sequence[int]], cell, num=1, den=1) -> tuple[int, int]:
-    """num/den times x^A at the matrix that cell reads, as (numerator,
-    nonzero denominator), for the entry rows of an ASM A (entries -1, 0
-    and 1), read row-major; zero bases as in LaurentMonomial.evaluate."""
-    for i, row in enumerate(entries, 1):
+def _asm_ratio(entries: Sequence[Sequence[int]], table, num=1, den=1) -> tuple[int, int]:
+    """num/den times x^A at the matrix of a :func:`_pairs` table, as
+    (numerator, nonzero denominator), for the entry rows of an ASM A
+    (entries -1, 0 and 1), read row-major; zero bases as in
+    LaurentMonomial.evaluate."""
+    for i, (row, cells) in enumerate(zip(entries, table), 1):
         for j, e in enumerate(row, 1):
             if e:
-                p, r = cell(i, j)
+                p, r = cells[j - 1]
                 if not p:
                     num = _zero_power(e, (i, j))
                 elif e > 0:
@@ -199,11 +191,11 @@ def asm_monomial(a: Asm) -> LaurentMonomial:
     return monomial({(i, j): x for i, row in rows for j, x in enumerate(row, 1)})
 
 
-def _asm_difference(a: Asm, b: Asm, rows: Sequence[Sequence], wa=1, wb=1) -> Fraction:
-    """wa x^a - wb x^b at rows, exactly; a is read first."""
-    cell = _reader(rows)
-    an, ad = _asm_ratio(a.entries, cell, *_ratio(wa))
-    bn, bd = _asm_ratio(b.entries, cell, *_ratio(wb))
+def _asm_difference(a: Asm, b: Asm, table, wa=1, wb=1) -> Fraction:
+    """wa x^a - wb x^b at the matrix of a :func:`_pairs` table, exactly;
+    a is read first."""
+    an, ad = _asm_ratio(a.entries, table, *_ratio(wa))
+    bn, bd = _asm_ratio(b.entries, table, *_ratio(wb))
     return Fraction(an * bd - bn * ad, ad * bd)
 
 
@@ -223,6 +215,8 @@ class MinorRef:
             raise ValueError("rows and cols must be nonempty, equal length")
         if any(list(x) != sorted(set(x)) for x in (self.rows, self.cols)):
             raise ValueError("rows and cols must be strictly increasing")
+        if self.rows[0] < 1 or self.cols[0] < 1:
+            raise ValueError("rows and cols are 1-based: no index below 1")
 
     def __str__(self) -> str:
         body = "; ".join(
@@ -387,22 +381,22 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> Iterator[int]
         yield lo + r
 
 
-def _random_positive_rows(n: int, rng: random.Random) -> _Ratios:
-    """An n x n matrix of ratios p/r in lowest terms, p and r drawn from
-    1..9, row-major; unreduced, they would swell the products.  A
-    negative n raises ValueError before any draw."""
+def _random_positive_rows(n: int, rng: random.Random) -> list[list[tuple[int, int]]]:
+    """A :func:`_pairs` table of an n x n matrix of ratios p/r in lowest
+    terms, p and r drawn from 1..9, row-major; unreduced, they would
+    swell the products.  A negative n raises ValueError before any draw."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got n={n}")
     draws = list(_randints(rng, 1, 9, 2 * n * n))
     cells = map(_lowest, draws[::2], draws[1::2])
-    return _Ratios(map(list, zip(*[cells] * n)))
+    return list(map(list, zip(*[cells] * n)))
 
 
 def evaluate_certificate(
     cert: SflCertificate, rows: Sequence[Sequence[Fraction]]
 ) -> Fraction:
     """Exact value of the certificate sum at a matrix: the q-weighted
-    sum at q = 1."""
+    sum at q = 1, the rows read once, at the call."""
     return evaluate_certificate_q(cert, rows, 1)
 
 
@@ -414,10 +408,10 @@ def evaluate_certificate_q(
     Step t acquires the factor q^{beta(source) + t} and its 2x2 minor is
     q-deformed; the sum equals q^{beta(a)} x^a - q^{beta(b)} x^b, so all
     q-powers are nonnegative and the whole thing is a polynomial in q.
-    At q = 1 it is the plain certificate sum.  Each step is an integer
-    ratio read off its source's entries and its rectangle's corners; q
-    is read once, and each step's q-power is the step before's times q.
-    Raises SizeMismatchError unless rows is n x n for the certificate's n.
+    At q = 1 it is the plain certificate sum.  The rows are read once,
+    at the call, by :func:`_pairs`, and q once; :func:`_certificate_sum`
+    adds the steps.  Raises SizeMismatchError unless rows is n x n for
+    the certificate's n.
 
     >>> from asmgraph import identity_asm, reverse_asm
     >>> cert = sfl_certificate(identity_asm(2), reverse_asm(2))
@@ -427,8 +421,14 @@ def evaluate_certificate_q(
     n = cert.source.n
     if len(rows) != n or any(len(row) != n for row in rows):
         raise SizeMismatchError(f"certificate is for n={n}, the matrix is not {n}x{n}")
-    qn, qd = _ratio(q)
-    cell = _reader(rows)
+    return _certificate_sum(cert, _pairs(rows), *_ratio(q))
+
+
+def _certificate_sum(cert: SflCertificate, table, qn: int = 1, qd: int = 1) -> Fraction:
+    """The q-weighted certificate sum at the n x n matrix of a
+    :func:`_pairs` table, q = qn/qd.  Each step is an integer ratio read
+    off its source's entries and its rectangle's corners, and each
+    step's q-power is the step before's times q."""
     total_num, total_den = 0, 1
     e = cert.beta_pair[0]
     if e < 0 and not qn and cert.steps:
@@ -437,9 +437,11 @@ def evaluate_certificate_q(
     pn, pd = (qn**e, qd**e) if e >= 0 else (qd**-e, qn**-e)
     for t, s in enumerate(cert.steps):
         i, j, k, l = s.rect.bounds
-        num, den = _asm_ratio(s.source.entries, cell, pn, pd)
-        # The minor x_ik x_jl - q^area x_il x_jk over x_ik x_jl, cells read in that order.
-        (an, ad), (bn, bd), (cn, cd), (dn, dd) = cell(i, k), cell(j, l), cell(i, l), cell(j, k)
+        num, den = _asm_ratio(s.source.entries, table, pn, pd)
+        # The minor x_ik x_jl - q^area x_il x_jk over x_ik x_jl.
+        top, bottom = table[i - 1], table[j - 1]
+        (an, ad), (cn, cd) = top[k - 1], top[l - 1]
+        (dn, dd), (bn, bd) = bottom[k - 1], bottom[l - 1]
         if not (an and bn):
             raise ZeroDivisionError(f"divisor {s.divisor} is zero at step {t}")
         area = (j - i) * (l - k)
@@ -467,8 +469,8 @@ def verify_certificate(
     step adds (-1, +1, +1, -1) at its corners and 1 to beta, so step t is
     q^beta(A_t) x^A_t - q^beta(A_{t+1}) x^A_{t+1}: the sum telescopes at
     every matrix and every q, and the walk fixes the step count.  Spot
-    check: at ``samples`` random positive rational matrices
-    :func:`evaluate_certificate` equals x^source - x^target exactly.
+    check: at ``samples`` random positive rational matrices the
+    certificate sum equals x^source - x^target exactly.
     Raises VerificationFailureError on the first failure, and AsmError
     for negative ``samples``.
     """
@@ -496,13 +498,13 @@ def verify_certificate(
     if samples > 0:
         rng = random.Random(seed)
         for _ in range(samples):
-            rows = _random_positive_rows(cert.source.n, rng)
-            expected = _asm_difference(cert.source, cert.target, rows)
-            got = evaluate_certificate(cert, rows)
+            table = _random_positive_rows(cert.source.n, rng)
+            expected = _asm_difference(cert.source, cert.target, table)
+            got = _certificate_sum(cert, table)
             if got != expected:
                 raise VerificationFailureError(
                     f"certificate sum {got} != direct difference {expected}",
-                    point=rows.fractions(),
+                    point=[[Fraction(p, r) for p, r in row] for row in table],
                 )
     return VerificationReport(len(cert.steps), samples, seed)
 

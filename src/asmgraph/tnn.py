@@ -66,7 +66,9 @@ again.  The matrices this module makes (samples, counterexamples,
 q-weightings) are square tuples of Fractions by construction, and each
 is built once by ``_trusted_matrix``, which reads nothing.  A matrix
 keeps the values derived from it, the TNN verdict, the q-condensation
-and its entries as integer ratios, as :class:`RationalMatrix` says.
+and its entries as a ``symbolic._pairs`` table of integer ratios, the
+one table that :func:`evaluate_difference` and :func:`qtnn_scan` read
+through ``_table``, as :class:`RationalMatrix` says.
 The sampler runs on integer ratios too: :func:`random_tnn` takes its
 draws into one list and pairs them by slicing, and
 :func:`bidiagonal_product` walks a per-size plan of the longest word's
@@ -98,7 +100,7 @@ from typing import Sequence
 
 from .core import Asm, AsmError, NonSquareError, _check_range, _sequence
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
-from .symbolic import _asm_difference, _int_rows, _randints, _ratio, _Ratios
+from .symbolic import _asm_difference, _int_rows, _pairs, _randints, _ratio
 
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
 
@@ -130,9 +132,10 @@ class RationalMatrix:
     The matrix keeps three derived values once they are computed:
     :func:`is_tnn`'s verdict, the q-condensation that
     :func:`asmgraph.polynomials.q_dodgson_check` and
-    :func:`~asmgraph.polynomials.q_dodgson_divided` share, and the table
-    of its entries as integer ratios that :func:`evaluate_difference`
-    reads.  Each is a class default, not a field, so equality, hashing
+    :func:`~asmgraph.polynomials.q_dodgson_divided` share, and
+    ``symbolic._pairs(m.rows)``, the tuple of its entries as integer
+    ratios that :func:`evaluate_difference` and :func:`qtnn_scan` read.
+    Each is a class default, not a field, so equality, hashing
     and repr see the rows only; each is set on the instance with
     ``object.__setattr__``, unlike ``Asm._corner``, a slot that every
     ASM sets when it is made.  All are plain data, so the matrix pickles
@@ -143,7 +146,7 @@ class RationalMatrix:
     _tnn = None
     # polynomials._q_condensation's tuple, or None until it is computed.
     _q_condensed = None
-    # The rows as a symbolic._Ratios table, or None until evaluate_difference builds it.
+    # symbolic._pairs(rows), or None until _table builds it.
     _ratios = None
 
     def __post_init__(self):
@@ -401,19 +404,21 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
-    """Exact value of x^a - x^b at m.
-
-    The first call takes every entry of m, a Fraction, as its integer
-    ratio and keeps the table on m; later calls read the table.  Raises
+    """Exact value of x^a - x^b at m, read off the table of integer
+    ratios that m keeps (see :func:`_table`).  Raises
     UndefinedEvaluationError when a zero entry of m meets a negative
     exponent.
     """
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
+    return _asm_difference(a, b, _table(m))
+
+
+def _table(m: RationalMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``symbolic._pairs(m.rows)``, built by the first call and kept on m."""
     if m._ratios is None:
-        ratios = _Ratios(tuple(x.as_integer_ratio() for x in row) for row in m.rows)
-        object.__setattr__(m, "_ratios", ratios)
-    return _asm_difference(a, b, m._ratios)
+        object.__setattr__(m, "_ratios", _pairs(m.rows))
+    return m._ratios
 
 
 def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, int]]:
@@ -512,8 +517,8 @@ def qtnn_scan(
             else:
                 weighted = random_tnn(a.n, seed=seed * 1000003 + gi * 1009 + idx)
             local = _reweighted(weighted, inverse)
-            value = _asm_difference(a, b, weighted.rows)
-            if value != _asm_difference(a, b, local.rows, weight_a, weight_b):
+            value = _asm_difference(a, b, _table(weighted))
+            if value != _asm_difference(a, b, _table(local), weight_a, weight_b):
                 raise AsmError("q-weighting identity failed; implementation bug")
             if value < 0:
                 violations.append((idx, value))

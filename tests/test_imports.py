@@ -1,8 +1,9 @@
 """Every module of the package reads each name it imports, some module
 of the package reads each private name a module defines, and each public
 name a module defines is exported, read or registered.  No library path
-calls HalfExpPoly's ring operations.  Every name that the benchmark's
-traced run wraps by string exists.
+calls HalfExpPoly's ring operations, and only symbolic's two readers
+call as_integer_ratio().  Every name that the benchmark's traced run
+wraps by string exists.
 
 A name that is imported but only named in a docstring, or not at all, is
 a dead dependency.  ``__init__.py`` re-exports by design and ``from
@@ -119,6 +120,17 @@ def test_only_the_generators_build_trusted_matrices():
     assert readers == {
         "tnn.random_rational_matrix", "tnn._bidiagonal_ratios", "tnn._two_block", "tnn._reweighted",
     }
+
+
+def test_only_the_two_readers_take_integer_ratios():
+    """Whether an entry is read by its as_integer_ratio() or through
+    Fraction is decided in symbolic alone: _ratio reads raw rows and
+    parameters, and _int_rows a RationalMatrix's Fractions."""
+    trees, _ = _package()
+    readers = {
+        s for module, tree in trees.items() for s in _readers(tree, "as_integer_ratio", module)
+    }
+    assert readers == {"symbolic._ratio", "symbolic._int_rows"}
 
 
 def _registered(node: ast.AST, tree: ast.Module) -> bool:

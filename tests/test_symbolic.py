@@ -87,6 +87,13 @@ class TestMonomials:
         m = monomial({(1, 1): 2, (1, 2): -1}, coeff=F(3, 2))
         assert m.evaluate([[F(2), F(3)], [F(1), F(1)]]) == F(3, 2) * 4 / 3
 
+    @pytest.mark.parametrize("v", [(0, 1), (1, 0), (-1, 1), (3, 1), (1, 3)])
+    def test_variable_outside_the_matrix(self, v):
+        """A variable outside 1..n raises IndexError, as Asm.entry does:
+        x01 does not read row -1, the last row."""
+        with pytest.raises(IndexError, match=r"outside 1\.\.2"):
+            monomial({v: 1}).evaluate([[2, 3], [5, 7]])
+
     def test_evaluate_zero_positive_power(self):
         assert monomial({(1, 1): 2}).evaluate([[F(0)]]) == 0
 
@@ -111,6 +118,11 @@ class TestMinorRef:
             MinorRef((1, 2), (1,))
         with pytest.raises(ValueError):
             MinorRef((), ())
+
+    @pytest.mark.parametrize("rows, cols", [((0, 1), (1, 2)), ((1, 2), (0, 1)), ((-1,), (2,))])
+    def test_index_below_1(self, rows, cols):
+        with pytest.raises(ValueError, match="1-based"):
+            MinorRef(rows, cols)
 
     def test_str(self):
         assert str(MinorRef((3, 4), (2, 3))) == "|x32 x33; x42 x43|"
@@ -143,6 +155,49 @@ class TestEdgeFactorization:
                 / f.divisor.evaluate(rows)
             )
             assert lhs == rhs
+
+
+class TestRowsReadOnce:
+    """Each public evaluator reads its rows once, at the call, into a
+    table of integer ratios by symbolic._pairs."""
+
+    ROWS = [[F(2), F(3), F(5)], [F(7), F(11, 2), F(1, 3)], [F(4, 7), F(9), F(6)]]
+
+    def _evaluators(self, a3):
+        # The cover 123 -> 213 is one step on rows and columns 1 and 2, and
+        # x^X reads no corner, so no factor of these reads cell (3, 1).
+        cert = sfl_certificate(a3["123"], a3["213"])
+        return (
+            asm_monomial(a3["X"]).evaluate,
+            lambda rows: evaluate_certificate(cert, rows),
+            lambda rows: evaluate_certificate_q(cert, rows, F(9, 4)),
+            lambda rows: evaluate_certificate(sfl_certificate(a3["X"], a3["X"]), rows),
+        )
+
+    @pytest.mark.parametrize(
+        "bad, error", [(None, TypeError), ("x", ValueError), (float("nan"), ValueError)]
+    )
+    def test_malformed_unused_cell_raises_at_the_call(self, a3, bad, error):
+        other = [row[:] for row in self.ROWS]
+        other[2][0] = F(-1, 3)
+        broken = [row[:] for row in self.ROWS]
+        broken[2][0] = bad
+        for evaluate in self._evaluators(a3):
+            assert evaluate(other) == evaluate(self.ROWS)
+            with pytest.raises(error):
+                evaluate(broken)
+
+    def test_pairs_is_called_once_per_call(self, a3, monkeypatch):
+        import asmgraph.symbolic
+
+        calls, pairs = [], asmgraph.symbolic._pairs
+        monkeypatch.setattr(
+            asmgraph.symbolic, "_pairs", lambda rows: calls.append(rows) or pairs(rows)
+        )
+        for evaluate in self._evaluators(a3):
+            calls.clear()
+            evaluate(self.ROWS)
+            assert len(calls) == 1 and calls[0] is self.ROWS
 
 
 class TestCertificates:
@@ -340,7 +395,7 @@ class TestVerificationFailures:
         # The sampled pass checks the evaluator against the direct difference.
         import asmgraph.symbolic
 
-        monkeypatch.setattr(asmgraph.symbolic, "evaluate_certificate", lambda c, rows: F(-1))
+        monkeypatch.setattr(asmgraph.symbolic, "_certificate_sum", lambda c, table: F(-1))
         with pytest.raises(VerificationFailureError, match="direct difference") as exc:
             verify_certificate(self._cert(a3), samples=1, seed=5)
         assert exc.value.step is None

@@ -823,7 +823,8 @@ class TestSharedCounterexample:
             m, plain = rational_matrix(rows), rational_matrix(rows)
             value = evaluate_difference(a, b, m)
             kept = m._ratios
-            assert kept == [tuple((x.numerator, x.denominator) for x in row) for row in plain.rows]
+            want = tuple(tuple((x.numerator, x.denominator) for x in row) for row in plain.rows)
+            assert type(kept) is tuple and kept == want
             assert plain._ratios is None
             assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
             assert evaluate_difference(b, a, m) == -value == -evaluate_difference(a, b, plain)
