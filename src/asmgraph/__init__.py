@@ -5,6 +5,8 @@ The package is organised in layers:
 - :mod:`asmgraph.core`: the Asm/CornerSum/Permutation types, axioms,
   conversions, and text/JSON formats.
 - :mod:`asmgraph.enumeration`: exhaustive generation with size guards.
+- :mod:`asmgraph.exact`: exact rational matrices, each one int matrix
+  over one denominator.
 - :mod:`asmgraph.lattice`: the ASM order, the bigrassmannian statistic,
   essential rectangles, covering chains, and the directed ASM graph
   with its sixteen edge types.
@@ -60,6 +62,7 @@ from .enumeration import (
     enumerate_permutations,
     iter_asms,
 )
+from .exact import RationalMatrix, rational_matrix
 from .lattice import (
     AsmGraph,
     Edge,
@@ -125,7 +128,6 @@ from .tnn import (
     ComparableError,
     IrrationalSqrtError,
     QtnnScanReport,
-    RationalMatrix,
     bidiagonal_product,
     counterexample_matrix,
     det,
@@ -136,7 +138,6 @@ from .tnn import (
     q_weighted,
     qtnn_scan,
     random_tnn,
-    rational_matrix,
 )
 
 __version__ = "0.1.0"

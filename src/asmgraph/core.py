@@ -297,7 +297,9 @@ def _square_int_rows(rows: Rows) -> list[list[int]]:
 
 
 def _sequence(x, what: str) -> Sequence:
-    if not isinstance(x, Sequence) or isinstance(x, (str, bytes)):
+    """x itself if it is a sequence other than a str or bytes, else
+    AsmError; a tuple or list is answered without the ABC check."""
+    if type(x) not in (tuple, list) and (not isinstance(x, Sequence) or isinstance(x, (str, bytes))):
         raise AsmError(f"{what} {x!r} is not a sequence")
     return x
 

@@ -58,22 +58,22 @@ none of those can have a negative entry or a broken top block.  The
 Gaussian :func:`det` stays as the public reference determinant that
 ``dodgson verify`` and the tests compare with.
 
-Every :class:`RationalMatrix` is square and holds only Fractions: its
-constructor, the one reader of rows from outside (``rational_matrix``
-is the constructor itself), checks the shape and makes every entry a
+Every :class:`RationalMatrix` (of :mod:`asmgraph.exact`, exported here
+too) is square, holds only Fractions and holds them as one int matrix
+``ints`` over one denominator ``den``: its constructor, the one reader
+of rows from outside, checks the shape and makes every entry a
 Fraction, so no function that takes one checks or converts an entry
 again.  The matrices this module makes (samples, counterexamples,
-q-weightings) are square tuples of Fractions by construction, and each
-is built once by ``_trusted_matrix``, which reads nothing.  A matrix
-keeps the values derived from it, the TNN verdict, the q-condensation
-and its entries as a ``symbolic._pairs`` table of integer ratios, the
-one table that :func:`evaluate_difference` and :func:`qtnn_scan` read
-through ``_table``, as :class:`RationalMatrix` says.
+q-weightings) are square by construction, and each is built once by
+``_trusted_matrix`` from a table of integer ratios, with nothing read
+back.  :func:`is_tnn`, :func:`evaluate_difference`, :func:`qtnn_scan`
+and the q-reweighting read the integer form, and a matrix keeps its TNN
+verdict and its q-condensation once they are computed.
 The sampler runs on integer ratios too: :func:`random_tnn` takes its
 draws into one list and pairs them by slicing, and
 :func:`bidiagonal_product` walks a per-size plan of the longest word's
 column pairs, each column an unreduced int vector over the lcm of its
-denominators; only the result's Fractions reduce, one per entry.
+denominators; only the result's integer form and Fractions reduce.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
@@ -96,11 +96,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, cycle
 from typing import Sequence
 
-from .core import Asm, AsmError, NonSquareError, _check_range, _sequence
+from .core import Asm, AsmError
+from .exact import RationalMatrix, _ratio, _trusted_matrix, rational_matrix
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
-from .symbolic import _asm_difference, _int_rows, _pairs, _randints, _ratio
+from .symbolic import _asm_difference, _randints
 
 RANDOM_TNN_BOUND = 4  #: random_tnn's parameters are p/q with 1 <= p, q <= this
 
@@ -113,98 +115,19 @@ class IrrationalSqrtError(AsmError):
     """q0 is not a perfect square of a rational, sqrt(q0) is not exact."""
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable square matrix of exact rationals with 1-based accessor.
-
-    The constructor reads the rows once, as :class:`~asmgraph.core.Asm`'s
-    does, and keeps them as a tuple of tuples.  It raises AsmError for a
-    matrix or row that is not a sequence (a str or bytes is not one),
-    keeps an entry whose type is Fraction, makes any other one
-    ``Fraction(x)``, and raises NonSquareError unless the rows are n rows
-    of n entries (n = 0 too).  So every entry is a Fraction: 0.5 is 1/2
-    and "1/2" is 1/2 in equality, hashing, :meth:`entry` and ``str`` as
-    in :func:`is_tnn` and the evaluators, and an entry that Fraction
-    rejects (None, "x", nan) raises its TypeError or ValueError here,
-    before any matrix exists.  The module's generators build theirs
-    through ``_trusted_matrix``, from square tuples of Fractions.
-
-    The matrix keeps three derived values once they are computed:
-    :func:`is_tnn`'s verdict, the q-condensation that
-    :func:`asmgraph.polynomials.q_dodgson_check` and
-    :func:`~asmgraph.polynomials.q_dodgson_divided` share, and
-    ``symbolic._pairs(m.rows)``, the tuple of its entries as integer
-    ratios that :func:`evaluate_difference` and :func:`qtnn_scan` read.
-    Each is a class default, not a field, so equality, hashing
-    and repr see the rows only; each is set on the instance with
-    ``object.__setattr__``, unlike ``Asm._corner``, a slot that every
-    ASM sets when it is made.  All are plain data, so the matrix pickles
-    with them."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-    # is_tnn's verdict, or None until is_tnn has computed it.
-    _tnn = None
-    # polynomials._q_condensation's tuple, or None until it is computed.
-    _q_condensed = None
-    # symbolic._pairs(rows), or None until _table builds it.
-    _ratios = None
-
-    def __post_init__(self):
-        rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in _sequence(row, f"row {i}"))
-            for i, row in enumerate(_sequence(self.rows, "matrix"), start=1)
-        )
-        _check_square(rows)
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """Entry at 1-based position (i, j); IndexError outside 1..n."""
-        _check_range(self.n, 1, i, j)
-        return self.rows[i - 1][j - 1]
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
-
-def _check_square(rows: Sequence[Sequence]) -> None:
-    """NonSquareError unless rows make a square matrix."""
-    if any(len(row) != len(rows) for row in rows):
-        raise NonSquareError("matrix must be square")
-
-
-#: The entry point for rows from outside: the :class:`RationalMatrix`
-#: constructor itself.
-rational_matrix = RationalMatrix
-
-
-def _trusted_matrix(rows: tuple[tuple[Fraction, ...], ...]) -> RationalMatrix:
-    """A :class:`RationalMatrix` around ``rows`` itself, unread, for the
-    generators whose rows are square tuples of Fractions by
-    construction; nothing else may call it.  The twin of
-    ``core._trusted_asm``."""
-    m = object.__new__(RationalMatrix)
-    object.__setattr__(m, "rows", rows)
-    return m
-
-
 def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
     """n x n matrix of rationals p/q, -9 <= p <= 9 and 1 <= q <= 4,
     drawn row-major from rng (numerator, then denominator).  n = 0 gives
     the 0 x 0 matrix, and a negative n raises ValueError before any draw."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got n={n}")
-    entries = map(Fraction, _randints(rng, -9, 9, n * n), _randints(rng, 1, 4, n * n))
-    return _trusted_matrix(tuple(zip(*[entries] * n)))
+    return _trusted_matrix(n, zip(_randints(rng, -9, 9, n * n), _randints(rng, 1, 4, n * n)))
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction Gaussian elimination of the rows as
     the :class:`RationalMatrix` constructor reads them."""
-    m = [list(row) for row in RationalMatrix(rows).rows]
+    m = [list(row) for row in rational_matrix(rows).rows]
     n = len(m)
     sign = 1
     result = Fraction(1)
@@ -227,10 +150,10 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 def is_tnn(m: RationalMatrix) -> bool:
     """Exact check that every minor is >= 0, by :func:`_neville` on the
-    matrix scaled to ints.  The first call computes the verdict and
-    keeps it on m; later calls read it."""
+    matrix's integer form ``m.ints``.  The first call computes the
+    verdict and keeps it on m; later calls read it."""
     if m._tnn is None:
-        object.__setattr__(m, "_tnn", _neville(_int_rows(m.rows)[0]))
+        object.__setattr__(m, "_tnn", _neville(m.ints))
     return m._tnn
 
 
@@ -270,9 +193,10 @@ def rational_sqrt(x) -> Fraction:
 
 
 def _reweighted(m: RationalMatrix, s: Fraction) -> RationalMatrix:
-    """The matrix (s^{(i-j)^2} m(i,j))."""
-    rows = zip(_square_gaps(m.n), m.rows)
-    return _trusted_matrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
+    """The matrix (s^{(i-j)^2} m(i,j)) for s > 0, on m's integer form."""
+    sn, sd = _ratio(s)
+    cells = zip(chain.from_iterable(_square_gaps(m.n)), chain.from_iterable(m.ints))
+    return _trusted_matrix(m.n, ((x * sn**g, m.den * sd**g) for g, x in cells))
 
 
 def _root(q0) -> Fraction:
@@ -345,7 +269,8 @@ def _bidiagonal_ratios(
 
     Each column is an int vector over one positive denominator, never
     reduced: an update puts the two columns over the lcm of their
-    denominators, and the only gcds are the result's Fractions.
+    denominators, and the only gcds are those of the result's integer
+    form and its Fractions.
     """
     n = len(diag)
     lower_pairs, upper_pairs, identity = _word_plan(n)
@@ -365,7 +290,7 @@ def _bidiagonal_ratios(
         for c, (dn, dd) in enumerate(scales):
             cols[c] = [x * dn for x in cols[c]]
             dens[c] *= dd
-    return _trusted_matrix(tuple(tuple(map(Fraction, row, dens)) for row in zip(*cols)))
+    return _trusted_matrix(n, zip(chain.from_iterable(zip(*cols)), cycle(dens)))
 
 
 # One plan per size: sampling repeats a few sizes, and a plan is O(n^2) ints.
@@ -404,21 +329,13 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
-    """Exact value of x^a - x^b at m, read off the table of integer
-    ratios that m keeps (see :func:`_table`).  Raises
+    """Exact value of x^a - x^b at m, read off its integer form.  Raises
     UndefinedEvaluationError when a zero entry of m meets a negative
     exponent.
     """
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
-    return _asm_difference(a, b, _table(m))
-
-
-def _table(m: RationalMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``symbolic._pairs(m.rows)``, built by the first call and kept on m."""
-    if m._ratios is None:
-        object.__setattr__(m, "_ratios", _pairs(m.rows))
-    return m._ratios
+    return _asm_difference(a, b, m.ints, m.den)
 
 
 def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, int]]:
@@ -444,10 +361,7 @@ def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, in
 def _two_block(n: int, k: int, l: int) -> RationalMatrix:
     """The n x n matrix with 2 on rows <= k and columns <= l, 1 elsewhere."""
     cells = range(1, n + 1)
-    two, one = Fraction(2), Fraction(1)
-    return _trusted_matrix(
-        tuple(tuple(two if i <= k and j <= l else one for j in cells) for i in cells)
-    )
+    return _trusted_matrix(n, ((2 if i <= k and j <= l else 1, 1) for i in cells for j in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +431,8 @@ def qtnn_scan(
             else:
                 weighted = random_tnn(a.n, seed=seed * 1000003 + gi * 1009 + idx)
             local = _reweighted(weighted, inverse)
-            value = _asm_difference(a, b, _table(weighted))
-            if value != _asm_difference(a, b, _table(local), weight_a, weight_b):
+            value = _asm_difference(a, b, weighted.ints, weighted.den)
+            if value != _asm_difference(a, b, local.ints, local.den, weight_a, weight_b):
                 raise AsmError("q-weighting identity failed; implementation bug")
             if value < 0:
                 violations.append((idx, value))

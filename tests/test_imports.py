@@ -1,8 +1,8 @@
 """Every module of the package reads each name it imports, some module
 of the package reads each private name a module defines, and each public
 name a module defines is exported, read or registered.  No library path
-calls HalfExpPoly's ring operations, and only symbolic's two readers
-call as_integer_ratio().  Every name that the benchmark's traced run
+calls HalfExpPoly's ring operations, and only exact's two readers call
+as_integer_ratio().  Every name that the benchmark's traced run
 wraps by string exists.
 
 A name that is imported but only named in a docstring, or not at all, is
@@ -22,7 +22,7 @@ from random import Random
 import pytest
 
 from asmgraph import polynomials as poly, verify
-from asmgraph.symbolic import HalfExpPoly, _int_rows
+from asmgraph.symbolic import HalfExpPoly
 from asmgraph.tnn import random_rational_matrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asmgraph"
@@ -108,7 +108,7 @@ def test_only_the_constructor_and_sym_det_check_squareness():
     one checks it again; only sym_det, on raw rows, checks its own."""
     trees, _ = _package()
     readers = {s for module, tree in trees.items() for s in _readers(tree, "_check_square", module)}
-    assert readers == {"tnn.RationalMatrix.__post_init__", "polynomials.sym_det"}
+    assert readers == {"exact.RationalMatrix.__post_init__", "polynomials.sym_det"}
 
 
 def test_only_the_generators_build_trusted_matrices():
@@ -124,13 +124,14 @@ def test_only_the_generators_build_trusted_matrices():
 
 def test_only_the_two_readers_take_integer_ratios():
     """Whether an entry is read by its as_integer_ratio() or through
-    Fraction is decided in symbolic alone: _ratio reads raw rows and
-    parameters, and _int_rows a RationalMatrix's Fractions."""
+    Fraction is decided in exact alone: _ratio reads raw parameters and
+    coefficients, and the RationalMatrix constructor the Fractions it
+    has read, once, into their integer form."""
     trees, _ = _package()
     readers = {
         s for module, tree in trees.items() for s in _readers(tree, "as_integer_ratio", module)
     }
-    assert readers == {"symbolic._ratio", "symbolic._int_rows"}
+    assert readers == {"exact._ratio", "exact.RationalMatrix.__post_init__"}
 
 
 def _registered(node: ast.AST, tree: ast.Module) -> bool:
@@ -184,7 +185,7 @@ def test_library_paths_use_no_ring_operation(monkeypatch):
     for n in range(2, 7):
         for _ in range(10):
             m = random_rational_matrix(n, rng)
-            weighted = poly._q_weight_matrix(_int_rows(m.rows)[0])
+            weighted = poly._q_weight_matrix(m.ints)
             assert poly.q_dodgson_check(m).passed
             try:
                 poly.dodgson(m)

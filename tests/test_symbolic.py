@@ -17,6 +17,7 @@ from asmgraph import (
     LaurentMonomial,
     MinorRef,
     NonExactDivisionError,
+    NonSquareError,
     Rect,
     UndefinedEvaluationError,
     VerificationFailureError,
@@ -158,8 +159,8 @@ class TestEdgeFactorization:
 
 
 class TestRowsReadOnce:
-    """Each public evaluator reads its rows once, at the call, into a
-    table of integer ratios by symbolic._pairs."""
+    """Each public evaluator reads its rows once, at the call, through
+    the RationalMatrix constructor, into one integer form."""
 
     ROWS = [[F(2), F(3), F(5)], [F(7), F(11, 2), F(1, 3)], [F(4, 7), F(9), F(6)]]
 
@@ -187,12 +188,12 @@ class TestRowsReadOnce:
             with pytest.raises(error):
                 evaluate(broken)
 
-    def test_pairs_is_called_once_per_call(self, a3, monkeypatch):
-        import asmgraph.symbolic
+    def test_rows_are_read_once_per_call(self, a3, monkeypatch):
+        from asmgraph.exact import RationalMatrix
 
-        calls, pairs = [], asmgraph.symbolic._pairs
+        calls, read = [], RationalMatrix.__post_init__
         monkeypatch.setattr(
-            asmgraph.symbolic, "_pairs", lambda rows: calls.append(rows) or pairs(rows)
+            RationalMatrix, "__post_init__", lambda m: calls.append(m.rows) or read(m)
         )
         for evaluate in self._evaluators(a3):
             calls.clear()
@@ -214,12 +215,30 @@ class TestCertificates:
 
     @pytest.mark.parametrize("lengths", [[2, 2], [4] * 4, [2, 2, 2], [3, 3], [3, 3, 4]])
     def test_matrix_of_another_size_is_rejected(self, lengths):
+        """A square matrix of another size raises SizeMismatchError; rows
+        that make no square matrix raise the constructor's NonSquareError,
+        as every reader of rows does."""
         cert = sfl_certificate(identity_asm(3), reverse_asm(3))
         rows = [[F(1)] * k for k in lengths]
-        with pytest.raises(SizeMismatchError):
+        square = all(k == len(lengths) for k in lengths)
+        with pytest.raises(SizeMismatchError if square else NonSquareError):
             evaluate_certificate(cert, rows)
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(SizeMismatchError if square else NonSquareError):
             evaluate_certificate_q(cert, rows, F(2))
+
+    def test_rows_are_read_as_the_constructor_reads_them(self):
+        """String and ragged rows raise the constructor's error, where an
+        evaluator once read a str row as a list of digits and took
+        ragged rows."""
+        cert = sfl_certificate(identity_asm(2), reverse_asm(2))
+        with pytest.raises(AsmError, match="row 1 '12' is not a sequence"):
+            evaluate_certificate(cert, ["12", "34"])
+        with pytest.raises(AsmError, match="row 1 '12' is not a sequence"):
+            monomial({(2, 1): 1}).evaluate(["12", "34"])
+        with pytest.raises(NonSquareError):
+            monomial({(1, 1): 1}).evaluate([[2], [3, 4, 5]])
+        with pytest.raises(NonSquareError):
+            monomial({(1, 1): 1}).evaluate([[2, 3]])
 
 
     def test_step_count_is_beta_gap(self, a3):
@@ -395,7 +414,7 @@ class TestVerificationFailures:
         # The sampled pass checks the evaluator against the direct difference.
         import asmgraph.symbolic
 
-        monkeypatch.setattr(asmgraph.symbolic, "_certificate_sum", lambda c, table: F(-1))
+        monkeypatch.setattr(asmgraph.symbolic, "_certificate_sum", lambda c, ints, den: F(-1))
         with pytest.raises(VerificationFailureError, match="direct difference") as exc:
             verify_certificate(self._cert(a3), samples=1, seed=5)
         assert exc.value.step is None

@@ -1,7 +1,9 @@
 """The line counter and the argument checks of tools/src_lines.py, on a
-source given as text, so no git repository is needed."""
+source given as text, so no git repository is needed, and its git
+failures, in a fresh empty repository or in a directory outside one."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,32 @@ def test_bad_arguments_exit_2_with_the_usage(argv, problem, capsys):
     assert out.out == ""
     assert out.err.splitlines()[:2] == [f"src_lines.py: {problem}", "usage:"]
     assert "python tools/src_lines.py BASE REV" in out.err
+
+
+def _git_failure(argv, capsys) -> str:
+    """The reason main prints for a failed git command, after checking
+    that it exits 2 with the usage and prints nothing else."""
+    assert _tool().main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    first, usage = out.err.splitlines()[:2]
+    assert first.startswith("src_lines.py: ") and usage == "usage:"
+    assert "python tools/src_lines.py BASE REV" in out.err
+    return first
+
+
+def test_unknown_revision_exits_2_with_the_usage(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    monkeypatch.chdir(tmp_path)
+    assert "no-such-rev" in _git_failure(["no-such-rev"], capsys)
+
+
+def test_outside_a_work_tree_exits_2_with_the_usage(tmp_path, monkeypatch, capsys):
+    """As in a git archive copy of the repository: git finds no
+    repository above the directory."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert "not a git repository" in _git_failure([], capsys)

@@ -11,7 +11,9 @@ NEWLINE, INDENT, DEDENT or ENDMARKER that lies outside every module,
 class and function docstring.  Prints both totals, lines first, for each
 revision; given two, also prints the change, as in "4,200 → 4,205 lines,
 2,331 → 2,329 code lines".  ``-h`` or ``--help`` prints this text; any
-other option, or more than two revisions, exits with status 2.
+other option, more than two revisions, or a git command that fails (a
+revision git does not know, or a directory outside a git work tree)
+prints the reason and the usage and exits with status 2.
 """
 
 from __future__ import annotations
@@ -74,20 +76,25 @@ def _counts(rev: str) -> tuple[int, int]:
     return total, code
 
 
+def _fail(problem: str) -> int:
+    print(f"src_lines.py: {problem}\n{USAGE}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str]) -> int:
     if "-h" in argv or "--help" in argv:
         print(__doc__, end="")
         return 0
     options = [arg for arg in argv if arg.startswith("-")]
     if options or len(argv) > 2:
-        problem = f"unknown option {options[0]}" if options else "at most two revisions"
-        print(f"src_lines.py: {problem}\n{USAGE}", file=sys.stderr)
-        return 2
-    counts = []
-    for rev in argv or ["HEAD"]:
-        total, code = _counts(rev)
+        return _fail(f"unknown option {options[0]}" if options else "at most two revisions")
+    revs = argv or ["HEAD"]
+    try:
+        counts = [_counts(rev) for rev in revs]
+    except subprocess.CalledProcessError as exc:
+        return _fail(exc.stderr.strip() or f"git exited with status {exc.returncode}")
+    for rev, (total, code) in zip(revs, counts):
         print(f"src/ at {rev}: {total:,} lines, {code:,} code lines")
-        counts.append((total, code))
     if len(counts) == 2:
         (base, base_code), (total, code) = counts
         print(f"{base:,} → {total:,} lines, {base_code:,} → {code:,} code lines")
