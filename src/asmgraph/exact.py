@@ -7,11 +7,11 @@ read, and its integer form, the one form every computation reads:
 
     rows[i][j] == Fraction(ints[i][j], den)  and  gcd(den, *ints) == 1.
 
-The form is unique, and ``den`` is the lcm of the entries' reduced
-denominators: a k x k matrix is ints / den for exactly one such pair,
-since any other ints' / den' with gcd(den', *ints') == 1 has
-ints' den = ints den', so den divides den' and den' divides den.  Both
-are set once, when the matrix is made.  Its consumers read them:
+The form is unique, so ``den`` is the lcm of the entries' reduced
+denominators: for another such pair ints' / den', den' ints = den ints'
+entry by entry, so den divides den' times every int, hence den' (the
+ints have no factor in common with den), and likewise den' divides den.
+Both are set once, when the matrix is made.  Its consumers read them:
 
 - a k-minor of ``ints`` is the matching minor of the matrix times
   ``den**k``, a positive factor, so ``tnn.is_tnn`` (Neville elimination)
@@ -27,9 +27,9 @@ are set once, when the matrix is made.  Its consumers read them:
 The constructor is the one reader of rows from outside (``rational_matrix``
 is the constructor itself).  The generators of ``tnn`` hold int columns
 over denominators, and build their matrices through ``_trusted_matrix``
-from a square table of (numerator, denominator) pairs, which it checks
+from the entries as (numerator, denominator) pairs, which it checks
 nothing of: the form first, then each entry one Fraction of it.
-:func:`_integer_form` makes the form of such a table, for both and for
+:func:`_integer_form` makes the form of such pairs, for both and for
 the pairs ``symbolic.verify_certificate`` draws.
 """
 
@@ -53,9 +53,7 @@ def _ratio(x) -> tuple[int, int]:
     return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
 
 
-def _integer_form(
-    n: int, pairs: Iterable[tuple[int, int]]
-) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _integer_form(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
     """(ints, den), the integer form of the n x n matrix whose entries,
     row-major, are the (numerator, positive denominator) pairs, in
     lowest terms or not: each entry over the lcm of the denominators (1
@@ -110,14 +108,8 @@ class RationalMatrix:
             for i, row in enumerate(_sequence(self.rows, "matrix"), start=1)
         )
         _check_square(rows)
-        pairs = map(Fraction.as_integer_ratio, chain.from_iterable(rows))
-        self._hold(rows, *_integer_form(len(rows), pairs))
-
-    def _hold(self, rows: tuple[tuple[Fraction, ...], ...], ints: tuple[tuple[int, ...], ...], den: int):
-        """Set the rows, square tuples of Fractions, and their integer form."""
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "den", den)
+        ints, den = _integer_form(len(rows), map(Fraction.as_integer_ratio, chain(*rows)))
+        vars(self).update(rows=rows, ints=ints, den=den)
 
     @property
     def n(self) -> int:
@@ -151,6 +143,7 @@ def _trusted_matrix(n: int, pairs: Iterable[tuple[int, int]]) -> RationalMatrix:
     the matrix by construction; nothing else may call it.  The twin of
     ``core._trusted_asm``."""
     ints, den = _integer_form(n, pairs)
+    rows = tuple([tuple(map(Fraction, row, repeat(den))) for row in ints])
     m = object.__new__(RationalMatrix)
-    m._hold(tuple([tuple(map(Fraction, row, repeat(den))) for row in ints]), ints, den)
+    vars(m).update(rows=rows, ints=ints, den=den)
     return m

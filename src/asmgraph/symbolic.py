@@ -53,7 +53,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -120,11 +119,9 @@ class LaurentMonomial:
         negative exponent still raises."""
         m = RationalMatrix(rows)
         num, den = _ratio(self.coeff)
-        degree = 0
         for (i, j), e in self.powers:
             _check_range(m.n, 1, i, j)
             p = m.ints[i - 1][j - 1]
-            degree += e
             if not p and e:
                 if e < 0:
                     raise UndefinedEvaluationError((i, j))
@@ -133,11 +130,7 @@ class LaurentMonomial:
                 num *= p**e
             else:
                 den *= p**-e
-        if degree > 0:
-            den *= m.den**degree
-        else:
-            num *= m.den**-degree
-        return Fraction(num, den)
+        return Fraction(num, den) / Fraction(m.den) ** sum(e for _, e in self.powers)
 
     def __str__(self) -> str:
         parts = []
@@ -156,30 +149,21 @@ def monomial(powers: Mapping[Variable, int], coeff=1) -> LaurentMonomial:
 
 def _asm_ratio(entries: Sequence[Sequence[int]], ints, num=1, den=1) -> tuple[int, int]:
     """num/den times x^A at the int matrix ints, as (numerator, nonzero
-    denominator), for the entry rows of an ASM A (entries -1, 0 and 1)
-    and a nonzero den.  A row with no -1 has one 1, found by index.  As
-    in LaurentMonomial.evaluate, a zero base with exponent 1 zeroes the
-    value, and one with exponent -1 raises UndefinedEvaluationError, at
-    the first such cell, row-major."""
-    for row, cells in zip(entries, ints):
-        if -1 in row:
-            for e, p in zip(row, cells):
-                if e > 0:
-                    num *= p
-                elif e:
-                    den *= p
-        else:
+    denominator), for the entry rows of an ASM A (entries -1, 0 and 1),
+    read row-major.  A row with no -1 has one 1, found by index.  As in
+    LaurentMonomial.evaluate, a zero base with exponent 1 zeroes the
+    value, and one with exponent -1 raises UndefinedEvaluationError."""
+    for i, (row, cells) in enumerate(zip(entries, ints), 1):
+        if -1 not in row:
             num *= cells[row.index(1)]
-    if not den:
-        rows = enumerate(zip(entries, ints), 1)
-        raise UndefinedEvaluationError(
-            next(
-                (i, j)
-                for i, (row, cells) in rows
-                for j, (e, p) in enumerate(zip(row, cells), 1)
-                if e < 0 and not p
-            )
-        )
+            continue
+        for j, (e, p) in enumerate(zip(row, cells), 1):
+            if e > 0:
+                num *= p
+            elif e:
+                if not p:
+                    raise UndefinedEvaluationError((i, j))
+                den *= p
     return num, den
 
 
@@ -487,7 +471,7 @@ def verify_certificate(
         rng = random.Random(seed)
         for _ in range(samples):
             table = _random_positive_rows(cert.source.n, rng)
-            ints, den = _integer_form(len(table), chain.from_iterable(table))
+            ints, den = _integer_form(len(table), (pair for row in table for pair in row))
             expected = _asm_difference(cert.source, cert.target, ints, den)
             got = _certificate_sum(cert, ints, den)
             if got != expected:

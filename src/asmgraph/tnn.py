@@ -253,10 +253,8 @@ def bidiagonal_product(
     2 5/3
     """
     # Parameters are read in the order their factors apply.
-    lower = [_ratio(t) for t in lower_params]
-    diag_ratios = [_ratio(d) for d in diag]
-    upper = [_ratio(t) for t in upper_params]
-    return _bidiagonal_ratios(diag_ratios, lower, upper)
+    lower, diag, upper = ([_ratio(x) for x in xs] for xs in (lower_params, diag, upper_params))
+    return _bidiagonal_ratios(diag, lower, upper)
 
 
 def _bidiagonal_ratios(
