@@ -122,13 +122,11 @@ class LaurentMonomial:
         for (i, j), e in self.powers:
             _check_range(m.n, 1, i, j)
             p = m.ints[i - 1][j - 1]
-            if not p and e:
-                if e < 0:
-                    raise UndefinedEvaluationError((i, j))
-                num = 0
-            elif e > 0:
+            if e < 0 and not p:
+                raise UndefinedEvaluationError((i, j))
+            if e > 0:
                 num *= p**e
-            else:
+            elif e:
                 den *= p**-e
         return Fraction(num, den) / Fraction(m.den) ** sum(e for _, e in self.powers)
 

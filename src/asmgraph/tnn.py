@@ -253,8 +253,10 @@ def bidiagonal_product(
     2 5/3
     """
     # Parameters are read in the order their factors apply.
-    lower, diag, upper = ([_ratio(x) for x in xs] for xs in (lower_params, diag, upper_params))
-    return _bidiagonal_ratios(diag, lower, upper)
+    lower = [_ratio(t) for t in lower_params]
+    diag_ratios = [_ratio(d) for d in diag]
+    upper = [_ratio(t) for t in upper_params]
+    return _bidiagonal_ratios(diag_ratios, lower, upper)
 
 
 def _bidiagonal_ratios(
