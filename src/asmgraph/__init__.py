@@ -5,8 +5,8 @@ The package is organised in layers:
 - :mod:`asmgraph.core`: the Asm/CornerSum/Permutation types, axioms,
   conversions, and text/JSON formats.
 - :mod:`asmgraph.enumeration`: exhaustive generation with size guards.
-- :mod:`asmgraph.exact`: exact rational matrices, each one int matrix
-  over one denominator.
+- :mod:`asmgraph.exact`: exact rational matrices, and the one reading
+  of rows from outside.
 - :mod:`asmgraph.lattice`: the ASM order, the bigrassmannian statistic,
   essential rectangles, covering chains, and the directed ASM graph
   with its sixteen edge types.

@@ -1,45 +1,31 @@
-"""Exact rational matrices, each held as one int matrix over one denominator.
+"""Exact rational matrices, and the one way rows from outside are read.
 
-A :class:`RationalMatrix` keeps its entries twice: ``rows``, the
-Fractions that equality, hashing, ``repr`` and :meth:`~RationalMatrix.entry`
-read, and its integer form, the one form every computation reads:
-``ints``, a square tuple of int tuples, and ``den``, a positive int, with
+Rows from outside are read in one place, :func:`_read_rows`: AsmError
+for a matrix or row that is not a sequence (a str or bytes is not one),
+then every entry, row by row, then NonSquareError unless the rows are n
+rows of n entries (n = 0 too).  It has two callers.  The
+:class:`RationalMatrix` constructor makes every entry a Fraction, and
+:func:`_pairs` reads every entry as an integer ratio by :func:`_ratio`,
+for the evaluators of ``symbolic``, which take raw rows and make no
+matrix.  So an evaluator accepts and rejects the rows that the
+constructor does, and reads each entry as the same rational.
 
-    rows[i][j] == Fraction(ints[i][j], den)  and  gcd(den, *ints) == 1.
-
-The form is unique, so ``den`` is the lcm of the entries' reduced
-denominators: for another such pair ints' / den', den' ints = den ints'
-entry by entry, so den divides den' times every int, hence den' (the
-ints have no factor in common with den), and likewise den' divides den.
-Both are set once, when the matrix is made.  Its consumers read them:
-
-- a k-minor of ``ints`` is the matching minor of the matrix times
-  ``den**k``, a positive factor, so ``tnn.is_tnn`` (Neville elimination)
-  and Dodgson's condensation in ``polynomials`` run on ``ints``, and the
-  q-condensation's scale is ``den``;
-- a monomial x^E is homogeneous of degree sum(E), so its value is
-  x^E(ints) / den**sum(E): each row of an ASM sums to 1, so x^A is
-  x^A(ints) / den**n, and each certificate step of ``symbolic`` is x^A
-  times a ratio of degree 0, so a certificate's sum is its sum on
-  ``ints`` over den**n.  The evaluators multiply one int per cell and
-  divide once.
-
-The constructor is the one reader of rows from outside (``rational_matrix``
-is the constructor itself).  The generators of ``tnn`` hold int columns
-over denominators, and build their matrices through ``_trusted_matrix``
-from the entries as (numerator, denominator) pairs, which it checks
-nothing of: the form first, then each entry one Fraction of it.
-:func:`_integer_form` makes the form of such pairs, for both and for
-the pairs ``symbolic.verify_certificate`` draws.
+Whether an entry is read by its ``as_integer_ratio()`` or through
+Fraction is decided here too: :func:`_ratio` reads one raw entry or
+parameter, and :func:`_int_rows` scales a matrix's Fractions to ints
+over the lcm of their denominators, for ``tnn.is_tnn`` and the
+condensations of ``polynomials``.  The generators of ``tnn`` build
+their matrices through :func:`_trusted_matrix`, from square tuples of
+Fractions, with nothing read.  The module imports only the standard
+library and ``core``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Callable, Sequence
 
 from .core import NonSquareError, _check_range, _sequence
 
@@ -53,23 +39,38 @@ def _ratio(x) -> tuple[int, int]:
     return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
 
 
-def _integer_form(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
-    """(ints, den), the integer form of the n x n matrix whose entries,
-    row-major, are the (numerator, positive denominator) pairs, in
-    lowest terms or not: each entry over the lcm of the denominators (1
-    for no entries), all divided by their gcd with it, so that
-    gcd(den, *ints) == 1.  For pairs in lowest terms that gcd is 1: a
-    prime p dividing den divides some denominator r as often as den
-    does, and that entry's int, its numerator times den // r, is prime
-    to p."""
-    pairs = list(pairs)
-    den = lcm(*[r for _, r in pairs])
-    flat = [p * (den // r) for p, r in pairs]
-    g = gcd(den, *flat)
-    if g > 1:
-        den //= g
-        flat = [p // g for p in flat]
-    return tuple(zip(*[iter(flat)] * n)), den
+def _fraction(x) -> Fraction:
+    """x itself if its type is Fraction, else ``Fraction(x)``."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _read_rows(rows: Sequence[Sequence], read: Callable) -> tuple[tuple, ...]:
+    """rows as a tuple of tuples of read(x), x each entry: AsmError for
+    a matrix or row that is not a sequence, every entry row by row, then
+    NonSquareError unless the rows are n rows of n entries."""
+    rows = tuple(
+        tuple(map(read, _sequence(row, f"row {i}")))
+        for i, row in enumerate(_sequence(rows, "matrix"), start=1)
+    )
+    _check_square(rows)
+    return rows
+
+
+def _pairs(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The table of rows: every entry as :func:`_ratio` reads it."""
+    return _read_rows(rows, _ratio)
+
+
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The rows times the lcm of all their denominators, and that
+    positive scale; every k-minor of the rows grew by scale**k, so an
+    n x n determinant by scale**n.  Each entry is read once, by its own
+    ``as_integer_ratio()`` and nothing else: the rows are a
+    :class:`RationalMatrix`'s, whose constructor has made every entry a
+    Fraction."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    scale = lcm(*[d for row in ratios for _, d in row])
+    return [[p * (scale // d) for p, d in row] for row in ratios], scale
 
 
 @dataclass(frozen=True)
@@ -82,34 +83,34 @@ class RationalMatrix:
     keeps an entry whose type is Fraction, makes any other one
     ``Fraction(x)``, and raises NonSquareError unless the rows are n rows
     of n entries (n = 0 too).  So every entry is a Fraction: 0.5 is 1/2
-    and "1/2" is 1/2 in equality, hashing, :meth:`entry` and ``str``, and
-    an entry that Fraction rejects (None, "x", nan) raises its TypeError
-    or ValueError here, before any matrix exists.
+    and "1/2" is 1/2 in equality, hashing, :meth:`entry` and ``str`` as
+    in :func:`~asmgraph.tnn.is_tnn` and the evaluators, and an entry that
+    Fraction rejects (None, "x", nan) raises its TypeError or ValueError
+    here, before any matrix exists.  The generators build theirs through
+    :func:`_trusted_matrix`, from square tuples of Fractions.
 
-    Every matrix also holds its integer form, ``ints`` over ``den`` (see
-    the module docstring), set with the rows when it is made, which is
-    what :func:`~asmgraph.tnn.is_tnn`, the condensations and the
-    evaluators read.  Like the two values a matrix keeps once they are
-    computed, :func:`~asmgraph.tnn.is_tnn`'s verdict and the
-    q-condensation that :func:`asmgraph.polynomials.q_dodgson_check` and
-    :func:`~asmgraph.polynomials.q_dodgson_divided` share, they are
-    instance attributes, not fields, so equality, hashing and repr see
-    the rows only.  All are plain data, so the matrix pickles with them."""
+    The matrix keeps three derived values once they are computed:
+    :func:`~asmgraph.tnn.is_tnn`'s verdict, the q-condensation that
+    :func:`asmgraph.polynomials.q_dodgson_check` and
+    :func:`~asmgraph.polynomials.q_dodgson_divided` share, and
+    ``_pairs(m.rows)``, the tuple of its entries as integer ratios that
+    :func:`~asmgraph.tnn.evaluate_difference` and
+    :func:`~asmgraph.tnn.qtnn_scan` read.  Each is a class default, not a
+    field, so equality, hashing and repr see the rows only; each is set
+    on the instance with ``object.__setattr__``, unlike ``Asm._corner``,
+    a slot that every ASM sets when it is made.  All are plain data, so
+    the matrix pickles with them."""
 
     rows: tuple[tuple[Fraction, ...], ...]
-    # is_tnn's verdict, or None until is_tnn has computed it.
+    # tnn.is_tnn's verdict, or None until is_tnn has computed it.
     _tnn = None
     # polynomials._q_condensation's tuple, or None until it is computed.
     _q_condensed = None
+    # _pairs(rows), or None until tnn._table builds it.
+    _ratios = None
 
     def __post_init__(self):
-        rows = tuple(
-            tuple([x if type(x) is Fraction else Fraction(x) for x in _sequence(row, f"row {i}")])
-            for i, row in enumerate(_sequence(self.rows, "matrix"), start=1)
-        )
-        _check_square(rows)
-        ints, den = _integer_form(len(rows), map(Fraction.as_integer_ratio, chain(*rows)))
-        vars(self).update(rows=rows, ints=ints, den=den)
+        object.__setattr__(self, "rows", _read_rows(self.rows, _fraction))
 
     @property
     def n(self) -> int:
@@ -135,15 +136,11 @@ def _check_square(rows: Sequence[Sequence]) -> None:
 rational_matrix = RationalMatrix
 
 
-def _trusted_matrix(n: int, pairs: Iterable[tuple[int, int]]) -> RationalMatrix:
-    """The n x n :class:`RationalMatrix` whose entries, row-major, are the
-    n * n (numerator, positive denominator) pairs, in lowest terms or
-    not, unchecked: their :func:`_integer_form`, and each entry the
-    Fraction of its int over den.  For the generators, whose pairs fill
-    the matrix by construction; nothing else may call it.  The twin of
+def _trusted_matrix(rows: tuple[tuple[Fraction, ...], ...]) -> RationalMatrix:
+    """A :class:`RationalMatrix` around ``rows`` itself, unread, for the
+    generators whose rows are square tuples of Fractions by
+    construction; nothing else may call it.  The twin of
     ``core._trusted_asm``."""
-    ints, den = _integer_form(n, pairs)
-    rows = tuple([tuple(map(Fraction, row, repeat(den))) for row in ints])
     m = object.__new__(RationalMatrix)
-    vars(m).update(rows=rows, ints=ints, den=den)
+    object.__setattr__(m, "rows", rows)
     return m

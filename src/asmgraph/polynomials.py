@@ -49,8 +49,8 @@ from typing import Sequence
 
 from .core import AsmError
 from .enumeration import PERMUTATION_SIZE_LIMIT, _check_limit, _permutation_table, _tally
+from .exact import RationalMatrix, _check_square, _int_rows
 from .lattice import _square_gaps
-from .exact import RationalMatrix, _check_square
 from .symbolic import HalfExpPoly, NonExactDivisionError, _bordered, _det, _trusted_poly
 
 QDET_SIZE_LIMIT = 10
@@ -322,18 +322,19 @@ def dodgson(m: RationalMatrix) -> Fraction:
     """det(m) by one condensation step, exact: Dodgson's numerator over
     the interior minor (1 when n = 2).  Raises SingularInteriorError when
     the interior minor is zero (the classical proviso).  The minors are
-    taken on the matrix's integer form ``m.ints``, m times ``m.den``, so
-    the quotient is divided by den**n.  The determinant itself is never
+    taken on the integer matrix scaled by the lcm of all denominators,
+    so the quotient grows by scale**n.  The determinant itself is never
     taken: :func:`_condense` gives only the interior and the numerator,
     from one elimination, and no numerator when the interior is 0.
     """
     n = m.n
     if n < 2:
         return m.entry(1, 1) if n else Fraction(1)
-    interior, numerator = _condense(m.ints)
+    rows, scale = _int_rows(m.rows)
+    interior, numerator = _condense(rows)
     if interior == 0:
         raise SingularInteriorError("interior minor is zero")
-    return Fraction(numerator, interior * m.den**n)
+    return Fraction(numerator, interior * scale**n)
 
 
 @dataclass(frozen=True)
@@ -341,10 +342,9 @@ class QDodgsonReport:
     """Both sides of the q-condensation identity for one matrix.
 
     The identity is checked multiplicatively (no division, so no
-    proviso).  It is taken on the matrix's integer form, the entries
-    times their lcm denominator ``m.den``, which is ``scale``; both sides
-    being homogeneous of degree 2n-2 in the entries, the check is
-    equivalent and all coefficients stay integers.
+    proviso).  Input entries are scaled by a common denominator first;
+    both sides being homogeneous of degree 2n-2 in the entries, the
+    check is equivalent and all coefficients stay integers.
     """
 
     n: int
@@ -360,7 +360,7 @@ class QDodgsonReport:
 def _q_condensation(
     m: RationalMatrix,
 ) -> tuple[int, tuple[tuple[int, ...], ...], int, int, int, int | None]:
-    """Scale (``m.den``), A_q (the q-weighted ``m.ints``) encoded by
+    """Scale, A_q (the q-weighted scaled matrix) encoded by
     :func:`_kronecker` as tuple rows, its width and low, and its interior
     minor and condensation numerator, encoded, as :func:`_condense` gives
     them.  A product of minors with ``size`` rows in all decodes as
@@ -382,8 +382,9 @@ def _q_condensation(
     if m._q_condensed is None:
         if m.n < 2:
             raise AsmError("condensation needs n >= 2")
-        encoded, width, low = _kronecker(_q_weight_matrix(m.ints), products=2)
-        kept = m.den, tuple(map(tuple, encoded)), width, low, *_condense(encoded)
+        rows, scale = _int_rows(m.rows)
+        encoded, width, low = _kronecker(_q_weight_matrix(rows), products=2)
+        kept = scale, tuple(map(tuple, encoded)), width, low, *_condense(encoded)
         object.__setattr__(m, "_q_condensed", kept)
     return m._q_condensed
 

@@ -22,15 +22,17 @@ matrix and every q, by checking that each step starts where the one
 before ended; random points only spot-check the evaluator.  A
 certificate read from JSON is rebuilt by replaying its chain.
 
-Evaluation runs on ints.  Each public evaluator reads its rows once,
-at the call, through the ``exact.RationalMatrix`` constructor, so an
-entry that Fraction rejects raises there, whichever cell it is in, and
-rows that are not square raise its NonSquareError.  The loops behind it
+Evaluation runs on integer ratios.  Each public evaluator reads its
+rows once, at the call, into a table of (numerator, denominator) pairs
+by ``exact._pairs``, which reads rows as the ``RationalMatrix``
+constructor does: rows that are not a square matrix of sequences raise
+its AsmError or NonSquareError, and an entry that Fraction rejects
+raises there, whichever cell it is in.  The loops behind it
 (:func:`_asm_ratio`, :func:`_asm_difference`, :func:`_certificate_sum`)
-take only a matrix's integer form, ints over one denominator: a
-monomial is homogeneous, so they multiply one int per cell and divide
-by a power of the denominator once (see :mod:`asmgraph.exact`), and
-each result is one Fraction.
+take only such a table: a sample's, or the one a ``RationalMatrix``
+keeps.
+Monomials, q-deformed minors and certificate steps multiply plain ints,
+and each result is one Fraction.
 
 Polynomials in q^(1/2) (needed because (i - j)^2 / 2 may be a half
 integer) are represented sparsely with doubled exponents: the key t
@@ -41,10 +43,11 @@ the exact linear algebra.  :func:`_bordered` (Bareiss) takes a leading
 minor and the minors of that block bordered by each of the last few
 rows and columns.  ``polynomials._condense`` takes the interior and the
 four corner minors of Dodgson's condensation from one such pass, on
-a matrix's integer form or a Kronecker encoding, and :func:`_det`, the
-pass with no border, takes the polynomial determinants of
-``polynomials`` on their encodings.  ``tnn.is_tnn`` runs Neville
-elimination, by consecutive rows, on the integer form.
+lcm-scaled rows or a Kronecker encoding, and :func:`_det`, the pass
+with no border, takes the polynomial determinants of ``polynomials`` on
+their encodings.  ``tnn.is_tnn`` runs Neville elimination, by
+consecutive rows, on the rows ``exact._int_rows`` scales by the lcm of
+their denominators.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from math import gcd
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import Asm, AsmError, _as_int, _check_range, asm_from_json_dict, asm_to_json_dict
-from .exact import RationalMatrix, _integer_form, _ratio
+from .exact import _pairs, _ratio
 from .lattice import Rect, SizeMismatchError, _chain_steps, _shift_corners, beta
 
 
@@ -111,24 +114,25 @@ class LaurentMonomial:
     def evaluate(self, rows: Sequence[Sequence[Fraction]]) -> Fraction:
         """Exact value at an n x n matrix (plain nested sequence, 0-based).
 
-        The rows are read once, at the call, by the RationalMatrix
-        constructor, and the product is taken on their ints, over the
-        denominator to the exponent sum.  Raises IndexError for a
+        The rows are read once, at the call, by :func:`_pairs`, as the
+        RationalMatrix constructor reads them.  Raises IndexError for a
         variable outside 1..n.  A zero base zeroes the value unless its
         exponent is 0, and the scan goes on, so a later zero base with a
         negative exponent still raises."""
-        m = RationalMatrix(rows)
+        table = _pairs(rows)
         num, den = _ratio(self.coeff)
         for (i, j), e in self.powers:
-            _check_range(m.n, 1, i, j)
-            p = m.ints[i - 1][j - 1]
-            if e < 0 and not p:
-                raise UndefinedEvaluationError((i, j))
-            if e > 0:
+            _check_range(len(table), 1, i, j)
+            p, r = table[i - 1][j - 1]
+            if not p and e:
+                num = _zero_power(e, (i, j))
+            elif e > 0:
                 num *= p**e
-            elif e:
+                den *= r**e
+            else:
+                num *= r**-e
                 den *= p**-e
-        return Fraction(num, den) / Fraction(m.den) ** sum(e for _, e in self.powers)
+        return Fraction(num, den)
 
     def __str__(self) -> str:
         parts = []
@@ -145,23 +149,30 @@ def monomial(powers: Mapping[Variable, int], coeff=1) -> LaurentMonomial:
     return LaurentMonomial(Fraction(coeff), items)
 
 
-def _asm_ratio(entries: Sequence[Sequence[int]], ints, num=1, den=1) -> tuple[int, int]:
-    """num/den times x^A at the int matrix ints, as (numerator, nonzero
-    denominator), for the entry rows of an ASM A (entries -1, 0 and 1),
-    read row-major.  A row with no -1 has one 1, found by index.  As in
-    LaurentMonomial.evaluate, a zero base with exponent 1 zeroes the
-    value, and one with exponent -1 raises UndefinedEvaluationError."""
-    for i, (row, cells) in enumerate(zip(entries, ints), 1):
-        if -1 not in row:
-            num *= cells[row.index(1)]
-            continue
-        for j, (e, p) in enumerate(zip(row, cells), 1):
-            if e > 0:
-                num *= p
-            elif e:
+def _zero_power(e: int, cell: Variable) -> int:
+    """0^e as a numerator factor: 0, or UndefinedEvaluationError if e < 0."""
+    if e < 0:
+        raise UndefinedEvaluationError(cell)
+    return 0
+
+
+def _asm_ratio(entries: Sequence[Sequence[int]], table, num=1, den=1) -> tuple[int, int]:
+    """num/den times x^A at the matrix of a :func:`_pairs` table, as
+    (numerator, nonzero denominator), for the entry rows of an ASM A
+    (entries -1, 0 and 1), read row-major; zero bases as in
+    LaurentMonomial.evaluate."""
+    for i, (row, cells) in enumerate(zip(entries, table), 1):
+        for j, e in enumerate(row, 1):
+            if e:
+                p, r = cells[j - 1]
                 if not p:
-                    raise UndefinedEvaluationError((i, j))
-                den *= p
+                    num = _zero_power(e, (i, j))
+                elif e > 0:
+                    num *= p
+                    den *= r
+                else:
+                    num *= r
+                    den *= p
     return num, den
 
 
@@ -171,13 +182,12 @@ def asm_monomial(a: Asm) -> LaurentMonomial:
     return monomial({(i, j): x for i, row in rows for j, x in enumerate(row, 1)})
 
 
-def _asm_difference(a: Asm, b: Asm, ints, den: int, wa=1, wb=1) -> Fraction:
-    """wa x^a - wb x^b, exactly, at the matrix ints / den for n x n ASMs a
-    and b: both monomials have degree n, so the difference on ints is
-    divided by den**n once.  a is read first."""
-    an, ad = _asm_ratio(a.entries, ints, *_ratio(wa))
-    bn, bd = _asm_ratio(b.entries, ints, *_ratio(wb))
-    return Fraction(an * bd - bn * ad, ad * bd * den**a.n)
+def _asm_difference(a: Asm, b: Asm, table, wa=1, wb=1) -> Fraction:
+    """wa x^a - wb x^b at the matrix of a :func:`_pairs` table, exactly;
+    a is read first."""
+    an, ad = _asm_ratio(a.entries, table, *_ratio(wa))
+    bn, bd = _asm_ratio(b.entries, table, *_ratio(wb))
+    return Fraction(an * bd - bn * ad, ad * bd)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +361,7 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> Iterator[int]
 
 
 def _random_positive_rows(n: int, rng: random.Random) -> list[list[tuple[int, int]]]:
-    """An n x n table of (numerator, denominator) pairs p/r in lowest
+    """A :func:`_pairs` table of an n x n matrix of ratios p/r in lowest
     terms, p and r drawn from 1..9, row-major; unreduced, they would
     swell the products.  A negative n raises ValueError before any draw."""
     if n < 0:
@@ -365,7 +375,8 @@ def evaluate_certificate(
     cert: SflCertificate, rows: Sequence[Sequence[Fraction]]
 ) -> Fraction:
     """Exact value of the certificate sum at a matrix: the q-weighted
-    sum at q = 1, the rows read once, at the call, as a RationalMatrix."""
+    sum at q = 1, the rows read once, at the call, as the
+    RationalMatrix constructor reads them."""
     return evaluate_certificate_q(cert, rows, 1)
 
 
@@ -378,28 +389,28 @@ def evaluate_certificate_q(
     q-deformed; the sum equals q^{beta(a)} x^a - q^{beta(b)} x^b, so all
     q-powers are nonnegative and the whole thing is a polynomial in q.
     At q = 1 it is the plain certificate sum.  The rows are read once,
-    at the call, by the RationalMatrix constructor (rows that are not
-    square raise its NonSquareError), and q once; :func:`_certificate_sum`
-    adds the steps on the matrix's ints.  Raises SizeMismatchError for a
-    square matrix whose size is not the certificate's n.
+    at the call, by :func:`_pairs` (rows that are not square raise its
+    NonSquareError), and q once; :func:`_certificate_sum` adds the
+    steps.  Raises SizeMismatchError for a square matrix whose size is
+    not the certificate's n.
 
     >>> from asmgraph import identity_asm, reverse_asm
     >>> cert = sfl_certificate(identity_asm(2), reverse_asm(2))
     >>> evaluate_certificate_q(cert, [[3, 1], [2, 1]], Fraction(1, 2))
     Fraction(2, 1)
     """
-    m, n = RationalMatrix(rows), cert.source.n
-    if m.n != n:
+    table, n = _pairs(rows), cert.source.n
+    if len(table) != n:
         raise SizeMismatchError(f"certificate is for n={n}, the matrix is not {n}x{n}")
-    return _certificate_sum(cert, m.ints, m.den, *_ratio(q))
+    return _certificate_sum(cert, table, *_ratio(q))
 
 
-def _certificate_sum(cert: SflCertificate, ints, den: int, qn: int = 1, qd: int = 1) -> Fraction:
-    """The q-weighted certificate sum at the n x n matrix ints / den,
-    q = qn/qd.  Each step is an integer ratio read off its source's
-    entries and its rectangle's corners in ints, and each step's q-power
-    is the step before's times q.  Every step is homogeneous of degree n
-    in the entries, so the sum on ints is divided by den**n once."""
+def _certificate_sum(cert: SflCertificate, table, qn: int = 1, qd: int = 1) -> Fraction:
+    """The q-weighted certificate sum at the n x n matrix of a
+    :func:`_pairs` table, q = qn/qd.  Each step is an integer ratio read
+    off its source's entries and its rectangle's corners, and each
+    step's q-power is the step before's times q.  The running sum is not
+    reduced; the result's Fraction reduces it once."""
     total_num, total_den = 0, 1
     e = cert.beta_pair[0]
     if e < 0 and not qn and cert.steps:
@@ -408,24 +419,22 @@ def _certificate_sum(cert: SflCertificate, ints, den: int, qn: int = 1, qd: int 
     pn, pd = (qn**e, qd**e) if e >= 0 else (qd**-e, qn**-e)
     for t, s in enumerate(cert.steps):
         i, j, k, l = s.rect.bounds
-        num, step_den = _asm_ratio(s.source.entries, ints, pn, pd)
+        num, den = _asm_ratio(s.source.entries, table, pn, pd)
         # The minor x_ik x_jl - q^area x_il x_jk over x_ik x_jl.
-        top, bottom = ints[i - 1], ints[j - 1]
-        a, c, d, b = top[k - 1], top[l - 1], bottom[k - 1], bottom[l - 1]
-        if not (a and b):
+        top, bottom = table[i - 1], table[j - 1]
+        (an, ad), (cn, cd) = top[k - 1], top[l - 1]
+        (dn, dd), (bn, bd) = bottom[k - 1], bottom[l - 1]
+        if not (an and bn):
             raise ZeroDivisionError(f"divisor {s.divisor} is zero at step {t}")
         area = (j - i) * (l - k)
-        head = a * b * qd**area
-        num *= head - qn**area * c * d
-        step_den *= head
+        head = an * bn * qd**area * cd * dd
+        num *= head - qn**area * cn * dn * ad * bd
+        den *= head
         pn *= qn
         pd *= qd
-        total_num = total_num * step_den + num * total_den
-        total_den *= step_den
-        g = gcd(total_num, total_den)
-        total_num //= g
-        total_den //= g
-    return Fraction(total_num, total_den * den**cert.source.n)
+        total_num = total_num * den + num * total_den
+        total_den *= den
+    return Fraction(total_num, total_den)
 
 
 def verify_certificate(
@@ -469,9 +478,8 @@ def verify_certificate(
         rng = random.Random(seed)
         for _ in range(samples):
             table = _random_positive_rows(cert.source.n, rng)
-            ints, den = _integer_form(len(table), (pair for row in table for pair in row))
-            expected = _asm_difference(cert.source, cert.target, ints, den)
-            got = _certificate_sum(cert, ints, den)
+            expected = _asm_difference(cert.source, cert.target, table)
+            got = _certificate_sum(cert, table)
             if got != expected:
                 raise VerificationFailureError(
                     f"certificate sum {got} != direct difference {expected}",

@@ -59,21 +59,22 @@ Gaussian :func:`det` stays as the public reference determinant that
 ``dodgson verify`` and the tests compare with.
 
 Every :class:`RationalMatrix` (of :mod:`asmgraph.exact`, exported here
-too) is square, holds only Fractions and holds them as one int matrix
-``ints`` over one denominator ``den``: its constructor, the one reader
-of rows from outside, checks the shape and makes every entry a
+too) is square and holds only Fractions: its constructor, which reads
+rows from outside as :mod:`asmgraph.exact` says (``rational_matrix`` is
+the constructor itself), checks the shape and makes every entry a
 Fraction, so no function that takes one checks or converts an entry
 again.  The matrices this module makes (samples, counterexamples,
-q-weightings) are square by construction, and each is built once by
-``_trusted_matrix`` from a table of integer ratios, with nothing read
-back.  :func:`is_tnn`, :func:`evaluate_difference`, :func:`qtnn_scan`
-and the q-reweighting read the integer form, and a matrix keeps its TNN
-verdict and its q-condensation once they are computed.
+q-weightings) are square tuples of Fractions by construction, and each
+is built once by ``_trusted_matrix``, which reads nothing.  A matrix
+keeps the values derived from it, the TNN verdict, the q-condensation
+and its entries as an ``exact._pairs`` table of integer ratios, the
+one table that :func:`evaluate_difference` and :func:`qtnn_scan` read
+through ``_table``, as :class:`RationalMatrix` says.
 The sampler runs on integer ratios too: :func:`random_tnn` takes its
 draws into one list and pairs them by slicing, and
 :func:`bidiagonal_product` walks a per-size plan of the longest word's
 column pairs, each column an unreduced int vector over the lcm of its
-denominators; only the result's integer form and Fractions reduce.
+denominators; only the result's Fractions reduce, one per entry.
 
 The q-weighted variant: m is *locally TNN at q0* when the matrix
 (q0^{(i-j)^2/2} m(i,j)) is TNN.  Everything here stays in exact
@@ -96,11 +97,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, cycle
 from typing import Sequence
 
 from .core import Asm, AsmError
-from .exact import RationalMatrix, _ratio, _trusted_matrix, rational_matrix
+from .exact import RationalMatrix, _int_rows, _pairs, _ratio, _trusted_matrix, rational_matrix
 from .lattice import SizeMismatchError, _first_excess, _same_size, _square_gaps, beta, corner_sum
 from .symbolic import _asm_difference, _randints
 
@@ -121,7 +121,8 @@ def random_rational_matrix(n: int, rng: random.Random) -> RationalMatrix:
     the 0 x 0 matrix, and a negative n raises ValueError before any draw."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got n={n}")
-    return _trusted_matrix(n, zip(_randints(rng, -9, 9, n * n), _randints(rng, 1, 4, n * n)))
+    entries = map(Fraction, _randints(rng, -9, 9, n * n), _randints(rng, 1, 4, n * n))
+    return _trusted_matrix(tuple(zip(*[entries] * n)))
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -150,10 +151,10 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 def is_tnn(m: RationalMatrix) -> bool:
     """Exact check that every minor is >= 0, by :func:`_neville` on the
-    matrix's integer form ``m.ints``.  The first call computes the
-    verdict and keeps it on m; later calls read it."""
+    matrix scaled to ints.  The first call computes the verdict and
+    keeps it on m; later calls read it."""
     if m._tnn is None:
-        object.__setattr__(m, "_tnn", _neville(m.ints))
+        object.__setattr__(m, "_tnn", _neville(_int_rows(m.rows)[0]))
     return m._tnn
 
 
@@ -193,10 +194,9 @@ def rational_sqrt(x) -> Fraction:
 
 
 def _reweighted(m: RationalMatrix, s: Fraction) -> RationalMatrix:
-    """The matrix (s^{(i-j)^2} m(i,j)) for s > 0, on m's integer form."""
-    sn, sd = _ratio(s)
-    cells = zip(chain.from_iterable(_square_gaps(m.n)), chain.from_iterable(m.ints))
-    return _trusted_matrix(m.n, ((x * sn**g, m.den * sd**g) for g, x in cells))
+    """The matrix (s^{(i-j)^2} m(i,j))."""
+    rows = zip(_square_gaps(m.n), m.rows)
+    return _trusted_matrix(tuple(tuple(x * s**g for g, x in zip(gaps, row)) for gaps, row in rows))
 
 
 def _root(q0) -> Fraction:
@@ -269,8 +269,7 @@ def _bidiagonal_ratios(
 
     Each column is an int vector over one positive denominator, never
     reduced: an update puts the two columns over the lcm of their
-    denominators, and the only gcds are those of the result's integer
-    form and its Fractions.
+    denominators, and the only gcds are the result's Fractions.
     """
     n = len(diag)
     lower_pairs, upper_pairs, identity = _word_plan(n)
@@ -290,7 +289,7 @@ def _bidiagonal_ratios(
         for c, (dn, dd) in enumerate(scales):
             cols[c] = [x * dn for x in cols[c]]
             dens[c] *= dd
-    return _trusted_matrix(n, zip(chain.from_iterable(zip(*cols)), cycle(dens)))
+    return _trusted_matrix(tuple(tuple(map(Fraction, row, dens)) for row in zip(*cols)))
 
 
 # One plan per size: sampling repeats a few sizes, and a plan is O(n^2) ints.
@@ -329,13 +328,21 @@ def random_tnn(n: int, seed: int) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 def evaluate_difference(a: Asm, b: Asm, m: RationalMatrix) -> Fraction:
-    """Exact value of x^a - x^b at m, read off its integer form.  Raises
+    """Exact value of x^a - x^b at m, read off the table of integer
+    ratios that m keeps (see :func:`_table`).  Raises
     UndefinedEvaluationError when a zero entry of m meets a negative
     exponent.
     """
     if a.n != b.n or a.n != m.n:
         raise SizeMismatchError(f"sizes differ: {a.n}, {b.n}, {m.n}")
-    return _asm_difference(a, b, m.ints, m.den)
+    return _asm_difference(a, b, _table(m))
+
+
+def _table(m: RationalMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``exact._pairs(m.rows)``, built by the first call and kept on m."""
+    if m._ratios is None:
+        object.__setattr__(m, "_ratios", _pairs(m.rows))
+    return m._ratios
 
 
 def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, int]]:
@@ -361,7 +368,10 @@ def counterexample_matrix(a: Asm, b: Asm) -> tuple[RationalMatrix, tuple[int, in
 def _two_block(n: int, k: int, l: int) -> RationalMatrix:
     """The n x n matrix with 2 on rows <= k and columns <= l, 1 elsewhere."""
     cells = range(1, n + 1)
-    return _trusted_matrix(n, ((2 if i <= k and j <= l else 1, 1) for i in cells for j in cells))
+    two, one = Fraction(2), Fraction(1)
+    return _trusted_matrix(
+        tuple(tuple(two if i <= k and j <= l else one for j in cells) for i in cells)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +441,8 @@ def qtnn_scan(
             else:
                 weighted = random_tnn(a.n, seed=seed * 1000003 + gi * 1009 + idx)
             local = _reweighted(weighted, inverse)
-            value = _asm_difference(a, b, weighted.ints, weighted.den)
-            if value != _asm_difference(a, b, local.ints, local.den, weight_a, weight_b):
+            value = _asm_difference(a, b, _table(weighted))
+            if value != _asm_difference(a, b, _table(local), weight_a, weight_b):
                 raise AsmError("q-weighting identity failed; implementation bug")
             if value < 0:
                 violations.append((idx, value))

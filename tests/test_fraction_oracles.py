@@ -4,9 +4,8 @@ Monomial values, q-deformed 2x2 minors, certificate sums and the
 bidiagonal sampler all run on (numerator, denominator) pairs of ints.
 The per-factor Fraction versions are kept here as oracles: on every
 input both must give the same value or raise the same exception class.
-So are the reader of one entry, _ratio, and a RationalMatrix's integer
-form against the property readers they replaced, the form on every
-builder of a matrix.
+So are the readers of one entry, _ratio and _int_rows, against the
+property readers they replaced.
 The samplers draw through one bit drawer, checked here against the
 random.randint calls they replaced.
 """
@@ -28,24 +27,16 @@ from asmgraph import (
     UndefinedEvaluationError,
     asm_leq,
     bidiagonal_product,
-    counterexample_matrix,
     enumerate_asms,
     evaluate_certificate_q,
     identity_asm,
-    q_unweighted,
-    q_weighted,
     random_tnn,
     rational_matrix,
     sfl_certificate,
 )
 from asmgraph import tnn
-from asmgraph.exact import _integer_form, _ratio
-from asmgraph.symbolic import (
-    EdgeFactorization,
-    SflCertificate,
-    _randints,
-    _random_positive_rows,
-)
+from asmgraph.exact import _int_rows, _ratio
+from asmgraph.symbolic import EdgeFactorization, SflCertificate, _randints, _random_positive_rows
 from asmgraph.tnn import RANDOM_TNN_BOUND, RationalMatrix, _longest_word, random_rational_matrix
 
 F = Fraction
@@ -252,10 +243,6 @@ class TestRatio:
 
 
 class TestIntRows:
-    """A RationalMatrix's integer form, ints over den, against the
-    property reader that scaled a matrix's rows by the lcm of their
-    denominators on every call."""
-
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(min_value=0, max_value=5).flatmap(
@@ -270,115 +257,22 @@ class TestIntRows:
     )
     def test_matches_the_property_reader(self, rows):
         """Rows that mix int and Fraction entries, 0 x 0 too."""
-        m = RationalMatrix(rows)
-        ints, den = old_int_rows(rows)
-        assert (m.ints, m.den) == (tuple(map(tuple, ints)), den)
-        assert all(type(x) is int for row in m.ints for x in row) and type(m.den) is int
+        got = _int_rows(rows)
+        assert got == old_int_rows(rows)
+        assert all(type(x) is int for row in got[0] for x in row) and type(got[1]) is int
 
     @pytest.mark.parametrize("x", [0.5, Decimal("1.5")])
     def test_other_entries_raise_as_before(self, x):
-        """A float or a Decimal entry reads exactly, as the Fraction the
-        constructor makes of it, where the property reader raised
-        AttributeError.  tests/test_tnn.py checks how the constructor
-        reads a str or None entry."""
+        """A float or a Decimal entry reads exactly by its own
+        as_integer_ratio(), where the property reader raised
+        AttributeError.  A str or None entry never reaches _int_rows: a
+        RationalMatrix's constructor has made every entry a Fraction,
+        and tests/test_tnn.py checks how it reads those."""
         rows = [[F(1, 3), x], [2, 1]]
         # 1/3 and x over the lcm 6 of their denominators.
         scaled = {0.5: 3, Decimal("1.5"): 9}[x]
-        m = RationalMatrix(rows)
-        assert (m.ints, m.den) == (((2, scaled), (12, 6)), 6)
+        assert _int_rows(rows) == ([[2, scaled], [12, 6]], 6)
         assert outcome(old_int_rows, rows) == AttributeError
-
-
-def assert_canonical_form(m):
-    """m's ints over den are its rows, den is the lcm of the rows'
-    denominators and no prime divides den and every int: the form that
-    old_int_rows gives, which fixes QDodgsonReport.scale."""
-    assert type(m.ints) is tuple and all(type(row) is tuple for row in m.ints)
-    assert all(type(x) is int for row in m.ints for x in row) and type(m.den) is int
-    assert len(m.ints) == m.n and all(len(row) == m.n for row in m.ints)
-    assert all(F(p, m.den) == x for row, xs in zip(m.ints, m.rows) for p, x in zip(row, xs))
-    assert m.den == math.lcm(*(x.denominator for row in m.rows for x in row))
-    assert math.gcd(m.den, *(x for row in m.ints for x in row)) == 1
-    ints, den = old_int_rows(m.rows)
-    assert (m.ints, m.den) == (tuple(map(tuple, ints)), den)
-
-
-_sizes = st.integers(min_value=0, max_value=5)
-_seeds = st.integers(min_value=0, max_value=2**32)
-#: Positive perfect squares of rationals, for the q-reweighting.
-_squares = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8).map(lambda s: s * s)
-
-
-class TestIntegerForm:
-    """Every builder of a RationalMatrix leaves the one integer form."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        _sizes.flatmap(
-            lambda n: st.lists(
-                st.lists(
-                    st.one_of(
-                        st.integers(-50, 50),
-                        st.fractions(max_denominator=60),
-                        st.integers(-64, 64).map(lambda k: k / 8),
-                    ),
-                    min_size=n, max_size=n,
-                ),
-                min_size=n, max_size=n,
-            )
-        )
-    )
-    def test_constructor(self, rows):
-        """Int, Fraction and float entries, 0 x 0 too."""
-        assert_canonical_form(RationalMatrix(rows))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=8), _seeds)
-    def test_random_tnn(self, n, seed):
-        assert_canonical_form(random_tnn(n, seed))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=8), _seeds)
-    def test_random_rational_matrix(self, n, seed):
-        assert_canonical_form(random_rational_matrix(n, random.Random(seed)))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_bidiagonal_product(self, data):
-        """Zero and negative parameters too, so an entry may be 0 or
-        every entry share a factor with the denominators."""
-        n = data.draw(_sizes)
-        count = n * (n - 1) // 2
-        diag, lower, upper = (
-            data.draw(st.lists(_small_fractions, min_size=k, max_size=k)) for k in (n, count, count)
-        )
-        assert_canonical_form(bidiagonal_product(diag, lower, upper))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=6), _seeds, _squares)
-    def test_q_reweighting(self, n, seed, q0):
-        m = random_rational_matrix(n, random.Random(seed))
-        for f in (q_weighted, q_unweighted):
-            assert_canonical_form(f(m, q0))
-            assert_canonical_form(f(random_tnn(n, seed), q0))
-
-    def test_counterexample_matrices(self):
-        for n in (2, 3, 4):
-            asms = enumerate_asms(n)
-            for a in asms:
-                for b in asms:
-                    if not asm_leq(a, b):
-                        assert_canonical_form(counterexample_matrix(a, b)[0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=6), _seeds)
-    def test_drawn_pairs(self, n, seed):
-        """The pairs that verify_certificate draws, through the helper."""
-        table = _random_positive_rows(n, random.Random(seed))
-        ints, den = _integer_form(n, (pair for row in table for pair in row))
-        m = RationalMatrix([[F(p, r) for p, r in row] for row in table])
-        assert (ints, den) == (m.ints, m.den)
-        assert_canonical_form(m)
 
 
 class TestMonomialEvaluate:
@@ -525,17 +419,14 @@ class TestBidiagonalGrowth:
 
     @pytest.fixture
     def raw_denominators(self, monkeypatch):
-        """Bit lengths of the denominators the sampler hands over, as the
-        table of integer ratios its matrix is made of."""
+        """Bit lengths of the denominators the sampler hands to Fraction."""
         seen = []
 
-        def recording(n, pairs):
-            pairs = list(pairs)
-            seen.extend(r.bit_length() for _, r in pairs)
-            return trusted(n, pairs)
+        def recording(p, q=1):
+            seen.append(q.bit_length())
+            return Fraction(p, q)
 
-        trusted = tnn._trusted_matrix
-        monkeypatch.setattr(tnn, "_trusted_matrix", recording)
+        monkeypatch.setattr(tnn, "Fraction", recording)
         return seen
 
     @pytest.mark.parametrize("n", [8, 12, 16])

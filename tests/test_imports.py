@@ -22,6 +22,7 @@ from random import Random
 import pytest
 
 from asmgraph import polynomials as poly, verify
+from asmgraph.exact import _int_rows
 from asmgraph.symbolic import HalfExpPoly
 from asmgraph.tnn import random_rational_matrix
 
@@ -105,10 +106,12 @@ def _readers(node: ast.AST, name: str, scope: str):
 
 def test_only_the_constructor_and_sym_det_check_squareness():
     """A RationalMatrix is square once built, so no function that takes
-    one checks it again; only sym_det, on raw rows, checks its own."""
+    one checks it again.  Raw rows are checked by exact._read_rows, the
+    reading of the constructor and of the evaluators' _pairs, and by
+    sym_det, which checks its own."""
     trees, _ = _package()
     readers = {s for module, tree in trees.items() for s in _readers(tree, "_check_square", module)}
-    assert readers == {"exact.RationalMatrix.__post_init__", "polynomials.sym_det"}
+    assert readers == {"exact._read_rows", "polynomials.sym_det"}
 
 
 def test_only_the_generators_build_trusted_matrices():
@@ -124,14 +127,13 @@ def test_only_the_generators_build_trusted_matrices():
 
 def test_only_the_two_readers_take_integer_ratios():
     """Whether an entry is read by its as_integer_ratio() or through
-    Fraction is decided in exact alone: _ratio reads raw parameters and
-    coefficients, and the RationalMatrix constructor the Fractions it
-    has read, once, into their integer form."""
+    Fraction is decided in exact alone: _ratio reads raw rows and
+    parameters, and _int_rows a RationalMatrix's Fractions."""
     trees, _ = _package()
     readers = {
         s for module, tree in trees.items() for s in _readers(tree, "as_integer_ratio", module)
     }
-    assert readers == {"exact._ratio", "exact.RationalMatrix.__post_init__"}
+    assert readers == {"exact._ratio", "exact._int_rows"}
 
 
 def _registered(node: ast.AST, tree: ast.Module) -> bool:
@@ -185,7 +187,7 @@ def test_library_paths_use_no_ring_operation(monkeypatch):
     for n in range(2, 7):
         for _ in range(10):
             m = random_rational_matrix(n, rng)
-            weighted = poly._q_weight_matrix(m.ints)
+            weighted = poly._q_weight_matrix(_int_rows(m.rows)[0])
             assert poly.q_dodgson_check(m).passed
             try:
                 poly.dodgson(m)

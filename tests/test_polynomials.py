@@ -35,6 +35,7 @@ from asmgraph.lattice import beta_permutation
 from asmgraph.polynomials import (
     BQ_METHODS, _condense, _decode, _exact_quotient, _kronecker, _q_weight_matrix,
 )
+from asmgraph.exact import _int_rows
 from asmgraph.symbolic import NonExactDivisionError, _det
 from asmgraph.tnn import RationalMatrix, det
 
@@ -597,7 +598,7 @@ class TestQDodgson:
         for n in (2, 3, 4, 5, 6):
             for _ in range(4):
                 m = rational_matrix(_random_rational_rows(n, rng))
-                expected = sym_det(_q_weight_matrix(m.ints))
+                expected = sym_det(_q_weight_matrix(_int_rows(m.rows)[0]))
                 assert repr(q_dodgson_divided(m)) == repr(expected)
 
     def test_divided_value_at_one(self):
@@ -648,7 +649,7 @@ class TestQDodgson:
                 for i in range(n):
                     rows[i][i] = F(0)
             m = rational_matrix(rows)
-            weighted = _q_weight_matrix(m.ints)
+            weighted = _q_weight_matrix(_int_rows(m.rows)[0])
             interior, numerator = _five_slices(weighted, HalfExpPoly.one(), laplace_det)
             report = q_dodgson_check(m)
             assert report.rhs.terms == numerator.terms

@@ -159,8 +159,8 @@ class TestEdgeFactorization:
 
 
 class TestRowsReadOnce:
-    """Each public evaluator reads its rows once, at the call, through
-    the RationalMatrix constructor, into one integer form."""
+    """Each public evaluator reads its rows once, at the call, into a
+    table of integer ratios by symbolic._pairs."""
 
     ROWS = [[F(2), F(3), F(5)], [F(7), F(11, 2), F(1, 3)], [F(4, 7), F(9), F(6)]]
 
@@ -188,12 +188,12 @@ class TestRowsReadOnce:
             with pytest.raises(error):
                 evaluate(broken)
 
-    def test_rows_are_read_once_per_call(self, a3, monkeypatch):
-        from asmgraph.exact import RationalMatrix
+    def test_pairs_is_called_once_per_call(self, a3, monkeypatch):
+        import asmgraph.symbolic
 
-        calls, read = [], RationalMatrix.__post_init__
+        calls, pairs = [], asmgraph.symbolic._pairs
         monkeypatch.setattr(
-            RationalMatrix, "__post_init__", lambda m: calls.append(m.rows) or read(m)
+            asmgraph.symbolic, "_pairs", lambda rows: calls.append(rows) or pairs(rows)
         )
         for evaluate in self._evaluators(a3):
             calls.clear()
@@ -414,7 +414,7 @@ class TestVerificationFailures:
         # The sampled pass checks the evaluator against the direct difference.
         import asmgraph.symbolic
 
-        monkeypatch.setattr(asmgraph.symbolic, "_certificate_sum", lambda c, ints, den: F(-1))
+        monkeypatch.setattr(asmgraph.symbolic, "_certificate_sum", lambda c, table: F(-1))
         with pytest.raises(VerificationFailureError, match="direct difference") as exc:
             verify_certificate(self._cert(a3), samples=1, seed=5)
         assert exc.value.step is None

@@ -5,7 +5,7 @@ import pickle
 import random
 from dataclasses import fields
 from fractions import Fraction
-from math import comb, lcm, nan
+from math import comb, nan
 from operator import attrgetter
 
 import pytest
@@ -41,6 +41,7 @@ from asmgraph import (
 )
 from asmgraph.core import NonSquareError, corner_sum
 from asmgraph.lattice import SizeMismatchError
+from asmgraph.exact import _int_rows
 from asmgraph.tnn import (
     RationalMatrix,
     _neville,
@@ -67,14 +68,6 @@ def _every_minor_positive(all_minors, m):
         len(table) == comb(m.n, rmask.bit_count()) and all(v > 0 for v in table.values())
         for rmask, table in all_minors(m.rows, 1)
     )
-
-
-def _lcm_scaled(rows):
-    """Rows of any shape, ints or Fractions, times the lcm of their
-    denominators: the integer form of a square RationalMatrix, for any
-    rectangle."""
-    scale = lcm(*(F(x).denominator for row in rows for x in row))
-    return [[int(x * scale) for x in row] for row in rows]
 
 
 class _FractionSubclass(Fraction):
@@ -706,7 +699,7 @@ def _neville_rows(draw):
         st.just(0), st.integers(1, 3), st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
     )
     m = bidiagonal_product(*(draw(st.lists(param, min_size=k, max_size=k)) for k in (n, count, count)))
-    rows = [list(row) for row in (m.ints if draw(st.booleans()) else m.rows)]
+    rows = _int_rows(m.rows)[0] if draw(st.booleans()) else [list(row) for row in m.rows]
     width = draw(st.integers(min_value=1, max_value=n))
     rows = [row[:width] for row in rows[: draw(st.integers(min_value=1, max_value=n))]]
     if draw(st.booleans()):
@@ -727,7 +720,7 @@ class TestNevilleAgainstAllMinors:
     @given(_neville_rows())
     def test_near_tnn_rows(self, tnn_by_minors, rows):
         verdict = tnn_by_minors(rows)
-        assert _neville(_lcm_scaled(rows)) is verdict
+        assert _neville(_int_rows(rows)[0]) is verdict
         if len(rows) == len(rows[0]):
             assert is_tnn(rational_matrix(rows)) is verdict
 
@@ -819,33 +812,32 @@ class TestSharedCounterexample:
             back = pickle.loads(pickle.dumps(m))
             assert back == plain and is_tnn(back) is verdict
 
-    def test_integer_form_leaves_the_plain_matrix(self, a3):
-        """A matrix holds its entries as ints over one denominator from
-        the start, which equality, hash, repr and the fields do not see;
-        evaluate_difference reads it and leaves it as it was, and a
-        pickled matrix keeps it."""
+    def test_kept_ratios_leave_the_plain_matrix(self, a3):
+        """evaluate_difference keeps the matrix's entries as integer
+        ratios, which equality, hash, repr, the fields and pickling do not
+        see; later calls read the kept table, and give what a fresh
+        matrix gives."""
         assert [f.name for f in fields(RationalMatrix)] == ["rows"]
         a, b = a3["X"], a3["321"]
-        for rows, den in (
-            ([[1, 2, 1], [F(1, 2), 3, 1], [1, 1, F(7, 3)]], 6),
-            ([[2, 2, 1], [2, 2, 1], [1, 1, 1]], 1),
-        ):
+        for rows in ([[1, 2, 1], [F(1, 2), 3, 1], [1, 1, F(7, 3)]], [[2, 2, 1], [2, 2, 1], [1, 1, 1]]):
             m, plain = rational_matrix(rows), rational_matrix(rows)
-            kept = m.ints
-            assert m.den == den and kept == tuple(tuple(int(x * den) for x in row) for row in rows)
-            assert type(kept) is tuple and all(type(row) is tuple for row in kept)
             value = evaluate_difference(a, b, m)
+            kept = m._ratios
+            want = tuple(tuple((x.numerator, x.denominator) for x in row) for row in plain.rows)
+            assert type(kept) is tuple and kept == want
+            assert plain._ratios is None
             assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
             assert evaluate_difference(b, a, m) == -value == -evaluate_difference(a, b, plain)
-            assert m.ints is kept and m.den == den
+            assert m._ratios is kept
             back = pickle.loads(pickle.dumps(m))
-            assert back == plain and (back.ints, back.den) == (kept, den)
+            assert back == plain and back._ratios == kept
             assert evaluate_difference(a, b, back) == value
 
     @pytest.mark.parametrize("bad, error", [(None, TypeError), ("x", ValueError), (nan, ValueError)])
     def test_bad_entry_raises_at_the_first_call(self, bad, error):
         """An entry that no Fraction can be made of raises Fraction's
         exception class at the first call that meets it, the
-        constructor: no matrix holds it, so no integer form can."""
+        constructor: no matrix holds it, so no evaluate_difference
+        table can."""
         with pytest.raises(error):
             RationalMatrix(((F(1), bad), (F(0), F(1))))
