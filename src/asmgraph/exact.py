@@ -1,23 +1,16 @@
-"""Exact rational matrices, and the one way rows from outside are read.
+"""Exact rational matrices, and the one reading of rows from outside.
 
-Rows from outside are read in one place, :func:`_read_rows`: AsmError
-for a matrix or row that is not a sequence (a str or bytes is not one),
-then every entry, row by row, then NonSquareError unless the rows are n
-rows of n entries (n = 0 too).  It has two callers.  The
-:class:`RationalMatrix` constructor makes every entry a Fraction, and
-:func:`_pairs` reads every entry as an integer ratio by :func:`_ratio`,
-for the evaluators of ``symbolic``, which take raw rows and make no
-matrix.  So an evaluator accepts and rejects the rows that the
-constructor does, and reads each entry as the same rational.
-
-Whether an entry is read by its ``as_integer_ratio()`` or through
-Fraction is decided here too: :func:`_ratio` reads one raw entry or
-parameter, and :func:`_int_rows` scales a matrix's Fractions to ints
-over the lcm of their denominators, for ``tnn.is_tnn`` and the
-condensations of ``polynomials``.  The generators of ``tnn`` build
-their matrices through :func:`_trusted_matrix`, from square tuples of
-Fractions, with nothing read.  The module imports only the standard
-library and ``core``.
+:func:`_read_rows` reads raw rows for the :class:`RationalMatrix`
+constructor, which makes every entry a Fraction, and for
+:func:`_pairs`, which reads every entry as an integer ratio by
+:func:`_ratio` for the evaluators of ``symbolic``.  So an evaluator
+accepts and rejects the rows that the constructor does, and reads each
+entry as the same rational.  :func:`_int_rows` scales a matrix's
+Fractions to ints over the lcm of their denominators, for
+``tnn.is_tnn`` and the condensations of ``polynomials``.  The
+generators of ``tnn`` build their matrices through
+:func:`_trusted_matrix`, with nothing read.  The module imports only
+the standard library and ``core``.
 """
 
 from __future__ import annotations
@@ -77,12 +70,13 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]
 class RationalMatrix:
     """Immutable square matrix of exact rationals with 1-based accessor.
 
-    The constructor reads the rows once, as :class:`~asmgraph.core.Asm`'s
-    does, and keeps them as a tuple of tuples.  It raises AsmError for a
-    matrix or row that is not a sequence (a str or bytes is not one),
-    keeps an entry whose type is Fraction, makes any other one
-    ``Fraction(x)``, and raises NonSquareError unless the rows are n rows
-    of n entries (n = 0 too).  So every entry is a Fraction: 0.5 is 1/2
+    The constructor reads the rows once, by :func:`_read_rows`, as
+    :class:`~asmgraph.core.Asm`'s does, and keeps them as a tuple of
+    tuples.  It raises AsmError for a matrix or row that is not a
+    sequence (a str or bytes is not one), keeps an entry whose type is
+    Fraction, makes any other one ``Fraction(x)``, and raises
+    NonSquareError unless the rows are n rows of n entries (n = 0 too).
+    So every entry is a Fraction: 0.5 is 1/2
     and "1/2" is 1/2 in equality, hashing, :meth:`entry` and ``str`` as
     in :func:`~asmgraph.tnn.is_tnn` and the evaluators, and an entry that
     Fraction rejects (None, "x", nan) raises its TypeError or ValueError
